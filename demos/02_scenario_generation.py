@@ -3,7 +3,9 @@
 Assets drift at repo-minus-dividend (with a quanto correction when quoted in
 a foreign currency), FX rates at the unsecured differential. Randomness is
 counter-based: the draw for (seed, path, step, driver) is a pure function of
-those four integers, so the scenario is bit-identical for any worker count.
+those integers and of the grid length and driver count, and paths are
+simulated in fixed chunks, so the scenario is bit-identical for any worker
+count.
 """
 
 import os

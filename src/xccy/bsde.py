@@ -21,7 +21,7 @@ closed form of :func:`xccy.pricing.price_fully_collateralized`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -34,7 +34,7 @@ from .errors import (
     SingularRegression,
 )
 from .model import ValidatedModel, cross_currency_basis_integral
-from .simulation import ScenarioSet, TimeGrid, simulate
+from .simulation import TimeGrid, simulate
 
 RIDGE_LAMBDA = 1e-8
 COND_LIMIT = 1e12
@@ -55,6 +55,8 @@ class BsdeConfig:
             raise ConfigError(f"regression degree must be >= 0, got {self.degree}")
         if self.picard_max < 1:
             raise ConfigError(f"picard_max must be >= 1, got {self.picard_max}")
+        if self.n_workers < 1:
+            raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
 
 
 @dataclass(frozen=True)
@@ -65,7 +67,6 @@ class BsdeResult:
     grid: TimeGrid
     n_paths: int
     seed: int
-    scenario: ScenarioSet = field(repr=False, default=None)
 
 
 def _basis_matrix(states: np.ndarray, degree: int) -> np.ndarray:
@@ -204,5 +205,4 @@ def solve_endogenous(
         grid=grid,
         n_paths=cfg.n_paths,
         seed=cfg.seed,
-        scenario=scenario,
     )

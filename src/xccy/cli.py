@@ -38,6 +38,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _workers(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
+    return n
+
+
 def _add_common(p, trade=True):
     p.add_argument("--model", required=True, help="model JSON document")
     if trade:
@@ -45,7 +52,7 @@ def _add_common(p, trade=True):
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_workers, default=1, help="threads, capped at the CPU count")
     p.add_argument("--out", default=None, help="output directory (created if missing)")
 
 

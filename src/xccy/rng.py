@@ -1,11 +1,18 @@
-"""Stateless counter-based random numbers (Philox-4x64-10).
+"""Stateless counter-based random numbers (Philox-4x64-10, numpy's C kernel).
 
-Every normal variate is a pure function of (seed, path, step, driver), so a
-scenario is bit-identical no matter how paths are split across workers. The
-core permutation matches the reference Philox-4x64-10: block ``c`` of this
-module equals the first block numpy's ``np.random.Philox`` emits when seeded
-with ``counter = c - 1`` (numpy pre-increments the counter word 0 before the
-first draw); the unit tests pin that equivalence.
+The variate for (path p, step s, driver d) is word ``d % 4`` of the Philox
+block at the flat 256-bit counter
+
+    word0 = (p * n_steps + s) * n_blocks + d // 4,  words 1-3 = 0,
+
+with ``n_blocks = ceil(n_drivers / 4)``, keyed by the seed (reduced modulo
+2**128). A draw is therefore a pure function of (seed, path, step, driver,
+n_steps, n_drivers): fixed by the scenario identity (model, grid, n_paths,
+seed), and independent of how paths are split into chunks or across workers.
+A contiguous range of paths is a contiguous range of counters, read by one
+``np.random.Philox(...).random_raw`` call. numpy pre-increments the counter
+before its first block, so the generator starts one below the first counter;
+below counter 0 that wraps to the all-ones counter.
 """
 
 from __future__ import annotations
@@ -13,75 +20,27 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import ndtri
 
-_M0 = np.uint64(0xD2E7470EE14C6C93)
-_M1 = np.uint64(0xCA5A826395121157)
-_W0 = 0x9E3779B97F4A7C15
-_W1 = 0xBB67AE8584CAA73B
-_MASK32 = np.uint64(0xFFFFFFFF)
-_MASK64 = (1 << 64) - 1
-_SH = np.uint64(32)
-
-# key schedule for 10 rounds, precomputed in python ints to avoid uint64 overflow
-_KEY_OFFSETS = [((r * _W0) & _MASK64, (r * _W1) & _MASK64) for r in range(10)]
-
-
-def _mulhilo(a: np.uint64, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Full 128-bit product of a scalar and an array, as (high, low) 64-bit words."""
-    lo = a * b
-    a_hi, a_lo = a >> _SH, a & _MASK32
-    b_hi, b_lo = b >> _SH, b & _MASK32
-    t = a_hi * b_lo + ((a_lo * b_lo) >> _SH)
-    hi = a_hi * b_hi + (t >> _SH) + ((a_lo * b_hi + (t & _MASK32)) >> _SH)
-    return hi, lo
-
-
-def philox4x64(counters: np.ndarray, key: int) -> np.ndarray:
-    """Apply the Philox-4x64-10 permutation to an (n, 4) array of counters.
-
-    Returns an (n, 4) uint64 array. ``key`` is reduced modulo 2**128 and split
-    into two 64-bit words.
-    """
-    counters = np.ascontiguousarray(counters, dtype=np.uint64)
-    x0 = counters[:, 0].copy()
-    x1 = counters[:, 1].copy()
-    x2 = counters[:, 2].copy()
-    x3 = counters[:, 3].copy()
-    key = int(key) & ((1 << 128) - 1)
-    k0_base, k1_base = key & _MASK64, key >> 64
-    for off0, off1 in _KEY_OFFSETS:
-        k0 = np.uint64((k0_base + off0) & _MASK64)
-        k1 = np.uint64((k1_base + off1) & _MASK64)
-        hi0, lo0 = _mulhilo(_M0, x0)
-        hi1, lo1 = _mulhilo(_M1, x2)
-        x0, x1, x2, x3 = hi1 ^ x1 ^ k0, lo1, hi0 ^ x3 ^ k1, lo0
-    out = np.empty((counters.shape[0], 4), dtype=np.uint64)
-    out[:, 0], out[:, 1], out[:, 2], out[:, 3] = x0, x1, x2, x3
-    return out
+_MOD128 = 1 << 128
+_MOD256 = 1 << 256
 
 
 def _to_uniform(bits: np.ndarray) -> np.ndarray:
     """Map uint64 words to doubles in the open interval (0, 1)."""
-    return (bits >> np.uint64(11)).astype(np.float64) * (2.0**-53) + 2.0**-54
+    u = (bits >> np.uint64(11)).astype(np.float64)
+    u *= 2.0**-53
+    u += 2.0**-54
+    return u
 
 
-def normal_block(seed: int, paths: np.ndarray, n_steps: int, n_drivers: int) -> np.ndarray:
-    """Standard normals for the requested paths, shape (len(paths), n_steps, n_drivers).
+def normal_block(seed: int, first: int, count: int, n_steps: int, n_drivers: int) -> np.ndarray:
+    """Standard normals for paths ``first .. first + count - 1``.
 
-    The variate for (path p, step s, driver d) is read from Philox block
-    ``counter = (d // 4, s, p, 0)``, word ``d % 4``, keyed by the seed, so the
-    result for a given path does not depend on which other paths are in the
-    block.
+    Returns shape (count, n_steps, n_drivers); see the module docstring for
+    the counter of each variate.
     """
-    paths = np.asarray(paths, dtype=np.uint64)
     n_blocks = max(1, -(-n_drivers // 4))
-    p_ix, s_ix, b_ix = np.meshgrid(
-        paths, np.arange(n_steps, dtype=np.uint64), np.arange(n_blocks, dtype=np.uint64), indexing="ij"
-    )
-    counters = np.empty((p_ix.size, 4), dtype=np.uint64)
-    counters[:, 0] = b_ix.ravel()
-    counters[:, 1] = s_ix.ravel()
-    counters[:, 2] = p_ix.ravel()
-    counters[:, 3] = 0
-    bits = philox4x64(counters, seed)
-    uniforms = _to_uniform(bits).reshape(len(paths), n_steps, n_blocks * 4)[:, :, :n_drivers]
+    start = first * n_steps * n_blocks
+    gen = np.random.Philox(key=int(seed) % _MOD128, counter=(start - 1) % _MOD256)
+    bits = gen.random_raw(count * n_steps * n_blocks * 4)
+    uniforms = _to_uniform(bits).reshape(count, n_steps, n_blocks * 4)[:, :, :n_drivers]
     return ndtri(uniforms)

@@ -10,15 +10,21 @@ discounted funding-gain process of every asset, and X * B_f / B_dom for every
 currency, empirical martingales (the diagnostics module certifies this).
 
 Randomness is counter-based (see :mod:`xccy.rng`): a scenario is a pure
-function of (model, grid, n_paths, seed) and is assembled identically for any
+function of (model, grid, n_paths, seed). Paths are simulated in fixed chunks
+of ``CHUNK_PATHS`` whose boundaries do not depend on the worker count; each
+chunk draws its normals, mixes them and steps them (one cumulative sum of
+log-increments, one ``exp``) straight into one driver-major array of shape
+(n_drivers, n_paths, n_times), so the scenario is byte-identical for any
 worker count.
 """
 
 from __future__ import annotations
 
+import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -28,6 +34,8 @@ from .model import AssetSpec, ValidatedModel, fx_label
 from .rng import normal_block
 
 GRID_SNAP_TOL = 1e-9
+# paths per simulation chunk: fixed, so results do not depend on the worker count
+CHUNK_PATHS = 8192
 
 
 @dataclass(frozen=True)
@@ -91,9 +99,10 @@ class ScenarioSet:
     """Simulated paths plus the deterministic cash accounts on the grid.
 
     ``asset_paths[label]`` and ``fx_paths[currency]`` hold (n_paths, n_times)
-    arrays; ``account_values[(role, currency)]`` holds the deterministic cash
-    account B(t) on the grid. The domestic FX path is identically one and is
-    served by :meth:`fx` without being stored.
+    arrays, each a contiguous view of the driver-major path array;
+    ``account_values[(role, currency)]`` holds the deterministic cash account
+    B(t) on the grid. The domestic FX path is identically one and is served by
+    :meth:`fx` without being stored.
     """
 
     model: ValidatedModel
@@ -189,36 +198,40 @@ def _drift_integrals(
     return out
 
 
-def _simulate_block(
-    model: ValidatedModel,
-    grid: TimeGrid,
-    path_indices: np.ndarray,
+def worker_threads(n_workers: int, n_chunks: int) -> int:
+    """Threads to start: the requested workers, capped by the CPUs and by the chunks."""
+    if n_workers < 1:
+        raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
+    return min(n_workers, os.cpu_count() or 1, n_chunks)
+
+
+def _simulate_chunk(
+    paths: np.ndarray,
     seed: int,
-    drift_int: np.ndarray,
-    sigmas: np.ndarray,
+    drift: np.ndarray,
+    vol: np.ndarray,
     x0: np.ndarray,
-) -> np.ndarray:
-    """Paths for one block, shape (n_block, n_times, n_drivers)."""
-    n_steps = grid.n_steps
-    n_drivers = len(model.driver_labels)
-    z = normal_block(seed, path_indices, n_steps, n_drivers)
-    # correlate by explicit fixed-order accumulation; result does not depend on
-    # block size the way a BLAS matmul kernel choice might
-    mix = model.mixing
-    zc = np.zeros_like(z)
+    chunk: tuple[int, int],
+) -> None:
+    """Write paths ``start .. stop - 1`` of ``chunk`` into the driver-major ``paths``.
+
+    The log-increment of driver d over step j is drift[d, j] plus
+    sum_k vol[d, k, j] z_k, accumulated in a fixed driver order rather than by
+    a BLAS product, so each path's value does not depend on the chunking.
+    """
+    start, stop = chunk
+    n_drivers, _, n_times = paths.shape
+    z = normal_block(seed, start, stop - start, n_times - 1, n_drivers)
     for d in range(n_drivers):
-        acc = zc[:, :, d]
+        logs = paths[d, start:stop]
+        logs[:, 0] = 0.0
+        logs[:, 1:] = drift[d]
         for k in range(n_drivers):
-            c = mix[d, k]
-            if c != 0.0:
-                acc += c * z[:, :, k]
-    dt = grid.dt
-    out = np.empty((len(path_indices), n_steps + 1, n_drivers))
-    out[:, 0, :] = x0
-    for j in range(n_steps):
-        step = drift_int[:, j] - 0.5 * sigmas**2 * dt[j] + sigmas * np.sqrt(dt[j]) * zc[:, j, :]
-        out[:, j + 1, :] = out[:, j, :] * np.exp(step)
-    return out
+            if vol[d, k].any():  # skip zero entries of the mixing matrix
+                logs[:, 1:] += vol[d, k] * z[:, :, k]
+        np.cumsum(logs, axis=1, out=logs)
+        np.exp(logs, out=logs)
+        logs *= x0[d]
 
 
 def simulate(
@@ -235,10 +248,13 @@ def simulate(
     ``measure="p"`` uses the configured physical drifts (where given) instead
     of the martingale-measure drifts; ``drift_shift`` adds a constant per-year
     drift bump to named drivers. Both exist for diagnostics negative controls;
-    pricing requires the default measure.
+    pricing requires the default measure. Paths are simulated in chunks of
+    ``CHUNK_PATHS`` on at most :func:`worker_threads` threads.
     """
     if n_paths < 1:
         raise ZeroPaths(f"n_paths={n_paths}")
+    chunks = [(a, min(a + CHUNK_PATHS, n_paths)) for a in range(0, n_paths, CHUNK_PATHS)]
+    n_threads = worker_threads(n_workers, len(chunks))
     drift_shift = dict(drift_shift or {})
     if measure not in ("qe", "p"):
         raise ConfigError(f"unknown measure {measure!r}")
@@ -255,25 +271,25 @@ def simulate(
             for lab in model.driver_labels
         ]
     )
+    drift = drift_int - 0.5 * np.outer(sigmas**2, grid.dt)
+    vol = model.mixing[:, :, None] * np.outer(sigmas, np.sqrt(grid.dt))[:, None, :]
 
-    blocks = np.array_split(np.arange(n_paths, dtype=np.uint64), max(1, int(n_workers)))
-    blocks = [b for b in blocks if b.size]
-    if len(blocks) == 1:
-        parts = [_simulate_block(model, grid, blocks[0], seed, drift_int, sigmas, x0)]
+    paths = np.empty((len(x0), n_paths, len(grid.times)))
+    fill = partial(_simulate_chunk, paths, seed, drift, vol, x0)
+    if n_threads == 1:
+        for chunk in chunks:
+            fill(chunk)
     else:
-        with ThreadPoolExecutor(max_workers=len(blocks)) as pool:
-            parts = list(
-                pool.map(lambda b: _simulate_block(model, grid, b, seed, drift_int, sigmas, x0), blocks)
-            )
-    paths = np.concatenate(parts, axis=0) if len(parts) > 1 else parts[0]
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(fill, chunks))
 
     asset_paths = {}
     fx_paths = {}
     for d, label in enumerate(model.driver_labels):
         if label.startswith("fx:"):
-            fx_paths[label[3:]] = paths[:, :, d]
+            fx_paths[label[3:]] = paths[d]
         else:
-            asset_paths[label] = paths[:, :, d]
+            asset_paths[label] = paths[d]
 
     account_values: dict[tuple[str, str], np.ndarray] = {}
     for cur in model.currency_names:

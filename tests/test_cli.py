@@ -98,6 +98,13 @@ def test_bad_usage_exits_one(docs, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_nonpositive_workers_exit_one(docs, capsys, workers):
+    model, _, _ = docs
+    assert run(["check", "--model", str(model), "--paths", "10", "--workers", workers]) == 1
+    assert "--workers" in capsys.readouterr().err
+
+
 def test_price_repeated_runs_are_byte_identical(docs):
     model, trade, tmp = docs
     out = tmp / "out"

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -15,9 +16,11 @@ from xccy import (
     qe_fx_drift,
     simulate,
 )
+from xccy.bsde import BsdeConfig
 from xccy.curves import RateCurve
-from xccy.errors import DomesticPairRequested, EmptyGrid, ZeroPaths
+from xccy.errors import ConfigError, DomesticPairRequested, EmptyGrid, ZeroPaths
 from xccy.model import CorrelationMatrix
+from xccy.simulation import CHUNK_PATHS, worker_threads
 
 
 def test_grid_snaps_flow_dates_exactly():
@@ -129,11 +132,12 @@ def test_positivity_and_domestic_fx_identity(two_currency_model):
 
 def test_bit_identical_across_worker_counts(two_currency_model):
     grid = TimeGrid.regular(1.0, 6)
-    one = simulate(two_currency_model, grid, 1000, seed=5, n_workers=1)
-    eight = simulate(two_currency_model, grid, 1000, seed=5, n_workers=8)
-    for label in ("EQ", "FEQ"):
-        assert np.array_equal(one.asset(label), eight.asset(label))
-    assert np.array_equal(one.fx("USD"), eight.fx("USD"))
+    for n_paths in (1000, 2 * CHUNK_PATHS + 1000):  # one chunk; three, the last ragged
+        one = simulate(two_currency_model, grid, n_paths, seed=5, n_workers=1)
+        eight = simulate(two_currency_model, grid, n_paths, seed=5, n_workers=8)
+        for label in ("EQ", "FEQ"):
+            assert np.array_equal(one.asset(label), eight.asset(label))
+        assert np.array_equal(one.fx("USD"), eight.fx("USD"))
 
 
 def test_same_seed_reproduces_same_paths(two_currency_model):
@@ -148,6 +152,24 @@ def test_same_seed_reproduces_same_paths(two_currency_model):
 def test_zero_paths_rejected(two_currency_model):
     with pytest.raises(ZeroPaths):
         simulate(two_currency_model, TimeGrid.regular(1.0, 2), 0, seed=0)
+
+
+@pytest.mark.parametrize("n_workers", [0, -3])
+def test_nonpositive_workers_rejected(two_currency_model, n_workers):
+    with pytest.raises(ConfigError):
+        simulate(two_currency_model, TimeGrid.regular(1.0, 2), 10, seed=0, n_workers=n_workers)
+    with pytest.raises(ConfigError):
+        BsdeConfig(grid=TimeGrid.regular(1.0, 2), n_paths=10, n_workers=n_workers)
+
+
+def test_thread_count_capped_by_cpus_and_chunks(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert worker_threads(100_000, 13) == 4
+    assert worker_threads(2, 13) == 2
+    assert worker_threads(8, 3) == 3
+    assert worker_threads(1, 13) == 1
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable: one thread
+    assert worker_threads(8, 13) == 1
 
 
 def test_drift_shift_moves_the_mean(two_currency_model):
