@@ -33,7 +33,7 @@ from .errors import (
     PicardDivergence,
     SingularRegression,
 )
-from .model import ValidatedModel, cross_currency_basis_integral
+from .model import ValidatedModel, cross_currency_basis_of
 from .simulation import TimeGrid, simulate
 
 RIDGE_LAMBDA = 1e-8
@@ -136,14 +136,11 @@ def solve_endogenous(
     rc_e = model.curve(model.domestic, "collateral_lend")
 
     # per-step exact integrals of the driver coefficients
-    r_int = np.array([r_e.integral(times[j], times[j + 1]) for j in range(n_steps)])
-    spread_int = np.array(
-        [
-            r_e.integral(times[j], times[j + 1])
-            - rc_e.integral(times[j], times[j + 1])
-            - cross_currency_basis_integral(model, k3, times[j], times[j + 1])
-            for j in range(n_steps)
-        ]
+    r_int = r_e.step_integrals(times)
+    spread_int = (
+        r_int
+        - rc_e.step_integrals(times)
+        - cross_currency_basis_of(model, k3, lambda curve: curve.step_integrals(times))
     )
 
     fx_k2 = scenario.fx(contract.native_currency)

@@ -135,10 +135,6 @@ def collateral_from_mark(mark, spec: CollateralSpec, fx_level) -> np.ndarray:
     return ((1.0 + spec.delta1) * np.maximum(mark, 0.0) - (1.0 + spec.delta2) * np.maximum(-mark, 0.0)) / fx_level
 
 
-def _rate_integrals(curve, times: np.ndarray) -> np.ndarray:
-    return np.array([curve.integral(times[j], times[j + 1]) for j in range(len(times) - 1)])
-
-
 def margin_interest(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> np.ndarray:
     """Cumulative margin-account interest in domestic units, (n_paths, n_times).
 
@@ -148,8 +144,8 @@ def margin_interest(scenario: ScenarioSet, coll: CollateralPath, spec: Collatera
     """
     model = scenario.model
     times = scenario.grid.times
-    lend = _rate_integrals(model.curve(spec.currency, "collateral_lend"), times)
-    borrow = _rate_integrals(model.curve(spec.currency, "collateral_borrow"), times)
+    lend = model.curve(spec.currency, "collateral_lend").step_integrals(times)
+    borrow = model.curve(spec.currency, "collateral_borrow").step_integrals(times)
     x = scenario.fx(spec.currency)[:, :-1]
     inc = x * (coll.posted[:, :-1] * lend - coll.received[:, :-1] * borrow)
     out = np.zeros((scenario.n_paths, len(times)))
@@ -208,10 +204,10 @@ def adjustment_increments(
 
     recv_curve = _resolve_curve(model, spec, carry_roles(spec)[0])
     post_curve = _resolve_curve(model, spec, carry_roles(spec)[1])
-    borrow = _rate_integrals(model.curve(spec.currency, "collateral_borrow"), times)
-    lend = _rate_integrals(model.curve(spec.currency, "collateral_lend"), times)
-    recv_int = _rate_integrals(recv_curve, times)
-    post_int = _rate_integrals(post_curve, times)
+    borrow = model.curve(spec.currency, "collateral_borrow").step_integrals(times)
+    lend = model.curve(spec.currency, "collateral_lend").step_integrals(times)
+    recv_int = recv_curve.step_integrals(times)
+    post_int = post_curve.step_integrals(times)
 
     x = scenario.fx(spec.currency)
     x_l = x[:, :-1]
@@ -222,7 +218,7 @@ def adjustment_increments(
     else:
         r_e = model.curve(model.domestic, "unsecured")
         r_k3 = model.curve(spec.currency, "unsecured")
-        diff_int = _rate_integrals(r_e, times) - _rate_integrals(r_k3, times)
+        diff_int = r_e.step_integrals(times) - r_k3.step_integrals(times)
         fx_part = -coll.c[:, :-1] * x_l * diff_int
     return carry + fx_part
 
@@ -280,28 +276,26 @@ def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract,
     The proxy marks the remaining flows at the perfect-collateralization
     discount (collateral rate plus cross-currency basis) and the FX forward
     implied by unsecured differentials; the mark is the contract value to the
-    counterparty, i.e. minus the hedger's replication wealth.
+    counterparty, i.e. minus the hedger's replication wealth. With G from
+    :func:`~xccy.pricing.collateralized_log_growth`, it is one
+    (n_times, n_flows) matrix a_i exp(G(t_i) - G(t)), zero where t_i <= t,
+    summed over the flows. G is evaluated at the flow dates themselves, so
+    they need not be grid nodes.
     """
-    from .pricing import full_collateral_discount_factor, fx_forward_factor  # local: avoid cycle
+    from .pricing import collateralized_log_growth  # local: avoid cycle
 
     if contract is None:
         raise ConfigError("mark_proxy functional needs the contract")
-    model = scenario.model
     times = scenario.grid.times
-    fx_k2 = scenario.fx(contract.native_currency)
-    mark = np.zeros((scenario.n_paths, len(times)))
-    for j, t in enumerate(times):
-        # hedger's replication wealth is -factor * X_k2, and the mark is its negative
-        factor = 0.0
-        for t_i, amount in contract.flows:
-            if t_i <= t:
-                continue
-            factor += (
-                amount
-                * full_collateral_discount_factor(model, spec.currency, t, t_i)
-                * fx_forward_factor(model, contract.native_currency, t, t_i)
-            )
-        mark[:, j] = factor * fx_k2[:, j]
+    flow_t = np.array(contract.flow_times)
+    n = len(times)
+    g = collateralized_log_growth(
+        scenario.model, contract.native_currency, spec.currency, np.concatenate([times, flow_t])
+    )
+    growth = np.where(flow_t[None, :] > times[:, None], np.exp(g[None, n:] - g[:n, None]), 0.0)
+    # hedger's replication wealth is -factor * X_k2, and the mark is its negative
+    factor = (growth * [a for _, a in contract.flows]).sum(axis=1)
+    mark = factor * scenario.fx(contract.native_currency)
     c = collateral_from_mark(mark, spec, scenario.fx(spec.currency))
     return CollateralPath(c, spec.currency)
 

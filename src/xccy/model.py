@@ -310,16 +310,25 @@ def cross_currency_basis(model: ValidatedModel, k3: str, t) -> float | np.ndarra
 
 def cross_currency_basis_integral(model: ValidatedModel, k3: str, t0: float, t1: float) -> float:
     """Exact integral of the basis over [t0, t1]."""
+    return cross_currency_basis_of(model, k3, lambda curve: curve.integral(t0, t1))
+
+
+def cross_currency_basis_of(model: ValidatedModel, k3: str, integrate):
+    """The basis combination of ``integrate(curve)`` over the four curves that define q_k3.
+
+    ``integrate`` maps a curve to its integral over some interval(s), for
+    example ``lambda c: c.step_integrals(times)``. The domestic basis is 0.0.
+    """
     if k3 not in model.currency_names:
         raise UnknownCurrency(k3)
     e = model.domestic
     if k3 == e:
         return 0.0
     return (
-        model.curve(e, "unsecured").integral(t0, t1)
-        - model.curve(k3, "unsecured").integral(t0, t1)
-        - model.curve(e, "collateral_lend").integral(t0, t1)
-        + model.curve(k3, "collateral_lend").integral(t0, t1)
+        integrate(model.curve(e, "unsecured"))
+        - integrate(model.curve(k3, "unsecured"))
+        - integrate(model.curve(e, "collateral_lend"))
+        + integrate(model.curve(k3, "collateral_lend"))
     )
 
 

@@ -22,13 +22,14 @@ import numpy as np
 
 from .collateral import CollateralPath, CollateralSpec, carry_roles
 from .contracts import Contract
+from .curves import step_pieces
 from .errors import (
     AsymmetricCollateralRates,
     ConfigError,
     EndogenousSpecPassed,
     ScenarioMeasureMismatch,
 )
-from .model import ValidatedModel, cross_currency_basis_integral
+from .model import ValidatedModel, cross_currency_basis_of
 from .simulation import ScenarioSet
 from .wealth import discounted_flows
 
@@ -61,20 +62,22 @@ class PriceReport:
         }
 
 
-def fx_forward_factor(model: ValidatedModel, k2: str, t0: float, t1: float) -> float:
-    """Growth factor of the FX forward between t0 and t1: exp of the unsecured differential."""
-    if k2 == model.domestic:
-        return 1.0
-    return math.exp(
-        model.curve(model.domestic, "unsecured").integral(t0, t1) - model.curve(k2, "unsecured").integral(t0, t1)
+def collateralized_log_growth(model: ValidatedModel, k2: str, k3: str, times) -> np.ndarray:
+    """G(t), the integral over [0, t] of -(rc_dom + q_k3) + (r_dom - r_k2), at each entry of ``times``.
+
+    One unit of k2 paid at T and fully collateralized in k3 is worth
+    exp(G(T) - G(t)) X_k2(t) at t: discounted at the domestic collateral rate
+    plus the cross-currency basis of k3 and converted at the FX forward of the
+    unsecured differential. The basis term drops for domestic k3 and the
+    forward term for domestic k2.
+    """
+    e = model.domestic
+    g = -model.curve(e, "collateral_lend").integrals(times) - cross_currency_basis_of(
+        model, k3, lambda curve: curve.integrals(times)
     )
-
-
-def full_collateral_discount_factor(model: ValidatedModel, k3: str, t0: float, t1: float) -> float:
-    """exp(-integral of (domestic collateral rate + cross-currency basis of k3))."""
-    rc_e = model.curve(model.domestic, "collateral_lend").integral(t0, t1)
-    q = cross_currency_basis_integral(model, k3, t0, t1)
-    return math.exp(-(rc_e + q))
+    if k2 != e:
+        g = g + (model.curve(e, "unsecured").integrals(times) - model.curve(k2, "unsecured").integrals(times))
+    return g
 
 
 def _require_symmetric(model: ValidatedModel, currency: str) -> None:
@@ -98,17 +101,8 @@ def price_fully_collateralized(
     _require_symmetric(model, model.domestic)
     _require_symmetric(model, k3)
     x0 = 1.0 if contract.native_currency == model.domestic else model.fx_spec(contract.native_currency).x0
-    total = 0.0
-    for t_j, amount in contract.flows:
-        if t_j <= t:
-            continue
-        total += (
-            amount
-            * full_collateral_discount_factor(model, k3, t, t_j)
-            * x0
-            * fx_forward_factor(model, contract.native_currency, t, t_j)
-        )
-    return -total
+    growth = np.exp(collateralized_log_growth(model, contract.native_currency, k3, contract.flow_times))
+    return -float(np.sum(growth * [a for _, a in contract.flows])) * x0
 
 
 def expected_discounted_flows(model: ValidatedModel, contract: Contract) -> float:
@@ -122,26 +116,23 @@ def expected_discounted_flows(model: ValidatedModel, contract: Contract) -> floa
     return float(sum(a * x0 * math.exp(-b_k2.integral(0.0, t)) for t, a in contract.flows))
 
 
-def _discounted_spread_weight(plus_curve, minus_curve, inner_curve, t0: float, t1: float) -> float:
-    """Exact integral of (plus - minus)(u) * exp(-int_{t0}^{u} inner) over [t0, t1].
+def _discounted_spread_weights(plus_curve, minus_curve, inner_curve, times: np.ndarray) -> np.ndarray:
+    """Exact integral of (plus - minus)(u) * exp(-int_{t_j}^{u} inner) over each step [t_j, t_{j+1}].
 
-    All three curves are piecewise constant, so the integrand is piecewise
-    exponential and integrates in closed form piece by piece.
+    All three curves are constant on each piece of :func:`~xccy.curves.step_pieces`,
+    so the integrand is exponential there: a piece of width w at inner rate r
+    integrates to w if r w == 0, else -expm1(-r w) / r, discounted from the
+    step start by the summed r w of the step's earlier pieces.
     """
-    knots = np.concatenate([plus_curve.knots, minus_curve.knots, inner_curve.knots])
-    edges = np.unique(np.concatenate([[t0], knots[(knots > t0) & (knots < t1)], [t1]]))
-    disc = 1.0
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        mid = 0.5 * (a + b)
-        g = plus_curve.rate(mid) - minus_curve.rate(mid)
-        r = inner_curve.rate(mid)
-        width = b - a
-        rw = r * width
-        piece = width if rw == 0.0 else -math.expm1(-rw) / r
-        total += disc * g * piece
-        disc *= math.exp(-rw)
-    return total
+    mids, widths, starts = step_pieces(times, plus_curve, minus_curve, inner_curve)
+    r = inner_curve.rate(mids)
+    rw = r * widths
+    flat = rw == 0.0
+    piece = np.where(flat, widths, -np.expm1(-rw) / np.where(flat, 1.0, r))
+    before = np.cumsum(rw) - rw
+    before -= np.repeat(before[starts], np.diff(starts, append=len(rw)))  # within the step only
+    gap = plus_curve.rate(mids) - minus_curve.rate(mids)
+    return np.add.reduceat(np.exp(-before) * gap * piece, starts)
 
 
 def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray):
@@ -151,7 +142,8 @@ def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: 
     left endpoint and the remaining deterministic variation, including the FX
     forward drift against domestic discounting, integrates exactly to an
     inner discount at the collateral currency's unsecured rate. Deterministic
-    collateral expectations therefore carry no time-stepping bias.
+    collateral expectations therefore carry no time-stepping bias. Each weight
+    is one pass of :func:`_discounted_spread_weights` over the whole grid.
     """
     e = model.domestic
     recv_kind, recv_role = carry_roles(spec)[0]
@@ -162,16 +154,11 @@ def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: 
     lend = model.curve(spec.currency, "collateral_lend")
     r_e = model.curve(e, "unsecured")
     r_k3 = model.curve(spec.currency, "unsecured")
-    n_steps = len(times) - 1
-    w_recv = np.empty(n_steps)
-    w_post = np.empty(n_steps)
-    w_fx = np.empty(n_steps)
-    for j in range(n_steps):
-        t0, t1 = times[j], times[j + 1]
-        w_recv[j] = _discounted_spread_weight(recv_curve, borrow, r_k3, t0, t1)
-        w_post[j] = _discounted_spread_weight(post_curve, lend, r_k3, t0, t1)
-        w_fx[j] = _discounted_spread_weight(r_e, r_k3, r_k3, t0, t1)
-    return w_recv, w_post, w_fx
+    return (
+        _discounted_spread_weights(recv_curve, borrow, r_k3, times),
+        _discounted_spread_weights(post_curve, lend, r_k3, times),
+        _discounted_spread_weights(r_e, r_k3, r_k3, times),
+    )
 
 
 def price_exogenous(

@@ -28,7 +28,6 @@ from functools import partial
 
 import numpy as np
 
-from .curves import account_values_on_grid
 from .errors import ConfigError, DomesticPairRequested, EmptyGrid, ZeroPaths
 from .model import AssetSpec, ValidatedModel, fx_label
 from .rng import normal_block
@@ -102,7 +101,7 @@ class ScenarioSet:
     arrays, each a contiguous view of the driver-major path array;
     ``account_values[(role, currency)]`` holds the deterministic cash account
     B(t) on the grid. The domestic FX path is identically one and is served by
-    :meth:`fx` without being stored.
+    :meth:`fx` as a read-only broadcast view, without being stored.
     """
 
     model: ValidatedModel
@@ -117,7 +116,8 @@ class ScenarioSet:
 
     def fx(self, currency: str) -> np.ndarray:
         if currency == self.model.domestic:
-            return np.ones((self.n_paths, len(self.grid.times)))
+            # read-only view of one scalar: allocates no (n_paths, n_times) buffer
+            return np.broadcast_to(1.0, (self.n_paths, len(self.grid.times)))
         return self.fx_paths[currency]
 
     def asset(self, label: str) -> np.ndarray:
@@ -175,23 +175,18 @@ def _drift_integrals(
         if physical and mu is not None:
             out[d, :] = mu * grid.dt
         elif label.startswith("fx:"):
-            cur = label[3:]
             r_e = model.curve(model.domestic, "unsecured")
-            r_f = model.curve(cur, "unsecured")
-            for j in range(grid.n_steps):
-                out[d, j] = r_e.integral(times[j], times[j + 1]) - r_f.integral(times[j], times[j + 1])
+            r_f = model.curve(label[3:], "unsecured")
+            out[d, :] = r_e.step_integrals(times) - r_f.step_integrals(times)
         else:
             a = model.asset(label)
             quanto = 0.0
             if a.currency != model.domestic:
                 fx = model.fx_spec(a.currency)
                 quanto = _pair_correlation(model, a.label, fx_label(a.currency)) * a.sigma * fx.sigma
-            for j in range(grid.n_steps):
-                out[d, j] = (
-                    a.repo_rate.integral(times[j], times[j + 1])
-                    - a.dividend_yield.integral(times[j], times[j + 1])
-                    - quanto * (times[j + 1] - times[j])
-                )
+            out[d, :] = (
+                a.repo_rate.step_integrals(times) - a.dividend_yield.step_integrals(times) - quanto * grid.dt
+            )
         shift = drift_shift.get(label, 0.0)
         if shift:
             out[d, :] += shift * grid.dt
@@ -293,11 +288,9 @@ def simulate(
 
     account_values: dict[tuple[str, str], np.ndarray] = {}
     for cur in model.currency_names:
-        account_values[("unsecured", cur)] = account_values_on_grid(
-            model.curve(cur, "unsecured"), grid.times
-        )
+        account_values[("unsecured", cur)] = np.exp(model.curve(cur, "unsecured").integrals(grid.times))
     for a in model.assets:
-        account_values[("repo", a.label)] = account_values_on_grid(a.repo_rate, grid.times)
+        account_values[("repo", a.label)] = np.exp(a.repo_rate.integrals(grid.times))
 
     tag = "qe" if measure == "qe" and not drift_shift else "p"
     return ScenarioSet(

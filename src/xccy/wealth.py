@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import Contract
-from .errors import FlowOffGrid, GridMismatch, MissingCollateralRates, MissingRates
+from .errors import ConfigError, FlowOffGrid, GridMismatch, MissingCollateralRates, MissingRates
 from .simulation import ScenarioSet
 
 
@@ -32,7 +32,7 @@ def discounted_flows(scenario: ScenarioSet, contract: Contract, from_t: float = 
             continue
         try:
             j = scenario.grid.index_of(t)
-        except Exception as exc:
+        except ConfigError as exc:
             raise FlowOffGrid(f"flow date {t} not on the scenario grid") from exc
         out += amount * fx[:, j] / b_e[j]
     return out
@@ -50,9 +50,8 @@ def gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
     s = scenario.asset(asset_label)
     x = scenario.fx(a.currency)
     times = scenario.grid.times
-    n_steps = scenario.grid.n_steps
-    repo_int = np.array([a.repo_rate.integral(times[j], times[j + 1]) for j in range(n_steps)])
-    div_int = np.array([a.dividend_yield.integral(times[j], times[j + 1]) for j in range(n_steps)])
+    repo_int = a.repo_rate.step_integrals(times)
+    div_int = a.dividend_yield.step_integrals(times)
     ds = np.diff(s, axis=1)
     dx = np.diff(x, axis=1)
     s_l, x_l = s[:, :-1], x[:, :-1]
@@ -194,7 +193,7 @@ def replay_wealth(
     for t, amount in contract.flows:
         try:
             j = grid.index_of(t)
-        except Exception as exc:
+        except ConfigError as exc:
             raise FlowOffGrid(f"flow date {t} not on the scenario grid") from exc
         if j == 0:
             raise FlowOffGrid("flows at t=0 belong in Contract.initial_flow")

@@ -136,3 +136,37 @@ def three_currency_model():
         fx,
         CorrelationMatrix(labels, corr),
     )
+
+
+@pytest.fixture(scope="session")
+def multi_knot_model():
+    """EUR domestic, USD foreign; every rate role a multi-knot curve.
+
+    Knots at 0.5, 0.75 and 1.25 are nodes of ``TimeGrid.regular(2.0, 16)``,
+    the others fall inside its steps; the USD unsecured rate is zero on
+    [0.6, 1.25), so the discounted collateral weights meet a zero inner rate.
+    """
+    def c(knots, values):
+        return RateCurve(knots, values)
+
+    rates = {
+        "EUR": CurveSet(
+            unsecured=c([0.0, 0.3, 0.5, 1.1], [0.02, 0.025, 0.018, 0.03]),
+            collateral_borrow=c([0.0, 0.5, 1.7], [0.016, 0.013, 0.021]),
+            collateral_lend=c([0.0, 0.45, 1.7], [0.015, 0.012, 0.02]),
+            cash_post_funding=c([0.0, 0.75], [0.024, 0.027]),
+            coll_post_funding=c([0.0, 1.3], [0.026, 0.029]),
+            coll_reinvest_seg=c([0.0, 0.9], [0.0, 0.001]),
+            coll_reinvest_rehyp=c([0.0, 0.4], [0.005, 0.006]),
+        ),
+        "USD": CurveSet(
+            unsecured=c([0.0, 0.6, 1.25], [0.03, 0.0, 0.035]),
+            collateral_borrow=c([0.0, 0.2, 1.6], [0.022, 0.025, 0.02]),
+            collateral_lend=c([0.0, 0.35, 1.6], [0.021, 0.024, 0.019]),
+            cash_post_funding=c([0.0, 0.8], [0.04, 0.042]),
+            coll_post_funding=c([0.0, 1.05], [0.038, 0.036]),
+            coll_reinvest_seg=c([0.0, 1.5], [0.0, 0.002]),
+            coll_reinvest_rehyp=c([0.0, 0.7], [0.009, 0.01]),
+        ),
+    }
+    return build_model([("EUR", True), ("USD", False)], rates, fx=[FxSpec("USD", 0.9, 0.1)])

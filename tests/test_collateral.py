@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from xccy import (
 from xccy.collateral import adjustment_increments
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, MissingRates, NonPositiveFx
+from xccy.model import cross_currency_basis_integral
 
 
 @pytest.fixture(scope="module")
@@ -255,3 +258,36 @@ def test_bad_haircuts_rejected():
 def test_risky_spec_requires_asset_labels():
     with pytest.raises(ConfigError):
         CollateralSpec(currency="USD", form="risky")
+
+
+def _scalar_mark_proxy(scenario, spec, contract):
+    """The mark-proxy collateral one (grid time, flow) pair at a time, from scalar integrals."""
+    model, e, k2, k3 = scenario.model, scenario.model.domestic, contract.native_currency, spec.currency
+
+    def factor(t0, t1):  # full-collateralization discount in k3 times the k2 FX forward
+        rc_e = model.curve(e, "collateral_lend").integral(t0, t1)
+        disc = math.exp(-(rc_e + cross_currency_basis_integral(model, k3, t0, t1)))
+        if k2 == e:
+            return disc
+        r_e, r_k2 = model.curve(e, "unsecured").integral(t0, t1), model.curve(k2, "unsecured").integral(t0, t1)
+        return disc * math.exp(r_e - r_k2)
+
+    fx_k2 = scenario.fx(k2)
+    mark = np.zeros((scenario.n_paths, len(scenario.grid.times)))
+    for j, t in enumerate(scenario.grid.times):
+        total = sum(amount * factor(t, t_i) for t_i, amount in contract.flows if t_i > t)
+        mark[:, j] = total * fx_k2[:, j]
+    c = collateral_from_mark(mark, spec, scenario.fx(k3))
+    c[:, -1] = 0.0
+    return c
+
+
+@pytest.mark.parametrize("flow_times", [(0.5, 1.25, 2.0), (0.3, 1.1, 1.93)], ids=["on-grid", "off-grid"])
+@pytest.mark.parametrize("k3", ["EUR", "USD"])
+@pytest.mark.parametrize("k2", ["EUR", "USD"])
+def test_mark_proxy_matches_scalar_reference(multi_knot_model, k2, k3, flow_times):
+    scen = simulate(multi_knot_model, TimeGrid.regular(2.0, 16), 5, seed=8)
+    contract = Contract(k2, tuple(zip(flow_times, (1.0, -2.0, 3.0))))
+    spec = CollateralSpec(currency=k3, delta1=0.1, delta2=0.2, mode=("exogenous", "mark_proxy", {}))
+    path = build_exogenous_path(scen, spec, contract)
+    np.testing.assert_allclose(path.c, _scalar_mark_proxy(scen, spec, contract), rtol=1e-13, atol=0.0)

@@ -73,3 +73,61 @@ def test_account_positive_and_nondecreasing_for_nonnegative_rates(values, t):
     v_t = cash_account_value(curve, t)
     assert v_t >= 1.0
     assert cash_account_value(curve, t + 0.7) >= v_t
+
+
+@st.composite
+def curve_and_grid(draw):
+    """A multi-knot curve and a strictly ascending grid from 0 that may share its knots.
+
+    The grid can end past the last knot and can have a single step.
+    """
+    inner = draw(st.lists(st.floats(min_value=0.01, max_value=5.0), max_size=6, unique=True))
+    knots = np.concatenate([[0.0], np.sort(inner)])
+    rates = st.floats(min_value=-0.1, max_value=0.2)
+    values = draw(st.lists(rates, min_size=knots.size, max_size=knots.size))
+    on_grid = draw(st.lists(st.sampled_from(knots[1:].tolist()), max_size=knots.size - 1)) if inner else []
+    points = draw(st.lists(st.floats(min_value=0.001, max_value=8.0), min_size=1, max_size=8))
+    times = np.union1d(0.0, np.concatenate([points, on_grid]))
+    return RateCurve(knots, values), times
+
+
+def _abs_curve(curve):
+    return RateCurve(curve.knots, np.abs(curve.values))
+
+
+@given(case=curve_and_grid())
+@settings(max_examples=200, deadline=None)
+def test_step_integrals_match_scalar_integral(case):
+    curve, times = case
+    steps = curve.step_integrals(times)
+    scalar = np.array([curve.integral(a, b) for a, b in zip(times[:-1], times[1:])])
+    scale = _abs_curve(curve).step_integrals(times)  # relative to the integral of |r|
+    assert steps.shape == (times.size - 1,)
+    assert np.all(np.abs(steps - scalar) <= 1e-14 * scale)
+
+
+@given(case=curve_and_grid())
+@settings(max_examples=200, deadline=None)
+def test_cumulative_integrals_match_scalar_integral(case):
+    curve, times = case
+    scalar = np.array([curve.integral(0.0, t) for t in times])
+    scale = np.array([_abs_curve(curve).integral(0.0, t) for t in times])
+    assert np.all(np.abs(curve.integrals(times) - scalar) <= 1e-14 * scale)
+
+
+@given(case=curve_and_grid(), order=st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_cash_account_on_unsorted_times_matches_scalar(case, order):
+    curve, times = case
+    shuffled = list(times)
+    order.shuffle(shuffled)
+    vec = cash_account_value(curve, np.array(shuffled))
+    for t, v in zip(shuffled, vec):
+        assert v == pytest.approx(cash_account_value(curve, t), rel=1e-14)
+
+
+def test_step_integrals_one_step_past_the_last_knot():
+    curve = RateCurve([0.0, 0.5, 1.0], [0.02, 0.01, 0.04])
+    assert curve.step_integrals([1.5, 3.0]) == pytest.approx([0.06], rel=1e-15)
+    steps = curve.step_integrals([0.0, 0.5, 2.0])
+    assert steps.tolist() == [curve.integral(0.0, 0.5), curve.integral(0.5, 2.0)]  # the same sums, bit for bit

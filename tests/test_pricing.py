@@ -20,7 +20,8 @@ from xccy.errors import (
     EndogenousSpecPassed,
     ScenarioMeasureMismatch,
 )
-from xccy.pricing import expected_discounted_flows
+from xccy.collateral import carry_roles
+from xccy.pricing import _collateral_leg_weights, expected_discounted_flows
 
 
 @pytest.fixture(scope="module")
@@ -189,3 +190,42 @@ def test_single_currency_reduction_price(single_currency_model):
     bare = -float(np.mean(discounted_flows(scen, contract)))
     assert report.price == bare
     assert report.leg_collateral == 0.0
+
+
+def _scalar_spread_weight(plus_curve, minus_curve, inner_curve, t0, t1):
+    """Integral of (plus - minus)(u) exp(-int_{t0}^{u} inner) over [t0, t1], piece by piece."""
+    knots = np.concatenate([plus_curve.knots, minus_curve.knots, inner_curve.knots])
+    edges = np.unique(np.concatenate([[t0], knots[(knots > t0) & (knots < t1)], [t1]]))
+    disc, total = 1.0, 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mid = 0.5 * (a + b)
+        g = plus_curve.rate(mid) - minus_curve.rate(mid)
+        r = inner_curve.rate(mid)
+        rw = r * (b - a)
+        total += disc * g * ((b - a) if rw == 0.0 else -math.expm1(-rw) / r)
+        disc *= math.exp(-rw)
+    return total
+
+
+@pytest.mark.parametrize(
+    "form,convention",
+    [(f, c) for f in ("cash", "risky") for c in ("segregation", "rehypothecation")],
+)
+@pytest.mark.parametrize("k3", ["EUR", "USD"])
+def test_collateral_leg_weights_match_scalar_reference(multi_knot_model, k3, form, convention):
+    model = multi_knot_model
+    labels = {"posted_asset": "A", "received_asset": "A"} if form == "risky" else {}
+    spec = CollateralSpec(currency=k3, form=form, convention=convention, **labels)
+    times = TimeGrid.regular(2.0, 16, include=(0.3, 1.93)).times
+    (recv_kind, recv_role), (post_kind, post_role) = carry_roles(spec)
+    recv = model.curve("EUR" if recv_kind == "domestic" else k3, recv_role)
+    post = model.curve("EUR" if post_kind == "domestic" else k3, post_role)
+    r_e, r_k3 = model.curve("EUR", "unsecured"), model.curve(k3, "unsecured")
+    triples = [
+        (recv, model.curve(k3, "collateral_borrow"), r_k3),
+        (post, model.curve(k3, "collateral_lend"), r_k3),
+        (r_e, r_k3, r_k3),
+    ]
+    for weights, curves in zip(_collateral_leg_weights(model, spec, times), triples):
+        ref = [_scalar_spread_weight(*curves, a, b) for a, b in zip(times[:-1], times[1:])]
+        np.testing.assert_allclose(weights, ref, rtol=1e-13, atol=0.0)

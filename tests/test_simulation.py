@@ -130,6 +130,15 @@ def test_positivity_and_domestic_fx_identity(two_currency_model):
     assert np.array_equal(scen.fx("EUR"), np.ones((500, 6)))
 
 
+def test_domestic_fx_is_a_read_only_view_of_one(two_currency_model):
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 5), 500, seed=1)
+    x = scen.fx("EUR")
+    assert np.array_equal(x, np.ones((500, 6)))
+    assert not x.flags.writeable
+    assert x.strides == (0, 0)  # one broadcast scalar, no (n_paths, n_times) buffer
+    assert x.base.nbytes == 8
+
+
 def test_bit_identical_across_worker_counts(two_currency_model):
     grid = TimeGrid.regular(1.0, 6)
     for n_paths in (1000, 2 * CHUNK_PATHS + 1000):  # one chunk; three, the last ragged

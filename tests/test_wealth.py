@@ -57,6 +57,11 @@ def test_flow_off_grid_raises(scen):
         discounted_flows(scen, Contract("EUR", ((0.123456, 1.0),)))
 
 
+def test_flow_off_grid_raises_in_replay(scen):
+    with pytest.raises(FlowOffGrid):
+        replay_wealth(scen, Strategy.empty(), Contract("EUR", ((0.123456, 1.0),)))
+
+
 def test_constant_asset_has_zero_gain():
     rates = {"EUR": curveset(0.0, 0.0, 0.0)}
     assets = [AssetSpec("EQ", "EUR", 5.0, 1e-14, RateCurve.flat(0.0), RateCurve.flat(0.0))]
