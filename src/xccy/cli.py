@@ -217,6 +217,7 @@ def _cmd_bsde(args) -> int:
         "command": "bsde",
         "trade_id": trade_id,
         "v0": result.v0,
+        "v0_std_error": result.v0_std_error,
         "k2": contract.native_currency,
         "k3": spec.currency,
         "delta1": delta1,

@@ -73,12 +73,15 @@ class RateCurve:
         return np.add.reduceat(self.rate(mids) * widths, starts)
 
     def integrals(self, times) -> np.ndarray:
-        """Cumulative integral from 0 to each entry of ``times``, in any order."""
+        """Cumulative integral from 0 to each entry of ``times``, in any order.
+
+        Whole knot pieces are summed from 0, then the piece up to t is added,
+        as :meth:`integral` does; the first rate extends below 0.
+        """
         times = np.asarray(times, dtype=float)
-        nodes = np.union1d(0.0, times)
-        cum = np.concatenate([[0.0], np.cumsum(self.step_integrals(nodes))])
-        cum -= cum[np.searchsorted(nodes, 0.0)]  # from 0, also for negative times
-        return cum[np.searchsorted(nodes, times)]
+        at_knots = np.cumsum(np.concatenate([[0.0], self.values[:-1] * np.diff(self.knots)]))
+        k = np.clip(np.searchsorted(self.knots, times, side="right") - 1, 0, None)
+        return at_knots[k] + self.values[k] * (times - self.knots[k])
 
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.values)))

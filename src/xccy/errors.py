@@ -109,9 +109,5 @@ class UnknownProcessId(ConfigError):
 
 
 # bsde
-class PicardDivergence(NumericalError):
-    pass
-
-
 class SingularRegression(NumericalError):
     pass

@@ -255,4 +255,15 @@ def test_acceptance_7_cli_determinism(tmp_path):
         assert rc == 0
         chk.append((out / "report.json").read_bytes())
     assert chk[0] == chk[1]
+
+    # and for bsde, over three simulation chunks (the last one ragged)
+    sol = []
+    for tag, workers in (("sa", 1), ("sb", 2)):
+        out = tmp_path / tag
+        rc = cli_run(["bsde", "--model", str(model), "--trade", str(trade), "--paths", str(2 * 8192 + 1000),
+                      "--steps", "4", "--seed", "3", "--delta1", "0.1", "--delta2", "0.2",
+                      "--workers", str(workers), "--out", str(out), "--dump-surface"])
+        assert rc == 0
+        sol.append(((out / "report.json").read_bytes(), (out / "surface.csv").read_bytes()))
+    assert sol[0] == sol[1]
     print("\nACCEPTANCE 7 PASS: CLI outputs byte-identical across repeated runs and 1 vs 8 workers")

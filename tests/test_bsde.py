@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -14,7 +15,8 @@ from xccy import (
     simulate,
     solve_endogenous,
 )
-from xccy.errors import AsymmetricCollateralRates, ConfigError
+from xccy.bsde import COND_LIMIT, _fill_design, _monomial_products, _regress, _slice_denominator
+from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError
 
 
 def _cfg(n_steps=25, n_paths=20_000, seed=11, **kw):
@@ -32,6 +34,8 @@ def test_zero_haircuts_match_closed_form_foreign_collateral(bsde_two_currency_mo
     res = solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 0.0, _cfg())
     closed = price_fully_collateralized(bsde_two_currency_model, contract, "USD")
     assert abs(res.v0 / closed - 1.0) < 2e-3
+    # a domestic-currency payment is deterministic: no statistical error
+    assert res.v0_std_error <= 1e-12
 
 
 def test_zero_haircuts_match_closed_form_domestic_collateral(bsde_two_currency_model):
@@ -45,6 +49,19 @@ def test_zero_haircuts_match_closed_form_foreign_flows(bsde_two_currency_model):
     res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.0, 0.0, _cfg())
     closed = price_fully_collateralized(bsde_two_currency_model, contract, "EUR")
     assert abs(res.v0 / closed - 1.0) < 2e-3
+    assert res.v0_std_error > 0
+    assert abs(res.v0 - closed) <= 4 * res.v0_std_error
+
+
+def test_v0_std_error_is_the_slice_zero_sample_error(bsde_two_currency_model):
+    # one step: v0 = mean(y) / den with y = -amount * X_T, so SE / v0 = std(y) / (sqrt(n) mean(y))
+    contract = Contract("USD", ((1.0, -1.0),))
+    cfg = _cfg(n_steps=1, n_paths=4000)
+    res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.5, 0.5, cfg)
+    y = simulate(bsde_two_currency_model, cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, 1]
+    assert res.v0 != pytest.approx(np.mean(y), rel=1e-3)
+    expected = np.std(y, ddof=1) / math.sqrt(cfg.n_paths) * res.v0 / np.mean(y)
+    assert res.v0_std_error == pytest.approx(expected, rel=1e-12)
 
 
 def test_haircut_cost_is_monotone(bsde_two_currency_model):
@@ -145,3 +162,81 @@ def test_multi_flow_contract_matches_closed_form(bsde_two_currency_model):
     res = solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 0.0, cfg)
     closed = price_fully_collateralized(bsde_two_currency_model, contract, "USD")
     assert abs(res.v0 - closed) < 2e-3 * abs(closed) + 1e-6
+
+
+def _reference_basis(states: np.ndarray, degree: int) -> np.ndarray:
+    """Monomials of total degree <= degree in the columns of ``states``, plus 1."""
+    n, d = states.shape
+    cols = [np.ones(n)]
+    for deg in range(1, degree + 1):
+        for combo in combinations_with_replacement(range(d), deg):
+            col = np.ones(n)
+            for i in combo:
+                col = col * states[:, i]
+            cols.append(col)
+    return np.column_stack(cols)
+
+
+def _design(states: np.ndarray, degree: int) -> np.ndarray:
+    products = _monomial_products(states.shape[0], degree)
+    design = np.ones((1 + len(products), states.shape[1]))
+    _fill_design(design, states, products)
+    return design
+
+
+@pytest.mark.parametrize("n_drivers", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_in_place_design_matches_column_stack_reference(degree, n_drivers):
+    rng = np.random.default_rng(degree * 10 + n_drivers)
+    n = 5000
+    states = 0.2 * rng.standard_normal((n_drivers, n))  # log-states
+    y = np.exp(states).sum(axis=0) + 0.1 * rng.standard_normal(n)
+    basis = _reference_basis(states.T, degree)
+    design = _design(states, degree)
+    assert np.array_equal(design, basis.T)
+    reference = basis @ np.linalg.solve(basis.T @ basis, basis.T @ y)
+    np.testing.assert_allclose(_regress(design, y), reference, rtol=1e-12)
+
+
+def test_collinear_design_takes_ridge_fallback():
+    rng = np.random.default_rng(3)
+    row = 0.2 * rng.standard_normal(4000)
+    states = np.stack([row, row])  # a duplicated state row
+    y = np.exp(row) + 0.1 * rng.standard_normal(4000)
+    design = _design(states, 2)
+    assert np.linalg.cond(design @ design.T) > COND_LIMIT
+    fitted = _regress(design, y)
+    basis = design.T
+    least_squares = basis @ np.linalg.lstsq(basis, y, rcond=None)[0]
+    np.testing.assert_allclose(fitted, least_squares, rtol=1e-6)
+
+
+def _picard_slice(cont, dr, ds, delta1, delta2, tol=1e-15, cap=200):
+    """The pointwise Picard iteration for v = cont - (dr v + ds Chat(v))."""
+    v = cont.copy()
+    for _ in range(cap):
+        chat = (1 + delta1) * np.maximum(-v, 0.0) - (1 + delta2) * np.maximum(v, 0.0)
+        candidate = cont - (dr * v + ds * chat)
+        resid = np.max(np.abs(candidate - v)) / max(1.0, np.max(np.abs(v)))
+        v = candidate
+        if resid < tol:
+            break
+    return v
+
+
+@pytest.mark.parametrize("delta1,delta2", [(0.0, 0.0), (0.1, 0.05), (2.0, 3.0)])
+def test_exact_slice_solve_matches_picard_reference(delta1, delta2):
+    rng = np.random.default_rng(5)
+    cont = rng.standard_normal(1000)
+    cont[:3] = (0.0, -0.0, 1e-300)
+    dr, ds = 0.02 / 25, 0.008 / 25
+    exact = cont / _slice_denominator(cont, dr, ds, delta1, delta2)
+    assert (cont < 0).any() and (cont > 0).any()
+    np.testing.assert_allclose(exact, _picard_slice(cont, dr, ds, delta1, delta2), rtol=1e-14, atol=0)
+
+
+def test_nonpositive_slice_denominator_raises(bsde_two_currency_model):
+    # positive value, spread 0.008 / 25 per step: 1 + dr - ds (1 + delta2) < 0
+    contract = Contract("EUR", ((1.0, -1.0),))
+    with pytest.raises(NumericalError, match="denominator"):
+        solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 1e4, _cfg(n_paths=500))

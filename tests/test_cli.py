@@ -150,6 +150,13 @@ def test_bsde_agrees_with_full_collateral_closed_form(docs):
     assert len(report["picard_counts"]) == 25
 
 
+def test_bsde_nonpositive_slice_denominator_exits_two(docs, capsys):
+    model, trade, tmp = docs
+    assert run(["bsde", "--model", str(model), "--trade", str(trade), "--paths", "500",
+                "--steps", "25", "--delta2", "1e4", "--out", str(tmp / "bad")]) == 2
+    assert "denominator" in capsys.readouterr().err
+
+
 def test_check_subcommand_passes_and_reports(docs):
     model, _, tmp = docs
     out = tmp / "chk"

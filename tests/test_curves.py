@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xccy.curves import RateCurve, cash_account_value
@@ -107,6 +107,7 @@ def test_step_integrals_match_scalar_integral(case):
 
 
 @given(case=curve_and_grid())
+@example(case=(RateCurve([0.0], [5e-324]), np.array([0.0, 1.0, 1.5])))  # a subnormal rate
 @settings(max_examples=200, deadline=None)
 def test_cumulative_integrals_match_scalar_integral(case):
     curve, times = case
