@@ -34,8 +34,8 @@ from .model import (
     validate_model,
 )
 from .pricing import PriceReport, price_exogenous, price_fully_collateralized
-from .simulation import ScenarioSet, TimeGrid, qe_asset_drift, qe_fx_drift, simulate
-from .wealth import Strategy, WealthPath, discounted_flows, gain_increment, replay_wealth
+from .simulation import ScenarioSet, TimeGrid, qe_drift_of, simulate
+from .wealth import Strategy, WealthPath, discounted_flows, replay_wealth
 
 __all__ = [
     "AssetSpec",
@@ -66,15 +66,13 @@ __all__ = [
     "collateral_from_mark",
     "cross_currency_basis",
     "discounted_flows",
-    "gain_increment",
     "load_model",
     "margin_interest",
     "martingale_test",
     "model_from_dict",
     "price_exogenous",
     "price_fully_collateralized",
-    "qe_asset_drift",
-    "qe_fx_drift",
+    "qe_drift_of",
     "reduction_suite",
     "replay_wealth",
     "run_martingale_suite",

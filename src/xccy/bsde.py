@@ -167,10 +167,7 @@ def solve_endogenous(
         flow_at[j] = flow_at[j] + amount
 
     # log-states relative to their initial levels, and their monomials
-    driver_series = [
-        scenario.fx(lab[3:]) if lab.startswith("fx:") else scenario.asset(lab)
-        for lab in model.driver_labels
-    ]
+    driver_series = [scenario.driver(label) for label in model.driver_labels]
     n_drivers = len(driver_series)
     products = _monomial_products(n_drivers, cfg.degree)
     log_x0 = np.log([series[0, 0] for series in driver_series]).reshape(n_drivers, 1)

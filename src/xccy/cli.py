@@ -18,6 +18,7 @@ import numpy as np
 from .bsde import BsdeConfig, solve_endogenous
 from .collateral import CollateralSpec, build_exogenous_path
 from .contracts import Contract
+from .csvio import write_rows
 from .diagnostics import run_martingale_suite
 from .errors import ConfigError, ModelValidationError, NumericalError
 from .model import load_model, validate_model
@@ -38,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _workers(text: str) -> int:
+def _positive_int(text: str) -> int:
     n = int(text)
     if n < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
@@ -52,7 +53,7 @@ def _add_common(p, trade=True):
     p.add_argument("--paths", type=int, default=10000)
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--workers", type=_workers, default=1, help="threads, capped at the CPU count")
+    p.add_argument("--workers", type=_positive_int, default=1, help="threads, capped at the CPU count")
     p.add_argument("--out", default=None, help="output directory (created if missing)")
 
 
@@ -87,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run the martingale certification suite")
     _add_common(p, trade=False)
     p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--checkpoints", type=int, default=4)
+    p.add_argument("--checkpoints", type=_positive_int, default=4)
     p.add_argument("--threshold", type=float, default=3.0)
     return parser
 
@@ -150,10 +151,7 @@ def _cmd_simulate(args) -> int:
         "measure": scenario.measure_tag,
         "drivers": list(model.driver_labels),
         "terminal_means": {
-            lab: float(np.mean(scenario.fx(lab[3:])[:, -1]))
-            if lab.startswith("fx:")
-            else float(np.mean(scenario.asset(lab)[:, -1]))
-            for lab in model.driver_labels
+            label: float(np.mean(scenario.driver(label)[:, -1])) for label in model.driver_labels
         },
     }
     if args.dump_paths:
@@ -233,9 +231,7 @@ def _cmd_bsde(args) -> int:
         os.makedirs(args.out, exist_ok=True)
         with open(os.path.join(args.out, "surface.csv"), "w", encoding="utf-8", newline="") as fh:
             fh.write("path_id,time,value\n")
-            for p in range(result.surface.shape[0]):
-                for j, t in enumerate(grid.times):
-                    fh.write(f"{p},{float(t)!r},{float(result.surface[p, j])!r}\n")
+            write_rows(fh, np.arange(result.n_paths)[:, None], grid.times, result.surface)
     _write_report(args.out, report)
     return EXIT_OK
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import Contract
+from .curves import RateCurve
 from .errors import ConfigError, NonPositiveFx, UnsupportedCombination
 from .simulation import ScenarioSet, warn_correlated_collateral_asset
 
@@ -173,10 +174,12 @@ def carry_roles(spec: CollateralSpec) -> tuple[tuple[str, str], tuple[str, str]]
     return recv, post
 
 
-def _resolve_curve(model, spec: CollateralSpec, which: tuple[str, str]):
-    kind, role = which
-    cur = model.domestic if kind == "domestic" else spec.currency
-    return model.curve(cur, role)
+def carry_curves(model, spec: CollateralSpec) -> tuple[RateCurve, RateCurve]:
+    """The (received-leg, posted-leg) funding curves named by :func:`carry_roles`."""
+    recv, post = (
+        model.curve(model.domestic if kind == "domestic" else spec.currency, role) for kind, role in carry_roles(spec)
+    )
+    return recv, post
 
 
 def adjustment_increments(
@@ -202,8 +205,7 @@ def adjustment_increments(
             model.asset(label)  # existence check
             warn_correlated_collateral_asset(model, label)
 
-    recv_curve = _resolve_curve(model, spec, carry_roles(spec)[0])
-    post_curve = _resolve_curve(model, spec, carry_roles(spec)[1])
+    recv_curve, post_curve = carry_curves(model, spec)
     borrow = model.curve(spec.currency, "collateral_borrow").step_integrals(times)
     lend = model.curve(spec.currency, "collateral_lend").step_integrals(times)
     recv_int = recv_curve.step_integrals(times)

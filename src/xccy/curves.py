@@ -8,7 +8,7 @@ time-stepping error anywhere downstream of this module.
 
 Every grid-wide rate integral is built on one vectorised primitive:
 :func:`step_pieces` cuts the steps of a grid at the knots inside them, and
-:meth:`RateCurve.step_integrals` sums ``rate(mid) * width`` over those pieces
+:meth:`RateCurve.step_integrals` sums ``rate(left end) * width`` over those pieces
 per step with one ``np.add.reduceat``. These are the terms the scalar
 :meth:`RateCurve.integral` adds, so the two agree bit for bit on a step of at
 most two pieces and to rounding on longer steps, whose terms the two add in
@@ -64,13 +64,12 @@ class RateCurve:
             return -self.integral(t1, t0)
         # segment boundaries clipped to [t0, t1]
         edges = np.concatenate([[t0], self.knots[(self.knots > t0) & (self.knots < t1)], [t1]])
-        mids = 0.5 * (edges[:-1] + edges[1:])
-        return float(np.sum(self.rate(mids) * np.diff(edges)))
+        return float(np.sum(self.rate(edges[:-1]) * np.diff(edges)))
 
     def step_integrals(self, times) -> np.ndarray:
         """Exact integral over each step ``[times[j], times[j+1]]`` of a strictly ascending array."""
-        mids, widths, starts = step_pieces(times, self)
-        return np.add.reduceat(self.rate(mids) * widths, starts)
+        lefts, widths, starts = step_pieces(times, self)
+        return np.add.reduceat(self.rate(lefts) * widths, starts)
 
     def integrals(self, times) -> np.ndarray:
         """Cumulative integral from 0 to each entry of ``times``, in any order.
@@ -103,14 +102,16 @@ def cash_account_value(rate: RateCurve, t) -> float | np.ndarray:
 def step_pieces(times, *curves: RateCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Cut the steps of a strictly ascending grid at the knots of ``curves`` inside them.
 
-    Every curve is constant on each piece. Returns the piece midpoints, the
+    Every curve is constant on each piece. Returns the piece left ends, the
     piece widths and each step's first piece index, ready for
-    ``np.add.reduceat``.
+    ``np.add.reduceat``. A curve's rate on a piece is its rate at the left
+    end, which lies in the piece however narrow it is; a midpoint of a piece
+    one ulp wide rounds onto one of its ends.
     """
     times = np.asarray(times, dtype=float)
     knots = np.concatenate([c.knots for c in curves])
     edges = np.union1d(times, knots[(knots > times[0]) & (knots < times[-1])])
-    return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges), np.searchsorted(edges, times[:-1])
+    return edges[:-1], np.diff(edges), np.searchsorted(edges, times[:-1])
 
 
 @dataclass(frozen=True)

@@ -103,17 +103,22 @@ def martingale_test(
 ) -> TestReport:
     """z-statistics of the process mean at checkpoint times.
 
-    ``checkpoints`` is either a count (that many grid nodes, evenly spaced,
-    ending at the horizon) or explicit times. z is 0 for a degenerate process
-    with zero mean and zero spread, infinite when the mean is off with zero
-    spread.
+    ``checkpoints`` is either a count >= 1 (that many grid nodes, evenly
+    spaced, ending at the horizon) or a non-empty list of times; anything else
+    would certify nothing and raises :class:`ConfigError`. z is 0 for a
+    degenerate process with zero mean and zero spread, infinite when the mean
+    is off with zero spread.
     """
     grid = scenario.grid
     if isinstance(checkpoints, int):
+        if checkpoints < 1:
+            raise ConfigError(f"checkpoint count must be >= 1, got {checkpoints}")
         idx = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
         times = [float(grid.times[i]) for i in idx]
     else:
         times = [float(t) for t in checkpoints]
+        if not times:
+            raise ConfigError("checkpoint list is empty")
     values = _process_values(scenario, process_id)
     stats = []
     n = scenario.n_paths

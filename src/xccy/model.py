@@ -21,6 +21,7 @@ import numpy as np
 from .curves import RATE_BOUND, CurveSet, RateCurve
 from .errors import (
     ConfigError,
+    DomesticPairRequested,
     ModelValidationError,
     UnknownCurrency,
     Violation,
@@ -48,7 +49,6 @@ class AssetSpec:
     sigma: float
     dividend_yield: RateCurve
     repo_rate: RateCurve
-    mu: float | None = None  # physical-measure drift; unused for pricing
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class FxSpec:
     foreign: str
     x0: float
     sigma: float
-    mu: float | None = None
 
 
 @dataclass(frozen=True)
@@ -246,6 +245,15 @@ class ValidatedModel:
                 return f
         raise UnknownCurrency(f"no FX pair for {currency!r}")
 
+    def driver_spec(self, label: str) -> AssetSpec | FxSpec:
+        """The spec of a driver: an asset's own label, or :func:`fx_label` of a currency."""
+        if not label.startswith("fx:"):
+            return self.asset(label)
+        currency = label[3:]
+        if currency == self.domestic:
+            raise DomesticPairRequested(currency)
+        return self.fx_spec(currency)
+
     def has_symmetric_collateral_rates(self, currency: str) -> bool:
         cs = self.rates[currency]
         if cs.collateral_borrow is None or cs.collateral_lend is None:
@@ -288,24 +296,12 @@ def validate_model(model: MarketModel | ValidatedModel) -> ValidatedModel:
 
 
 def cross_currency_basis(model: ValidatedModel, k3: str, t) -> float | np.ndarray:
-    """Spread between the unsecured-rate and collateral-rate differentials.
+    """Spread q_k3(t) = (r_dom - r_k3) - (rc_dom - rc_k3) between the unsecured-rate
+    and collateral-rate differentials at ``t`` (scalar or array).
 
-    q(t) = (r_dom(t) - r_k3(t)) - (rc_dom(t) - rc_k3(t)), computed with the
-    collateral *lend* curves in the symmetric-rate regime. Identically zero
-    for the domestic currency, and antisymmetric under swapping the domestic
-    designation.
+    Uses the collateral *lend* curves; 0.0 for the domestic currency.
     """
-    if k3 not in model.currency_names:
-        raise UnknownCurrency(k3)
-    e = model.domestic
-    if k3 == e:
-        t_arr = np.asarray(t, dtype=float)
-        return 0.0 if t_arr.ndim == 0 else np.zeros_like(t_arr)
-    r_e = model.curve(e, "unsecured").rate(t)
-    r_k = model.curve(k3, "unsecured").rate(t)
-    rc_e = model.curve(e, "collateral_lend").rate(t)
-    rc_k = model.curve(k3, "collateral_lend").rate(t)
-    return (r_e - r_k) - (rc_e - rc_k)
+    return cross_currency_basis_of(model, k3, lambda curve: curve.rate(t))
 
 
 def cross_currency_basis_integral(model: ValidatedModel, k3: str, t0: float, t1: float) -> float:
@@ -368,19 +364,10 @@ def model_from_dict(doc: dict) -> MarketModel:
             sigma=float(a["sigma"]),
             dividend_yield=_curve_from_dict(a.get("dividend_yield", 0.0)),
             repo_rate=_curve_from_dict(a.get("repo_rate", 0.0)),
-            mu=None if a.get("mu") is None else float(a["mu"]),
         )
         for a in doc.get("assets", [])
     ]
-    fx = [
-        FxSpec(
-            foreign=f["currency"],
-            x0=float(f["x0"]),
-            sigma=float(f["sigma"]),
-            mu=None if f.get("mu") is None else float(f["mu"]),
-        )
-        for f in doc.get("fx", [])
-    ]
+    fx = [FxSpec(foreign=f["currency"], x0=float(f["x0"]), sigma=float(f["sigma"])) for f in doc.get("fx", [])]
     corr_doc = doc.get("correlation")
     if corr_doc is None:
         labels = [a.label for a in assets] + [fx_label(f.foreign) for f in fx]

@@ -4,7 +4,9 @@ Two routes:
 
 * ``price_exogenous``: Monte Carlo expectation of minus the discounted total
   stream (contract flows plus the convention-specific collateral carry, with
-  the FX exposure replaced by its drift-equivalent form).
+  the FX exposure replaced by its drift-equivalent form). It is the plain
+  sample mean with no control variate, so it stays an independent check of
+  the closed form.
 * ``price_fully_collateralized``: closed form for perfectly collateralized
   claims: flows discounted at the domestic collateral rate plus the
   cross-currency basis of the collateral currency, with foreign flows at the
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collateral import CollateralPath, CollateralSpec, carry_roles
+from .collateral import CollateralPath, CollateralSpec, carry_curves
 from .contracts import Contract
 from .curves import step_pieces
 from .errors import (
@@ -105,17 +107,6 @@ def price_fully_collateralized(
     return -float(np.sum(growth * [a for _, a in contract.flows])) * x0
 
 
-def expected_discounted_flows(model: ValidatedModel, contract: Contract) -> float:
-    """Deterministic-rate expectation of the discounted contractual flows.
-
-    E[sum a_j X(t_j)/B_dom(t_j)] = sum a_j X_0 / B_k2(t_j), by the FX
-    martingale property. Used as the control-variate mean.
-    """
-    x0 = 1.0 if contract.native_currency == model.domestic else model.fx_spec(contract.native_currency).x0
-    b_k2 = model.curve(contract.native_currency, "unsecured")
-    return float(sum(a * x0 * math.exp(-b_k2.integral(0.0, t)) for t, a in contract.flows))
-
-
 def _discounted_spread_weights(plus_curve, minus_curve, inner_curve, times: np.ndarray) -> np.ndarray:
     """Exact integral of (plus - minus)(u) * exp(-int_{t_j}^{u} inner) over each step [t_j, t_{j+1}].
 
@@ -124,14 +115,14 @@ def _discounted_spread_weights(plus_curve, minus_curve, inner_curve, times: np.n
     integrates to w if r w == 0, else -expm1(-r w) / r, discounted from the
     step start by the summed r w of the step's earlier pieces.
     """
-    mids, widths, starts = step_pieces(times, plus_curve, minus_curve, inner_curve)
-    r = inner_curve.rate(mids)
+    lefts, widths, starts = step_pieces(times, plus_curve, minus_curve, inner_curve)
+    r = inner_curve.rate(lefts)
     rw = r * widths
     flat = rw == 0.0
     piece = np.where(flat, widths, -np.expm1(-rw) / np.where(flat, 1.0, r))
     before = np.cumsum(rw) - rw
     before -= np.repeat(before[starts], np.diff(starts, append=len(rw)))  # within the step only
-    gap = plus_curve.rate(mids) - minus_curve.rate(mids)
+    gap = plus_curve.rate(lefts) - minus_curve.rate(lefts)
     return np.add.reduceat(np.exp(-before) * gap * piece, starts)
 
 
@@ -145,14 +136,10 @@ def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: 
     collateral expectations therefore carry no time-stepping bias. Each weight
     is one pass of :func:`_discounted_spread_weights` over the whole grid.
     """
-    e = model.domestic
-    recv_kind, recv_role = carry_roles(spec)[0]
-    post_kind, post_role = carry_roles(spec)[1]
-    recv_curve = model.curve(e if recv_kind == "domestic" else spec.currency, recv_role)
-    post_curve = model.curve(e if post_kind == "domestic" else spec.currency, post_role)
+    recv_curve, post_curve = carry_curves(model, spec)
     borrow = model.curve(spec.currency, "collateral_borrow")
     lend = model.curve(spec.currency, "collateral_lend")
-    r_e = model.curve(e, "unsecured")
+    r_e = model.curve(model.domestic, "unsecured")
     r_k3 = model.curve(spec.currency, "unsecured")
     return (
         _discounted_spread_weights(recv_curve, borrow, r_k3, times),
@@ -166,15 +153,8 @@ def price_exogenous(
     contract: Contract,
     coll_path: CollateralPath,
     spec: CollateralSpec,
-    use_control_variate: bool = False,
 ) -> PriceReport:
-    """Monte Carlo ex-dividend price at t=0 with a predetermined collateral path.
-
-    The optional control variate replaces the contractual-leg estimator by its
-    exact deterministic-rate expectation, removing that leg's sampling noise;
-    it is off by default so that the Monte Carlo estimate stays an independent
-    check of the closed forms.
-    """
+    """Monte Carlo ex-dividend price at t=0 with a predetermined collateral path."""
     if scenario.measure_tag != "qe":
         raise ScenarioMeasureMismatch(
             f"pricing requires a martingale-measure scenario, got {scenario.measure_tag!r}"
@@ -192,9 +172,6 @@ def price_exogenous(
         - coll_path.c[:, :-1] * w_fx[None, :]
     )
     leg_coll = (carry * x_l / b_e[None, :-1]).sum(axis=1)
-
-    if use_control_variate:
-        leg_contract = leg_contract - (leg_contract - expected_discounted_flows(scenario.model, contract))
 
     total = leg_contract + leg_coll
     n = scenario.n_paths

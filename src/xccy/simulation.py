@@ -5,9 +5,12 @@ each step is the exact transition density: state * exp(integrated drift -
 sigma^2 dt / 2 + sigma sqrt(dt) xi). Under the domestic measure an asset
 drifts at its repo rate minus its dividend yield, with a quanto correction
 -rho * sigma_S * sigma_X for assets quoted in a foreign currency; an FX rate
-drifts at the unsecured rate differential. Those drifts are what make the
-discounted funding-gain process of every asset, and X * B_f / B_dom for every
-currency, empirical martingales (the diagnostics module certifies this).
+drifts at the unsecured rate differential. :func:`qe_drift_of` is the one
+definition of these drifts, instantaneous or integrated per step. They are
+what make the discounted funding-gain process of every asset, and
+X * B_f / B_dom for every currency, empirical martingales (the diagnostics
+module certifies this). The only departure from this measure is a constant
+``drift_shift`` per driver, the diagnostics negative control.
 
 Randomness is counter-based (see :mod:`xccy.rng`): a scenario is a pure
 function of (model, grid, n_paths, seed). Paths are simulated in fixed chunks
@@ -23,18 +26,21 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
 
-from .errors import ConfigError, DomesticPairRequested, EmptyGrid, ZeroPaths
-from .model import AssetSpec, ValidatedModel, fx_label
+from .csvio import write_rows
+from .curves import RateCurve
+from .errors import ConfigError, EmptyGrid, ZeroPaths
+from .model import AssetSpec, FxSpec, ValidatedModel, fx_label
 from .rng import normal_block
 
 GRID_SNAP_TOL = 1e-9
 # paths per simulation chunk: fixed, so results do not depend on the worker count
 CHUNK_PATHS = 8192
+UNIT_RATE = RateCurve.flat(1.0)  # integrates to the elapsed time, bit for bit grid.dt
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,7 @@ class ScenarioSet:
     asset_paths: dict[str, np.ndarray]
     fx_paths: dict[str, np.ndarray]
     account_values: dict[tuple[str, str], np.ndarray]
-    measure_tag: str = "qe"
-    drift_shift: dict[str, float] = field(default_factory=dict)
+    measure_tag: str = "qe"  # "p" when drifts were shifted away from the martingale measure
 
     def fx(self, currency: str) -> np.ndarray:
         if currency == self.model.domestic:
@@ -123,6 +128,11 @@ class ScenarioSet:
     def asset(self, label: str) -> np.ndarray:
         return self.asset_paths[label]
 
+    def driver(self, label: str) -> np.ndarray:
+        """Paths of the driver named by one of ``model.driver_labels``."""
+        spec = self.model.driver_spec(label)
+        return self.fx(spec.foreign) if isinstance(spec, FxSpec) else self.asset(label)
+
     def account(self, currency: str, role: str = "unsecured") -> np.ndarray:
         key = (role, currency)
         if key not in self.account_values:
@@ -130,25 +140,30 @@ class ScenarioSet:
         return self.account_values[key]
 
 
-def qe_asset_drift(model: ValidatedModel, asset: AssetSpec, t) -> float | np.ndarray:
-    """Drift of the asset spot under the domestic martingale measure.
+def qe_drift_of(model: ValidatedModel, label: str, integrate, shift: float = 0.0):
+    """Drift of one driver under the domestic measure, as a combination of ``integrate(curve)``.
 
-    Domestic assets: repo rate minus dividend yield. Foreign assets get the
-    additional quanto correction -rho(S, X) * sigma_S * sigma_X.
+    An asset drifts at its repo rate minus its dividend yield, less the quanto
+    correction rho(S, X) * sigma_S * sigma_X when it is quoted in a foreign
+    currency; an FX rate drifts at the unsecured differential. The quanto term
+    and the per-year ``shift`` (a negative control) are constants, integrated
+    as ``integrate(UNIT_RATE)``. With ``lambda c: c.rate(t)`` this is the
+    instantaneous drift at t; with ``lambda c: c.step_integrals(times)`` the
+    exact integral over each step.
     """
-    base = asset.repo_rate.rate(t) - asset.dividend_yield.rate(t)
-    if asset.currency == model.domestic:
-        return base
-    fx = model.fx_spec(asset.currency)
-    rho = _pair_correlation(model, asset.label, fx_label(asset.currency))
-    return base - rho * asset.sigma * fx.sigma
-
-
-def qe_fx_drift(model: ValidatedModel, k1: str, t) -> float | np.ndarray:
-    """Drift of the FX rate (domestic per 1 unit of k1): unsecured differential."""
-    if k1 == model.domestic:
-        raise DomesticPairRequested(k1)
-    return model.curve(model.domestic, "unsecured").rate(t) - model.curve(k1, "unsecured").rate(t)
+    spec = model.driver_spec(label)
+    if isinstance(spec, FxSpec):
+        r_dom = model.curve(model.domestic, "unsecured")
+        drift = integrate(r_dom) - integrate(model.curve(spec.foreign, "unsecured"))
+    else:
+        quanto = 0.0
+        if spec.currency != model.domestic:
+            rho = _pair_correlation(model, label, fx_label(spec.currency))
+            quanto = rho * spec.sigma * model.fx_spec(spec.currency).sigma
+        drift = integrate(spec.repo_rate) - integrate(spec.dividend_yield) - quanto * integrate(UNIT_RATE)
+    if shift:
+        drift = drift + shift * integrate(UNIT_RATE)
+    return drift
 
 
 def _pair_correlation(model: ValidatedModel, label_a: str, label_b: str) -> float:
@@ -157,39 +172,15 @@ def _pair_correlation(model: ValidatedModel, label_a: str, label_b: str) -> floa
     return float(model.correlation.matrix[ia, ib])
 
 
-def _drift_integrals(
-    model: ValidatedModel,
-    grid: TimeGrid,
-    drift_shift: dict[str, float],
-    physical: bool = False,
-) -> np.ndarray:
-    """Integrated drift per (driver, step), exact for piecewise-constant rates.
+def _drift_integrals(model: ValidatedModel, grid: TimeGrid, drift_shift: dict[str, float]) -> np.ndarray:
+    """Integrated drift per (driver, step), exact for piecewise-constant rates."""
 
-    With ``physical=True`` a driver with a configured constant drift uses it
-    outright instead of the martingale-measure drift.
-    """
-    times = grid.times
-    out = np.zeros((len(model.driver_labels), grid.n_steps))
+    def step_integrals(curve):
+        return curve.step_integrals(grid.times)
+
+    out = np.empty((len(model.driver_labels), grid.n_steps))
     for d, label in enumerate(model.driver_labels):
-        mu = (model.fx_spec(label[3:]) if label.startswith("fx:") else model.asset(label)).mu
-        if physical and mu is not None:
-            out[d, :] = mu * grid.dt
-        elif label.startswith("fx:"):
-            r_e = model.curve(model.domestic, "unsecured")
-            r_f = model.curve(label[3:], "unsecured")
-            out[d, :] = r_e.step_integrals(times) - r_f.step_integrals(times)
-        else:
-            a = model.asset(label)
-            quanto = 0.0
-            if a.currency != model.domestic:
-                fx = model.fx_spec(a.currency)
-                quanto = _pair_correlation(model, a.label, fx_label(a.currency)) * a.sigma * fx.sigma
-            out[d, :] = (
-                a.repo_rate.step_integrals(times) - a.dividend_yield.step_integrals(times) - quanto * grid.dt
-            )
-        shift = drift_shift.get(label, 0.0)
-        if shift:
-            out[d, :] += shift * grid.dt
+        out[d] = qe_drift_of(model, label, step_integrals, drift_shift.get(label, 0.0))
     return out
 
 
@@ -234,39 +225,25 @@ def simulate(
     grid: TimeGrid,
     n_paths: int,
     seed: int,
-    measure: str = "qe",
     drift_shift: dict[str, float] | None = None,
     n_workers: int = 1,
 ) -> ScenarioSet:
     """Generate a ScenarioSet.
 
-    ``measure="p"`` uses the configured physical drifts (where given) instead
-    of the martingale-measure drifts; ``drift_shift`` adds a constant per-year
-    drift bump to named drivers. Both exist for diagnostics negative controls;
-    pricing requires the default measure. Paths are simulated in chunks of
-    ``CHUNK_PATHS`` on at most :func:`worker_threads` threads.
+    ``drift_shift`` adds a constant per-year drift bump to named drivers, for
+    diagnostics negative controls; the shifted scenario is tagged ``"p"`` and
+    pricing refuses it. Paths are simulated in chunks of ``CHUNK_PATHS`` on at
+    most :func:`worker_threads` threads.
     """
     if n_paths < 1:
         raise ZeroPaths(f"n_paths={n_paths}")
     chunks = [(a, min(a + CHUNK_PATHS, n_paths)) for a in range(0, n_paths, CHUNK_PATHS)]
     n_threads = worker_threads(n_workers, len(chunks))
-    drift_shift = dict(drift_shift or {})
-    if measure not in ("qe", "p"):
-        raise ConfigError(f"unknown measure {measure!r}")
-    drift_int = _drift_integrals(model, grid, drift_shift, physical=measure == "p")
-    sigmas = np.array(
-        [
-            model.fx_spec(lab[3:]).sigma if lab.startswith("fx:") else model.asset(lab).sigma
-            for lab in model.driver_labels
-        ]
-    )
-    x0 = np.array(
-        [
-            model.fx_spec(lab[3:]).x0 if lab.startswith("fx:") else model.asset(lab).s0
-            for lab in model.driver_labels
-        ]
-    )
-    drift = drift_int - 0.5 * np.outer(sigmas**2, grid.dt)
+    drift_shift = drift_shift or {}
+    specs = [model.driver_spec(label) for label in model.driver_labels]
+    sigmas = np.array([spec.sigma for spec in specs])
+    x0 = np.array([spec.x0 if isinstance(spec, FxSpec) else spec.s0 for spec in specs])
+    drift = _drift_integrals(model, grid, drift_shift) - 0.5 * np.outer(sigmas**2, grid.dt)
     vol = model.mixing[:, :, None] * np.outer(sigmas, np.sqrt(grid.dt))[:, None, :]
 
     paths = np.empty((len(x0), n_paths, len(grid.times)))
@@ -278,13 +255,8 @@ def simulate(
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(fill, chunks))
 
-    asset_paths = {}
-    fx_paths = {}
-    for d, label in enumerate(model.driver_labels):
-        if label.startswith("fx:"):
-            fx_paths[label[3:]] = paths[d]
-        else:
-            asset_paths[label] = paths[d]
+    asset_paths = {spec.label: paths[d] for d, spec in enumerate(specs) if isinstance(spec, AssetSpec)}
+    fx_paths = {spec.foreign: paths[d] for d, spec in enumerate(specs) if isinstance(spec, FxSpec)}
 
     account_values: dict[tuple[str, str], np.ndarray] = {}
     for cur in model.currency_names:
@@ -292,7 +264,6 @@ def simulate(
     for a in model.assets:
         account_values[("repo", a.label)] = np.exp(a.repo_rate.integrals(grid.times))
 
-    tag = "qe" if measure == "qe" and not drift_shift else "p"
     return ScenarioSet(
         model=model,
         grid=grid,
@@ -301,8 +272,7 @@ def simulate(
         asset_paths=asset_paths,
         fx_paths=fx_paths,
         account_values=account_values,
-        measure_tag=tag,
-        drift_shift=drift_shift,
+        measure_tag="p" if drift_shift else "qe",
     )
 
 
@@ -320,13 +290,8 @@ def warn_correlated_collateral_asset(model: ValidatedModel, label: str) -> None:
 
 def dump_paths_csv(scenario: ScenarioSet, path: str) -> None:
     """Columnar dump: path_id, time, driver_label, value."""
+    path_ids = np.arange(scenario.n_paths)[:, None]
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("path_id,time,driver_label,value\n")
-        times = [float(t) for t in scenario.grid.times]
         for label in scenario.model.driver_labels:
-            series = (
-                scenario.fx_paths[label[3:]] if label.startswith("fx:") else scenario.asset_paths[label]
-            )
-            for p in range(scenario.n_paths):
-                for j, t in enumerate(times):
-                    fh.write(f"{p},{t!r},{label},{float(series[p, j])!r}\n")
+            write_rows(fh, path_ids, scenario.grid.times, label, scenario.driver(label))

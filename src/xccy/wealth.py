@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contracts import Contract
+from .csvio import write_rows
 from .errors import ConfigError, FlowOffGrid, GridMismatch, MissingCollateralRates, MissingRates
 from .simulation import ScenarioSet
 
@@ -56,11 +57,6 @@ def gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
     dx = np.diff(x, axis=1)
     s_l, x_l = s[:, :-1], x[:, :-1]
     return s_l * dx + x_l * ds + ds * dx + x_l * s_l * (div_int - repo_int)
-
-
-def gain_increment(scenario: ScenarioSet, asset_label: str, path: int, j: int) -> float:
-    """Single-path, single-step funding-gain increment."""
-    return float(gain_increments(scenario, asset_label)[path, j])
 
 
 def fx_hedge_gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
@@ -124,14 +120,10 @@ class WealthPath:
 
     def to_csv(self, grid, path: str) -> None:
         """Columnar dump: path_id, time, wealth, portfolio, adjustment, netted."""
+        path_ids = np.arange(self.v.shape[0])[:, None]
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write("path_id,time,v,v_portfolio,v_adjustment,v_net\n")
-            for p in range(self.v.shape[0]):
-                for j, t in enumerate(grid.times):
-                    fh.write(
-                        f"{p},{float(t)!r},{float(self.v[p, j])!r},{float(self.v_portfolio[p, j])!r},"
-                        f"{float(self.v_adjustment[p, j])!r},{float(self.v_net[p, j])!r}\n"
-                    )
+            write_rows(fh, path_ids, grid.times, self.v, self.v_portfolio, self.v_adjustment, self.v_net)
 
 
 def _position(arr, n_paths: int, n_steps: int, what: str) -> np.ndarray:

@@ -105,6 +105,13 @@ def test_nonpositive_workers_exit_one(docs, capsys, workers):
     assert "--workers" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("checkpoints", ["0", "-1"])
+def test_nonpositive_checkpoints_exit_one(docs, capsys, checkpoints):
+    model, _, _ = docs
+    assert run(["check", "--model", str(model), "--paths", "10", "--checkpoints", checkpoints]) == 1
+    assert "--checkpoints" in capsys.readouterr().err
+
+
 def test_price_repeated_runs_are_byte_identical(docs):
     model, trade, tmp = docs
     out = tmp / "out"

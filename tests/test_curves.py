@@ -95,7 +95,11 @@ def _abs_curve(curve):
     return RateCurve(curve.knots, np.abs(curve.values))
 
 
+ONE_ULP_PIECE = (RateCurve([0.0, 0.01, np.nextafter(0.01, 1.0)], [0.0, 0.125, 0.0]), np.array([0.0, 1.0]))
+
+
 @given(case=curve_and_grid())
+@example(case=ONE_ULP_PIECE)  # a piece whose midpoint rounds onto its right end
 @settings(max_examples=200, deadline=None)
 def test_step_integrals_match_scalar_integral(case):
     curve, times = case
@@ -108,6 +112,7 @@ def test_step_integrals_match_scalar_integral(case):
 
 @given(case=curve_and_grid())
 @example(case=(RateCurve([0.0], [5e-324]), np.array([0.0, 1.0, 1.5])))  # a subnormal rate
+@example(case=ONE_ULP_PIECE)
 @settings(max_examples=200, deadline=None)
 def test_cumulative_integrals_match_scalar_integral(case):
     curve, times = case

@@ -26,6 +26,13 @@ def test_domestic_fx_process_is_degenerate_pass(two_currency_model):
     assert all(c.z == 0.0 and c.std_error == 0.0 for c in report.checkpoints)
 
 
+@pytest.mark.parametrize("checkpoints", [0, -1, []])
+def test_empty_checkpoints_rejected(two_currency_model, checkpoints):
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 10, seed=0)
+    with pytest.raises(ConfigError):
+        martingale_test(scen, "fx:USD", checkpoints)
+
+
 def test_fx_process_passes_under_martingale_measure(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 100_000, seed=41)
     report = martingale_test(scen, "fx:USD")

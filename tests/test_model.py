@@ -170,3 +170,10 @@ def test_normalized_gram_matrices_always_validate(data):
     # the mixing factor reproduces the (clipped) correlation
     rebuilt = model.mixing @ model.mixing.T
     assert np.allclose(rebuilt, model.correlation.matrix, atol=1e-10)
+
+
+def test_every_exported_name_resolves():
+    import xccy
+
+    missing = [name for name in xccy.__all__ if not hasattr(xccy, name)]
+    assert not missing

@@ -21,7 +21,7 @@ from xccy.errors import (
     ScenarioMeasureMismatch,
 )
 from xccy.collateral import carry_roles
-from xccy.pricing import _collateral_leg_weights, expected_discounted_flows
+from xccy.pricing import _collateral_leg_weights
 
 
 @pytest.fixture(scope="module")
@@ -99,15 +99,6 @@ def test_measure_mismatch_rejected(two_currency_model):
     )
     with pytest.raises(ScenarioMeasureMismatch):
         price_exogenous(shifted, Contract.zero("EUR"), _zero_coll(shifted), REHYP)
-
-
-def test_control_variate_pins_contractual_leg(scen):
-    contract = Contract("USD", ((1.0, -1.0),))
-    plain = price_exogenous(scen, contract, _zero_coll(scen), REHYP)
-    cv = price_exogenous(scen, contract, _zero_coll(scen), REHYP, use_control_variate=True)
-    exact = -expected_discounted_flows(scen.model, contract)
-    assert cv.leg_contractual == pytest.approx(exact, rel=1e-14)
-    assert cv.std_error < plain.std_error
 
 
 def test_full_collateral_domestic_domestic():

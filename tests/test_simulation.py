@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 
@@ -12,15 +13,19 @@ from xccy import (
     FxSpec,
     TimeGrid,
     cross_currency_basis,
-    qe_asset_drift,
-    qe_fx_drift,
+    qe_drift_of,
     simulate,
 )
 from xccy.bsde import BsdeConfig
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, DomesticPairRequested, EmptyGrid, ZeroPaths
 from xccy.model import CorrelationMatrix
-from xccy.simulation import CHUNK_PATHS, worker_threads
+from xccy.simulation import CHUNK_PATHS, UNIT_RATE, worker_threads
+
+
+def drift_at(model, label, t):
+    """Instantaneous drift of a driver at t."""
+    return qe_drift_of(model, label, lambda curve: curve.rate(t))
 
 
 def test_grid_snaps_flow_dates_exactly():
@@ -40,22 +45,20 @@ def test_grid_rejects_degenerate_inputs():
 
 
 def test_domestic_asset_drift_is_repo_minus_dividend(two_currency_model):
-    a = two_currency_model.asset("EQ")
-    assert qe_asset_drift(two_currency_model, a, 0.5) == pytest.approx(0.015 - 0.01, abs=1e-15)
+    assert drift_at(two_currency_model, "EQ", 0.5) == pytest.approx(0.015 - 0.01, abs=1e-15)
 
 
 def test_foreign_asset_drift_has_quanto_correction(two_currency_model):
-    a = two_currency_model.asset("FEQ")
     # repo 0.028, no dividends, rho(FEQ, fx:USD) = -0.4, sigma_S = 0.25, sigma_X = 0.1
     expected = 0.028 - 0.0 - (-0.4) * 0.25 * 0.1
-    assert qe_asset_drift(two_currency_model, a, 0.0) == pytest.approx(expected, abs=1e-15)
+    assert drift_at(two_currency_model, "FEQ", 0.0) == pytest.approx(expected, abs=1e-15)
 
 
 def test_foreign_asset_zero_correlation_drops_correction():
     rates = {"EUR": curveset(0.02, 0.01, 0.01), "USD": curveset(0.01, 0.005, 0.005)}
     assets = [AssetSpec("F", "USD", 1.0, 0.2, RateCurve.flat(0.0), RateCurve.flat(0.01))]
     model = build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 1.0, 0.1)])
-    assert qe_asset_drift(model, model.asset("F"), 0.0) == pytest.approx(0.01, abs=1e-15)
+    assert drift_at(model, "F", 0.0) == pytest.approx(0.01, abs=1e-15)
 
 
 def test_quanto_correction_direct_substitution():
@@ -64,13 +67,13 @@ def test_quanto_correction_direct_substitution():
     assets = [AssetSpec("F", "USD", 1.0, 0.2, RateCurve.flat(0.0), RateCurve.flat(0.01))]
     corr = CorrelationMatrix(["F", "fx:USD"], [[1.0, 1.0], [1.0, 1.0]])
     model = build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 1.0, 0.1)], corr)
-    assert qe_asset_drift(model, model.asset("F"), 0.0) == pytest.approx(-0.01, abs=1e-15)
+    assert drift_at(model, "F", 0.0) == pytest.approx(-0.01, abs=1e-15)
 
 
 def test_fx_drift_is_unsecured_differential(two_currency_model):
-    assert qe_fx_drift(two_currency_model, "USD", 0.2) == pytest.approx(0.02 - 0.03, abs=1e-15)
+    assert drift_at(two_currency_model, "fx:USD", 0.2) == pytest.approx(0.02 - 0.03, abs=1e-15)
     with pytest.raises(DomesticPairRequested):
-        qe_fx_drift(two_currency_model, "EUR", 0.0)
+        drift_at(two_currency_model, "fx:EUR", 0.0)
 
 
 @given(
@@ -83,7 +86,7 @@ def test_fx_drift_is_unsecured_differential(two_currency_model):
 def test_fx_drift_equals_collateral_differential_plus_basis(r_e, r_k, rc_e, rc_k):
     rates = {"EUR": curveset(r_e, rc_e, rc_e), "USD": curveset(r_k, rc_k, rc_k)}
     model = build_model([("EUR", True), ("USD", False)], rates, fx=[FxSpec("USD", 1.0, 0.1)])
-    lhs = qe_fx_drift(model, "USD", 0.0)
+    lhs = drift_at(model, "fx:USD", 0.0)
     rhs = (rc_e - rc_k) + cross_currency_basis(model, "USD", 0.0)
     assert abs(lhs - rhs) <= 1e-15
 
@@ -190,15 +193,71 @@ def test_drift_shift_moves_the_mean(two_currency_model):
     assert shifted.measure_tag == "p"
 
 
-def test_physical_measure_uses_configured_drift():
-    rates = {"EUR": curveset(0.02, 0.01, 0.01), "USD": curveset(0.03, 0.01, 0.01)}
-    assets = [AssetSpec("EQ", "EUR", 100.0, 1e-12, RateCurve.flat(0.0), RateCurve.flat(0.01), mu=0.07)]
-    model = build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 0.9, 1e-12, mu=0.04)])
-    grid = TimeGrid.regular(1.0, 4)
-    phys = simulate(model, grid, 2, seed=0, measure="p")
-    assert phys.measure_tag == "p"
-    assert phys.asset("EQ")[:, -1] == pytest.approx(100.0 * math.exp(0.07), rel=1e-6)
-    assert phys.fx("USD")[:, -1] == pytest.approx(0.9 * math.exp(0.04), rel=1e-6)
-    # without configured drifts, the physical run falls back to pricing drifts
-    rn = simulate(model, grid, 2, seed=0)
-    assert rn.asset("EQ")[:, -1] == pytest.approx(100.0 * math.exp(0.01), rel=1e-6)
+# sha256 of every driver's path bytes, in driver order, on TimeGrid.regular(2.0, 16)
+# with 300 paths at seed 11; recorded when the drifts had two definitions, so
+# any change to the drift arithmetic, the draws or the stepping shows here.
+# The bytes go through numpy's exp and log, which may round differently on
+# another CPU or numpy build.
+PATH_DIGESTS = [
+    ("two_currency_model", None, "ead19fe90dc5ce34ac25abf71c3a51d5132eaf6803e8187fb4d0b5b2b580060c"),
+    (
+        "two_currency_model",
+        {"fx:USD": 0.02, "EQ": 0.02},
+        "99468d6f7da3f2dddbc4d1b9bd4374996067ba3875b96535fd6582a2a52f656d",
+    ),
+    ("multi_knot_model", None, "cc8615dded6812dc29bf94ad1a289085ecb9cb16a6ee81a143b27cde90e0fd50"),
+]
+
+
+@pytest.mark.parametrize("fixture,drift_shift,digest", PATH_DIGESTS)
+def test_paths_known_answer(request, fixture, drift_shift, digest):
+    model = request.getfixturevalue(fixture)
+    scen = simulate(model, TimeGrid.regular(2.0, 16), 300, seed=11, drift_shift=drift_shift)
+    h = hashlib.sha256()
+    for label in model.driver_labels:
+        h.update(scen.driver(label).tobytes())
+    assert h.hexdigest() == digest
+
+
+def _with_foreign_asset(model, rho, sigma, repo, dividend):
+    """``model`` plus an asset F quoted in USD, correlated ``rho`` with fx:USD."""
+    assets = [AssetSpec("F", "USD", 10.0, sigma, dividend, repo)]
+    corr = CorrelationMatrix(["F", "fx:USD"], [[1.0, rho], [rho, 1.0]])
+    currencies = [(c.name, c.domestic) for c in model.currencies]
+    return build_model(currencies, dict(model.rates), assets, model.fx, corr)
+
+
+knotted_curves = st.lists(
+    st.tuples(st.floats(0.01, 2.5), st.floats(-0.05, 0.08)), max_size=4, unique_by=lambda kv: kv[0]
+).map(lambda kvs: RateCurve([0.0] + sorted(k for k, _ in kvs), [0.01] + [v for _, v in sorted(kvs)]))
+
+
+@given(
+    rho=st.floats(-1.0, 1.0),
+    sigma=st.floats(0.01, 0.6),
+    repo=knotted_curves,
+    dividend=knotted_curves,
+    shift=st.sampled_from([0.0, 0.02]),
+    inner=st.lists(st.floats(0.001, 2.4), max_size=12),
+    on_knots=st.lists(st.sampled_from([0.3, 0.5, 0.75, 1.25]), max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_step_drift_is_the_integral_of_the_instantaneous_drift(
+    multi_knot_model, rho, sigma, repo, dividend, shift, inner, on_knots
+):
+    model = _with_foreign_asset(multi_knot_model, rho, sigma, repo, dividend)
+    times = np.unique([0.0, 2.5] + inner + on_knots)
+    assert np.array_equal(UNIT_RATE.step_integrals(times), np.diff(times))
+    curves = [model.curve("EUR", "unsecured"), model.curve("USD", "unsecured"), repo, dividend]
+    knots = np.concatenate([c.knots for c in curves])
+    # error scale per unit time: the summed magnitudes of the drift's terms
+    scale = sum(c.max_abs() for c in curves) + abs(rho * sigma * 0.1) + shift
+    for label in ("F", "fx:USD"):
+        steps = qe_drift_of(model, label, lambda curve: curve.step_integrals(times), shift)
+        for j, (t0, t1) in enumerate(zip(times[:-1], times[1:])):
+            edges = np.unique(np.concatenate([[t0, t1], knots[(knots > t0) & (knots < t1)]]))
+            ref = math.fsum(
+                qe_drift_of(model, label, lambda curve: curve.rate(a), shift) * (b - a)
+                for a, b in zip(edges[:-1], edges[1:])
+            )
+            assert abs(steps[j] - ref) <= 1e-14 * scale * (t1 - t0)

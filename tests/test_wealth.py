@@ -16,7 +16,7 @@ from xccy import (
 )
 from xccy.curves import RateCurve
 from xccy.errors import FlowOffGrid, GridMismatch
-from xccy.wealth import fx_hedge_gain_increments, gain_increment, gain_increments
+from xccy.wealth import fx_hedge_gain_increments, gain_increments
 
 
 @pytest.fixture(scope="module")
@@ -82,11 +82,6 @@ def test_foreign_gain_net_of_fx_term_is_empirical_martingale(two_currency_model)
     k_t = fx_hedge_gain_increments(scen, "FEQ").sum(axis=1)
     se = k_t.std(ddof=1) / math.sqrt(len(k_t))
     assert abs(k_t.mean()) <= 3 * se
-
-
-def test_gain_increment_scalar_matches_matrix(scen):
-    mat = gain_increments(scen, "FEQ")
-    assert gain_increment(scen, "FEQ", 3, 5) == mat[3, 5]
 
 
 def test_zero_strategy_compounds_at_domestic_rate(scen):
