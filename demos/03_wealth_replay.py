@@ -1,10 +1,12 @@
 """Replay self-financing wealth and verify the structural identities.
 
-The replay accumulates compounding of total wealth at the domestic rate,
-funding-gain increments of every asset position, the FX exposure of repo and
-cash positions, and the contractual flows. The netted wealth strips out an
-unhedged, treasury-funded position in the contract, and must coincide with
-explicitly removing the funded flow leg, path by path.
+The replay is the discounted wealth identity d(V / B_dom) = dG / B_dom: the
+gains dG (funding-gain increments of every asset position, the FX exposure of
+repo and cash positions, and the contractual flows) are discounted at the
+domestic account and summed, so V compounds at the domestic rate between
+them. The netted wealth strips out an unhedged, treasury-funded position in
+the contract, and must coincide with explicitly removing the funded flow leg,
+path by path.
 """
 
 import os

@@ -33,6 +33,7 @@ from .contracts import Contract
 from .errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from .model import ValidatedModel, cross_currency_basis_of
 from .simulation import TimeGrid, simulate
+from .wealth import flow_nodes
 
 RIDGE_LAMBDA = 1e-8
 COND_LIMIT = 1e12
@@ -143,8 +144,8 @@ def solve_endogenous(
             f"unsecured account; cash_post_funding for {k3!r} must equal the domestic unsecured curve"
         )
     grid = cfg.grid
-    for t in contract.flow_times:
-        grid.index_of(t)  # raises if a flow date is off the grid
+    flows = np.zeros(grid.n_steps + 1)  # contract amounts per grid node
+    np.add.at(flows, flow_nodes(grid, contract), [a for _, a in contract.flows])
 
     scenario = simulate(model, grid, cfg.n_paths, cfg.seed, n_workers=cfg.n_workers)
     times = grid.times
@@ -161,10 +162,6 @@ def solve_endogenous(
     )
 
     fx_k2 = scenario.fx(contract.native_currency)
-    flow_at = {grid.index_of(t): 0.0 for t, _ in contract.flows}
-    for t, amount in contract.flows:
-        j = grid.index_of(t)
-        flow_at[j] = flow_at[j] + amount
 
     # log-states relative to their initial levels, and their monomials
     driver_series = [scenario.driver(label) for label in model.driver_labels]
@@ -177,7 +174,7 @@ def solve_endogenous(
     surface = np.zeros((n_steps + 1, n_paths))  # time-major: one row per slice
     v = surface[n_steps]  # V_T = 0: collateral returned, nothing left to pay
     for j in range(n_steps - 1, -1, -1):
-        y = v - flow_at[j + 1] * fx_k2[:, j + 1] if (j + 1) in flow_at else v
+        y = v - flows[j + 1] * fx_k2[:, j + 1]
         if j == 0 or not n_drivers:
             cont = np.full(n_paths, float(np.mean(y)))
         else:

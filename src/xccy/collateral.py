@@ -23,9 +23,10 @@ the segregated reinvestment rate equals the domestic unsecured rate, and the
 risky and cash streams coincide when the two posting-funding roles carry the
 same curve.
 
-The FX term is accumulated either as realized increments -C dX (wealth
-replay) or as the drift-equivalent -C X (r_dom - r_k3) dt used by the pricing
-expectations; both use predictable (left-endpoint) collateral and FX states.
+The stream here realizes the FX term as increments -C dX, with predictable
+(left-endpoint) collateral and FX states, for the wealth replay. Pricing
+integrates each leg, the FX term included, exactly over every step instead
+(:func:`xccy.pricing._collateral_leg_weights`).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 
 from .contracts import Contract
 from .curves import RateCurve
-from .errors import ConfigError, NonPositiveFx, UnsupportedCombination
+from .errors import ConfigError, NonPositiveFx
 from .simulation import ScenarioSet, warn_correlated_collateral_asset
 
 FORMS = ("cash", "risky")
@@ -164,13 +165,11 @@ def carry_roles(spec: CollateralSpec) -> tuple[tuple[str, str], tuple[str, str]]
     if spec.form == "cash":
         recv = ("domestic", "unsecured") if spec.convention == "rehypothecation" else ("k3", "coll_reinvest_seg")
         post = ("k3", "cash_post_funding")
-    elif spec.form == "risky":
+    else:
         recv = (
             ("k3", "coll_reinvest_rehyp") if spec.convention == "rehypothecation" else ("k3", "coll_reinvest_seg")
         )
         post = ("k3", "coll_post_funding")
-    else:  # unreachable; CollateralSpec validates form
-        raise UnsupportedCombination(f"{spec.form}/{spec.convention}")
     return recv, post
 
 
@@ -182,20 +181,11 @@ def carry_curves(model, spec: CollateralSpec) -> tuple[RateCurve, RateCurve]:
     return recv, post
 
 
-def adjustment_increments(
-    scenario: ScenarioSet,
-    coll: CollateralPath,
-    spec: CollateralSpec,
-    fx_term: str = "increments",
-) -> np.ndarray:
+def adjustment_increments(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> np.ndarray:
     """Per-step increments of the collateral carry stream, (n_paths, n_steps).
 
-    ``fx_term="increments"`` realizes -C dX with the same-interval FX
-    increment (wealth replay); ``fx_term="drift"`` uses the expectation-
-    equivalent -C X (r_dom - r_k3) dt (pricing).
+    The FX term -C dX is realized with the same-interval FX increment.
     """
-    if fx_term not in ("increments", "drift"):
-        raise ConfigError(f"fx_term must be 'increments' or 'drift', got {fx_term!r}")
     model = scenario.model
     times = scenario.grid.times
     if coll.currency != spec.currency:
@@ -214,25 +204,12 @@ def adjustment_increments(
     x = scenario.fx(spec.currency)
     x_l = x[:, :-1]
     carry = x_l * (coll.received[:, :-1] * (recv_int - borrow) - coll.posted[:, :-1] * (post_int - lend))
-
-    if fx_term == "increments":
-        fx_part = -coll.c[:, :-1] * np.diff(x, axis=1)
-    else:
-        r_e = model.curve(model.domestic, "unsecured")
-        r_k3 = model.curve(spec.currency, "unsecured")
-        diff_int = r_e.step_integrals(times) - r_k3.step_integrals(times)
-        fx_part = -coll.c[:, :-1] * x_l * diff_int
-    return carry + fx_part
+    return carry - coll.c[:, :-1] * np.diff(x, axis=1)
 
 
-def adjustment_stream(
-    scenario: ScenarioSet,
-    coll: CollateralPath,
-    spec: CollateralSpec,
-    fx_term: str = "increments",
-) -> np.ndarray:
+def adjustment_stream(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> np.ndarray:
     """Cumulative collateral carry stream in domestic units, (n_paths, n_times)."""
-    inc = adjustment_increments(scenario, coll, spec, fx_term=fx_term)
+    inc = adjustment_increments(scenario, coll, spec)
     out = np.zeros((scenario.n_paths, len(scenario.grid.times)))
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out

@@ -18,15 +18,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collateral import (
-    CollateralPath,
-    CollateralSpec,
-    adjustment_increments,
-)
+from .collateral import CollateralPath, CollateralSpec
 from .contracts import Contract
 from .errors import ConfigError, UnknownProcessId
 from .model import ValidatedModel
-from .pricing import price_exogenous
+from .pricing import _collateral_leg_weights, price_exogenous
 from .simulation import ScenarioSet, TimeGrid, simulate
 from .wealth import discounted_flows, fx_hedge_gain_increments, gain_increments
 
@@ -104,10 +100,10 @@ def martingale_test(
     """z-statistics of the process mean at checkpoint times.
 
     ``checkpoints`` is either a count >= 1 (that many grid nodes, evenly
-    spaced, ending at the horizon) or a non-empty list of times; anything else
-    would certify nothing and raises :class:`ConfigError`. z is 0 for a
-    degenerate process with zero mean and zero spread, infinite when the mean
-    is off with zero spread.
+    spaced, ending at the horizon) or a non-empty list of grid times after 0;
+    anything else would certify nothing and raises :class:`ConfigError`. z is
+    0 for a degenerate process with zero mean and zero spread, infinite when
+    the mean is off with zero spread.
     """
     grid = scenario.grid
     if isinstance(checkpoints, int):
@@ -119,6 +115,8 @@ def martingale_test(
         times = [float(t) for t in checkpoints]
         if not times:
             raise ConfigError("checkpoint list is empty")
+        if min(times) <= 0:
+            raise ConfigError(f"checkpoints must be after t=0, got {min(times)}")
     values = _process_values(scenario, process_id)
     stats = []
     n = scenario.n_paths
@@ -184,14 +182,13 @@ def reduction_suite(model: ValidatedModel, n_paths: int = 2000, seed: int = 7) -
                     continue
                 kwargs = {"posted_asset": model.assets[0].label, "received_asset": model.assets[0].label}
             spec = CollateralSpec(currency=e, form=form, convention=convention, **kwargs)
-            inc_w = adjustment_increments(scenario, coll, spec, fx_term="increments")
-            inc_p = adjustment_increments(scenario, coll, spec, fx_term="drift")
-            same = np.array_equal(inc_w, inc_p)
+            realized = -coll.c[:, :-1] * np.diff(scenario.fx(spec.currency), axis=1)
+            weight = _collateral_leg_weights(model, spec, grid.times)[2]
             checks.append(
                 SuiteCheck(
                     name=f"fx-term-vanishes[{form}/{convention}]",
-                    passed=bool(same),
-                    detail="wealth-form and pricing-form streams identical with domestic collateral",
+                    passed=not (realized.any() or weight.any()),
+                    detail="realized -C dX and pricing's FX weight are 0 with domestic collateral",
                 )
             )
 

@@ -86,10 +86,6 @@ class MissingRates(ConfigError):
     pass
 
 
-class UnsupportedCombination(ConfigError):
-    pass
-
-
 # pricing
 class EndogenousSpecPassed(ConfigError):
     pass

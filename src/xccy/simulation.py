@@ -230,16 +230,20 @@ def simulate(
 ) -> ScenarioSet:
     """Generate a ScenarioSet.
 
-    ``drift_shift`` adds a constant per-year drift bump to named drivers, for
-    diagnostics negative controls; the shifted scenario is tagged ``"p"`` and
-    pricing refuses it. Paths are simulated in chunks of ``CHUNK_PATHS`` on at
-    most :func:`worker_threads` threads.
+    ``drift_shift`` adds a constant per-year drift bump to drivers named by
+    ``model.driver_labels``, for diagnostics negative controls; a scenario
+    with a non-zero shift is tagged ``"p"`` and pricing refuses it. A key
+    that names no driver raises :class:`ConfigError`. Paths are simulated in
+    chunks of ``CHUNK_PATHS`` on at most :func:`worker_threads` threads.
     """
     if n_paths < 1:
         raise ZeroPaths(f"n_paths={n_paths}")
     chunks = [(a, min(a + CHUNK_PATHS, n_paths)) for a in range(0, n_paths, CHUNK_PATHS)]
     n_threads = worker_threads(n_workers, len(chunks))
     drift_shift = drift_shift or {}
+    unknown = sorted(set(drift_shift) - set(model.driver_labels))
+    if unknown:
+        raise ConfigError(f"drift_shift names no driver: {unknown}; drivers: {list(model.driver_labels)}")
     specs = [model.driver_spec(label) for label in model.driver_labels]
     sigmas = np.array([spec.sigma for spec in specs])
     x0 = np.array([spec.x0 if isinstance(spec, FxSpec) else spec.s0 for spec in specs])
@@ -272,7 +276,7 @@ def simulate(
         asset_paths=asset_paths,
         fx_paths=fx_paths,
         account_values=account_values,
-        measure_tag="p" if drift_shift else "qe",
+        measure_tag="p" if any(drift_shift.values()) else "qe",
     )
 
 

@@ -1,11 +1,14 @@
 """Path functionals: discounted flows, funding-gain increments, wealth replay.
 
-The replay accumulates the self-financing wealth identity forward over the
-grid with predictable (left-endpoint) integrands. Quadratic covariations are
-realized as products of same-interval increments. The domestic unsecured
-account is the funding residual: whatever gains or flows arrive are absorbed
-there, which is exactly the compounding term V~ dB_dom of the wealth identity,
-so a strategy never specifies the domestic cash position explicitly.
+The replay is the self-financing wealth identity in discounted form,
+d(V / B_dom) = dG / B_dom, where dG holds every gain except the compounding of
+V itself: asset funding gains, repo carry, the FX exposure of repo and cash
+positions, contract flows and collateral increments. Each gain is a
+(n_paths, n_steps) array of predictable (left-endpoint) integrands, with
+quadratic covariations realized as products of same-interval increments, so V
+is one cumulative sum. The domestic unsecured account is the funding
+residual: it absorbs whatever gains or flows arrive, which is exactly the
+compounding term, so a strategy never specifies the domestic cash position.
 """
 
 from __future__ import annotations
@@ -17,25 +20,32 @@ import numpy as np
 from .contracts import Contract
 from .csvio import write_rows
 from .errors import ConfigError, FlowOffGrid, GridMismatch, MissingCollateralRates, MissingRates
-from .simulation import ScenarioSet
+from .simulation import ScenarioSet, TimeGrid
+
+
+def flow_nodes(grid: TimeGrid, contract: Contract) -> np.ndarray:
+    """Grid index of each of ``contract.flows``; a date off the grid raises :class:`FlowOffGrid`."""
+    nodes = []
+    for t in contract.flow_times:
+        try:
+            nodes.append(grid.index_of(t))
+        except ConfigError as exc:
+            raise FlowOffGrid(f"flow date {t} not on the scenario grid") from exc
+    return np.array(nodes, dtype=int)
 
 
 def discounted_flows(scenario: ScenarioSet, contract: Contract, from_t: float = 0.0) -> np.ndarray:
     """Per-path sum of flows strictly after ``from_t``, in domestic units discounted to 0.
 
     Computes sum_j a_j * X(t_j) / B_dom(t_j) over flow dates t_j > from_t.
+    Every flow date must be a grid node, also those at or before ``from_t``.
     """
     fx = scenario.fx(contract.native_currency)
     b_e = scenario.account(scenario.model.domestic)
     out = np.zeros(scenario.n_paths)
-    for t, amount in contract.flows:
-        if t <= from_t:
-            continue
-        try:
-            j = scenario.grid.index_of(t)
-        except ConfigError as exc:
-            raise FlowOffGrid(f"flow date {t} not on the scenario grid") from exc
-        out += amount * fx[:, j] / b_e[j]
+    for (t, amount), j in zip(contract.flows, flow_nodes(scenario.grid, contract)):
+        if t > from_t:
+            out += amount * fx[:, j] / b_e[j]
     return out
 
 
@@ -145,20 +155,18 @@ def replay_wealth(
     collateral=None,
     collateral_spec=None,
 ) -> WealthPath:
-    """Forward accumulation of the hedger's wealth for a given strategy.
+    """Wealth of the hedger for a given strategy, from the discounted identity.
 
     With no positions and no contract the result is exactly x * B_dom(t).
     When a collateral path and spec are supplied, the convention-specific
     adjustment stream (and, for risky collateral, the posted-asset hedge
-    term) is added to the dynamics, and the wealth splits into portfolio and
+    term) is added to the gains, and the wealth splits into portfolio and
     adjustment components.
     """
     from .collateral import adjustment_increments, collateral_value_adjustment  # local: avoid cycle
 
     model = scenario.model
-    grid = scenario.grid
-    n_paths, n_steps = scenario.n_paths, grid.n_steps
-    n_times = n_steps + 1
+    n_paths, n_steps = scenario.n_paths, scenario.grid.n_steps
     b_e = scenario.account(model.domestic)
 
     xi = {k: _position(v, n_paths, n_steps, f"xi[{k}]") for k, v in strategy.xi.items()}
@@ -169,88 +177,57 @@ def replay_wealth(
         if k != model.domestic
     }
 
-    gains = {label: gain_increments(scenario, label) for label in xi}
+    # contractual flows at their nodes, converted at the flow date; node 0 holds the initial flow
+    nodes = flow_nodes(scenario.grid, contract)
+    if np.any(nodes == 0):
+        raise FlowOffGrid("flows at t=0 belong in Contract.initial_flow")
+    amounts = np.zeros(n_steps + 1)
+    np.add.at(amounts, nodes, [a for _, a in contract.flows])
+    amounts[0] = contract.initial_flow
+    flow = amounts * scenario.fx(contract.native_currency)
 
-    # deterministic account ratios on the grid
-    repo_over_dom = {
-        label: scenario.account(label, "repo") / b_e for label in set(xi) | set(psi_repo)
-    }
-    disc_fx_account = {}
-    for cur in psi_cash:
-        disc_fx_account[cur] = scenario.fx(cur) * scenario.account(cur)[None, :] / b_e[None, :]
+    # every gain over (t_j, t_{j+1}] except the compounding of V through the domestic account
+    gain = flow[:, 1:].copy()
+    zero = np.zeros((1, n_steps))
+    for label in sorted(set(xi) | set(psi_repo)):
+        u_xi = xi.get(label, zero)
+        u_psi = psi_repo.get(label, zero)
+        s = scenario.asset(label)[:, :-1]
+        b_repo = scenario.account(label, "repo")
+        x_cur = scenario.fx(model.asset(label).currency)
+        if label in xi:
+            gain += u_xi * gain_increments(scenario, label)
+        # repo-account mismatch carry: zero under the repo constraint
+        zeta = u_psi * b_repo[:-1] + u_xi * s
+        gain += (b_e[:-1] / b_repo[:-1]) * zeta * x_cur[:, :-1] * np.diff(b_repo / b_e)
+        # FX exposure of the repo position
+        gain += b_repo[:-1] * u_psi * np.diff(x_cur, axis=1)
+    for cur, units in psi_cash.items():
+        gain += b_e[:-1] * units * np.diff(scenario.fx(cur) * scenario.account(cur) / b_e, axis=1)
 
-    # contractual flows in (t_j, t_{j+1}], converted at the flow date
-    flow_inc = np.zeros((n_paths, n_steps))
-    fx_k2 = scenario.fx(contract.native_currency)
-    for t, amount in contract.flows:
-        try:
-            j = grid.index_of(t)
-        except ConfigError as exc:
-            raise FlowOffGrid(f"flow date {t} not on the scenario grid") from exc
-        if j == 0:
-            raise FlowOffGrid("flows at t=0 belong in Contract.initial_flow")
-        flow_inc[:, j - 1] += amount * fx_k2[:, j]
-
-    coll_inc = None
-    v_adj = np.zeros((n_paths, n_times))
+    v_adj = np.zeros((n_paths, n_steps + 1))
     if collateral is not None:
         if collateral_spec is None:
             raise MissingCollateralRates("collateral path supplied without a CollateralSpec")
         try:
-            coll_inc = adjustment_increments(scenario, collateral, collateral_spec, fx_term="increments")
+            gain += adjustment_increments(scenario, collateral, collateral_spec)
             if collateral_spec.form == "risky":
                 s_coll = scenario.asset(collateral_spec.posted_asset)
                 x_k3 = scenario.fx(collateral_spec.currency)
                 units = collateral.posted[:, :-1] / s_coll[:, :-1]
-                hedge = units * (
+                gain += units * (
                     gain_increments(scenario, collateral_spec.posted_asset)
                     - s_coll[:, :-1] * np.diff(x_k3, axis=1)
                 )
-                coll_inc = coll_inc + hedge
             v_adj = collateral_value_adjustment(scenario, collateral, collateral_spec)
         except MissingRates as exc:
             raise MissingCollateralRates(str(exc)) from exc
 
-    v = np.empty((n_paths, n_times))
-    v[:, 0] = x + contract.initial_flow * fx_k2[:, 0]
-    zero = np.zeros((1, n_steps))
-    for j in range(n_steps):
-        # compounding of total wealth through the domestic account
-        dv = v[:, j] * (b_e[j + 1] / b_e[j] - 1.0)
-        for label in sorted(set(xi) | set(psi_repo)):
-            u_xi = xi.get(label, zero)[:, j]
-            u_psi = psi_repo.get(label, zero)[:, j]
-            s = scenario.asset(label)
-            b_repo = scenario.account(label, "repo")
-            x_cur = scenario.fx(model.asset(label).currency)
-            if label in xi:
-                dv = dv + u_xi * gains[label][:, j]
-            # repo-account mismatch carry: zero under the repo constraint
-            zeta = u_psi * b_repo[j] + u_xi * s[:, j]
-            ratio = repo_over_dom[label]
-            dv = dv + (b_e[j] / b_repo[j]) * zeta * x_cur[:, j] * (ratio[j + 1] - ratio[j])
-            # FX exposure of the repo position
-            dv = dv + b_repo[j] * u_psi * (x_cur[:, j + 1] - x_cur[:, j])
-        for cur in sorted(psi_cash):
-            acc = disc_fx_account[cur]
-            dv = dv + b_e[j] * psi_cash[cur][:, j] * (acc[:, j + 1] - acc[:, j])
-        dv = dv + flow_inc[:, j]
-        if coll_inc is not None:
-            dv = dv + coll_inc[:, j]
-        v[:, j + 1] = v[:, j] + dv
-
-    # netted wealth: strip the unhedged funded position in the contract
-    funded = np.zeros((n_paths, n_times))
-    running = (contract.initial_flow * fx_k2[:, 0] / b_e[0]).copy()
-    funded[:, 0] = running * b_e[0]
-    flow_by_index: dict[int, np.ndarray] = {}
-    for t, amount in contract.flows:
-        j = grid.index_of(t)
-        flow_by_index[j] = flow_by_index.get(j, 0.0) + amount * fx_k2[:, j]
-    for j in range(1, n_times):
-        if j in flow_by_index:
-            running = running + flow_by_index[j] / b_e[j]
-        funded[:, j] = running * b_e[j]
-    v_net = v - funded
-
-    return WealthPath(v=v, v_portfolio=v - v_adj, v_adjustment=v_adj, v_net=v_net)
+    # d(V / B_dom) = dG / B_dom; the funded leg accumulates the flows alone
+    v = np.empty((n_paths, n_steps + 1))
+    v[:, 0] = (x + flow[:, 0]) / b_e[0]
+    np.cumsum(gain / b_e[1:], axis=1, out=v[:, 1:])
+    v[:, 1:] += v[:, :1]
+    v *= b_e
+    funded = np.cumsum(flow / b_e, axis=1) * b_e
+    return WealthPath(v=v, v_portfolio=v - v_adj, v_adjustment=v_adj, v_net=v - funded)

@@ -21,6 +21,7 @@ from xccy.collateral import adjustment_increments
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, MissingRates, NonPositiveFx
 from xccy.model import cross_currency_basis_integral
+from xccy.pricing import _collateral_leg_weights
 
 
 @pytest.fixture(scope="module")
@@ -116,15 +117,29 @@ def test_zero_collateral_zero_stream(scen, form, convention):
     assert np.all(stream == 0.0)
 
 
+def _fx_terms(scen, path, spec):
+    """The FX term of the replay's stream (-C dX) and of pricing (its leg weight)."""
+    realized = -path.c[:, :-1] * np.diff(scen.fx(spec.currency), axis=1)
+    weight = _collateral_leg_weights(scen.model, spec, scen.grid.times)[2]
+    return realized, weight
+
+
 @pytest.mark.parametrize("form,convention", ALL_CONVENTIONS)
 def test_domestic_collateral_has_no_fx_term(two_currency_model, form, convention):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 10), 100, seed=3)
     kw = {"posted_asset": "EQ", "received_asset": "EQ"} if form == "risky" else {}
     spec = CollateralSpec(currency="EUR", form=form, convention=convention, **kw)
     path = CollateralPath(np.sin(np.linspace(0, 5, 11))[None, :] * np.ones((100, 11)), "EUR")
-    wealth_form = adjustment_increments(scen, path, spec, fx_term="increments")
-    pricing_form = adjustment_increments(scen, path, spec, fx_term="drift")
-    assert np.array_equal(wealth_form, pricing_form)
+    realized, weight = _fx_terms(scen, path, spec)
+    assert not realized.any() and not weight.any()
+
+
+def test_foreign_collateral_has_an_fx_term(scen):
+    # EUR and USD unsecured rates differ (0.02 vs 0.03), so the check above can fail
+    path = _sign_varying_path(scen)
+    realized, weight = _fx_terms(scen, path, CollateralSpec(currency="USD"))
+    assert realized.any()
+    assert np.all(weight < 0.0)
 
 
 def test_cash_rehypothecation_reduces_to_fx_term_only():
@@ -137,7 +152,7 @@ def test_cash_rehypothecation_reduces_to_fx_term_only():
     scen0 = simulate(model, TimeGrid.regular(1.0, 10), 200, seed=8)
     path = _sign_varying_path(scen0)
     spec = CollateralSpec(currency="USD", form="cash", convention="rehypothecation")
-    inc = adjustment_increments(scen0, path, spec, fx_term="increments")
+    inc = adjustment_increments(scen0, path, spec)
     fx_only = -path.c[:, :-1] * np.diff(scen0.fx("USD"), axis=1)
     assert np.max(np.abs(inc - fx_only)) < 1e-15
 

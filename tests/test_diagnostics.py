@@ -33,6 +33,15 @@ def test_empty_checkpoints_rejected(two_currency_model, checkpoints):
         martingale_test(scen, "fx:USD", checkpoints)
 
 
+def test_checkpoint_at_time_zero_rejected(two_currency_model):
+    # the process starts at 0 on every path, so a t=0 checkpoint would certify anything
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 10, seed=0, drift_shift={"fx:USD": 0.5})
+    with pytest.raises(ConfigError):
+        martingale_test(scen, "fx:USD", [0.0])
+    with pytest.raises(ConfigError):
+        martingale_test(scen, "fx:USD", [1.0, 0.0])
+
+
 def test_fx_process_passes_under_martingale_measure(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 100_000, seed=41)
     report = martingale_test(scen, "fx:USD")

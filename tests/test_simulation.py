@@ -193,6 +193,19 @@ def test_drift_shift_moves_the_mean(two_currency_model):
     assert shifted.measure_tag == "p"
 
 
+def test_drift_shift_naming_no_driver_is_rejected(two_currency_model):
+    with pytest.raises(ConfigError, match="fx:GBP"):
+        simulate(two_currency_model, TimeGrid.regular(1.0, 4), 10, seed=3, drift_shift={"fx:GBP": 0.5})
+
+
+def test_zero_drift_shift_keeps_the_martingale_measure(two_currency_model):
+    grid = TimeGrid.regular(1.0, 4)
+    base = simulate(two_currency_model, grid, 10, seed=3)
+    zero = simulate(two_currency_model, grid, 10, seed=3, drift_shift={"fx:USD": 0.0})
+    assert zero.measure_tag == "qe"
+    assert np.array_equal(zero.fx("USD"), base.fx("USD"))
+
+
 # sha256 of every driver's path bytes, in driver order, on TimeGrid.regular(2.0, 16)
 # with 300 paths at seed 11; recorded when the drifts had two definitions, so
 # any change to the drift arithmetic, the draws or the stepping shows here.

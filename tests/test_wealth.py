@@ -14,8 +14,9 @@ from xccy import (
     replay_wealth,
     simulate,
 )
+from xccy.collateral import CollateralPath, CollateralSpec, adjustment_increments, collateral_value_adjustment
 from xccy.curves import RateCurve
-from xccy.errors import FlowOffGrid, GridMismatch
+from xccy.errors import FlowOffGrid, GridMismatch, MissingCollateralRates
 from xccy.wealth import fx_hedge_gain_increments, gain_increments
 
 
@@ -163,6 +164,92 @@ def test_lemma_identity_on_100_random_draws(scen):
         rel = np.max(np.abs(wp.v_net - rhs) / np.maximum(1.0, np.abs(rhs)))
         worst = max(worst, rel)
     assert worst < 1e-10
+
+
+def _reference_replay(scen, strategy, contract, x, collateral=None, spec=None):
+    """Step-by-step forward accumulation of the wealth identity: V_{j+1} = V_j B_{j+1} / B_j + dG_j."""
+    n_paths, n_steps = scen.n_paths, scen.grid.n_steps
+    b_e = scen.account("EUR")
+
+    def per_path(arr):
+        arr = np.asarray(arr, dtype=float)
+        return arr[None, :] if arr.ndim == 1 else arr
+
+    xi = {k: per_path(v) for k, v in strategy.xi.items()}
+    psi_repo = {k: per_path(v) for k, v in strategy.psi_repo.items()}
+    psi_cash = {k: per_path(v) for k, v in strategy.psi_cash.items()}
+    fx_k2 = scen.fx(contract.native_currency)
+    coll_inc = np.zeros((n_paths, n_steps))
+    v_adj = np.zeros((n_paths, n_steps + 1))
+    if collateral is not None:
+        coll_inc = adjustment_increments(scen, collateral, spec)
+        if spec.form == "risky":
+            s_coll = scen.asset(spec.posted_asset)
+            units = collateral.posted[:, :-1] / s_coll[:, :-1]
+            coll_inc = coll_inc + units * (
+                gain_increments(scen, spec.posted_asset)
+                - s_coll[:, :-1] * np.diff(scen.fx(spec.currency), axis=1)
+            )
+        v_adj = collateral_value_adjustment(scen, collateral, spec)
+
+    v = np.empty((n_paths, n_steps + 1))
+    v[:, 0] = x + contract.initial_flow * fx_k2[:, 0]
+    zero = np.zeros((1, n_steps))
+    for j in range(n_steps):
+        dv = v[:, j] * (b_e[j + 1] / b_e[j] - 1.0)
+        for label in sorted(set(xi) | set(psi_repo)):
+            u_xi = xi.get(label, zero)[:, j]
+            u_psi = psi_repo.get(label, zero)[:, j]
+            s = scen.asset(label)
+            b_repo = scen.account(label, "repo")
+            x_cur = scen.fx(scen.model.asset(label).currency)
+            if label in xi:
+                dv = dv + u_xi * gain_increments(scen, label)[:, j]
+            zeta = u_psi * b_repo[j] + u_xi * s[:, j]
+            ratio = b_repo / b_e
+            dv = dv + (b_e[j] / b_repo[j]) * zeta * x_cur[:, j] * (ratio[j + 1] - ratio[j])
+            dv = dv + b_repo[j] * u_psi * (x_cur[:, j + 1] - x_cur[:, j])
+        for cur, units in psi_cash.items():
+            acc = scen.fx(cur) * scen.account(cur) / b_e
+            dv = dv + b_e[j] * units[:, j] * (acc[:, j + 1] - acc[:, j])
+        for t, a in contract.flows:
+            if abs(t - scen.grid.times[j + 1]) < 1e-12:
+                dv = dv + a * fx_k2[:, j + 1]
+        v[:, j + 1] = v[:, j] + dv + coll_inc[:, j]
+    v_net = v - _funded_leg(scen, contract)
+    return {"v": v, "v_portfolio": v - v_adj, "v_adjustment": v_adj, "v_net": v_net}
+
+
+REPLAY_COLLATERAL = [None] + [
+    (form, convention) for form in ("cash", "risky") for convention in ("segregation", "rehypothecation")
+]
+
+
+@pytest.mark.parametrize("coll", REPLAY_COLLATERAL, ids=lambda c: "none" if c is None else "/".join(c))
+def test_replay_matches_stepwise_reference(scen, coll):
+    rng = np.random.default_rng(5)
+    # two flows share the node t = 0.5
+    contract = Contract("USD", ((0.5, 1.0), (0.5, -0.4), (0.8, 0.7), (1.0, -2.0)), initial_flow=0.3)
+    strat = _random_strategy(rng, scen.n_paths, scen.grid.n_steps, per_path=True)
+    path = spec = None
+    if coll is not None:
+        form, convention = coll
+        kw = {"posted_asset": "FEQ", "received_asset": "FEQ"} if form == "risky" else {}
+        spec = CollateralSpec(currency="USD", form=form, convention=convention, **kw)
+        t = scen.grid.times
+        path = CollateralPath(np.sin(2 * np.pi * t)[None, :] * (1.0 + 0.2 * np.log(scen.fx("USD"))), "USD")
+    wp = replay_wealth(scen, strat, contract, x=1.1, collateral=path, collateral_spec=spec)
+    ref = _reference_replay(scen, strat, contract, 1.1, path, spec)
+    for name, expected in ref.items():
+        got = getattr(wp, name)
+        rel = np.max(np.abs(got - expected) / np.maximum(1.0, np.abs(expected)))
+        assert rel < 1e-12, name
+
+
+def test_collateral_path_without_spec_raises(scen):
+    path = CollateralPath(np.ones((scen.n_paths, len(scen.grid.times))), "USD")
+    with pytest.raises(MissingCollateralRates):
+        replay_wealth(scen, Strategy.empty(), Contract.zero("EUR"), collateral=path)
 
 
 def test_replay_scaling_linearity(scen):
