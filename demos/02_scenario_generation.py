@@ -1,11 +1,11 @@
 """Generate correlated scenarios and certify the martingale-measure drifts.
 
 Assets drift at repo-minus-dividend (with a quanto correction when quoted in
-a foreign currency), FX rates at the unsecured differential. Randomness is
-counter-based: the draw for (seed, path, step, driver) is a pure function of
-those integers and of the grid length and driver count, and paths are
-simulated in fixed chunks, so the scenario is bit-identical for any worker
-count.
+a foreign currency), FX rates at the unsecured differential. Paths are
+simulated in fixed chunks, each drawing its normals from its own numpy Philox
+stream: the draw for (seed, path, step, driver) is a pure function of those
+integers, the grid length, the driver count and the chunk size, so the
+scenario is bit-identical for any worker count.
 """
 
 import os

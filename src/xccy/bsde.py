@@ -57,7 +57,7 @@ class BsdeConfig:
 @dataclass(frozen=True)
 class BsdeResult:
     v0: float
-    v0_std_error: float  # sample SE of the slice-0 average, through the slice solve
+    v0_std_error: float  # sample SE of the pathwise discounted flows behind v0
     surface: np.ndarray  # (n_paths, n_times) value per path per grid node
     picard_counts: tuple[int, ...]  # slice solves per step: 1, the solve is exact
     grid: TimeGrid
@@ -173,8 +173,12 @@ def solve_endogenous(
 
     surface = np.zeros((n_steps + 1, n_paths))  # time-major: one row per slice
     v = surface[n_steps]  # V_T = 0: collateral returned, nothing left to pay
+    # pathwise value: the flows discounted through the same slice denominators,
+    # without the regression's averaging; its spread sets the error bar of v0
+    u = np.zeros(n_paths)
     for j in range(n_steps - 1, -1, -1):
-        y = v - flows[j + 1] * fx_k2[:, j + 1]
+        paid = flows[j + 1] * fx_k2[:, j + 1]
+        y = v - paid
         if j == 0 or not n_drivers:
             cont = np.full(n_paths, float(np.mean(y)))
         else:
@@ -185,7 +189,9 @@ def solve_endogenous(
             cont = _regress(design, y)
         den = _slice_denominator(cont, r_int[j], spread_int[j], delta1, delta2)
         v = np.divide(cont, den, out=surface[j])
-    std_error = float(np.std(y, ddof=1) / math.sqrt(n_paths) / den[0]) if n_paths > 1 else 0.0
+        u -= paid
+        u /= den
+    std_error = float(np.std(u, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
     return BsdeResult(
         v0=float(v[0]),
         v0_std_error=std_error,

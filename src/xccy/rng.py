@@ -1,46 +1,32 @@
-"""Stateless counter-based random numbers (Philox-4x64-10, numpy's C kernel).
+"""Random normals: one numpy Philox stream per simulation chunk.
 
-The variate for (path p, step s, driver d) is word ``d % 4`` of the Philox
-block at the flat 256-bit counter
+Chunk ``c`` of the simulation (paths ``c * CHUNK_PATHS`` onwards) draws its
+normals with numpy's ziggurat sampler, ``Generator.standard_normal``, from a
+Philox-4x64-10 generator keyed by the seed reduced modulo 2**128 (``Philox``
+rejects a negative key) and started at counter ``[0, c, 0, 0]``. The draws
+fill (path, step, driver) in C order, so a ragged last chunk draws a prefix
+of a full chunk's sequence, and a path's normals are a pure function of
+(seed, path, n_steps, n_drivers, ``CHUNK_PATHS``): fixed by the scenario
+identity and independent of the worker count. Two chunks' streams differ in
+counter word 1 and could only overlap after more than 2**64 blocks in one
+chunk.
 
-    word0 = (p * n_steps + s) * n_blocks + d // 4,  words 1-3 = 0,
-
-with ``n_blocks = ceil(n_drivers / 4)``, keyed by the seed (reduced modulo
-2**128). A draw is therefore a pure function of (seed, path, step, driver,
-n_steps, n_drivers): fixed by the scenario identity (model, grid, n_paths,
-seed), and independent of how paths are split into chunks or across workers.
-A contiguous range of paths is a contiguous range of counters, read by one
-``np.random.Philox(...).random_raw`` call. numpy pre-increments the counter
-before its first block, so the generator starts one below the first counter;
-below counter 0 that wraps to the all-ones counter.
+NEP 19 lets numpy change the stream of a ``Generator`` method between
+releases, unlike the raw bit-generator stream. The known-answer tests in
+``tests/test_rng.py`` and ``tests/test_simulation.py`` are what catch such a
+change.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import ndtri
-
-_MOD128 = 1 << 128
-_MOD256 = 1 << 256
 
 
-def _to_uniform(bits: np.ndarray) -> np.ndarray:
-    """Map uint64 words to doubles in the open interval (0, 1)."""
-    u = (bits >> np.uint64(11)).astype(np.float64)
-    u *= 2.0**-53
-    u += 2.0**-54
-    return u
-
-
-def normal_block(seed: int, first: int, count: int, n_steps: int, n_drivers: int) -> np.ndarray:
-    """Standard normals for paths ``first .. first + count - 1``.
+def normal_block(seed: int, chunk: int, count: int, n_steps: int, n_drivers: int) -> np.ndarray:
+    """Standard normals of the first ``count`` paths of simulation chunk ``chunk``.
 
     Returns shape (count, n_steps, n_drivers); see the module docstring for
-    the counter of each variate.
+    the stream of each chunk.
     """
-    n_blocks = max(1, -(-n_drivers // 4))
-    start = first * n_steps * n_blocks
-    gen = np.random.Philox(key=int(seed) % _MOD128, counter=(start - 1) % _MOD256)
-    bits = gen.random_raw(count * n_steps * n_blocks * 4)
-    uniforms = _to_uniform(bits).reshape(count, n_steps, n_blocks * 4)[:, :, :n_drivers]
-    return ndtri(uniforms)
+    bits = np.random.Philox(key=int(seed) % 2**128, counter=[0, chunk, 0, 0])
+    return np.random.Generator(bits).standard_normal((count, n_steps, n_drivers))

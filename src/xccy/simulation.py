@@ -12,13 +12,13 @@ X * B_f / B_dom for every currency, empirical martingales (the diagnostics
 module certifies this). The only departure from this measure is a constant
 ``drift_shift`` per driver, the diagnostics negative control.
 
-Randomness is counter-based (see :mod:`xccy.rng`): a scenario is a pure
-function of (model, grid, n_paths, seed). Paths are simulated in fixed chunks
-of ``CHUNK_PATHS`` whose boundaries do not depend on the worker count; each
-chunk draws its normals, mixes them and steps them (one cumulative sum of
-log-increments, one ``exp``) straight into one driver-major array of shape
-(n_drivers, n_paths, n_times), so the scenario is byte-identical for any
-worker count.
+Paths are simulated in fixed chunks of ``CHUNK_PATHS`` whose boundaries do
+not depend on the worker count. Each chunk draws its normals from its own
+Philox stream (see :mod:`xccy.rng`), mixes them and steps them (one
+cumulative sum of log-increments, one ``exp``) straight into one driver-major
+array of shape (n_drivers, n_paths, n_times). A scenario is therefore a pure
+function of (model, grid, n_paths, seed) and ``CHUNK_PATHS``, byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .csvio import write_rows
 from .curves import RateCurve
-from .errors import ConfigError, EmptyGrid, ZeroPaths
+from .errors import ConfigError, EmptyGrid, UnknownCurrency, ZeroPaths
 from .model import AssetSpec, FxSpec, ValidatedModel, fx_label
 from .rng import normal_block
 
@@ -123,9 +123,12 @@ class ScenarioSet:
         if currency == self.model.domestic:
             # read-only view of one scalar: allocates no (n_paths, n_times) buffer
             return np.broadcast_to(1.0, (self.n_paths, len(self.grid.times)))
+        if currency not in self.fx_paths:
+            raise UnknownCurrency(currency)
         return self.fx_paths[currency]
 
     def asset(self, label: str) -> np.ndarray:
+        self.model.asset(label)  # ConfigError for a label that names no asset
         return self.asset_paths[label]
 
     def driver(self, label: str) -> np.ndarray:
@@ -207,7 +210,7 @@ def _simulate_chunk(
     """
     start, stop = chunk
     n_drivers, _, n_times = paths.shape
-    z = normal_block(seed, start, stop - start, n_times - 1, n_drivers)
+    z = normal_block(seed, start // CHUNK_PATHS, stop - start, n_times - 1, n_drivers)
     for d in range(n_drivers):
         logs = paths[d, start:stop]
         logs[:, 0] = 0.0

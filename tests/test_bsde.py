@@ -64,6 +64,19 @@ def test_v0_std_error_is_the_slice_zero_sample_error(bsde_two_currency_model):
     assert res.v0_std_error == pytest.approx(expected, rel=1e-12)
 
 
+def test_v0_std_error_matches_the_spread_over_seeds(bsde_two_currency_model):
+    # the error bar must describe how v0 moves from seed to seed; the spread of
+    # the regressed slice values understates it by about sqrt(n_steps)
+    contract = Contract("USD", ((1.0, -1.0),))
+    results = [
+        solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.0, 0.0, _cfg(n_paths=5000, seed=seed))
+        for seed in range(11, 31)
+    ]
+    spread = np.std([r.v0 for r in results], ddof=1)
+    median_se = np.median([r.v0_std_error for r in results])
+    assert 0.5 * spread <= median_se <= 2.0 * spread
+
+
 def test_haircut_cost_is_monotone(bsde_two_currency_model):
     # hedger receives at T -> value negative on all paths -> collateral received
     # scales with delta1; with a positive funding-over-collateral spread the

@@ -16,7 +16,7 @@ from xccy import (
 )
 from xccy.collateral import CollateralPath, CollateralSpec, adjustment_increments, collateral_value_adjustment
 from xccy.curves import RateCurve
-from xccy.errors import FlowOffGrid, GridMismatch, MissingCollateralRates
+from xccy.errors import ConfigError, FlowOffGrid, GridMismatch, MissingCollateralRates, UnknownCurrency
 from xccy.wealth import fx_hedge_gain_increments, gain_increments
 
 
@@ -284,6 +284,19 @@ def test_strategy_shape_mismatch_raises(scen):
     bad = Strategy(xi={"EQ": np.ones(3)}, psi_repo={}, psi_cash={})
     with pytest.raises(GridMismatch):
         replay_wealth(scen, bad, Contract.zero("EUR"))
+
+
+@pytest.mark.parametrize(
+    "strategy, error",
+    [
+        (Strategy({"NOPE": np.ones(10)}, {}, {}), ConfigError),
+        (Strategy({}, {}, {"GBP": np.ones(10)}), UnknownCurrency),
+    ],
+    ids=["asset", "currency"],
+)
+def test_strategy_label_naming_nothing_raises(scen, strategy, error):
+    with pytest.raises(error):
+        replay_wealth(scen, strategy, Contract.zero("EUR"))
 
 
 def test_strategy_from_dict_round_trip(scen):
