@@ -23,7 +23,6 @@ discounting of the flow expectations, the closed form of
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -32,7 +31,7 @@ import numpy as np
 from .contracts import Contract
 from .errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from .model import ValidatedModel, cross_currency_basis_of
-from .simulation import TimeGrid, simulate
+from .simulation import TimeGrid, sample_mean, simulate
 from .wealth import flow_nodes
 
 RIDGE_LAMBDA = 1e-8
@@ -57,7 +56,7 @@ class BsdeConfig:
 @dataclass(frozen=True)
 class BsdeResult:
     v0: float
-    v0_std_error: float  # sample SE of the pathwise discounted flows behind v0
+    v0_std_error: float  # sample_mean error bar of the pathwise discounted flows behind v0
     surface: np.ndarray  # (n_paths, n_times) value per path per grid node
     picard_counts: tuple[int, ...]  # slice solves per step: 1, the solve is exact
     grid: TimeGrid
@@ -126,7 +125,9 @@ def solve_endogenous(
 
     Returns the time-0 value (equal to the ex-dividend price the hedger
     receives) with its standard error, and the regression value surface on
-    the grid.
+    the grid. The error bar is the :func:`~xccy.simulation.sample_mean` of the
+    pathwise value u, the flows discounted through the same slice
+    denominators, so fewer than two paths raise :class:`ConfigError`.
     """
     if not (delta1 > -1 and delta2 > -1):
         raise ConfigError(f"haircuts must exceed -1, got {delta1}, {delta2}")
@@ -191,10 +192,10 @@ def solve_endogenous(
         v = np.divide(cont, den, out=surface[j])
         u -= paid
         u /= den
-    std_error = float(np.std(u, ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
+    _, std_error = sample_mean(u)
     return BsdeResult(
         v0=float(v[0]),
-        v0_std_error=std_error,
+        v0_std_error=float(std_error),
         surface=surface.T,
         picard_counts=(1,) * n_steps,
         grid=grid,

@@ -20,7 +20,7 @@ from .collateral import CollateralSpec, build_exogenous_path
 from .contracts import Contract
 from .csvio import write_rows
 from .diagnostics import run_martingale_suite
-from .errors import ConfigError, ModelValidationError, NumericalError
+from .errors import ConfigError, ModelValidationError, NumericalError, doc_value
 from .model import load_model, validate_model
 from .pricing import price_exogenous, price_fully_collateralized
 from .simulation import TimeGrid, dump_paths_csv, simulate
@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_trade(path: str) -> tuple[str, Contract, CollateralSpec]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    contract = Contract.from_dict(doc["contract"])
+    contract = Contract.from_dict(doc_value(doc, "contract", "trade"))
     spec = CollateralSpec.from_dict(doc["collateral"]) if "collateral" in doc else None
     return str(doc.get("trade_id", "trade")), contract, spec
 
@@ -122,13 +122,6 @@ def _append_results(out_dir: str, row: dict) -> None:
             f"{row['trade_id']},{row['convention']},{row['k2']},{row['k3']},"
             f"{row['price']!r},{row['std_error']!r},{row['n_paths']},{row['seed']}\n"
         )
-
-
-def _grid_for(contract: Contract | None, horizon: float | None, steps: int) -> TimeGrid:
-    if contract is not None and contract.flows:
-        h = horizon if horizon is not None else contract.maturity
-        return TimeGrid.regular(h, steps, include=contract.flow_times)
-    return TimeGrid.regular(horizon if horizon is not None else 1.0, steps)
 
 
 def _cmd_validate(args) -> int:
@@ -183,7 +176,7 @@ def _cmd_price(args) -> int:
     else:
         if spec is None:
             raise ConfigError("trade document has no collateral block; use --mode full-collateral for none")
-        grid = _grid_for(contract, None, args.steps)
+        grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
         scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
         coll = build_exogenous_path(scenario, spec, contract)
         result = price_exogenous(scenario, contract, coll, spec)
@@ -202,7 +195,7 @@ def _cmd_bsde(args) -> int:
         raise ConfigError("bsde requires a collateral block in the trade document")
     delta1 = spec.delta1 if args.delta1 is None else args.delta1
     delta2 = spec.delta2 if args.delta2 is None else args.delta2
-    grid = _grid_for(contract, None, args.steps)
+    grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
     cfg = BsdeConfig(
         grid=grid,
         n_paths=args.paths,

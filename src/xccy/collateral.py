@@ -37,7 +37,7 @@ import numpy as np
 
 from .contracts import Contract
 from .curves import RateCurve
-from .errors import ConfigError, NonPositiveFx
+from .errors import ConfigError, NonPositiveFx, doc_value
 from .simulation import ScenarioSet, warn_correlated_collateral_asset
 
 FORMS = ("cash", "risky")
@@ -79,18 +79,20 @@ class CollateralSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CollateralSpec":
+        currency = doc_value(doc, "currency", "collateral")
         mode_doc = doc.get("mode", {"exogenous": {"functional": "constant", "params": {"level": 0.0}}})
-        if mode_doc == "endogenous" or "endogenous" in mode_doc:
+        if mode_doc == "endogenous" or isinstance(mode_doc, dict) and "endogenous" in mode_doc:
             mode = ("endogenous",)
         else:
-            exo = mode_doc["exogenous"]
-            mode = ("exogenous", exo["functional"], dict(exo.get("params", {})))
+            exo = doc_value(mode_doc, "exogenous", "collateral.mode")
+            params = doc_value(exo, "params", "collateral.mode.exogenous", dict, {})
+            mode = ("exogenous", doc_value(exo, "functional", "collateral.mode.exogenous"), params)
         return cls(
-            currency=doc["currency"],
+            currency=currency,
             form=doc.get("form", "cash"),
             convention=doc.get("convention", "rehypothecation"),
-            delta1=float(doc.get("delta1", 0.0)),
-            delta2=float(doc.get("delta2", 0.0)),
+            delta1=doc_value(doc, "delta1", "collateral", float, 0.0),
+            delta2=doc_value(doc, "delta2", "collateral", float, 0.0),
             mode=mode,
             posted_asset=doc.get("posted_asset"),
             received_asset=doc.get("received_asset"),
@@ -235,14 +237,14 @@ def collateral_value_adjustment(
 
 
 def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, params) -> CollateralPath:
-    level = float(params.get("level", 0.0))
+    level = doc_value(params, "level", "collateral.mode.exogenous.params", float, 0.0)
     c = np.full((scenario.n_paths, len(scenario.grid.times)), level)
     return CollateralPath(c, spec.currency)
 
 
 def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, params) -> CollateralPath:
-    label = params["asset"]
-    fraction = float(params.get("fraction", 1.0))
+    label = doc_value(params, "asset", "collateral.mode.exogenous.params")
+    fraction = doc_value(params, "fraction", "collateral.mode.exogenous.params", float, 1.0)
     asset = scenario.model.asset(label)
     value_dom = scenario.asset(label) * scenario.fx(asset.currency)
     c = fraction * value_dom / scenario.fx(spec.currency)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ConfigError
+from .errors import ConfigError, doc_value
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,7 @@ class Contract:
     @classmethod
     def from_dict(cls, doc: dict) -> "Contract":
         return cls(
-            native_currency=doc["currency"],
-            flows=tuple((float(t), float(a)) for t, a in doc.get("flows", [])),
-            initial_flow=float(doc.get("initial_flow", 0.0)),
+            native_currency=doc_value(doc, "currency", "contract"),
+            flows=doc_value(doc, "flows", "contract", lambda f: [(float(t), float(a)) for t, a in f], ()),
+            initial_flow=doc_value(doc, "initial_flow", "contract", float, 0.0),
         )

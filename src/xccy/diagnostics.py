@@ -2,9 +2,11 @@
 
 Two families of processes must be drift-free under the domestic martingale
 measure: per asset, the accumulated funding-gain increments net of the FX
-exposure term; per currency, the discounted FX account X * B_f / B_dom. The
-tests compute z-statistics of the Monte Carlo mean at checkpoint times; a
-deliberately mis-drifted scenario is the negative control.
+exposure term; per currency, the discounted FX account X * B_f / B_dom. Each
+test builds the process at the checkpoint nodes only, as one (n_checkpoints,
+n_paths) array, and takes every checkpoint's z-statistic in one step with the
+error bar of :func:`xccy.simulation.sample_mean`; a deliberately mis-drifted
+scenario is the negative control.
 
 The single-currency reduction suite asserts that with one currency every FX
 correction term vanishes identically and the engine collapses to plain
@@ -13,17 +15,17 @@ single-curve pricing.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .collateral import CollateralPath, CollateralSpec
 from .contracts import Contract
+from .curves import RATE_BOUND
 from .errors import ConfigError, UnknownProcessId
 from .model import ValidatedModel
 from .pricing import _collateral_leg_weights, price_exogenous
-from .simulation import ScenarioSet, TimeGrid, simulate
+from .simulation import ScenarioSet, TimeGrid, sample_mean, simulate
 from .wealth import discounted_flows, fx_hedge_gain_increments, gain_increments
 
 
@@ -54,40 +56,28 @@ class TestReport:
             "process_id": self.process_id,
             "threshold": self.threshold,
             "passed": self.passed,
-            "checkpoints": [
-                {"t": c.t, "mean": c.mean, "std_error": c.std_error, "z": c.z} for c in self.checkpoints
-            ],
+            "checkpoints": [asdict(c) for c in self.checkpoints],
         }
 
 
-def process_ids(model: ValidatedModel) -> list[str]:
-    """Every certifiable process: one per asset, one per currency."""
-    ids = [f"asset:{a.label}" for a in model.assets]
-    ids += [f"fx:{c}" for c in model.currency_names]
-    return ids
+def _checkpoint_samples(scenario: ScenarioSet, process_id: str, nodes: np.ndarray) -> tuple[np.ndarray, float]:
+    """Process values at the grid ``nodes``, one row of paths per node, and the level the process starts from.
 
-
-def _process_values(scenario: ScenarioSet, process_id: str) -> np.ndarray:
-    """Cumulative process values per path per grid time, normalized to start at 0."""
+    Assets accumulate repo-discounted FX-hedged gains from X S / B_repo; FX is X * B_f / B_dom less its start.
+    """
     model = scenario.model
-    if process_id.startswith("asset:"):
-        label = process_id.split(":", 1)[1]
-        if label not in {a.label for a in model.assets}:
-            raise UnknownProcessId(process_id)
-        b_repo = scenario.account(label, "repo")
-        inc = fx_hedge_gain_increments(scenario, label) / b_repo[None, :-1]
-        out = np.zeros((scenario.n_paths, len(scenario.grid.times)))
-        out[:, 1:] = np.cumsum(inc, axis=1)
-        return out
-    if process_id.startswith("fx:"):
-        cur = process_id.split(":", 1)[1]
-        if cur not in model.currency_names:
-            raise UnknownProcessId(process_id)
-        x = scenario.fx(cur)
-        b_f = scenario.account(cur)
-        b_e = scenario.account(model.domestic)
-        vals = x * (b_f / b_e)[None, :]
-        return vals - vals[:, :1]
+    kind, _, name = process_id.partition(":")
+    if kind == "asset" and name in {a.label for a in model.assets}:
+        b_repo = scenario.account(name, "repo")
+        gains = fx_hedge_gain_increments(scenario, name) / b_repo[None, :-1]
+        np.cumsum(gains, axis=1, out=gains)
+        start = scenario.asset(name)[0, 0] * scenario.fx(model.asset(name).currency)[0, 0] / b_repo[0]
+        return gains.T[nodes - 1], float(start)
+    if kind == "fx" and name in model.currency_names:
+        x = scenario.fx(name)
+        ratio = scenario.account(name) / scenario.account(model.domestic)
+        start = x[:, 0] * ratio[0]
+        return x.T[nodes] * ratio[nodes, None] - start, float(start[0])
     raise UnknownProcessId(process_id)
 
 
@@ -101,42 +91,41 @@ def martingale_test(
 
     ``checkpoints`` is either a count >= 1 (that many grid nodes, evenly
     spaced, ending at the horizon) or a non-empty list of grid times after 0;
-    anything else would certify nothing and raises :class:`ConfigError`. z is
-    0 for a degenerate process with zero mean and zero spread, infinite when
-    the mean is off with zero spread.
+    anything else would certify nothing and raises :class:`ConfigError`, and
+    so does a scenario of fewer than two paths. z is the mean over the larger
+    of its standard error and its rounding error, (j + 2) eps (1 + 2
+    RATE_BOUND t) of the level at node j: one rounding per step of a log at
+    most 2 RATE_BOUND t in size, and a few for the exponentials and account
+    ratios. A deterministic process (a zero-volatility FX pair) thus passes.
     """
     grid = scenario.grid
     if isinstance(checkpoints, int):
         if checkpoints < 1:
             raise ConfigError(f"checkpoint count must be >= 1, got {checkpoints}")
-        idx = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
-        times = [float(grid.times[i]) for i in idx]
+        nodes = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
+        t = grid.times[nodes]
     else:
-        times = [float(t) for t in checkpoints]
-        if not times:
-            raise ConfigError("checkpoint list is empty")
-        if min(times) <= 0:
-            raise ConfigError(f"checkpoints must be after t=0, got {min(times)}")
-    values = _process_values(scenario, process_id)
-    stats = []
-    n = scenario.n_paths
-    for t in times:
-        j = grid.index_of(t)
-        v = values[:, j]
-        mean = float(np.mean(v))
-        se = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-        if se == 0.0:
-            z = 0.0 if mean == 0.0 else math.inf
-        else:
-            z = mean / se
-        stats.append(CheckpointStat(t=t, mean=mean, std_error=se, z=z))
+        t = np.asarray(checkpoints, dtype=float)
+        if t.size == 0 or t.min() <= 0:
+            raise ConfigError(f"checkpoints must be a non-empty list of times after t=0, got {t.tolist()}")
+        nodes = grid.nodes_of(t)
+    samples, start = _checkpoint_samples(scenario, process_id, nodes)
+    mean, se = sample_mean(samples)
+    relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
+    rounding = relative * (np.abs(start + mean) + abs(start))
+    scale = np.maximum(se, rounding)
+    z = np.divide(mean, scale, out=np.zeros_like(mean), where=scale > 0)
+    stats = (CheckpointStat(*map(float, row)) for row in zip(t, mean, se, z))
     return TestReport(process_id=process_id, checkpoints=tuple(stats), threshold=threshold)
 
 
 def run_martingale_suite(
     scenario: ScenarioSet, checkpoints: int | list[float] = 4, threshold: float = 3.0
 ) -> list[TestReport]:
-    return [martingale_test(scenario, pid, checkpoints, threshold) for pid in process_ids(scenario.model)]
+    """One test per certifiable process: per asset, then per currency."""
+    model = scenario.model
+    ids = [f"asset:{a.label}" for a in model.assets] + [f"fx:{c}" for c in model.currency_names]
+    return [martingale_test(scenario, pid, checkpoints, threshold) for pid in ids]
 
 
 @dataclass(frozen=True)
@@ -157,7 +146,7 @@ class SuiteReport:
     def to_dict(self) -> dict:
         return {
             "passed": self.passed,
-            "checks": [{"name": c.name, "passed": c.passed, "detail": c.detail} for c in self.checks],
+            "checks": [asdict(c) for c in self.checks],
         }
 
 

@@ -107,3 +107,22 @@ class UnknownProcessId(ConfigError):
 # bsde
 class SingularRegression(NumericalError):
     pass
+
+
+
+def doc_value(doc, key: str, where: str, kind=None, default=...):
+    """``doc[key]`` of a parsed JSON object, converted by ``kind`` if given; ``default`` if absent.
+
+    A ``doc`` that is no object, a missing key without a default or a value
+    ``kind`` rejects raises :class:`ConfigError` naming ``where.key``.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{where} must be a JSON object, got {type(doc).__name__}")
+    if key not in doc:
+        if default is ...:
+            raise ConfigError(f"{where}.{key} is missing")
+        return default
+    try:
+        return doc[key] if kind is None else kind(doc[key])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.{key} is malformed: {exc}") from exc

@@ -14,7 +14,8 @@ pricing, diagnostics) takes a ``ValidatedModel``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .errors import (
     ModelValidationError,
     UnknownCurrency,
     Violation,
+    doc_value,
 )
 
 PSD_TOL = -1e-10  # smallest eigenvalue accepted before clipping to 0
@@ -212,7 +214,6 @@ class ValidatedModel:
     correlation: CorrelationMatrix
     driver_labels: tuple[str, ...]
     mixing: np.ndarray
-    _sealed: bool = field(default=True, repr=False)
 
     @property
     def domestic(self) -> str:
@@ -221,12 +222,6 @@ class ValidatedModel:
     @property
     def currency_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.currencies)
-
-    def currency(self, name: str) -> Currency:
-        for c in self.currencies:
-            if c.name == name:
-                return c
-        raise UnknownCurrency(name)
 
     def curve(self, currency: str, role: str) -> RateCurve:
         if currency not in self.rates:
@@ -333,47 +328,52 @@ def cross_currency_basis_of(model: ValidatedModel, k3: str, integrate):
 # ---------------------------------------------------------------------------
 
 
-def _curve_from_dict(obj) -> RateCurve:
+def _curve_from_dict(obj, where: str) -> RateCurve:
     if isinstance(obj, (int, float)):
         return RateCurve.flat(float(obj))
-    return RateCurve(obj["knots"], obj["values"])
+    floats = partial(np.asarray, dtype=float)
+    return RateCurve(doc_value(obj, "knots", where, floats), doc_value(obj, "values", where, floats))
 
 
-def _curveset_from_dict(obj: dict) -> CurveSet:
-    if "unsecured" not in obj:
-        raise ConfigError("rates object must define the 'unsecured' role")
-    kwargs = {}
-    for role in CurveSet.ROLES:
-        if role in obj:
-            kwargs[role] = _curve_from_dict(obj[role])
-    return CurveSet(**kwargs)
+def _curveset_from_dict(obj: dict, where: str) -> CurveSet:
+    doc_value(obj, "unsecured", where)  # the one required role
+    return CurveSet(**{role: _curve_from_dict(obj[role], f"{where}.{role}") for role in CurveSet.ROLES if role in obj})
 
 
 def model_from_dict(doc: dict) -> MarketModel:
     """Build a raw MarketModel from a parsed JSON document."""
     currencies = []
     rates = {}
-    for i, cur in enumerate(doc["currencies"]):
-        currencies.append(Currency(name=cur["name"], index=i + 1, domestic=bool(cur.get("domestic", False))))
-        rates[cur["name"]] = _curveset_from_dict(cur.get("rates", {}))
+    for i, cur in enumerate(doc_value(doc, "currencies", "model", list)):
+        name = doc_value(cur, "name", f"currencies[{i}]")
+        currencies.append(Currency(name=name, index=i + 1, domestic=bool(cur.get("domestic", False))))
+        rates[name] = _curveset_from_dict(cur.get("rates", {}), f"currencies[{i}].rates")
     assets = [
         AssetSpec(
-            label=a["label"],
-            currency=a["currency"],
-            s0=float(a["s0"]),
-            sigma=float(a["sigma"]),
-            dividend_yield=_curve_from_dict(a.get("dividend_yield", 0.0)),
-            repo_rate=_curve_from_dict(a.get("repo_rate", 0.0)),
+            label=doc_value(a, "label", f"assets[{i}]"),
+            currency=doc_value(a, "currency", f"assets[{i}]"),
+            s0=doc_value(a, "s0", f"assets[{i}]", float),
+            sigma=doc_value(a, "sigma", f"assets[{i}]", float),
+            dividend_yield=_curve_from_dict(a.get("dividend_yield", 0.0), f"assets[{i}].dividend_yield"),
+            repo_rate=_curve_from_dict(a.get("repo_rate", 0.0), f"assets[{i}].repo_rate"),
         )
-        for a in doc.get("assets", [])
+        for i, a in enumerate(doc_value(doc, "assets", "model", list, []))
     ]
-    fx = [FxSpec(foreign=f["currency"], x0=float(f["x0"]), sigma=float(f["sigma"])) for f in doc.get("fx", [])]
+    fx = [
+        FxSpec(
+            foreign=doc_value(f, "currency", f"fx[{i}]"),
+            x0=doc_value(f, "x0", f"fx[{i}]", float),
+            sigma=doc_value(f, "sigma", f"fx[{i}]", float),
+        )
+        for i, f in enumerate(doc_value(doc, "fx", "model", list, []))
+    ]
     corr_doc = doc.get("correlation")
     if corr_doc is None:
         labels = [a.label for a in assets] + [fx_label(f.foreign) for f in fx]
         correlation = CorrelationMatrix.identity(labels)
     else:
-        correlation = CorrelationMatrix(corr_doc["labels"], corr_doc["matrix"])
+        labels = doc_value(corr_doc, "labels", "correlation")
+        correlation = doc_value(corr_doc, "matrix", "correlation", lambda m: CorrelationMatrix(labels, m))
     return MarketModel(currencies=currencies, rates=rates, assets=assets, fx=fx, correlation=correlation)
 
 

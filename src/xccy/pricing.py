@@ -6,7 +6,8 @@ Two routes:
   stream (contract flows plus the convention-specific collateral carry, with
   the FX exposure replaced by its drift-equivalent form). It is the plain
   sample mean with no control variate, so it stays an independent check of
-  the closed form.
+  the closed form; its error bar is the sample standard error of the per-path
+  totals (:func:`xccy.simulation.sample_mean`).
 * ``price_fully_collateralized``: closed form for perfectly collateralized
   claims: flows discounted at the domestic collateral rate plus the
   cross-currency basis of the collateral currency, with foreign flows at the
@@ -17,8 +18,7 @@ Sign convention: a positive price is received by the hedger at inception.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -27,12 +27,11 @@ from .contracts import Contract
 from .curves import step_pieces
 from .errors import (
     AsymmetricCollateralRates,
-    ConfigError,
     EndogenousSpecPassed,
     ScenarioMeasureMismatch,
 )
 from .model import ValidatedModel, cross_currency_basis_of
-from .simulation import ScenarioSet
+from .simulation import ScenarioSet, sample_mean
 from .wealth import discounted_flows
 
 
@@ -51,17 +50,7 @@ class PriceReport:
     k3: str
 
     def to_dict(self) -> dict:
-        return {
-            "price": self.price,
-            "std_error": self.std_error,
-            "leg_contractual": self.leg_contractual,
-            "leg_collateral": self.leg_collateral,
-            "n_paths": self.n_paths,
-            "seed": self.seed,
-            "convention": self.convention,
-            "k2": self.k2,
-            "k3": self.k3,
-        }
+        return asdict(self)
 
 
 def collateralized_log_growth(model: ValidatedModel, k2: str, k3: str, times) -> np.ndarray:
@@ -89,17 +78,13 @@ def _require_symmetric(model: ValidatedModel, currency: str) -> None:
         )
 
 
-def price_fully_collateralized(
-    model: ValidatedModel, contract: Contract, k3: str, t: float = 0.0
-) -> float:
-    """Exact price of the contract under continuous full collateralization in k3.
+def price_fully_collateralized(model: ValidatedModel, contract: Contract, k3: str) -> float:
+    """Exact time-0 price of the contract under continuous full collateralization in k3.
 
     Requires symmetric collateral rates (borrow == lend) for the domestic and
     collateral currencies; deterministic rates make the result free of Monte
     Carlo error.
     """
-    if t != 0.0:
-        raise ConfigError("closed-form pricing is exposed at t=0 only")
     _require_symmetric(model, model.domestic)
     _require_symmetric(model, k3)
     x0 = 1.0 if contract.native_currency == model.domestic else model.fx_spec(contract.native_currency).x0
@@ -162,7 +147,7 @@ def price_exogenous(
     if spec.endogenous:
         raise EndogenousSpecPassed("endogenous collateral must be priced with the BSDE solver")
 
-    leg_contract = discounted_flows(scenario, contract, from_t=0.0)
+    leg_contract = discounted_flows(scenario, contract)
     b_e = scenario.account(scenario.model.domestic)
     w_recv, w_post, w_fx = _collateral_leg_weights(scenario.model, spec, scenario.grid.times)
     x_l = scenario.fx(spec.currency)[:, :-1]
@@ -173,17 +158,15 @@ def price_exogenous(
     )
     leg_coll = (carry * x_l / b_e[None, :-1]).sum(axis=1)
 
-    total = leg_contract + leg_coll
-    n = scenario.n_paths
-    se = float(np.std(total, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+    _, se = sample_mean(leg_contract + leg_coll)
     leg_contractual = -float(np.mean(leg_contract))
     leg_collateral = -float(np.mean(leg_coll))
     return PriceReport(
         price=leg_contractual + leg_collateral,
-        std_error=se,
+        std_error=float(se),
         leg_contractual=leg_contractual,
         leg_collateral=leg_collateral,
-        n_paths=n,
+        n_paths=scenario.n_paths,
         seed=scenario.seed,
         convention=f"{spec.form}/{spec.convention}",
         k2=contract.native_currency,

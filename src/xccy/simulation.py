@@ -23,6 +23,7 @@ for any worker count.
 
 from __future__ import annotations
 
+import math
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -92,11 +93,14 @@ class TimeGrid:
     def dt(self) -> np.ndarray:
         return np.diff(self.times)
 
-    def index_of(self, t: float) -> int:
-        j = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[j] - t) > GRID_SNAP_TOL:
-            raise ConfigError(f"time {t} is not a grid node")
-        return j
+    def nodes_of(self, times) -> np.ndarray:
+        """Grid index of each entry of ``times``; a time off the grid raises :class:`ConfigError`."""
+        times = np.asarray(times, dtype=float).reshape(-1)
+        nodes = np.abs(self.times[:, None] - times).argmin(axis=0)
+        off = np.abs(self.times[nodes] - times) > GRID_SNAP_TOL
+        if off.any():
+            raise ConfigError(f"time {times[off][0]} is not a grid node")
+        return nodes
 
 
 @dataclass(frozen=True)
@@ -141,6 +145,20 @@ class ScenarioSet:
         if key not in self.account_values:
             raise ConfigError(f"account {key} not materialized on scenario")
         return self.account_values[key]
+
+
+def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the last (path) axis and its standard error: every error bar in the engine.
+
+    The error bar is the sample standard deviation over sqrt(n). Each row is
+    reduced as one contiguous block, so its mean has the bits of that row's
+    mean alone. Fewer than two paths raise :class:`ConfigError`.
+    """
+    samples = np.ascontiguousarray(samples)
+    n = samples.shape[-1]
+    if n < 2:
+        raise ConfigError(f"a Monte Carlo error bar needs at least 2 paths, got {n}")
+    return samples.mean(axis=-1), samples.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
 def qe_drift_of(model: ValidatedModel, label: str, integrate, shift: float = 0.0):

@@ -25,60 +25,52 @@ from .simulation import ScenarioSet, TimeGrid
 
 def flow_nodes(grid: TimeGrid, contract: Contract) -> np.ndarray:
     """Grid index of each of ``contract.flows``; a date off the grid raises :class:`FlowOffGrid`."""
-    nodes = []
-    for t in contract.flow_times:
-        try:
-            nodes.append(grid.index_of(t))
-        except ConfigError as exc:
-            raise FlowOffGrid(f"flow date {t} not on the scenario grid") from exc
-    return np.array(nodes, dtype=int)
+    try:
+        return grid.nodes_of(contract.flow_times)
+    except ConfigError as exc:
+        raise FlowOffGrid(f"flow date not on the scenario grid: {exc}") from exc
 
 
-def discounted_flows(scenario: ScenarioSet, contract: Contract, from_t: float = 0.0) -> np.ndarray:
-    """Per-path sum of flows strictly after ``from_t``, in domestic units discounted to 0.
+def discounted_flows(scenario: ScenarioSet, contract: Contract) -> np.ndarray:
+    """Per-path sum of the contract's flows in domestic units discounted to 0.
 
-    Computes sum_j a_j * X(t_j) / B_dom(t_j) over flow dates t_j > from_t.
-    Every flow date must be a grid node, also those at or before ``from_t``.
+    Computes sum_j a_j * X(t_j) / B_dom(t_j); every flow date must be a grid node.
     """
     fx = scenario.fx(contract.native_currency)
     b_e = scenario.account(scenario.model.domestic)
     out = np.zeros(scenario.n_paths)
-    for (t, amount), j in zip(contract.flows, flow_nodes(scenario.grid, contract)):
-        if t > from_t:
-            out += amount * fx[:, j] / b_e[j]
+    for (_, amount), j in zip(contract.flows, flow_nodes(scenario.grid, contract)):
+        out += amount * fx[:, j] / b_e[j]
     return out
+
+
+def fx_hedge_gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
+    """Per-step gain increments of the asset net of its FX exposure term S dX, domestic units.
+
+    Step j carries X_{j+1} dS + X_j S_j * (dividend integral - repo integral),
+    with exact rate integrals. This is the object whose accumulation must be
+    drift-free under the domestic martingale measure for both domestic and
+    foreign assets; for a domestic asset it is dS - S r dt + kappa S dt.
+    """
+    a = scenario.model.asset(asset_label)
+    s = scenario.asset(asset_label)
+    x = scenario.fx(a.currency)
+    times = scenario.grid.times
+    carry = a.dividend_yield.step_integrals(times) - a.repo_rate.step_integrals(times)
+    return x[:, 1:] * np.diff(s, axis=1) + x[:, :-1] * s[:, :-1] * carry
 
 
 def gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
     """Per-step increments of the asset's funding-gain process, domestic units.
 
-    Step j carries S_j dX + X_j dS + dS dX - X_j S_j * (repo integral) +
-    X_j S_j * (dividend integral); for domestic assets the FX terms drop and
-    this is dS - S r dt + kappa S dt with exact rate integrals.
+    The FX-hedged gain of :func:`fx_hedge_gain_increments` plus the FX exposure
+    S_j dX; together S_j dX + X_j dS + dS dX - X_j S_j * (repo integral) +
+    X_j S_j * (dividend integral). For domestic assets dX = 0 and this is
+    dS - S r dt + kappa S dt.
     """
-    model = scenario.model
-    a = model.asset(asset_label)
     s = scenario.asset(asset_label)
-    x = scenario.fx(a.currency)
-    times = scenario.grid.times
-    repo_int = a.repo_rate.step_integrals(times)
-    div_int = a.dividend_yield.step_integrals(times)
-    ds = np.diff(s, axis=1)
-    dx = np.diff(x, axis=1)
-    s_l, x_l = s[:, :-1], x[:, :-1]
-    return s_l * dx + x_l * ds + ds * dx + x_l * s_l * (div_int - repo_int)
-
-
-def fx_hedge_gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
-    """Increments of the gain process net of the FX exposure term S dX.
-
-    This is the object whose accumulation must be drift-free under the
-    domestic martingale measure for both domestic and foreign assets.
-    """
-    a = scenario.model.asset(asset_label)
-    s = scenario.asset(asset_label)
-    x = scenario.fx(a.currency)
-    return gain_increments(scenario, asset_label) - s[:, :-1] * np.diff(x, axis=1)
+    x = scenario.fx(scenario.model.asset(asset_label).currency)
+    return fx_hedge_gain_increments(scenario, asset_label) + s[:, :-1] * np.diff(x, axis=1)
 
 
 @dataclass(frozen=True)

@@ -192,3 +192,64 @@ def test_dumped_paths_are_parseable_floats(docs):
     for line in (out / "paths.csv").read_text().splitlines()[1:]:
         _, t, _, v = line.split(",")
         float(t), float(v)  # raises if a numpy repr leaked into the file
+
+
+@pytest.mark.parametrize("command", ["price", "check", "bsde"])
+def test_one_path_exits_one(docs, capsys, command):
+    model, trade, tmp = docs
+    args = [command, "--model", str(model), "--paths", "1", "--steps", "4", "--out", str(tmp / command)]
+    if command != "check":
+        args += ["--trade", str(trade)]
+    assert run(args) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def _malformed(tmp_path, model_doc=MODEL_DOC, trade_doc=TRADE_DOC):
+    model, trade = tmp_path / "model.json", tmp_path / "trade.json"
+    model.write_text(json.dumps(model_doc))
+    trade.write_text(json.dumps(trade_doc))
+    return ["price", "--model", str(model), "--trade", str(trade), "--paths", "100", "--steps", "4"]
+
+
+def _without(doc, *path):
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    del parent[path[-1]]
+    return doc
+
+
+def test_trade_without_contract_exits_one(tmp_path, capsys):
+    assert run(_malformed(tmp_path, trade_doc=_without(TRADE_DOC, "contract"))) == 1
+    assert "error: trade.contract is missing" in capsys.readouterr().err
+
+
+def test_fraction_of_asset_without_asset_exits_one(tmp_path, capsys):
+    trade = json.loads(json.dumps(TRADE_DOC))
+    trade["collateral"]["mode"] = {"exogenous": {"functional": "fraction_of_asset", "params": {"fraction": 0.5}}}
+    assert run(_malformed(tmp_path, trade_doc=trade)) == 1
+    assert "error: collateral.mode.exogenous.params.asset is missing" in capsys.readouterr().err
+
+
+def test_currency_without_name_exits_one(tmp_path, capsys):
+    assert run(_malformed(tmp_path, model_doc=_without(MODEL_DOC, "currencies", 1, "name"))) == 1
+    assert "error: currencies[1].name is missing" in capsys.readouterr().err
+
+
+def test_non_numeric_spot_exits_one(tmp_path, capsys):
+    model = json.loads(json.dumps(MODEL_DOC))
+    model["assets"][0]["s0"] = "abc"
+    assert run(_malformed(tmp_path, model_doc=model)) == 1
+    assert "error: assets[0].s0 is malformed" in capsys.readouterr().err
+
+
+def test_check_passes_a_zero_volatility_fx_pair(tmp_path):
+    model = json.loads(json.dumps(MODEL_DOC))
+    model["fx"][0]["sigma"] = 0.0
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    out = tmp_path / "chk"
+    assert run(["check", "--model", str(path), "--paths", "2000", "--steps", "4", "--out", str(out)]) == 0
+    report = json.loads((out / "report.json").read_text(), parse_constant=lambda name: pytest.fail(name))
+    assert report["passed"] is True

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from xccy import (
 )
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, UnknownProcessId
+from xccy.wealth import fx_hedge_gain_increments
 
 
 def test_domestic_fx_process_is_degenerate_pass(two_currency_model):
@@ -110,3 +113,72 @@ def test_frozen_fx_degenerate_model_prices_like_domestic():
     foreign = price_exogenous(scen, Contract("USD", ((1.0, -2.0), (0.5, 1.0))), zero, spec)
     domestic = price_exogenous(scen, Contract("EUR", ((1.0, -1.6), (0.5, 0.8))), zero, spec)
     assert abs(foreign.price - domestic.price) < 1e-12
+
+
+def _reference_process_values(scenario, process_id):
+    """Full (n_paths, n_times) process matrix, as the per-checkpoint loop below consumed it."""
+    kind, _, name = process_id.partition(":")
+    if kind == "asset":
+        inc = fx_hedge_gain_increments(scenario, name) / scenario.account(name, "repo")[None, :-1]
+        out = np.zeros((scenario.n_paths, len(scenario.grid.times)))
+        out[:, 1:] = np.cumsum(inc, axis=1)
+        return out
+    vals = scenario.fx(name) * (scenario.account(name) / scenario.account(scenario.model.domestic))[None, :]
+    return vals - vals[:, :1]
+
+
+def _reference_checkpoint_loop(scenario, process_id, checkpoints):
+    """One strided column reduction per checkpoint, with the one-path and zero-spread branches."""
+    grid = scenario.grid
+    if isinstance(checkpoints, int):
+        idx = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
+        times = [float(grid.times[i]) for i in idx]
+    else:
+        times = [float(t) for t in checkpoints]
+    values = _reference_process_values(scenario, process_id)
+    n = scenario.n_paths
+    stats = []
+    for t in times:
+        v = values[:, int(np.argmin(np.abs(grid.times - t)))]
+        mean = float(np.mean(v))
+        se = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        z = (0.0 if mean == 0.0 else math.inf) if se == 0.0 else mean / se
+        stats.append((t, mean, se, z))
+    return stats
+
+
+@pytest.mark.parametrize("checkpoints", [4, 3, [0.25, 1.0], [0.875, 0.5, 0.5]])
+def test_checkpoint_statistics_match_the_column_loop_bit_for_bit(two_currency_model, checkpoints):
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 20_001, seed=12)
+    for pid in ("asset:EQ", "asset:FEQ", "fx:EUR", "fx:USD"):
+        got = [(c.t, c.mean, c.std_error, c.z) for c in martingale_test(scen, pid, checkpoints).checkpoints]
+        assert got == _reference_checkpoint_loop(scen, pid, checkpoints), pid
+
+
+def _frozen_fx_model():
+    rates = {"EUR": curveset(0.02, 0.015, 0.015), "USD": curveset(0.03, 0.022, 0.022)}
+    assets = [AssetSpec("FEQ", "USD", 50.0, 0.25, RateCurve.flat(0.0), RateCurve.flat(0.028))]
+    return build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 0.9, 0.0)])
+
+
+def test_zero_volatility_fx_pair_passes_its_martingale_test():
+    # X B_f / B_dom is deterministic: its mean sits at rounding level with zero spread
+    scen = simulate(_frozen_fx_model(), TimeGrid.regular(1.0, 4), 2000, seed=0)
+    report = martingale_test(scen, "fx:USD")
+    assert report.passed
+    assert all(math.isfinite(c.z) for c in report.checkpoints)
+    assert all(r.passed for r in run_martingale_suite(scen))
+
+
+def test_zero_volatility_fx_pair_with_a_tiny_drift_fails():
+    scen = simulate(_frozen_fx_model(), TimeGrid.regular(1.0, 4), 2000, seed=0, drift_shift={"fx:USD": 1e-6})
+    report = martingale_test(scen, "fx:USD")
+    assert not report.passed
+    assert all(c.std_error < 1e-15 for c in report.checkpoints)
+    assert math.isfinite(report.max_abs_z)
+
+
+def test_one_path_has_no_error_bar(two_currency_model):
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 1, seed=0)
+    with pytest.raises(ConfigError):
+        martingale_test(scen, "fx:USD")

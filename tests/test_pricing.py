@@ -17,6 +17,7 @@ from xccy import (
 )
 from xccy.errors import (
     AsymmetricCollateralRates,
+    ConfigError,
     EndogenousSpecPassed,
     ScenarioMeasureMismatch,
 )
@@ -220,3 +221,10 @@ def test_collateral_leg_weights_match_scalar_reference(multi_knot_model, k3, for
     for weights, curves in zip(_collateral_leg_weights(model, spec, times), triples):
         ref = [_scalar_spread_weight(*curves, a, b) for a, b in zip(times[:-1], times[1:])]
         np.testing.assert_allclose(weights, ref, rtol=1e-13, atol=0.0)
+
+
+def test_price_needs_two_paths(two_currency_model):
+    scen1 = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 1, seed=0)
+    with pytest.raises(ConfigError):
+        price_exogenous(scen1, Contract("EUR", ((1.0, -1.0),)), CollateralPath(np.zeros((1, 5)), "USD"),
+                        CollateralSpec(currency="USD"))

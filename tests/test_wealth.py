@@ -47,12 +47,6 @@ def test_foreign_flow_mc_mean_matches_fx_forward(two_currency_model):
     assert abs(flows.mean() - expected) <= 3 * se
 
 
-def test_from_t_excludes_earlier_flows(scen):
-    contract = Contract("EUR", ((0.5, 5.0), (1.0, 1.0)))
-    late = discounted_flows(scen, contract, from_t=0.5)
-    assert np.all(late == pytest.approx(math.exp(-0.02), rel=1e-14))
-
-
 def test_flow_off_grid_raises(scen):
     with pytest.raises(FlowOffGrid):
         discounted_flows(scen, Contract("EUR", ((0.123456, 1.0),)))
@@ -83,6 +77,25 @@ def test_foreign_gain_net_of_fx_term_is_empirical_martingale(two_currency_model)
     k_t = fx_hedge_gain_increments(scen, "FEQ").sum(axis=1)
     se = k_t.std(ddof=1) / math.sqrt(len(k_t))
     assert abs(k_t.mean()) <= 3 * se
+
+
+def _four_term_fx_hedge_increments(scenario, label):
+    """The four-term gain increments S_j dX + X_j dS + dS dX + X_j S_j (div - repo), and those less S_j dX."""
+    a = scenario.model.asset(label)
+    s, x = scenario.asset(label), scenario.fx(a.currency)
+    times = scenario.grid.times
+    repo_int, div_int = a.repo_rate.step_integrals(times), a.dividend_yield.step_integrals(times)
+    ds, dx = np.diff(s, axis=1), np.diff(x, axis=1)
+    s_l, x_l = s[:, :-1], x[:, :-1]
+    gain = s_l * dx + x_l * ds + ds * dx + x_l * s_l * (div_int - repo_int)
+    return gain, gain - s_l * dx
+
+
+@pytest.mark.parametrize("label", ["EQ", "FEQ"])
+def test_three_term_increments_match_the_four_term_sum(scen, label):
+    gain, hedged = _four_term_fx_hedge_increments(scen, label)
+    assert np.max(np.abs(fx_hedge_gain_increments(scen, label) - hedged)) <= 1e-12 * np.max(np.abs(hedged))
+    assert np.max(np.abs(gain_increments(scen, label) - gain)) <= 1e-12 * np.max(np.abs(gain))
 
 
 def test_zero_strategy_compounds_at_domestic_rate(scen):
