@@ -31,7 +31,7 @@ import numpy as np
 from .contracts import Contract
 from .errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from .model import ValidatedModel, cross_currency_basis_of
-from .simulation import TimeGrid, sample_mean, simulate
+from .simulation import TimeGrid, check_error_bar_paths, sample_mean, simulate
 from .wealth import flow_nodes
 
 RIDGE_LAMBDA = 1e-8
@@ -47,6 +47,7 @@ class BsdeConfig:
     n_workers: int = 1
 
     def __post_init__(self):
+        check_error_bar_paths(self.n_paths)
         if self.degree < 0:
             raise ConfigError(f"regression degree must be >= 0, got {self.degree}")
         if self.n_workers < 1:
@@ -127,7 +128,8 @@ def solve_endogenous(
     receives) with its standard error, and the regression value surface on
     the grid. The error bar is the :func:`~xccy.simulation.sample_mean` of the
     pathwise value u, the flows discounted through the same slice
-    denominators, so fewer than two paths raise :class:`ConfigError`.
+    denominators; :class:`BsdeConfig` rejects fewer than two paths with
+    :class:`ConfigError` before anything is simulated.
     """
     if not (delta1 > -1 and delta2 > -1):
         raise ConfigError(f"haircuts must exceed -1, got {delta1}, {delta2}")

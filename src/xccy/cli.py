@@ -23,7 +23,7 @@ from .diagnostics import run_martingale_suite
 from .errors import ConfigError, ModelValidationError, NumericalError, doc_value
 from .model import load_model, validate_model
 from .pricing import price_exogenous, price_fully_collateralized
-from .simulation import TimeGrid, dump_paths_csv, simulate
+from .simulation import TimeGrid, check_error_bar_paths, dump_paths_csv, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -176,6 +176,7 @@ def _cmd_price(args) -> int:
     else:
         if spec is None:
             raise ConfigError("trade document has no collateral block; use --mode full-collateral for none")
+        check_error_bar_paths(args.paths)
         grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
         scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
         coll = build_exogenous_path(scenario, spec, contract)
@@ -231,6 +232,7 @@ def _cmd_bsde(args) -> int:
 
 def _cmd_check(args) -> int:
     model = validate_model(load_model(args.model))
+    check_error_bar_paths(args.paths)
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
     reports = run_martingale_suite(scenario, checkpoints=args.checkpoints, threshold=args.threshold)

@@ -15,10 +15,12 @@ module certifies this). The only departure from this measure is a constant
 Paths are simulated in fixed chunks of ``CHUNK_PATHS`` whose boundaries do
 not depend on the worker count. Each chunk draws its normals from its own
 Philox stream (see :mod:`xccy.rng`), mixes them and steps them (one
-cumulative sum of log-increments, one ``exp``) straight into one driver-major
-array of shape (n_drivers, n_paths, n_times). A scenario is therefore a pure
-function of (model, grid, n_paths, seed) and ``CHUNK_PATHS``, byte-identical
-for any worker count.
+cumulative sum of log-increments, one ``exp``) straight into one time-major
+array of shape (n_drivers, n_times, n_paths). Every consumer reads time
+slices across paths (a regression slice, a martingale checkpoint), and in
+this layout each slice is one contiguous row. A scenario is a pure function
+of (model, grid, n_paths, seed) and ``CHUNK_PATHS``, byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -108,7 +110,8 @@ class ScenarioSet:
     """Simulated paths plus the deterministic cash accounts on the grid.
 
     ``asset_paths[label]`` and ``fx_paths[currency]`` hold (n_paths, n_times)
-    arrays, each a contiguous view of the driver-major path array;
+    arrays, each the transposed view ``paths[d].T`` of one driver of the
+    time-major path array, so that column j (time j across paths) is contiguous;
     ``account_values[(role, currency)]`` holds the deterministic cash account
     B(t) on the grid. The domestic FX path is identically one and is served by
     :meth:`fx` as a read-only broadcast view, without being stored.
@@ -147,17 +150,23 @@ class ScenarioSet:
         return self.account_values[key]
 
 
+def check_error_bar_paths(n_paths: int) -> None:
+    """Raise :class:`ConfigError` for fewer paths than a Monte Carlo error bar needs (two)."""
+    if n_paths < 2:
+        raise ConfigError(f"a Monte Carlo error bar needs at least 2 paths, got {n_paths}")
+
+
 def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the last (path) axis and its standard error: every error bar in the engine.
 
     The error bar is the sample standard deviation over sqrt(n). Each row is
     reduced as one contiguous block, so its mean has the bits of that row's
-    mean alone. Fewer than two paths raise :class:`ConfigError`.
+    mean alone. Fewer than two paths raise :class:`ConfigError`; callers
+    that simulate check the path count first with :func:`check_error_bar_paths`.
     """
     samples = np.ascontiguousarray(samples)
     n = samples.shape[-1]
-    if n < 2:
-        raise ConfigError(f"a Monte Carlo error bar needs at least 2 paths, got {n}")
+    check_error_bar_paths(n)
     return samples.mean(axis=-1), samples.std(axis=-1, ddof=1) / math.sqrt(n)
 
 
@@ -220,25 +229,38 @@ def _simulate_chunk(
     x0: np.ndarray,
     chunk: tuple[int, int],
 ) -> None:
-    """Write paths ``start .. stop - 1`` of ``chunk`` into the driver-major ``paths``.
+    """Write paths ``start .. stop - 1`` of ``chunk`` into the time-major ``paths``.
 
     The log-increment of driver d over step j is drift[d, j] plus
     sum_k vol[d, k, j] z_k, accumulated in a fixed driver order rather than by
-    a BLAS product, so each path's value does not depend on the chunking.
+    a BLAS product, so each path's value does not depend on the chunking. Each
+    driver's block ``paths[d, :, start:stop]`` is a stack of contiguous time
+    rows. The normals of one driver k at a time are gathered into a reused
+    (n_steps, count) buffer and added to every driver they mix into, so each
+    driver still adds its terms in k order, and the scratch memory beyond the
+    chunk's normals is two such buffers. The cumulative sum over time is a
+    loop that adds each time row to the next: numpy's accumulate is slow along
+    an axis that is not innermost, and a cumulative sum is sequential either
+    way, so the bits are those of ``np.cumsum``.
     """
     start, stop = chunk
-    n_drivers, _, n_times = paths.shape
+    n_drivers, n_times, _ = paths.shape
+    block = paths[:, :, start:stop]
     z = normal_block(seed, start // CHUNK_PATHS, stop - start, n_times - 1, n_drivers)
-    for d in range(n_drivers):
-        logs = paths[d, start:stop]
-        logs[:, 0] = 0.0
-        logs[:, 1:] = drift[d]
-        for k in range(n_drivers):
+    z_k = np.empty((n_times - 1, stop - start))  # normals of driver k, one row per step
+    term = np.empty_like(z_k)
+    block[:, 0] = 0.0
+    block[:, 1:] = drift[:, :, None]
+    for k in range(n_drivers):
+        z_k[...] = z[:, :, k].T
+        for d in range(n_drivers):
             if vol[d, k].any():  # skip zero entries of the mixing matrix
-                logs[:, 1:] += vol[d, k] * z[:, :, k]
-        np.cumsum(logs, axis=1, out=logs)
-        np.exp(logs, out=logs)
-        logs *= x0[d]
+                np.multiply(vol[d, k, :, None], z_k, out=term)
+                block[d, 1:] += term
+    for j in range(1, n_times):
+        np.add(block[:, j - 1], block[:, j], out=block[:, j])
+    np.exp(block, out=block)
+    block *= x0[:, None, None]
 
 
 def simulate(
@@ -271,7 +293,7 @@ def simulate(
     drift = _drift_integrals(model, grid, drift_shift) - 0.5 * np.outer(sigmas**2, grid.dt)
     vol = model.mixing[:, :, None] * np.outer(sigmas, np.sqrt(grid.dt))[:, None, :]
 
-    paths = np.empty((len(x0), n_paths, len(grid.times)))
+    paths = np.empty((len(x0), len(grid.times), n_paths))
     fill = partial(_simulate_chunk, paths, seed, drift, vol, x0)
     if n_threads == 1:
         for chunk in chunks:
@@ -280,8 +302,8 @@ def simulate(
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(fill, chunks))
 
-    asset_paths = {spec.label: paths[d] for d, spec in enumerate(specs) if isinstance(spec, AssetSpec)}
-    fx_paths = {spec.foreign: paths[d] for d, spec in enumerate(specs) if isinstance(spec, FxSpec)}
+    asset_paths = {spec.label: paths[d].T for d, spec in enumerate(specs) if isinstance(spec, AssetSpec)}
+    fx_paths = {spec.foreign: paths[d].T for d, spec in enumerate(specs) if isinstance(spec, FxSpec)}
 
     account_values: dict[tuple[str, str], np.ndarray] = {}
     for cur in model.currency_names:

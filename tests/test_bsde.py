@@ -255,6 +255,10 @@ def test_nonpositive_slice_denominator_raises(bsde_two_currency_model):
         solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 1e4, _cfg(n_paths=500))
 
 
-def test_one_path_has_no_error_bar(bsde_two_currency_model):
-    with pytest.raises(ConfigError):
+def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated before the path count was checked")
+
+    monkeypatch.setattr("xccy.bsde.simulate", refuse)
+    with pytest.raises(ConfigError, match="at least 2 paths"):
         solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", 0.0, 0.0, _cfg(n_paths=1))

@@ -194,14 +194,27 @@ def test_dumped_paths_are_parseable_floats(docs):
         float(t), float(v)  # raises if a numpy repr leaked into the file
 
 
+def _refuse_to_simulate(*args, **kwargs):
+    raise AssertionError("simulated before the path count was checked")
+
+
 @pytest.mark.parametrize("command", ["price", "check", "bsde"])
-def test_one_path_exits_one(docs, capsys, command):
+def test_one_path_exits_one(docs, capsys, monkeypatch, command):
     model, trade, tmp = docs
+    monkeypatch.setattr("xccy.cli.simulate", _refuse_to_simulate)
+    monkeypatch.setattr("xccy.bsde.simulate", _refuse_to_simulate)
     args = [command, "--model", str(model), "--paths", "1", "--steps", "4", "--out", str(tmp / command)]
     if command != "check":
         args += ["--trade", str(trade)]
     assert run(args) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_one_path_still_simulates_and_prices_the_closed_form(docs):
+    model, trade, tmp = docs
+    assert run(["simulate", "--model", str(model), "--paths", "1", "--steps", "2", "--out", str(tmp / "sim")]) == 0
+    assert run(["price", "--model", str(model), "--trade", str(trade), "--paths", "1",
+                "--mode", "full-collateral", "--out", str(tmp / "closed")]) == 0
 
 
 def _malformed(tmp_path, model_doc=MODEL_DOC, trade_doc=TRADE_DOC):

@@ -20,6 +20,7 @@ from xccy.bsde import BsdeConfig
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, DomesticPairRequested, EmptyGrid, ZeroPaths
 from xccy.model import CorrelationMatrix
+from xccy.rng import normal_block
 from xccy.simulation import CHUNK_PATHS, UNIT_RATE, worker_threads
 
 
@@ -150,6 +151,77 @@ def test_bit_identical_across_worker_counts(two_currency_model):
         for label in ("EQ", "FEQ"):
             assert np.array_equal(one.asset(label), eight.asset(label))
         assert np.array_equal(one.fx("USD"), eight.fx("USD"))
+
+
+def _driver_major_chunk(paths, seed, drift, vol, x0, chunk):
+    """Reference: the driver-major kernel the time-major one replaced.
+
+    It steps each driver's (count, n_times) block with a row-wise cumsum, as
+    before, and copies the result into the time-major ``paths``.
+    """
+    start, stop = chunk
+    n_drivers, n_times, _ = paths.shape
+    z = normal_block(seed, start // CHUNK_PATHS, stop - start, n_times - 1, n_drivers)
+    ref = np.empty((n_drivers, stop - start, n_times))
+    for d in range(n_drivers):
+        logs = ref[d]
+        logs[:, 0] = 0.0
+        logs[:, 1:] = drift[d]
+        for k in range(n_drivers):
+            if vol[d, k].any():
+                logs[:, 1:] += vol[d, k] * z[:, :, k]
+        np.cumsum(logs, axis=1, out=logs)
+        np.exp(logs, out=logs)
+        logs *= x0[d]
+    paths[:, :, start:stop] = ref.transpose(0, 2, 1)
+
+
+def _uncorrelated_model():
+    """Three drivers with identity correlation: a mixing matrix of zeros off the diagonal."""
+    rates = {"EUR": curveset(0.02, 0.01, 0.01), "USD": curveset(0.03, 0.02, 0.02)}
+    assets = [
+        AssetSpec("A", "EUR", 10.0, 0.2, RateCurve.flat(0.01), RateCurve.flat(0.015)),
+        AssetSpec("B", "USD", 5.0, 0.3, RateCurve.flat(0.0), RateCurve.flat(0.025)),
+    ]
+    return build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 0.9, 0.1)])
+
+
+LAYOUT_CASES = {
+    "one driver": ("single_currency_model", 1000, 6, None),
+    "zero mixing entries": (None, 1000, 6, None),
+    "ragged chunks": ("three_currency_model", 2 * CHUNK_PATHS + 123, 3, None),
+    "steps exceed chunk paths": ("two_currency_model", 60, 300, None),
+    "drift shift": ("two_currency_model", 1000, 6, {"fx:USD": 0.02, "EQ": -0.01}),
+}
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("case", list(LAYOUT_CASES))
+def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, case, n_workers):
+    fixture, n_paths, n_steps, drift_shift = LAYOUT_CASES[case]
+    model = _uncorrelated_model() if fixture is None else request.getfixturevalue(fixture)
+    if fixture is None:
+        assert (model.mixing == 0).any()
+    grid = TimeGrid.regular(1.0, n_steps)
+    scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
+    monkeypatch.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
+    ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift)
+    for label in model.driver_labels:
+        assert np.array_equal(scen.driver(label), ref.driver(label)), label
+
+
+def test_every_time_slice_is_a_contiguous_view_of_one_buffer(three_currency_model):
+    n_paths, grid = 1000, TimeGrid.regular(1.0, 5)
+    scen = simulate(three_currency_model, grid, n_paths, seed=1)
+    labels = three_currency_model.driver_labels
+    base = scen.driver(labels[0]).base
+    assert base.nbytes == len(labels) * len(grid.times) * n_paths * 8
+    for label in labels:
+        series = scen.driver(label)
+        assert series.shape == (n_paths, len(grid.times))
+        assert series.base is base
+        for j in range(len(grid.times)):
+            assert series[:, j].flags.c_contiguous
 
 
 def test_same_seed_reproduces_same_paths(two_currency_model):
