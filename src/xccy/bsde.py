@@ -139,9 +139,7 @@ def solve_endogenous(
         raise AsymmetricCollateralRates(f"collateral borrow and lend rates must coincide for {k3!r}")
     cash_post = model.rates[k3].cash_post_funding
     r_e = model.curve(model.domestic, "unsecured")
-    if cash_post is not None and not (
-        np.array_equal(cash_post.knots, r_e.knots) and np.array_equal(cash_post.values, r_e.values)
-    ):
+    if cash_post is not None and cash_post != r_e:
         raise ConfigError(
             "the endogenous solver assumes cash collateral posted out of the domestic "
             f"unsecured account; cash_post_funding for {k3!r} must equal the domestic unsecured curve"
@@ -167,10 +165,9 @@ def solve_endogenous(
     fx_k2 = scenario.fx(contract.native_currency)
 
     # log-states relative to their initial levels, and their monomials
-    driver_series = [scenario.driver(label) for label in model.driver_labels]
-    n_drivers = len(driver_series)
+    n_drivers = len(model.driver_labels)
     products = _monomial_products(n_drivers, cfg.degree)
-    log_x0 = np.log([series[0, 0] for series in driver_series]).reshape(n_drivers, 1)
+    log_x0 = np.log(scenario.paths[:, 0, :1])
     states = np.empty((n_drivers, n_paths))
     design = np.ones((1 + len(products), n_paths))
 
@@ -185,8 +182,7 @@ def solve_endogenous(
         if j == 0 or not n_drivers:
             cont = np.full(n_paths, float(np.mean(y)))
         else:
-            for d, series in enumerate(driver_series):
-                np.log(series[:, j], out=states[d])
+            np.log(scenario.paths[:, j], out=states)
             states -= log_x0
             _fill_design(design, states, products)
             cont = _regress(design, y)

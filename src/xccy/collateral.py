@@ -31,14 +31,16 @@ integrates each leg, the FX term included, exactly over every step instead
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contracts import Contract
 from .curves import RateCurve
-from .errors import ConfigError, NonPositiveFx, doc_value
-from .simulation import ScenarioSet, warn_correlated_collateral_asset
+from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value
+from .model import ValidatedModel, collateralized_log_growth
+from .simulation import ScenarioSet
 
 FORMS = ("cash", "risky")
 CONVENTIONS = ("segregation", "rehypothecation")
@@ -127,6 +129,27 @@ class CollateralPath:
         return np.maximum(-self.c, 0.0)
 
 
+def check_collateral_path(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> None:
+    """Raise :class:`ConfigError` unless ``coll`` is a collateral path of ``spec`` on ``scenario``.
+
+    The path must be in the spec's currency and of shape (n_paths, n_times);
+    risky collateral must post and receive assets quoted in that currency.
+    """
+    if coll.currency != spec.currency:
+        raise ConfigError(f"collateral path currency {coll.currency!r} != spec currency {spec.currency!r}")
+    shape = (scenario.n_paths, len(scenario.grid.times))
+    if coll.c.shape != shape:
+        raise GridMismatch(f"collateral path shape {coll.c.shape} != (n_paths, n_times) {shape}")
+    if spec.form == "risky":
+        for label in (spec.posted_asset, spec.received_asset):
+            currency = scenario.model.asset(label).currency
+            if currency != spec.currency:
+                raise ConfigError(
+                    f"collateral asset {label!r} is quoted in {currency!r}, not in the collateral currency "
+                    f"{spec.currency!r}"
+                )
+
+
 def collateral_from_mark(mark, spec: CollateralSpec, fx_level) -> np.ndarray:
     """Collateral amount implied by a mark-to-market value in domestic units.
 
@@ -146,6 +169,7 @@ def margin_interest(scenario: ScenarioSet, coll: CollateralPath, spec: Collatera
     paid on received collateral at the borrow rate, both converted at the
     prevailing FX rate with predictable integrands.
     """
+    check_collateral_path(scenario, coll, spec)
     model = scenario.model
     times = scenario.grid.times
     lend = model.curve(spec.currency, "collateral_lend").step_integrals(times)
@@ -183,18 +207,28 @@ def carry_curves(model, spec: CollateralSpec) -> tuple[RateCurve, RateCurve]:
     return recv, post
 
 
+def warn_correlated_collateral_asset(model: ValidatedModel, label: str) -> None:
+    """Warn when a collateral asset is correlated with any other driver."""
+    i = model.driver_labels.index(label)
+    row = np.delete(model.correlation.matrix[i], i)
+    if np.any(np.abs(row) > 1e-12):
+        warnings.warn(
+            f"collateral asset {label!r} is correlated with the trading portfolio "
+            f"(max |rho| = {np.max(np.abs(row)):.3f})",
+            stacklevel=2,
+        )
+
+
 def adjustment_increments(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> np.ndarray:
     """Per-step increments of the collateral carry stream, (n_paths, n_steps).
 
     The FX term -C dX is realized with the same-interval FX increment.
     """
+    check_collateral_path(scenario, coll, spec)
     model = scenario.model
     times = scenario.grid.times
-    if coll.currency != spec.currency:
-        raise ConfigError(f"collateral path currency {coll.currency!r} != spec currency {spec.currency!r}")
     if spec.form == "risky":
         for label in (spec.posted_asset, spec.received_asset):
-            model.asset(label)  # existence check
             warn_correlated_collateral_asset(model, label)
 
     recv_curve, post_curve = carry_curves(model, spec)
@@ -258,13 +292,11 @@ def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract,
     discount (collateral rate plus cross-currency basis) and the FX forward
     implied by unsecured differentials; the mark is the contract value to the
     counterparty, i.e. minus the hedger's replication wealth. With G from
-    :func:`~xccy.pricing.collateralized_log_growth`, it is one
+    :func:`~xccy.model.collateralized_log_growth`, it is one
     (n_times, n_flows) matrix a_i exp(G(t_i) - G(t)), zero where t_i <= t,
     summed over the flows. G is evaluated at the flow dates themselves, so
     they need not be grid nodes.
     """
-    from .pricing import collateralized_log_growth  # local: avoid cycle
-
     if contract is None:
         raise ConfigError("mark_proxy functional needs the contract")
     times = scenario.grid.times

@@ -26,9 +26,12 @@ from .errors import ConfigError, MissingRates, NegativeTime
 RATE_BOUND = 1.0  # sanity bound on |r|, per-year
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RateCurve:
-    """Deterministic piecewise-constant annualized short rate."""
+    """Deterministic piecewise-constant annualized short rate.
+
+    Two curves are equal when their knots and values are equal element for element.
+    """
 
     knots: np.ndarray
     values: np.ndarray
@@ -46,6 +49,11 @@ class RateCurve:
             raise ConfigError("knots must be strictly ascending")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "values", values)
+
+    def __eq__(self, other):
+        if not isinstance(other, RateCurve):
+            return NotImplemented
+        return np.array_equal(self.knots, other.knots) and np.array_equal(self.values, other.values)
 
     @classmethod
     def flat(cls, rate: float) -> "RateCurve":

@@ -15,6 +15,7 @@ single-curve pricing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -68,7 +69,7 @@ def _checkpoint_samples(scenario: ScenarioSet, process_id: str, nodes: np.ndarra
     model = scenario.model
     kind, _, name = process_id.partition(":")
     if kind == "asset" and name in {a.label for a in model.assets}:
-        b_repo = scenario.account(name, "repo")
+        b_repo = scenario.repo_account(name)
         gains = fx_hedge_gain_increments(scenario, name) / b_repo[None, :-1]
         np.cumsum(gains, axis=1, out=gains)
         start = scenario.asset(name)[0, 0] * scenario.fx(model.asset(name).currency)[0, 0] / b_repo[0]
@@ -97,7 +98,11 @@ def martingale_test(
     RATE_BOUND t) of the level at node j: one rounding per step of a log at
     most 2 RATE_BOUND t in size, and a few for the exponentials and account
     ratios. A deterministic process (a zero-volatility FX pair) thus passes.
+    A threshold that is not finite and positive raises :class:`ConfigError`:
+    one of 0 or less fails every test, an infinite one passes every test.
     """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be finite and > 0, got {threshold}")
     grid = scenario.grid
     if isinstance(checkpoints, int):
         if checkpoints < 1:

@@ -251,10 +251,7 @@ class ValidatedModel:
 
     def has_symmetric_collateral_rates(self, currency: str) -> bool:
         cs = self.rates[currency]
-        if cs.collateral_borrow is None or cs.collateral_lend is None:
-            return False
-        b, l = cs.collateral_borrow, cs.collateral_lend
-        return np.array_equal(b.knots, l.knots) and np.array_equal(b.values, l.values)
+        return cs.collateral_borrow is not None and cs.collateral_borrow == cs.collateral_lend
 
 
 def validate_model(model: MarketModel | ValidatedModel) -> ValidatedModel:
@@ -321,6 +318,24 @@ def cross_currency_basis_of(model: ValidatedModel, k3: str, integrate):
         - integrate(model.curve(e, "collateral_lend"))
         + integrate(model.curve(k3, "collateral_lend"))
     )
+
+
+def collateralized_log_growth(model: ValidatedModel, k2: str, k3: str, times) -> np.ndarray:
+    """G(t), the integral over [0, t] of -(rc_dom + q_k3) + (r_dom - r_k2), at each entry of ``times``.
+
+    One unit of k2 paid at T and fully collateralized in k3 is worth
+    exp(G(T) - G(t)) X_k2(t) at t: discounted at the domestic collateral rate
+    plus the cross-currency basis of k3 and converted at the FX forward of the
+    unsecured differential. The basis term drops for domestic k3 and the
+    forward term for domestic k2.
+    """
+    e = model.domestic
+    g = -model.curve(e, "collateral_lend").integrals(times) - cross_currency_basis_of(
+        model, k3, lambda curve: curve.integrals(times)
+    )
+    if k2 != e:
+        g = g + (model.curve(e, "unsecured").integrals(times) - model.curve(k2, "unsecured").integrals(times))
+    return g
 
 
 # ---------------------------------------------------------------------------

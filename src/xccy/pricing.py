@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .collateral import CollateralPath, CollateralSpec, carry_curves
+from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path
 from .contracts import Contract
 from .curves import step_pieces
 from .errors import (
@@ -30,7 +30,7 @@ from .errors import (
     EndogenousSpecPassed,
     ScenarioMeasureMismatch,
 )
-from .model import ValidatedModel, cross_currency_basis_of
+from .model import ValidatedModel, collateralized_log_growth, cross_currency_basis_of
 from .simulation import ScenarioSet, sample_mean
 from .wealth import discounted_flows
 
@@ -51,24 +51,6 @@ class PriceReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-
-def collateralized_log_growth(model: ValidatedModel, k2: str, k3: str, times) -> np.ndarray:
-    """G(t), the integral over [0, t] of -(rc_dom + q_k3) + (r_dom - r_k2), at each entry of ``times``.
-
-    One unit of k2 paid at T and fully collateralized in k3 is worth
-    exp(G(T) - G(t)) X_k2(t) at t: discounted at the domestic collateral rate
-    plus the cross-currency basis of k3 and converted at the FX forward of the
-    unsecured differential. The basis term drops for domestic k3 and the
-    forward term for domestic k2.
-    """
-    e = model.domestic
-    g = -model.curve(e, "collateral_lend").integrals(times) - cross_currency_basis_of(
-        model, k3, lambda curve: curve.integrals(times)
-    )
-    if k2 != e:
-        g = g + (model.curve(e, "unsecured").integrals(times) - model.curve(k2, "unsecured").integrals(times))
-    return g
 
 
 def _require_symmetric(model: ValidatedModel, currency: str) -> None:
@@ -146,6 +128,7 @@ def price_exogenous(
         )
     if spec.endogenous:
         raise EndogenousSpecPassed("endogenous collateral must be priced with the BSDE solver")
+    check_collateral_path(scenario, coll_path, spec)
 
     leg_contract = discounted_flows(scenario, contract)
     b_e = scenario.account(scenario.model.domestic)

@@ -20,14 +20,16 @@ array of shape (n_drivers, n_times, n_paths). Every consumer reads time
 slices across paths (a regression slice, a martingale checkpoint), and in
 this layout each slice is one contiguous row. A scenario is a pure function
 of (model, grid, n_paths, seed) and ``CHUNK_PATHS``, byte-identical for any
-worker count.
+worker count. A :class:`ScenarioSet` is that array with its model, grid, seed
+and measure tag; its unsecured and repo accounts are not stored but derived
+from the curves by :func:`~xccy.curves.cash_account_value`, the one
+definition of B(t).
 """
 
 from __future__ import annotations
 
 import math
 import os
-import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -35,9 +37,9 @@ from functools import partial
 import numpy as np
 
 from .csvio import write_rows
-from .curves import RateCurve
-from .errors import ConfigError, EmptyGrid, UnknownCurrency, ZeroPaths
-from .model import AssetSpec, FxSpec, ValidatedModel, fx_label
+from .curves import RateCurve, cash_account_value
+from .errors import ConfigError, EmptyGrid, ZeroPaths
+from .model import FxSpec, ValidatedModel, fx_label
 from .rng import normal_block
 
 GRID_SNAP_TOL = 1e-9
@@ -107,47 +109,49 @@ class TimeGrid:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """Simulated paths plus the deterministic cash accounts on the grid.
+    """Simulated paths on a grid, with the cash accounts derived from the model's curves.
 
-    ``asset_paths[label]`` and ``fx_paths[currency]`` hold (n_paths, n_times)
-    arrays, each the transposed view ``paths[d].T`` of one driver of the
-    time-major path array, so that column j (time j across paths) is contiguous;
-    ``account_values[(role, currency)]`` holds the deterministic cash account
-    B(t) on the grid. The domestic FX path is identically one and is served by
-    :meth:`fx` as a read-only broadcast view, without being stored.
+    ``paths`` is the time-major (n_drivers, n_times, n_paths) array that
+    :func:`simulate` fills, in ``model.driver_labels`` order; :meth:`driver`
+    serves a driver as the (n_paths, n_times) view ``paths[d].T``, whose column
+    j (time j across paths) is contiguous. The domestic FX path is identically
+    one, served by :meth:`fx` as a read-only broadcast view. :meth:`account`
+    and :meth:`repo_account` are :func:`cash_account_value` of a currency's
+    unsecured curve or an asset's repo curve on the grid.
     """
 
     model: ValidatedModel
     grid: TimeGrid
-    n_paths: int
     seed: int
-    asset_paths: dict[str, np.ndarray]
-    fx_paths: dict[str, np.ndarray]
-    account_values: dict[tuple[str, str], np.ndarray]
+    paths: np.ndarray
     measure_tag: str = "qe"  # "p" when drifts were shifted away from the martingale measure
+
+    @property
+    def n_paths(self) -> int:
+        return self.paths.shape[2]
+
+    def driver(self, label: str) -> np.ndarray:
+        """Paths of the driver named by one of ``model.driver_labels``, a view of ``paths``."""
+        self.model.driver_spec(label)  # ConfigError for a label that names no driver
+        return self.paths[self.model.driver_labels.index(label)].T
 
     def fx(self, currency: str) -> np.ndarray:
         if currency == self.model.domestic:
             # read-only view of one scalar: allocates no (n_paths, n_times) buffer
             return np.broadcast_to(1.0, (self.n_paths, len(self.grid.times)))
-        if currency not in self.fx_paths:
-            raise UnknownCurrency(currency)
-        return self.fx_paths[currency]
+        return self.driver(fx_label(currency))  # UnknownCurrency for a currency without an FX pair
 
     def asset(self, label: str) -> np.ndarray:
         self.model.asset(label)  # ConfigError for a label that names no asset
-        return self.asset_paths[label]
+        return self.driver(label)
 
-    def driver(self, label: str) -> np.ndarray:
-        """Paths of the driver named by one of ``model.driver_labels``."""
-        spec = self.model.driver_spec(label)
-        return self.fx(spec.foreign) if isinstance(spec, FxSpec) else self.asset(label)
+    def account(self, currency: str) -> np.ndarray:
+        """Unsecured cash account of ``currency`` on the grid."""
+        return cash_account_value(self.model.curve(currency, "unsecured"), self.grid.times)
 
-    def account(self, currency: str, role: str = "unsecured") -> np.ndarray:
-        key = (role, currency)
-        if key not in self.account_values:
-            raise ConfigError(f"account {key} not materialized on scenario")
-        return self.account_values[key]
+    def repo_account(self, label: str) -> np.ndarray:
+        """Repo account of the asset ``label`` on the grid."""
+        return cash_account_value(self.model.asset(label).repo_rate, self.grid.times)
 
 
 def check_error_bar_paths(n_paths: int) -> None:
@@ -302,37 +306,13 @@ def simulate(
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
             list(pool.map(fill, chunks))
 
-    asset_paths = {spec.label: paths[d].T for d, spec in enumerate(specs) if isinstance(spec, AssetSpec)}
-    fx_paths = {spec.foreign: paths[d].T for d, spec in enumerate(specs) if isinstance(spec, FxSpec)}
-
-    account_values: dict[tuple[str, str], np.ndarray] = {}
-    for cur in model.currency_names:
-        account_values[("unsecured", cur)] = np.exp(model.curve(cur, "unsecured").integrals(grid.times))
-    for a in model.assets:
-        account_values[("repo", a.label)] = np.exp(a.repo_rate.integrals(grid.times))
-
     return ScenarioSet(
         model=model,
         grid=grid,
-        n_paths=n_paths,
         seed=seed,
-        asset_paths=asset_paths,
-        fx_paths=fx_paths,
-        account_values=account_values,
+        paths=paths,
         measure_tag="p" if any(drift_shift.values()) else "qe",
     )
-
-
-def warn_correlated_collateral_asset(model: ValidatedModel, label: str) -> None:
-    """Warn when a collateral asset is correlated with any other driver."""
-    i = model.driver_labels.index(label)
-    row = np.delete(model.correlation.matrix[i], i)
-    if np.any(np.abs(row) > 1e-12):
-        warnings.warn(
-            f"collateral asset {label!r} is correlated with the trading portfolio "
-            f"(max |rho| = {np.max(np.abs(row)):.3f})",
-            stacklevel=2,
-        )
 
 
 def dump_paths_csv(scenario: ScenarioSet, path: str) -> None:

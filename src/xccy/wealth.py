@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .collateral import adjustment_increments, collateral_value_adjustment
 from .contracts import Contract
 from .csvio import write_rows
 from .errors import ConfigError, FlowOffGrid, GridMismatch, MissingCollateralRates, MissingRates
@@ -24,11 +25,17 @@ from .simulation import ScenarioSet, TimeGrid
 
 
 def flow_nodes(grid: TimeGrid, contract: Contract) -> np.ndarray:
-    """Grid index of each of ``contract.flows``; a date off the grid raises :class:`FlowOffGrid`."""
+    """Grid index of each of ``contract.flows``, the one flows-on-grid map.
+
+    A date off the grid, or one that snaps onto node 0, raises :class:`FlowOffGrid`.
+    """
     try:
-        return grid.nodes_of(contract.flow_times)
+        nodes = grid.nodes_of(contract.flow_times)
     except ConfigError as exc:
         raise FlowOffGrid(f"flow date not on the scenario grid: {exc}") from exc
+    if np.any(nodes == 0):
+        raise FlowOffGrid("flows at t=0 belong in Contract.initial_flow")
+    return nodes
 
 
 def discounted_flows(scenario: ScenarioSet, contract: Contract) -> np.ndarray:
@@ -98,7 +105,7 @@ class Strategy:
         psi_repo = {}
         for label, units in xi.items():
             s = scenario.asset(label)[:, :-1]
-            b = scenario.account(label, "repo")[:-1]
+            b = scenario.repo_account(label)[:-1]
             psi_repo[label] = -np.asarray(units, dtype=float) * s / b
         return cls(dict(xi), psi_repo, dict(psi_cash or {}))
 
@@ -155,8 +162,6 @@ def replay_wealth(
     term) is added to the gains, and the wealth splits into portfolio and
     adjustment components.
     """
-    from .collateral import adjustment_increments, collateral_value_adjustment  # local: avoid cycle
-
     model = scenario.model
     n_paths, n_steps = scenario.n_paths, scenario.grid.n_steps
     b_e = scenario.account(model.domestic)
@@ -170,11 +175,8 @@ def replay_wealth(
     }
 
     # contractual flows at their nodes, converted at the flow date; node 0 holds the initial flow
-    nodes = flow_nodes(scenario.grid, contract)
-    if np.any(nodes == 0):
-        raise FlowOffGrid("flows at t=0 belong in Contract.initial_flow")
     amounts = np.zeros(n_steps + 1)
-    np.add.at(amounts, nodes, [a for _, a in contract.flows])
+    np.add.at(amounts, flow_nodes(scenario.grid, contract), [a for _, a in contract.flows])
     amounts[0] = contract.initial_flow
     flow = amounts * scenario.fx(contract.native_currency)
 
@@ -185,7 +187,7 @@ def replay_wealth(
         u_xi = xi.get(label, zero)
         u_psi = psi_repo.get(label, zero)
         s = scenario.asset(label)[:, :-1]
-        b_repo = scenario.account(label, "repo")
+        b_repo = scenario.repo_account(label)
         x_cur = scenario.fx(model.asset(label).currency)
         if label in xi:
             gain += u_xi * gain_increments(scenario, label)

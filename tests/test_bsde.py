@@ -9,6 +9,7 @@ from xccy import (
     BsdeConfig,
     Contract,
     FxSpec,
+    RateCurve,
     TimeGrid,
     cross_currency_basis,
     price_fully_collateralized,
@@ -152,6 +153,21 @@ def test_cash_posting_must_fund_at_domestic_rate(two_currency_model):
     # the general fixture posts USD cash at 0.03 != domestic 0.02
     with pytest.raises(ConfigError):
         solve_endogenous(two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", 0.0, 0.0, _cfg(n_paths=100))
+
+
+@pytest.mark.parametrize("last_rate, accepted", [(0.025, True), (0.026, False)])
+def test_cash_posting_curve_is_compared_knot_by_knot(last_rate, accepted):
+    rates = {
+        "EUR": curveset(RateCurve([0.0, 0.5], [0.02, 0.025]), 0.015, 0.015),
+        "USD": curveset(0.03, 0.022, 0.022, cash_post=RateCurve([0.0, 0.5], [0.02, last_rate])),
+    }
+    model = build_model([("EUR", True), ("USD", False)], rates, fx=[FxSpec("USD", 0.9, 0.1)])
+    args = (model, Contract("EUR", ((1.0, -1.0),)), "USD", 0.0, 0.0, _cfg(2, 100))
+    if accepted:
+        assert solve_endogenous(*args).v0 > 0
+    else:
+        with pytest.raises(ConfigError):
+            solve_endogenous(*args)
 
 
 def test_degenerate_states_fall_back_to_ridge():

@@ -112,6 +112,13 @@ def test_nonpositive_checkpoints_exit_one(docs, capsys, checkpoints):
     assert "--checkpoints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("threshold", ["0", "-1", "nan", "inf"])
+def test_meaningless_threshold_exits_one(docs, capsys, threshold):
+    model, _, _ = docs
+    assert run(["check", "--model", str(model), "--paths", "10", f"--threshold={threshold}"]) == 1
+    assert "threshold" in capsys.readouterr().err
+
+
 def test_price_repeated_runs_are_byte_identical(docs):
     model, trade, tmp = docs
     out = tmp / "out"

@@ -10,11 +10,14 @@ from xccy import (
     CollateralSpec,
     Contract,
     FxSpec,
+    Strategy,
     TimeGrid,
     adjustment_stream,
     build_exogenous_path,
     collateral_from_mark,
     margin_interest,
+    price_exogenous,
+    replay_wealth,
     simulate,
 )
 from xccy.collateral import adjustment_increments
@@ -306,3 +309,36 @@ def test_mark_proxy_matches_scalar_reference(multi_knot_model, k2, k3, flow_time
     spec = CollateralSpec(currency=k3, delta1=0.1, delta2=0.2, mode=("exogenous", "mark_proxy", {}))
     path = build_exogenous_path(scen, spec, contract)
     np.testing.assert_allclose(path.c, _scalar_mark_proxy(scen, spec, contract), rtol=1e-13, atol=0.0)
+
+
+CONTRACT = Contract("EUR", ((1.0, -1.0),))
+COLLATERAL_CONSUMERS = {
+    "price_exogenous": lambda scen, path, spec: price_exogenous(scen, CONTRACT, path, spec),
+    "margin_interest": margin_interest,
+    "adjustment_increments": adjustment_increments,
+    "replay_wealth": lambda scen, path, spec: replay_wealth(scen, Strategy.empty(), CONTRACT, 0.0, path, spec),
+}
+
+
+@pytest.mark.parametrize("consumer", list(COLLATERAL_CONSUMERS))
+def test_collateral_path_in_another_currency_is_rejected(scen, consumer):
+    path = CollateralPath(np.ones((scen.n_paths, len(scen.grid.times))), "EUR")
+    with pytest.raises(ConfigError, match="currency"):
+        COLLATERAL_CONSUMERS[consumer](scen, path, CollateralSpec(currency="USD"))
+
+
+@pytest.mark.parametrize("consumer", list(COLLATERAL_CONSUMERS))
+def test_collateral_path_off_the_scenario_shape_is_rejected(scen, consumer):
+    # 5 time columns on the scenario's 21-node grid
+    path = CollateralPath(np.ones((scen.n_paths, 5)), "USD")
+    with pytest.raises(ConfigError, match="shape"):
+        COLLATERAL_CONSUMERS[consumer](scen, path, CollateralSpec(currency="USD"))
+
+
+@pytest.mark.parametrize("consumer", list(COLLATERAL_CONSUMERS))
+@pytest.mark.parametrize("side", ["posted_asset", "received_asset"])
+def test_risky_collateral_asset_in_another_currency_is_rejected(scen, consumer, side):
+    # EQ is quoted in EUR; posting it as USD collateral would convert units at the wrong FX rate
+    spec = CollateralSpec(currency="USD", form="risky", **{"posted_asset": "FEQ", "received_asset": "FEQ", side: "EQ"})
+    with pytest.raises(ConfigError, match="EQ"):
+        COLLATERAL_CONSUMERS[consumer](scen, _sign_varying_path(scen), spec)

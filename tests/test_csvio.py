@@ -18,7 +18,7 @@ def _reference_paths_csv(scenario, path):
         fh.write("path_id,time,driver_label,value\n")
         times = [float(t) for t in scenario.grid.times]
         for label in scenario.model.driver_labels:
-            series = scenario.fx_paths[label[3:]] if label.startswith("fx:") else scenario.asset_paths[label]
+            series = scenario.paths[scenario.model.driver_labels.index(label)].T
             for p in range(scenario.n_paths):
                 for j, t in enumerate(times):
                     fh.write(f"{p},{t!r},{label},{float(series[p, j])!r}\n")

@@ -53,6 +53,15 @@ def test_vector_evaluation_matches_scalar():
         assert v == pytest.approx(cash_account_value(curve, float(t)), rel=1e-14)
 
 
+def test_curve_equality_compares_knots_and_values():
+    curve = RateCurve([0.0, 0.5, 1.5], [0.01, 0.02, 0.015])
+    assert curve == RateCurve([0.0, 0.5, 1.5], [0.01, 0.02, 0.015])
+    assert curve != RateCurve([0.0, 0.5, 1.5], [0.01, 0.02, 0.016])
+    assert curve != RateCurve([0.0, 0.6, 1.5], [0.01, 0.02, 0.015])
+    assert curve != RateCurve([0.0, 0.5], [0.01, 0.02])
+    assert curve != RateCurve.flat(0.01) and curve != 0.01
+
+
 def test_bad_curves_rejected():
     with pytest.raises(ConfigError):
         RateCurve([0.5], [0.01])  # first knot not 0

@@ -36,6 +36,14 @@ def test_empty_checkpoints_rejected(two_currency_model, checkpoints):
         martingale_test(scen, "fx:USD", checkpoints)
 
 
+@pytest.mark.parametrize("threshold", [0.0, -1.0, float("nan"), float("inf")])
+def test_threshold_must_be_finite_and_positive(two_currency_model, threshold):
+    # at 0 or below every test fails, at nan every comparison fails, at inf every test passes
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 10, seed=0)
+    with pytest.raises(ConfigError):
+        martingale_test(scen, "fx:USD", threshold=threshold)
+
+
 def test_checkpoint_at_time_zero_rejected(two_currency_model):
     # the process starts at 0 on every path, so a t=0 checkpoint would certify anything
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 10, seed=0, drift_shift={"fx:USD": 0.5})
@@ -119,7 +127,7 @@ def _reference_process_values(scenario, process_id):
     """Full (n_paths, n_times) process matrix, as the per-checkpoint loop below consumed it."""
     kind, _, name = process_id.partition(":")
     if kind == "asset":
-        inc = fx_hedge_gain_increments(scenario, name) / scenario.account(name, "repo")[None, :-1]
+        inc = fx_hedge_gain_increments(scenario, name) / scenario.repo_account(name)[None, :-1]
         out = np.zeros((scenario.n_paths, len(scenario.grid.times)))
         out[:, 1:] = np.cumsum(inc, axis=1)
         return out

@@ -27,6 +27,16 @@ def _simple_raw(corr=None, sigma=0.2):
     return MarketModel(currencies, rates, assets, [], correlation)
 
 
+@pytest.mark.parametrize(
+    "lend_values, symmetric", [([0.016, 0.013, 0.021], True), ([0.016, 0.013, 0.02], False), (None, False)]
+)
+def test_symmetric_collateral_rates_compare_multi_knot_curves(lend_values, symmetric):
+    borrow = RateCurve([0.0, 0.5, 1.7], [0.016, 0.013, 0.021])
+    lend = None if lend_values is None else RateCurve([0.0, 0.5, 1.7], lend_values)
+    model = build_model([("EUR", True)], {"EUR": curveset(0.02, borrow, lend)})
+    assert model.has_symmetric_collateral_rates("EUR") is symmetric
+
+
 def test_identity_correlation_single_asset_is_valid():
     model = validate_model(_simple_raw())
     assert model.domestic == "EUR"

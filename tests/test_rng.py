@@ -1,6 +1,9 @@
+import ast
+import graphlib
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,3 +67,13 @@ def test_import_does_not_load_scipy():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, xccy; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_package_imports_are_module_level_and_acyclic():
+    graph = {}
+    for path in Path(xccy.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        graph[path.stem] = {n.module for n in tree.body if isinstance(n, ast.ImportFrom) and n.level == 1}
+        nested = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom)) and n not in tree.body]
+        assert not nested, f"{path.name} line {nested[0].lineno}: import inside a function"
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on an import cycle

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -17,8 +18,8 @@ from xccy import (
     simulate,
 )
 from xccy.bsde import BsdeConfig
-from xccy.curves import RateCurve
-from xccy.errors import ConfigError, DomesticPairRequested, EmptyGrid, ZeroPaths
+from xccy.curves import RateCurve, cash_account_value
+from xccy.errors import ConfigError, DomesticPairRequested, EmptyGrid, UnknownCurrency, ZeroPaths
 from xccy.model import CorrelationMatrix
 from xccy.rng import normal_block
 from xccy.simulation import CHUNK_PATHS, UNIT_RATE, worker_threads
@@ -222,6 +223,33 @@ def test_every_time_slice_is_a_contiguous_view_of_one_buffer(three_currency_mode
         assert series.base is base
         for j in range(len(grid.times)):
             assert series[:, j].flags.c_contiguous
+
+
+def test_scenario_is_one_path_array_with_accounts_from_the_curves(multi_knot_model):
+    repo = RateCurve([0.0, 0.4, 1.1], [0.01, 0.03, -0.005])
+    model = _with_foreign_asset(multi_knot_model, 0.3, 0.2, repo, RateCurve.flat(0.0))
+    grid = TimeGrid.regular(2.0, 7, include=[0.4])
+    scen = simulate(model, grid, 300, seed=2)
+    assert [f.name for f in dataclasses.fields(scen)] == ["model", "grid", "seed", "paths", "measure_tag"]
+    assert scen.paths.shape == (len(model.driver_labels), len(grid.times), 300) and scen.n_paths == 300
+    for d, label in enumerate(model.driver_labels):
+        assert np.shares_memory(scen.driver(label), scen.paths)
+        assert np.array_equal(scen.driver(label), scen.paths[d].T)
+    assert np.shares_memory(scen.asset("F"), scen.paths) and np.shares_memory(scen.fx("USD"), scen.paths)
+    # bit for bit the cash accounts of the curves
+    assert scen.repo_account("F").tobytes() == cash_account_value(repo, grid.times).tobytes()
+    for cur in ("EUR", "USD"):
+        expected = cash_account_value(model.curve(cur, "unsecured"), grid.times)
+        assert scen.account(cur).tobytes() == expected.tobytes()
+    chunk = dataclasses.replace(scen, paths=scen.paths[:, :, 100:200])
+    assert chunk.n_paths == 100 and np.array_equal(chunk.fx("USD"), scen.fx("USD")[100:200])
+    with pytest.raises(ConfigError):
+        scen.repo_account("NOPE")
+    with pytest.raises(ConfigError):
+        scen.asset("fx:USD")
+    for lookup in (scen.account, scen.fx):
+        with pytest.raises(UnknownCurrency):
+            lookup("GBP")
 
 
 def test_same_seed_reproduces_same_paths(two_currency_model):

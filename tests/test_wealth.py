@@ -6,6 +6,7 @@ import pytest
 from conftest import build_model, curveset
 from xccy import (
     AssetSpec,
+    BsdeConfig,
     Contract,
     FxSpec,
     Strategy,
@@ -13,6 +14,7 @@ from xccy import (
     discounted_flows,
     replay_wealth,
     simulate,
+    solve_endogenous,
 )
 from xccy.collateral import CollateralPath, CollateralSpec, adjustment_increments, collateral_value_adjustment
 from xccy.curves import RateCurve
@@ -55,6 +57,19 @@ def test_flow_off_grid_raises(scen):
 def test_flow_off_grid_raises_in_replay(scen):
     with pytest.raises(FlowOffGrid):
         replay_wealth(scen, Strategy.empty(), Contract("EUR", ((0.123456, 1.0),)))
+
+
+def test_flow_snapped_onto_node_zero_raises_in_every_consumer(bsde_two_currency_model):
+    # 5e-10 > 0 is a valid flow date, but it snaps onto node 0, which belongs to Contract.initial_flow
+    grid = TimeGrid([0.0, 0.5, 1.0])
+    contract = Contract("EUR", ((5e-10, 1.0), (1.0, -1.0)))
+    scen = simulate(bsde_two_currency_model, grid, 10, seed=0)
+    with pytest.raises(FlowOffGrid):
+        discounted_flows(scen, contract)
+    with pytest.raises(FlowOffGrid):
+        replay_wealth(scen, Strategy.empty(), contract)
+    with pytest.raises(FlowOffGrid):
+        solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 0.0, BsdeConfig(grid, 10))
 
 
 def test_constant_asset_has_zero_gain():
@@ -214,7 +229,7 @@ def _reference_replay(scen, strategy, contract, x, collateral=None, spec=None):
             u_xi = xi.get(label, zero)[:, j]
             u_psi = psi_repo.get(label, zero)[:, j]
             s = scen.asset(label)
-            b_repo = scen.account(label, "repo")
+            b_repo = scen.repo_account(label)
             x_cur = scen.fx(scen.model.asset(label).currency)
             if label in xi:
                 dv = dv + u_xi * gain_increments(scen, label)[:, j]
