@@ -19,10 +19,24 @@ where cont < 0 and delta2 elsewhere (dr, ds: step integrals of r_dom and of
 the spread). At delta1 = delta2 = 0 the scheme collapses to deterministic
 discounting of the flow expectations, the closed form of
 :func:`xccy.pricing.price_fully_collateralized`.
+
+The solver runs in two passes over the simulation chunks of
+:mod:`xccy.simulation`. The fit simulates chunk 0 alone (all paths when
+there are at most ``CHUNK_PATHS``) and fits each slice's coefficients on it
+backward; slice 0, whose states are the initial levels, takes the mean of its
+target. The valuation reuses that chunk and simulates every later chunk into
+a buffer reused per worker thread, and carries the value v_j = cont / den and
+the pathwise value u (the flows discounted through the same slice
+denominators) backward with the fixed coefficients: once they are known, a
+path's values depend on its own states alone (Longstaff & Schwartz 2001).
+Memory is one chunk per thread plus the value surface. v0 is the mean of u
+and its error bar that of :func:`~xccy.simulation.sample_mean`, one estimator
+for both.
 """
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -31,7 +45,17 @@ import numpy as np
 from .contracts import Contract
 from .errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from .model import ValidatedModel, cross_currency_basis_of
-from .simulation import TimeGrid, check_error_bar_paths, sample_mean, simulate
+from .simulation import (
+    CHUNK_PATHS,
+    ScenarioSet,
+    TimeGrid,
+    _simulate_chunk,
+    _step_coefficients,
+    check_error_bar_paths,
+    sample_mean,
+    simulate,
+    worker_threads,
+)
 from .wealth import flow_nodes
 
 RIDGE_LAMBDA = 1e-8
@@ -56,9 +80,9 @@ class BsdeConfig:
 
 @dataclass(frozen=True)
 class BsdeResult:
-    v0: float
-    v0_std_error: float  # sample_mean error bar of the pathwise discounted flows behind v0
-    surface: np.ndarray  # (n_paths, n_times) value per path per grid node
+    v0: float  # mean of the pathwise value u: the flows discounted through the slice denominators
+    v0_std_error: float  # sample_mean error bar of u, so of v0
+    surface: np.ndarray  # (n_paths, n_times) value per path and grid node; column 0 is v0 on every path
     picard_counts: tuple[int, ...]  # slice solves per step: 1, the solve is exact
     grid: TimeGrid
     n_paths: int
@@ -84,8 +108,9 @@ def _fill_design(design: np.ndarray, states: np.ndarray, products: list[tuple[in
 
 
 def _regress(design: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Least-squares fitted values of ``target`` on the rows of ``design``
-    (n_basis, n_paths), with a ridge fallback on ill-conditioning."""
+    """Least-squares coefficients of ``target`` on the rows of ``design``
+    (n_basis, n_paths), with a ridge fallback on ill-conditioning; the fitted
+    values of any paths are ``beta @ design`` of their design."""
     gram = design @ design.T
     rhs = design @ target
     cond = np.linalg.cond(gram)
@@ -97,7 +122,7 @@ def _regress(design: np.ndarray, target: np.ndarray) -> np.ndarray:
         raise SingularRegression(str(exc)) from exc
     if not np.all(np.isfinite(beta)):
         raise SingularRegression("non-finite regression coefficients")
-    return beta @ design
+    return beta
 
 
 def _slice_denominator(cont: np.ndarray, dr: float, ds: float, delta1: float, delta2: float) -> np.ndarray:
@@ -125,11 +150,14 @@ def solve_endogenous(
     """Value of the contract when collateral is the haircut mark-to-market in k3.
 
     Returns the time-0 value (equal to the ex-dividend price the hedger
-    receives) with its standard error, and the regression value surface on
-    the grid. The error bar is the :func:`~xccy.simulation.sample_mean` of the
-    pathwise value u, the flows discounted through the same slice
-    denominators; :class:`BsdeConfig` rejects fewer than two paths with
-    :class:`ConfigError` before anything is simulated.
+    receives) with its standard error, and the value surface on the grid. The
+    slice coefficients are fitted on simulation chunk 0 alone; every chunk,
+    chunk 0 included, is then valued with them, the later ones simulated one
+    at a time into a reused buffer per worker thread. v0 and its error bar
+    are the :func:`~xccy.simulation.sample_mean` of the pathwise value u, the
+    flows discounted through the slice denominators; :class:`BsdeConfig`
+    rejects fewer than two paths with :class:`ConfigError` before anything is
+    simulated.
     """
     if not (delta1 > -1 and delta2 > -1):
         raise ConfigError(f"haircuts must exceed -1, got {delta1}, {delta2}")
@@ -137,7 +165,7 @@ def solve_endogenous(
         raise AsymmetricCollateralRates("domestic collateral borrow and lend rates must coincide")
     if not model.has_symmetric_collateral_rates(k3):
         raise AsymmetricCollateralRates(f"collateral borrow and lend rates must coincide for {k3!r}")
-    cash_post = model.rates[k3].cash_post_funding
+    cash_post = model.curve_set(k3).cash_post_funding
     r_e = model.curve(model.domestic, "unsecured")
     if cash_post is not None and cash_post != r_e:
         raise ConfigError(
@@ -148,7 +176,6 @@ def solve_endogenous(
     flows = np.zeros(grid.n_steps + 1)  # contract amounts per grid node
     np.add.at(flows, flow_nodes(grid, contract), [a for _, a in contract.flows])
 
-    scenario = simulate(model, grid, cfg.n_paths, cfg.seed, n_workers=cfg.n_workers)
     times = grid.times
     n_steps = grid.n_steps
     n_paths = cfg.n_paths
@@ -162,37 +189,68 @@ def solve_endogenous(
         - cross_currency_basis_of(model, k3, lambda curve: curve.step_integrals(times))
     )
 
-    fx_k2 = scenario.fx(contract.native_currency)
-
     # log-states relative to their initial levels, and their monomials
     n_drivers = len(model.driver_labels)
     products = _monomial_products(n_drivers, cfg.degree)
-    log_x0 = np.log(scenario.paths[:, 0, :1])
-    states = np.empty((n_drivers, n_paths))
-    design = np.ones((1 + len(products), n_paths))
+    drift, vol, x0 = _step_coefficients(model, grid, {})
+    log_x0 = np.log(x0)[:, None]
+    coefs: list = [None] * n_steps  # per slice: beta over the design rows, or the slice-0 mean
+
+    def sweep(paths: np.ndarray, surface: np.ndarray, u: np.ndarray, fit: bool) -> None:
+        """Carry one chunk's paths backward from V_T = 0, writing its surface
+        rows and pathwise values; with ``fit``, fit each slice's coefficients
+        on this chunk first."""
+        count = paths.shape[2]
+        fx_k2 = ScenarioSet(model, grid, cfg.seed, paths).fx(contract.native_currency)
+        states = np.empty((n_drivers, count))
+        design = np.ones((1 + len(products), count))
+        for j in range(n_steps - 1, -1, -1):
+            paid = flows[j + 1] * fx_k2[:, j + 1]
+            if j == 0 or not n_drivers:
+                if fit:
+                    coefs[j] = float(np.mean(surface[j + 1] - paid))
+                cont = np.full(count, coefs[j])
+            else:
+                np.log(paths[:, j], out=states)
+                states -= log_x0
+                _fill_design(design, states, products)
+                if fit:
+                    coefs[j] = _regress(design, surface[j + 1] - paid)
+                cont = coefs[j] @ design
+            den = _slice_denominator(cont, r_int[j], spread_int[j], delta1, delta2)
+            np.divide(cont, den, out=surface[j])
+            u -= paid
+            u /= den
 
     surface = np.zeros((n_steps + 1, n_paths))  # time-major: one row per slice
-    v = surface[n_steps]  # V_T = 0: collateral returned, nothing left to pay
     # pathwise value: the flows discounted through the same slice denominators,
-    # without the regression's averaging; its spread sets the error bar of v0
+    # without the regression's averaging; its mean is v0 and its spread the error bar
     u = np.zeros(n_paths)
-    for j in range(n_steps - 1, -1, -1):
-        paid = flows[j + 1] * fx_k2[:, j + 1]
-        y = v - paid
-        if j == 0 or not n_drivers:
-            cont = np.full(n_paths, float(np.mean(y)))
-        else:
-            np.log(scenario.paths[:, j], out=states)
-            states -= log_x0
-            _fill_design(design, states, products)
-            cont = _regress(design, y)
-        den = _slice_denominator(cont, r_int[j], spread_int[j], delta1, delta2)
-        v = np.divide(cont, den, out=surface[j])
-        u -= paid
-        u /= den
-    _, std_error = sample_mean(u)
+    pilot = simulate(model, grid, min(n_paths, CHUNK_PATHS), cfg.seed)  # simulation chunk 0
+    sweep(pilot.paths, surface[:, : pilot.n_paths], u[: pilot.n_paths], fit=True)
+    del pilot
+
+    n_chunks = -(-n_paths // CHUNK_PATHS)
+    n_threads = worker_threads(cfg.n_workers, max(n_chunks - 1, 1))  # chunks after the pilot
+
+    def value(first: int) -> None:
+        """Chunks first, first + n_threads, ... on one reused buffer."""
+        buffer = np.empty((n_drivers, n_steps + 1, CHUNK_PATHS))
+        for chunk in range(first, n_chunks, n_threads):
+            cols = slice(chunk * CHUNK_PATHS, min((chunk + 1) * CHUNK_PATHS, n_paths))
+            block = buffer[:, :, : cols.stop - cols.start]
+            _simulate_chunk(block, cfg.seed, drift, vol, x0, chunk)
+            sweep(block, surface[:, cols], u[cols], fit=False)
+
+    if n_threads == 1:
+        value(1)
+    else:
+        with ThreadPoolExecutor(max_workers=n_threads) as pool:
+            list(pool.map(value, range(1, n_threads + 1)))
+    v0, std_error = sample_mean(u)
+    surface[0] = v0
     return BsdeResult(
-        v0=float(v[0]),
+        v0=float(v0),
         v0_std_error=float(std_error),
         surface=surface.T,
         picard_counts=(1,) * n_steps,

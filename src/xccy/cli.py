@@ -19,7 +19,7 @@ from .bsde import BsdeConfig, solve_endogenous
 from .collateral import CollateralSpec, build_exogenous_path
 from .contracts import Contract
 from .csvio import write_rows
-from .diagnostics import run_martingale_suite
+from .diagnostics import check_threshold, run_martingale_suite
 from .errors import ConfigError, ModelValidationError, NumericalError, doc_value
 from .model import load_model, validate_model
 from .pricing import price_exogenous, price_fully_collateralized
@@ -233,6 +233,7 @@ def _cmd_bsde(args) -> int:
 def _cmd_check(args) -> int:
     model = validate_model(load_model(args.model))
     check_error_bar_paths(args.paths)
+    check_threshold(args.threshold)
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
     reports = run_martingale_suite(scenario, checkpoints=args.checkpoints, threshold=args.threshold)

@@ -82,6 +82,15 @@ def _checkpoint_samples(scenario: ScenarioSet, process_id: str, nodes: np.ndarra
     raise UnknownProcessId(process_id)
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise :class:`ConfigError` unless the |z| threshold is finite and > 0.
+
+    One of 0 or less fails every test, an infinite one passes every test.
+    """
+    if not (math.isfinite(threshold) and threshold > 0):
+        raise ConfigError(f"threshold must be finite and > 0, got {threshold}")
+
+
 def martingale_test(
     scenario: ScenarioSet,
     process_id: str,
@@ -98,11 +107,10 @@ def martingale_test(
     RATE_BOUND t) of the level at node j: one rounding per step of a log at
     most 2 RATE_BOUND t in size, and a few for the exponentials and account
     ratios. A deterministic process (a zero-volatility FX pair) thus passes.
-    A threshold that is not finite and positive raises :class:`ConfigError`:
-    one of 0 or less fails every test, an infinite one passes every test.
+    A threshold that is not finite and positive raises :class:`ConfigError`
+    (:func:`check_threshold`).
     """
-    if not (math.isfinite(threshold) and threshold > 0):
-        raise ConfigError(f"threshold must be finite and > 0, got {threshold}")
+    check_threshold(threshold)
     grid = scenario.grid
     if isinstance(checkpoints, int):
         if checkpoints < 1:

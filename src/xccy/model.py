@@ -223,10 +223,14 @@ class ValidatedModel:
     def currency_names(self) -> tuple[str, ...]:
         return tuple(c.name for c in self.currencies)
 
-    def curve(self, currency: str, role: str) -> RateCurve:
+    def curve_set(self, currency: str) -> CurveSet:
+        """The curves of ``currency``; :class:`UnknownCurrency` for a currency the model lacks."""
         if currency not in self.rates:
             raise UnknownCurrency(currency)
-        return self.rates[currency].by_role(role)
+        return self.rates[currency]
+
+    def curve(self, currency: str, role: str) -> RateCurve:
+        return self.curve_set(currency).by_role(role)
 
     def asset(self, label: str) -> AssetSpec:
         for a in self.assets:
@@ -250,7 +254,7 @@ class ValidatedModel:
         return self.fx_spec(currency)
 
     def has_symmetric_collateral_rates(self, currency: str) -> bool:
-        cs = self.rates[currency]
+        cs = self.curve_set(currency)
         return cs.collateral_borrow is not None and cs.collateral_borrow == cs.collateral_lend
 
 

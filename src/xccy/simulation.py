@@ -32,7 +32,6 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -226,32 +225,32 @@ def worker_threads(n_workers: int, n_chunks: int) -> int:
 
 
 def _simulate_chunk(
-    paths: np.ndarray,
+    block: np.ndarray,
     seed: int,
     drift: np.ndarray,
     vol: np.ndarray,
     x0: np.ndarray,
-    chunk: tuple[int, int],
+    chunk: int,
 ) -> None:
-    """Write paths ``start .. stop - 1`` of ``chunk`` into the time-major ``paths``.
+    """Write the paths of simulation chunk ``chunk`` into the time-major ``block``.
 
-    The log-increment of driver d over step j is drift[d, j] plus
+    ``block`` is any (n_drivers, n_times, count) array, a slice of a whole
+    scenario or a reused buffer, and receives the chunk's first ``count``
+    paths. The log-increment of driver d over step j is drift[d, j] plus
     sum_k vol[d, k, j] z_k, accumulated in a fixed driver order rather than by
     a BLAS product, so each path's value does not depend on the chunking. Each
-    driver's block ``paths[d, :, start:stop]`` is a stack of contiguous time
-    rows. The normals of one driver k at a time are gathered into a reused
-    (n_steps, count) buffer and added to every driver they mix into, so each
-    driver still adds its terms in k order, and the scratch memory beyond the
-    chunk's normals is two such buffers. The cumulative sum over time is a
-    loop that adds each time row to the next: numpy's accumulate is slow along
-    an axis that is not innermost, and a cumulative sum is sequential either
-    way, so the bits are those of ``np.cumsum``.
+    driver's block ``block[d]`` is a stack of contiguous time rows. The normals
+    of one driver k at a time are gathered into a reused (n_steps, count)
+    buffer and added to every driver they mix into, so each driver still adds
+    its terms in k order, and the scratch memory beyond the chunk's normals is
+    two such buffers. The cumulative sum over time is a loop that adds each
+    time row to the next: numpy's accumulate is slow along an axis that is not
+    innermost, and a cumulative sum is sequential either way, so the bits are
+    those of ``np.cumsum``.
     """
-    start, stop = chunk
-    n_drivers, n_times, _ = paths.shape
-    block = paths[:, :, start:stop]
-    z = normal_block(seed, start // CHUNK_PATHS, stop - start, n_times - 1, n_drivers)
-    z_k = np.empty((n_times - 1, stop - start))  # normals of driver k, one row per step
+    n_drivers, n_times, count = block.shape
+    z = normal_block(seed, chunk, count, n_times - 1, n_drivers)
+    z_k = np.empty((n_times - 1, count))  # normals of driver k, one row per step
     term = np.empty_like(z_k)
     block[:, 0] = 0.0
     block[:, 1:] = drift[:, :, None]
@@ -265,6 +264,26 @@ def _simulate_chunk(
         np.add(block[:, j - 1], block[:, j], out=block[:, j])
     np.exp(block, out=block)
     block *= x0[:, None, None]
+
+
+def _step_coefficients(
+    model: ValidatedModel, grid: TimeGrid, drift_shift: dict[str, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The run's (drift, vol, x0) for :func:`_simulate_chunk`.
+
+    drift[d, j] is driver d's log-drift over step j, vol[d, k, j] the weight of
+    normal k in it, x0[d] the initial level. A ``drift_shift`` key that names
+    no driver raises :class:`ConfigError`.
+    """
+    unknown = sorted(set(drift_shift) - set(model.driver_labels))
+    if unknown:
+        raise ConfigError(f"drift_shift names no driver: {unknown}; drivers: {list(model.driver_labels)}")
+    specs = [model.driver_spec(label) for label in model.driver_labels]
+    sigmas = np.array([spec.sigma for spec in specs])
+    x0 = np.array([spec.x0 if isinstance(spec, FxSpec) else spec.s0 for spec in specs])
+    drift = _drift_integrals(model, grid, drift_shift) - 0.5 * np.outer(sigmas**2, grid.dt)
+    vol = model.mixing[:, :, None] * np.outer(sigmas, np.sqrt(grid.dt))[:, None, :]
+    return drift, vol, x0
 
 
 def simulate(
@@ -285,26 +304,23 @@ def simulate(
     """
     if n_paths < 1:
         raise ZeroPaths(f"n_paths={n_paths}")
-    chunks = [(a, min(a + CHUNK_PATHS, n_paths)) for a in range(0, n_paths, CHUNK_PATHS)]
-    n_threads = worker_threads(n_workers, len(chunks))
+    n_chunks = -(-n_paths // CHUNK_PATHS)
+    n_threads = worker_threads(n_workers, n_chunks)
     drift_shift = drift_shift or {}
-    unknown = sorted(set(drift_shift) - set(model.driver_labels))
-    if unknown:
-        raise ConfigError(f"drift_shift names no driver: {unknown}; drivers: {list(model.driver_labels)}")
-    specs = [model.driver_spec(label) for label in model.driver_labels]
-    sigmas = np.array([spec.sigma for spec in specs])
-    x0 = np.array([spec.x0 if isinstance(spec, FxSpec) else spec.s0 for spec in specs])
-    drift = _drift_integrals(model, grid, drift_shift) - 0.5 * np.outer(sigmas**2, grid.dt)
-    vol = model.mixing[:, :, None] * np.outer(sigmas, np.sqrt(grid.dt))[:, None, :]
+    drift, vol, x0 = _step_coefficients(model, grid, drift_shift)
 
     paths = np.empty((len(x0), len(grid.times), n_paths))
-    fill = partial(_simulate_chunk, paths, seed, drift, vol, x0)
+
+    def fill(chunk: int) -> None:
+        block = paths[:, :, chunk * CHUNK_PATHS : (chunk + 1) * CHUNK_PATHS]
+        _simulate_chunk(block, seed, drift, vol, x0, chunk)
+
     if n_threads == 1:
-        for chunk in chunks:
+        for chunk in range(n_chunks):
             fill(chunk)
     else:
         with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill, chunks))
+            list(pool.map(fill, range(n_chunks)))
 
     return ScenarioSet(
         model=model,

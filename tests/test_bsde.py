@@ -18,6 +18,9 @@ from xccy import (
 )
 from xccy.bsde import COND_LIMIT, _fill_design, _monomial_products, _regress, _slice_denominator
 from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError
+from xccy.model import cross_currency_basis_of
+from xccy.simulation import CHUNK_PATHS, sample_mean
+from xccy.wealth import flow_nodes
 
 
 def _cfg(n_steps=25, n_paths=20_000, seed=11, **kw):
@@ -224,7 +227,7 @@ def test_in_place_design_matches_column_stack_reference(degree, n_drivers):
     design = _design(states, degree)
     assert np.array_equal(design, basis.T)
     reference = basis @ np.linalg.solve(basis.T @ basis, basis.T @ y)
-    np.testing.assert_allclose(_regress(design, y), reference, rtol=1e-12)
+    np.testing.assert_allclose(_regress(design, y) @ design, reference, rtol=1e-12)
 
 
 def test_collinear_design_takes_ridge_fallback():
@@ -234,7 +237,7 @@ def test_collinear_design_takes_ridge_fallback():
     y = np.exp(row) + 0.1 * rng.standard_normal(4000)
     design = _design(states, 2)
     assert np.linalg.cond(design @ design.T) > COND_LIMIT
-    fitted = _regress(design, y)
+    fitted = _regress(design, y) @ design
     basis = design.T
     least_squares = basis @ np.linalg.lstsq(basis, y, rcond=None)[0]
     np.testing.assert_allclose(fitted, least_squares, rtol=1e-6)
@@ -278,3 +281,116 @@ def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
     monkeypatch.setattr("xccy.bsde.simulate", refuse)
     with pytest.raises(ConfigError, match="at least 2 paths"):
         solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", 0.0, 0.0, _cfg(n_paths=1))
+
+
+def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
+    """Reference: the solver that held every path and fitted every slice on all of them.
+
+    Returns its surface (n_paths, n_times), whose row 0 is the regressed
+    slice-0 value, and the pathwise values u.
+    """
+    grid, n_paths, times = cfg.grid, cfg.n_paths, cfg.grid.times
+    flows = np.zeros(grid.n_steps + 1)
+    np.add.at(flows, flow_nodes(grid, contract), [a for _, a in contract.flows])
+    scenario = simulate(model, grid, n_paths, cfg.seed, n_workers=cfg.n_workers)
+    r_e = model.curve(model.domestic, "unsecured")
+    r_int = r_e.step_integrals(times)
+    spread_int = (
+        r_int
+        - model.curve(model.domestic, "collateral_lend").step_integrals(times)
+        - cross_currency_basis_of(model, k3, lambda curve: curve.step_integrals(times))
+    )
+    fx_k2 = scenario.fx(contract.native_currency)
+    n_drivers = len(model.driver_labels)
+    products = _monomial_products(n_drivers, cfg.degree)
+    log_x0 = np.log(scenario.paths[:, 0, :1])
+    states = np.empty((n_drivers, n_paths))
+    design = np.ones((1 + len(products), n_paths))
+    surface = np.zeros((grid.n_steps + 1, n_paths))
+    v = surface[grid.n_steps]
+    u = np.zeros(n_paths)
+    for j in range(grid.n_steps - 1, -1, -1):
+        paid = flows[j + 1] * fx_k2[:, j + 1]
+        y = v - paid
+        if j == 0 or not n_drivers:
+            cont = np.full(n_paths, float(np.mean(y)))
+        else:
+            np.log(scenario.paths[:, j], out=states)
+            states -= log_x0
+            _fill_design(design, states, products)
+            cont = _regress(design, y) @ design
+        den = _slice_denominator(cont, r_int[j], spread_int[j], delta1, delta2)
+        v = np.divide(cont, den, out=surface[j])
+        u -= paid
+        u /= den
+    return surface.T, u
+
+
+STREAMED_CASES = [
+    ("USD", "EUR", 0.5, 0.5, 12, 5000),  # foreign flows: a path-dependent value
+    ("EUR", "USD", 0.3, 0.1, 8, CHUNK_PATHS),  # one full chunk
+    ("USD", "USD", 0.0, 0.2, 1, 700),  # one step: slice 0 only
+]
+
+
+@pytest.mark.parametrize("native, k3, delta1, delta2, n_steps, n_paths", STREAMED_CASES)
+def test_one_chunk_matches_the_stored_path_solver(
+    bsde_two_currency_model, native, k3, delta1, delta2, n_steps, n_paths
+):
+    # at most CHUNK_PATHS paths the fit sees every path, as the stored-path solver did:
+    # the same bits everywhere but row 0, which is now v0 = mean(u) on every path
+    contract = Contract(native, ((0.5, 2.0), (1.0, -1.0))) if n_steps > 1 else Contract(native, ((1.0, -1.0),))
+    grid = TimeGrid.regular(1.0, n_steps, include=contract.flow_times)
+    cfg = BsdeConfig(grid=grid, n_paths=n_paths, seed=9)
+    res = solve_endogenous(bsde_two_currency_model, contract, k3, delta1, delta2, cfg)
+    ref_surface, ref_u = _stored_path_solver(bsde_two_currency_model, contract, k3, delta1, delta2, cfg)
+    assert res.surface[:, 1:].tobytes() == ref_surface[:, 1:].tobytes()
+    assert res.v0_std_error == sample_mean(ref_u)[1]
+    assert res.v0 == np.mean(ref_u)
+    assert np.all(res.surface[:, 0] == res.v0)
+
+
+def test_streamed_solver_simulates_no_more_than_one_chunk_at_once(bsde_two_currency_model, monkeypatch):
+    requests = []
+
+    def recording(model, grid, n_paths, seed, *args, **kwargs):
+        requests.append(n_paths)
+        return simulate(model, grid, n_paths, seed, *args, **kwargs)
+
+    monkeypatch.setattr("xccy.bsde.simulate", recording)
+    contract = Contract("USD", ((1.0, -1.0),))
+    n_paths = 2 * CHUNK_PATHS + 1000
+    res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.2, 0.1, _cfg(n_steps=6, n_paths=n_paths))
+    assert requests and max(requests) <= CHUNK_PATHS
+    assert res.surface.shape == (n_paths, 7)
+    assert np.all(res.surface[:, 0] == res.v0)
+    # the slices are fitted on chunk 0 alone, so its values are those of a one-chunk run
+    pilot = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.2, 0.1, _cfg(n_steps=6, n_paths=CHUNK_PATHS))
+    assert res.surface[:CHUNK_PATHS, 1:].tobytes() == pilot.surface[:, 1:].tobytes()
+
+
+def test_streamed_result_does_not_depend_on_the_worker_count(bsde_two_currency_model, monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)  # let two workers start two threads
+    contract = Contract("USD", ((0.6, 1.5), (1.0, -1.0)))
+    grid = TimeGrid.regular(1.0, 5, include=contract.flow_times)
+    results = [
+        solve_endogenous(
+            bsde_two_currency_model, contract, "EUR", 0.4, 0.2,
+            BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 321, seed=4, n_workers=workers),
+        )
+        for workers in (1, 2)
+    ]
+    one, two = results
+    assert one.surface.tobytes() == two.surface.tobytes()
+    assert (one.v0, one.v0_std_error, one.picard_counts) == (two.v0, two.v0_std_error, two.picard_counts)
+
+
+def test_later_chunks_value_their_own_scenario_paths(bsde_two_currency_model):
+    # with delta1 == delta2 every slice denominator is one number, so u is X_T times a
+    # constant and SE / v0 = std(X_T) / (sqrt(n) mean(X_T)) over the whole scenario
+    contract = Contract("USD", ((1.0, -1.0),))
+    cfg = _cfg(n_steps=3, n_paths=2 * CHUNK_PATHS + 1000)
+    res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.4, 0.4, cfg)
+    x_t = simulate(bsde_two_currency_model, cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, -1]
+    expected = np.std(x_t, ddof=1) / math.sqrt(cfg.n_paths) / np.mean(x_t)
+    assert res.v0_std_error / res.v0 == pytest.approx(expected, rel=1e-12)

@@ -119,6 +119,23 @@ def test_meaningless_threshold_exits_one(docs, capsys, threshold):
     assert "threshold" in capsys.readouterr().err
 
 
+def test_meaningless_threshold_exits_before_simulating(docs, capsys, monkeypatch):
+    model, _, _ = docs
+    monkeypatch.setattr("xccy.cli.simulate", _refuse_to_simulate)
+    assert run(["check", "--model", str(model), "--paths", "400000", "--threshold", "0"]) == 1
+    assert "threshold" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["bsde"], ["price", "--mode", "full-collateral"]])
+def test_collateral_currency_the_model_lacks_exits_one(docs, capsys, command):
+    model, trade, _ = docs
+    doc = json.loads(json.dumps(TRADE_DOC))
+    doc["collateral"]["currency"] = "GBP"
+    trade.write_text(json.dumps(doc))
+    assert run(command + ["--model", str(model), "--trade", str(trade), "--paths", "100", "--steps", "2"]) == 1
+    assert "error: GBP" in capsys.readouterr().err
+
+
 def test_price_repeated_runs_are_byte_identical(docs):
     model, trade, tmp = docs
     out = tmp / "out"
@@ -202,7 +219,7 @@ def test_dumped_paths_are_parseable_floats(docs):
 
 
 def _refuse_to_simulate(*args, **kwargs):
-    raise AssertionError("simulated before the path count was checked")
+    raise AssertionError("simulated before the inputs were checked")
 
 
 @pytest.mark.parametrize("command", ["price", "check", "bsde"])

@@ -37,6 +37,11 @@ def test_symmetric_collateral_rates_compare_multi_knot_curves(lend_values, symme
     assert model.has_symmetric_collateral_rates("EUR") is symmetric
 
 
+def test_symmetric_collateral_rates_of_a_currency_the_model_lacks_raise(two_currency_model):
+    with pytest.raises(UnknownCurrency):
+        two_currency_model.has_symmetric_collateral_rates("GBP")
+
+
 def test_identity_correlation_single_asset_is_valid():
     model = validate_model(_simple_raw())
     assert model.domestic == "EUR"

@@ -154,16 +154,15 @@ def test_bit_identical_across_worker_counts(two_currency_model):
         assert np.array_equal(one.fx("USD"), eight.fx("USD"))
 
 
-def _driver_major_chunk(paths, seed, drift, vol, x0, chunk):
+def _driver_major_chunk(block, seed, drift, vol, x0, chunk):
     """Reference: the driver-major kernel the time-major one replaced.
 
     It steps each driver's (count, n_times) block with a row-wise cumsum, as
-    before, and copies the result into the time-major ``paths``.
+    before, and copies the result into the time-major ``block``.
     """
-    start, stop = chunk
-    n_drivers, n_times, _ = paths.shape
-    z = normal_block(seed, start // CHUNK_PATHS, stop - start, n_times - 1, n_drivers)
-    ref = np.empty((n_drivers, stop - start, n_times))
+    n_drivers, n_times, count = block.shape
+    z = normal_block(seed, chunk, count, n_times - 1, n_drivers)
+    ref = np.empty((n_drivers, count, n_times))
     for d in range(n_drivers):
         logs = ref[d]
         logs[:, 0] = 0.0
@@ -174,7 +173,7 @@ def _driver_major_chunk(paths, seed, drift, vol, x0, chunk):
         np.cumsum(logs, axis=1, out=logs)
         np.exp(logs, out=logs)
         logs *= x0[d]
-    paths[:, :, start:stop] = ref.transpose(0, 2, 1)
+    block[...] = ref.transpose(0, 2, 1)
 
 
 def _uncorrelated_model():
