@@ -156,8 +156,8 @@ def solve_endogenous(
     at a time into a reused buffer per worker thread. v0 and its error bar
     are the :func:`~xccy.simulation.sample_mean` of the pathwise value u, the
     flows discounted through the slice denominators; :class:`BsdeConfig`
-    rejects fewer than two paths with :class:`ConfigError` before anything is
-    simulated.
+    rejects a path count that is odd or below four with :class:`ConfigError`
+    before anything is simulated.
     """
     if not (delta1 > -1 and delta2 > -1):
         raise ConfigError(f"haircuts must exceed -1, got {delta1}, {delta2}")

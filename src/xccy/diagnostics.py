@@ -102,11 +102,11 @@ def martingale_test(
     ``checkpoints`` is either a count >= 1 (that many grid nodes, evenly
     spaced, ending at the horizon) or a non-empty list of grid times after 0;
     anything else would certify nothing and raises :class:`ConfigError`, and
-    so does a scenario of fewer than two paths. z is the mean over the larger
-    of its standard error and its rounding error, (j + 2) eps (1 + 2
-    RATE_BOUND t) of the level at node j: one rounding per step of a log at
-    most 2 RATE_BOUND t in size, and a few for the exponentials and account
-    ratios. A deterministic process (a zero-volatility FX pair) thus passes.
+    so does a scenario whose path count is odd or below four. z is the mean
+    over the larger of its standard error and its rounding error,
+    (j + 2) eps (1 + 2 RATE_BOUND t) of the level at node j: one rounding per
+    step of a log at most 2 RATE_BOUND t in size, and a few for the
+    exponentials and account ratios. A deterministic process (a zero-volatility FX pair) thus passes.
     A threshold that is not finite and positive raises :class:`ConfigError`
     (:func:`check_threshold`).
     """

@@ -6,8 +6,9 @@ Two routes:
   stream (contract flows plus the convention-specific collateral carry, with
   the FX exposure replaced by its drift-equivalent form). It is the plain
   sample mean with no control variate, so it stays an independent check of
-  the closed form; its error bar is the sample standard error of the per-path
-  totals (:func:`xccy.simulation.sample_mean`).
+  the closed form; its error bar is the sample standard error of the
+  antithetic pair means of the per-path totals
+  (:func:`xccy.simulation.sample_mean`).
 * ``price_fully_collateralized``: closed form for perfectly collateralized
   claims: flows discounted at the domestic collateral rate plus the
   cross-currency basis of the collateral currency, with foreign flows at the

@@ -59,12 +59,14 @@ def test_zero_haircuts_match_closed_form_foreign_flows(bsde_two_currency_model):
 
 def test_v0_std_error_is_the_slice_zero_sample_error(bsde_two_currency_model):
     # one step: v0 = mean(y) / den with y = -amount * X_T, so SE / v0 = std(y) / (sqrt(n) mean(y))
+    # over the n = n_paths / 2 antithetic pair means of y
     contract = Contract("USD", ((1.0, -1.0),))
     cfg = _cfg(n_steps=1, n_paths=4000)
     res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.5, 0.5, cfg)
     y = simulate(bsde_two_currency_model, cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, 1]
     assert res.v0 != pytest.approx(np.mean(y), rel=1e-3)
-    expected = np.std(y, ddof=1) / math.sqrt(cfg.n_paths) * res.v0 / np.mean(y)
+    pairs = 0.5 * (y[0::2] + y[1::2])
+    expected = np.std(pairs, ddof=1) / math.sqrt(cfg.n_paths // 2) * res.v0 / np.mean(pairs)
     assert res.v0_std_error == pytest.approx(expected, rel=1e-12)
 
 
@@ -279,7 +281,7 @@ def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
         raise AssertionError("simulated before the path count was checked")
 
     monkeypatch.setattr("xccy.bsde.simulate", refuse)
-    with pytest.raises(ConfigError, match="at least 2 paths"):
+    with pytest.raises(ConfigError, match="at least 4 paths"):
         solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", 0.0, 0.0, _cfg(n_paths=1))
 
 
@@ -338,15 +340,14 @@ def test_one_chunk_matches_the_stored_path_solver(
     bsde_two_currency_model, native, k3, delta1, delta2, n_steps, n_paths
 ):
     # at most CHUNK_PATHS paths the fit sees every path, as the stored-path solver did:
-    # the same bits everywhere but row 0, which is now v0 = mean(u) on every path
+    # the same bits everywhere but row 0, which is now v0, the mean of u, on every path
     contract = Contract(native, ((0.5, 2.0), (1.0, -1.0))) if n_steps > 1 else Contract(native, ((1.0, -1.0),))
     grid = TimeGrid.regular(1.0, n_steps, include=contract.flow_times)
     cfg = BsdeConfig(grid=grid, n_paths=n_paths, seed=9)
     res = solve_endogenous(bsde_two_currency_model, contract, k3, delta1, delta2, cfg)
     ref_surface, ref_u = _stored_path_solver(bsde_two_currency_model, contract, k3, delta1, delta2, cfg)
     assert res.surface[:, 1:].tobytes() == ref_surface[:, 1:].tobytes()
-    assert res.v0_std_error == sample_mean(ref_u)[1]
-    assert res.v0 == np.mean(ref_u)
+    assert (res.v0, res.v0_std_error) == sample_mean(ref_u)
     assert np.all(res.surface[:, 0] == res.v0)
 
 
@@ -376,7 +377,7 @@ def test_streamed_result_does_not_depend_on_the_worker_count(bsde_two_currency_m
     results = [
         solve_endogenous(
             bsde_two_currency_model, contract, "EUR", 0.4, 0.2,
-            BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 321, seed=4, n_workers=workers),
+            BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 322, seed=4, n_workers=workers),
         )
         for workers in (1, 2)
     ]
@@ -387,10 +388,12 @@ def test_streamed_result_does_not_depend_on_the_worker_count(bsde_two_currency_m
 
 def test_later_chunks_value_their_own_scenario_paths(bsde_two_currency_model):
     # with delta1 == delta2 every slice denominator is one number, so u is X_T times a
-    # constant and SE / v0 = std(X_T) / (sqrt(n) mean(X_T)) over the whole scenario
+    # constant and SE / v0 = std(X_T) / (sqrt(n) mean(X_T)) over the whole scenario's
+    # n = n_paths / 2 antithetic pair means of X_T
     contract = Contract("USD", ((1.0, -1.0),))
     cfg = _cfg(n_steps=3, n_paths=2 * CHUNK_PATHS + 1000)
     res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.4, 0.4, cfg)
     x_t = simulate(bsde_two_currency_model, cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, -1]
-    expected = np.std(x_t, ddof=1) / math.sqrt(cfg.n_paths) / np.mean(x_t)
+    pairs = 0.5 * (x_t[0::2] + x_t[1::2])
+    expected = np.std(pairs, ddof=1) / math.sqrt(cfg.n_paths // 2) / np.mean(pairs)
     assert res.v0_std_error / res.v0 == pytest.approx(expected, rel=1e-12)

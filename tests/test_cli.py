@@ -222,16 +222,28 @@ def _refuse_to_simulate(*args, **kwargs):
     raise AssertionError("simulated before the inputs were checked")
 
 
-@pytest.mark.parametrize("command", ["price", "check", "bsde"])
-def test_one_path_exits_one(docs, capsys, monkeypatch, command):
+def _run_refusing_to_simulate(docs, monkeypatch, command, paths):
     model, trade, tmp = docs
     monkeypatch.setattr("xccy.cli.simulate", _refuse_to_simulate)
     monkeypatch.setattr("xccy.bsde.simulate", _refuse_to_simulate)
-    args = [command, "--model", str(model), "--paths", "1", "--steps", "4", "--out", str(tmp / command)]
+    args = [command, "--model", str(model), "--paths", paths, "--steps", "4", "--out", str(tmp / command)]
     if command != "check":
         args += ["--trade", str(trade)]
-    assert run(args) == 1
+    return run(args)
+
+
+@pytest.mark.parametrize("command", ["price", "check", "bsde"])
+def test_one_path_exits_one(docs, capsys, monkeypatch, command):
+    assert _run_refusing_to_simulate(docs, monkeypatch, command, "1") == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("paths", ["2", "2001"])
+@pytest.mark.parametrize("command", ["price", "check", "bsde"])
+def test_path_count_without_two_whole_pairs_exits_one(docs, capsys, monkeypatch, command, paths):
+    # paths come in antithetic pairs, and an error bar needs two of them
+    assert _run_refusing_to_simulate(docs, monkeypatch, command, paths) == 1
+    assert "error: a Monte Carlo error bar needs an even count of at least 4 paths" in capsys.readouterr().err
 
 
 def test_one_path_still_simulates_and_prices_the_closed_form(docs):

@@ -136,7 +136,8 @@ def _reference_process_values(scenario, process_id):
 
 
 def _reference_checkpoint_loop(scenario, process_id, checkpoints):
-    """One strided column reduction per checkpoint, with the one-path and zero-spread branches."""
+    """One strided column reduction per checkpoint over the antithetic pair means,
+    with the one-path and zero-spread branches."""
     grid = scenario.grid
     if isinstance(checkpoints, int):
         idx = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
@@ -144,12 +145,13 @@ def _reference_checkpoint_loop(scenario, process_id, checkpoints):
     else:
         times = [float(t) for t in checkpoints]
     values = _reference_process_values(scenario, process_id)
-    n = scenario.n_paths
+    n = scenario.n_paths // 2
     stats = []
     for t in times:
         v = values[:, int(np.argmin(np.abs(grid.times - t)))]
-        mean = float(np.mean(v))
-        se = float(np.std(v, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        pairs = 0.5 * (v[0::2] + v[1::2])
+        mean = float(np.mean(pairs))
+        se = float(np.std(pairs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
         z = (0.0 if mean == 0.0 else math.inf) if se == 0.0 else mean / se
         stats.append((t, mean, se, z))
     return stats
@@ -157,7 +159,7 @@ def _reference_checkpoint_loop(scenario, process_id, checkpoints):
 
 @pytest.mark.parametrize("checkpoints", [4, 3, [0.25, 1.0], [0.875, 0.5, 0.5]])
 def test_checkpoint_statistics_match_the_column_loop_bit_for_bit(two_currency_model, checkpoints):
-    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 20_001, seed=12)
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 20_002, seed=12)
     for pid in ("asset:EQ", "asset:FEQ", "fx:EUR", "fx:USD"):
         got = [(c.t, c.mean, c.std_error, c.z) for c in martingale_test(scen, pid, checkpoints).checkpoints]
         assert got == _reference_checkpoint_loop(scen, pid, checkpoints), pid
@@ -167,6 +169,19 @@ def _frozen_fx_model():
     rates = {"EUR": curveset(0.02, 0.015, 0.015), "USD": curveset(0.03, 0.022, 0.022)}
     assets = [AssetSpec("FEQ", "USD", 50.0, 0.25, RateCurve.flat(0.0), RateCurve.flat(0.028))]
     return build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 0.9, 0.0)])
+
+
+def test_checkpoint_std_error_matches_the_spread_over_seeds(two_currency_model):
+    # the error bar of a checkpoint mean must describe how that mean moves from
+    # seed to seed; under antithetic pairs a per-path one would overstate it
+    grid = TimeGrid.regular(1.0, 8)
+    stats = [
+        martingale_test(simulate(two_currency_model, grid, 4000, seed=seed), "fx:USD", [1.0]).checkpoints[0]
+        for seed in range(11, 31)
+    ]
+    spread = np.std([c.mean for c in stats], ddof=1)
+    median_se = np.median([c.std_error for c in stats])
+    assert 0.5 * spread <= median_se <= 2.0 * spread
 
 
 def test_zero_volatility_fx_pair_passes_its_martingale_test():

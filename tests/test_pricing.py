@@ -172,6 +172,20 @@ def test_se_scales_as_inverse_sqrt_n(two_currency_model):
     assert np.mean(ratios) == pytest.approx(2.0, rel=0.2)
 
 
+def test_price_std_error_matches_the_spread_over_seeds(two_currency_model):
+    # the error bar must describe how the price moves from seed to seed; under
+    # antithetic pairs a per-path standard error would overstate it several times
+    grid = TimeGrid.regular(1.0, 10, include=[0.5])
+    contract = Contract("USD", ((0.5, 2.0), (1.0, -1.0)))
+    reports = []
+    for seed in range(11, 31):
+        scen = simulate(two_currency_model, grid, 4000, seed=seed)
+        reports.append(price_exogenous(scen, contract, _zero_coll(scen), REHYP))
+    spread = np.std([r.price for r in reports], ddof=1)
+    median_se = np.median([r.std_error for r in reports])
+    assert 0.5 * spread <= median_se <= 2.0 * spread
+
+
 def test_single_currency_reduction_price(single_currency_model):
     scen = simulate(single_currency_model, TimeGrid.regular(1.0, 10), 5000, seed=2)
     contract = Contract("EUR", ((1.0, -1.0),))

@@ -22,7 +22,7 @@ from xccy.curves import RateCurve, cash_account_value
 from xccy.errors import ConfigError, DomesticPairRequested, EmptyGrid, UnknownCurrency, ZeroPaths
 from xccy.model import CorrelationMatrix
 from xccy.rng import normal_block
-from xccy.simulation import CHUNK_PATHS, UNIT_RATE, worker_threads
+from xccy.simulation import CHUNK_PATHS, UNIT_RATE, check_error_bar_paths, sample_mean, worker_threads
 
 
 def drift_at(model, label, t):
@@ -107,9 +107,8 @@ def test_zero_volatility_paths_are_deterministic_exponentials():
 def test_fx_discounted_account_is_empirical_martingale(two_currency_model):
     grid = TimeGrid.regular(1.0, 8)
     scen = simulate(two_currency_model, grid, 100_000, seed=2024)
-    x = scen.fx("USD")[:, -1] * scen.account("USD")[-1] / scen.account("EUR")[-1]
-    se = x.std(ddof=1) / math.sqrt(len(x))
-    assert abs(x.mean() - 0.9) <= 3 * se
+    mean, se = sample_mean(scen.fx("USD")[:, -1] * scen.account("USD")[-1] / scen.account("EUR")[-1])
+    assert abs(mean - 0.9) <= 3 * se
 
 
 def test_one_step_log_return_correlation():
@@ -155,21 +154,27 @@ def test_bit_identical_across_worker_counts(two_currency_model):
 
 
 def _driver_major_chunk(block, seed, drift, vol, x0, chunk):
-    """Reference: the driver-major kernel the time-major one replaced.
+    """Reference: a driver-major kernel on explicitly paired normals.
 
-    It steps each driver's (count, n_times) block with a row-wise cumsum, as
-    before, and copies the result into the time-major ``block``.
+    Path 2i reads row i of the chunk's half-block of normals and path 2i+1 its
+    negation: the two are interleaved here, before any mixing, so path 2i+1 is
+    the negated-normals twin of path 2i by construction. Each driver's
+    (count, n_times) block is its drift plus the mixed normals, summed in k
+    order, stepped with a row-wise cumsum and copied into the time-major
+    ``block``.
     """
     n_drivers, n_times, count = block.shape
-    z = normal_block(seed, chunk, count, n_times - 1, n_drivers)
+    half = normal_block(seed, chunk, -(-count // 2), n_times - 1, n_drivers)
+    z = np.stack([half, -half], axis=1).reshape(-1, n_times - 1, n_drivers)[:count]
     ref = np.empty((n_drivers, count, n_times))
     for d in range(n_drivers):
-        logs = ref[d]
-        logs[:, 0] = 0.0
-        logs[:, 1:] = drift[d]
+        mixed = np.zeros((count, n_times - 1))
         for k in range(n_drivers):
             if vol[d, k].any():
-                logs[:, 1:] += vol[d, k] * z[:, :, k]
+                mixed += vol[d, k] * z[:, :, k]
+        logs = ref[d]
+        logs[:, 0] = 0.0
+        logs[:, 1:] = drift[d] + mixed
         np.cumsum(logs, axis=1, out=logs)
         np.exp(logs, out=logs)
         logs *= x0[d]
@@ -190,6 +195,7 @@ LAYOUT_CASES = {
     "one driver": ("single_currency_model", 1000, 6, None),
     "zero mixing entries": (None, 1000, 6, None),
     "ragged chunks": ("three_currency_model", 2 * CHUNK_PATHS + 123, 3, None),
+    "odd ragged last chunk": ("two_currency_model", CHUNK_PATHS + 777, 5, {"EQ": 0.01}),
     "steps exceed chunk paths": ("two_currency_model", 60, 300, None),
     "drift shift": ("two_currency_model", 1000, 6, {"fx:USD": 0.02, "EQ": -0.01}),
 }
@@ -283,6 +289,31 @@ def test_thread_count_capped_by_cpus_and_chunks(monkeypatch):
     assert worker_threads(8, 13) == 1
 
 
+def test_antithetic_pairs_have_no_error_bar_spread():
+    # c + a and c - a in dyadic steps: every pair mean is exactly c, so the SE is 0
+    a = np.random.default_rng(0).integers(-1000, 1000, (3, 50)) / 64.0
+    c = np.array([[3.0], [-0.5], [0.0]])
+    samples = np.stack([c + a, c - a], axis=-1).reshape(3, 100)
+    mean, se = sample_mean(samples)
+    assert np.array_equal(mean, c[:, 0]) and np.array_equal(se, np.zeros(3))
+
+
+@pytest.mark.parametrize("n_paths", [0, 1, 2, 3, 2001])
+def test_error_bar_needs_an_even_count_of_at_least_four_paths(n_paths):
+    with pytest.raises(ConfigError, match="even count of at least 4 paths"):
+        check_error_bar_paths(n_paths)
+    with pytest.raises(ConfigError, match="even count of at least 4 paths"):
+        sample_mean(np.ones((2, n_paths)))
+
+
+def test_mean_of_pair_means_is_the_sample_mean():
+    samples = 5.0 + np.random.default_rng(1).standard_normal((4, 1002))
+    mean, se = sample_mean(samples)
+    np.testing.assert_allclose(mean, samples.mean(axis=-1), rtol=4 * np.finfo(float).eps, atol=0.0)
+    pairs = 0.5 * (samples[:, 0::2] + samples[:, 1::2])
+    assert np.array_equal(se, pairs.std(axis=-1, ddof=1) / math.sqrt(501))
+
+
 def test_drift_shift_moves_the_mean(two_currency_model):
     grid = TimeGrid.regular(1.0, 4)
     base = simulate(two_currency_model, grid, 20000, seed=3)
@@ -306,22 +337,31 @@ def test_zero_drift_shift_keeps_the_martingale_measure(two_currency_model):
 
 
 # sha256 of every driver's path bytes, in driver order, on TimeGrid.regular(2.0, 16)
-# with 300 paths at seed 11; recorded with one numpy Philox stream per chunk, so
-# any change to the drift arithmetic, the draws or the stepping shows here.
+# with 300 paths at seed 11; recorded with one numpy Philox stream per chunk and
+# antithetic pairs, so any change to the drift arithmetic, the draws, the pairing
+# or the stepping shows here.
 # The bytes go through numpy's exp and log, which may round differently on
 # another CPU or numpy build.
-PATH_DIGESTS = [
-    ("two_currency_model", None, "602dc0ae3f92b060b893deb7b9a0feab7c7c626ebec588aa819c69dea861df41"),
-    (
+PATH_DIGESTS = {
+    "two_currency_model": (
+        "two_currency_model",
+        None,
+        "e45b4188db79c1401a8962d982b0011f45d1e008a5f727c27bdc6f266a27e80c",
+    ),
+    "two_currency_model-drift_shift": (
         "two_currency_model",
         {"fx:USD": 0.02, "EQ": 0.02},
-        "88149619fc19c033e18c6b583aff46243f0c69c69edad7289688f3b3ff4ecce4",
+        "e81fd2f4926c64f46875c01fbba039b6cdc34acd897a293a20d35057a4e0d198",
     ),
-    ("multi_knot_model", None, "e67435959b14e3a99bd984b4d891c5bffaaab3a9ce764af71983574630bee54e"),
-]
+    "multi_knot_model": (
+        "multi_knot_model",
+        None,
+        "37516e9dd5886ecf6063041cbed1d8ab1b84c1f6a436fb28ab907a97a3e1473e",
+    ),
+}
 
 
-@pytest.mark.parametrize("fixture,drift_shift,digest", PATH_DIGESTS)
+@pytest.mark.parametrize("fixture,drift_shift,digest", list(PATH_DIGESTS.values()), ids=list(PATH_DIGESTS))
 def test_paths_known_answer(request, fixture, drift_shift, digest):
     model = request.getfixturevalue(fixture)
     scen = simulate(model, TimeGrid.regular(2.0, 16), 300, seed=11, drift_shift=drift_shift)

@@ -19,6 +19,7 @@ from xccy import (
 from xccy.collateral import CollateralPath, CollateralSpec, adjustment_increments, collateral_value_adjustment
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, FlowOffGrid, GridMismatch, MissingCollateralRates, UnknownCurrency
+from xccy.simulation import sample_mean
 from xccy.wealth import fx_hedge_gain_increments, gain_increments
 
 
@@ -44,9 +45,9 @@ def test_single_domestic_flow_deterministic_discount(scen):
 def test_foreign_flow_mc_mean_matches_fx_forward(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 100_000, seed=4)
     flows = discounted_flows(scen, Contract("USD", ((1.0, 1.0),)))
-    se = flows.std(ddof=1) / math.sqrt(len(flows))
+    mean, se = sample_mean(flows)
     expected = 0.9 * math.exp(-0.03)  # X_0 / B_usd(T)
-    assert abs(flows.mean() - expected) <= 3 * se
+    assert abs(mean - expected) <= 3 * se
 
 
 def test_flow_off_grid_raises(scen):
@@ -82,16 +83,14 @@ def test_constant_asset_has_zero_gain():
 
 def test_domestic_gain_is_empirical_martingale(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 100_000, seed=21)
-    k_t = gain_increments(scen, "EQ").sum(axis=1)
-    se = k_t.std(ddof=1) / math.sqrt(len(k_t))
-    assert abs(k_t.mean()) <= 3 * se
+    mean, se = sample_mean(gain_increments(scen, "EQ").sum(axis=1))
+    assert abs(mean) <= 3 * se
 
 
 def test_foreign_gain_net_of_fx_term_is_empirical_martingale(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 100_000, seed=22)
-    k_t = fx_hedge_gain_increments(scen, "FEQ").sum(axis=1)
-    se = k_t.std(ddof=1) / math.sqrt(len(k_t))
-    assert abs(k_t.mean()) <= 3 * se
+    mean, se = sample_mean(fx_hedge_gain_increments(scen, "FEQ").sum(axis=1))
+    assert abs(mean) <= 3 * se
 
 
 def _four_term_fx_hedge_increments(scenario, label):
@@ -303,9 +302,8 @@ def test_discounted_netted_wealth_is_empirical_martingale(two_currency_model):
         psi_cash={"USD": np.full(n_steps, 0.3)},
     )
     wp = replay_wealth(scen, strat, Contract.zero("EUR"), x=1.0)
-    v_tilde = wp.v_net[:, -1] / scen.account("EUR")[-1]
-    se = v_tilde.std(ddof=1) / math.sqrt(len(v_tilde))
-    assert abs(v_tilde.mean() - 1.0) <= 3 * se
+    mean, se = sample_mean(wp.v_net[:, -1] / scen.account("EUR")[-1])
+    assert abs(mean - 1.0) <= 3 * se
 
 
 def test_strategy_shape_mismatch_raises(scen):
