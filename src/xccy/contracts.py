@@ -36,22 +36,6 @@ class Contract:
     def maturity(self) -> float:
         return self.flows[-1][0] if self.flows else 0.0
 
-    def scaled(self, factor: float) -> "Contract":
-        return Contract(
-            self.native_currency,
-            tuple((t, factor * a) for t, a in self.flows),
-            factor * self.initial_flow,
-        )
-
-    def plus(self, other: "Contract") -> "Contract":
-        if other.native_currency != self.native_currency:
-            raise ConfigError("can only add contracts in the same native currency")
-        return Contract(
-            self.native_currency,
-            self.flows + other.flows,
-            self.initial_flow + other.initial_flow,
-        )
-
     @classmethod
     def zero(cls, currency: str) -> "Contract":
         return cls(currency, ())

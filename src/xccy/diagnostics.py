@@ -3,10 +3,12 @@
 Two families of processes must be drift-free under the domestic martingale
 measure: per asset, the accumulated funding-gain increments net of the FX
 exposure term; per currency, the discounted FX account X * B_f / B_dom. Each
-test builds the process at the checkpoint nodes only, as one (n_checkpoints,
-n_paths) array, and takes every checkpoint's z-statistic in one step with the
-error bar of :func:`xccy.simulation.sample_mean`; a deliberately mis-drifted
-scenario is the negative control.
+test builds the process at the checkpoint nodes only, one simulation chunk of
+paths at a time on a reused buffer, and folds each chunk's pair-mean moments
+into every checkpoint's running mean and error bar in chunk order
+(:func:`xccy.simulation.fold_sample_mean`, the reduction behind
+:func:`~xccy.simulation.sample_mean`), so its memory does not grow with the
+path count; a deliberately mis-drifted scenario is the negative control.
 
 The single-currency reduction suite asserts that with one currency every FX
 correction term vanishes identically and the engine collapses to plain
@@ -16,6 +18,7 @@ single-curve pricing.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -26,8 +29,8 @@ from .curves import RATE_BOUND
 from .errors import ConfigError, UnknownProcessId
 from .model import ValidatedModel
 from .pricing import _collateral_leg_weights, price_exogenous
-from .simulation import ScenarioSet, TimeGrid, sample_mean, simulate
-from .wealth import discounted_flows, fx_hedge_gain_increments, gain_increments
+from .simulation import CHUNK_PATHS, ScenarioSet, TimeGrid, check_error_bar_paths, fold_sample_mean, simulate
+from .wealth import discounted_flows, gain_increments, hedge_operands, hedged_gain_step
 
 
 @dataclass(frozen=True)
@@ -61,25 +64,64 @@ class TestReport:
         }
 
 
-def _checkpoint_samples(scenario: ScenarioSet, process_id: str, nodes: np.ndarray) -> tuple[np.ndarray, float]:
-    """Process values at the grid ``nodes``, one row of paths per node, and the level the process starts from.
+def _checkpoint_blocks(
+    scenario: ScenarioSet, process_id: str, nodes: np.ndarray
+) -> tuple[Iterator[np.ndarray], float]:
+    """The process at the grid ``nodes``, one block per simulation chunk, and the level it starts from.
 
-    Assets accumulate repo-discounted FX-hedged gains from X S / B_repo; FX is X * B_f / B_dom less its start.
+    The blocks are (n_nodes, count) views of one reused buffer of
+    ``CHUNK_PATHS`` columns, yielded in chunk order, each filled from the
+    chunk's time rows ``scenario.paths[d, j, lo:hi]``; the accounts, carries
+    and driver rows are set up once per test. Assets accumulate the
+    repo-discounted FX-hedged gains (:func:`~xccy.wealth.hedged_gain_step`)
+    step by step, from X S / B_repo; FX is X * B_f / B_dom less its start.
     """
-    model = scenario.model
+    model, n_paths = scenario.model, scenario.n_paths
     kind, _, name = process_id.partition(":")
+    width = min(CHUNK_PATHS, n_paths)
+    block = np.empty((len(nodes), width))
     if kind == "asset" and name in {a.label for a in model.assets}:
+        s, x, carry = hedge_operands(scenario, name)
+        s, x = s.T, x.T  # time rows
         b_repo = scenario.repo_account(name)
-        gains = fx_hedge_gain_increments(scenario, name) / b_repo[None, :-1]
-        np.cumsum(gains, axis=1, out=gains)
-        start = scenario.asset(name)[0, 0] * scenario.fx(model.asset(name).currency)[0, 0] / b_repo[0]
-        return gains.T[nodes - 1], float(start)
-    if kind == "fx" and name in model.currency_names:
-        x = scenario.fx(name)
+        rows_at_step = [np.flatnonzero(nodes == j + 1) for j in range(nodes.max())]
+        buffers = np.empty((3, width))
+
+        def fill(out, cols):
+            acc, gain, scratch = buffers[:, : out.shape[1]]
+            for j, rows in enumerate(rows_at_step):
+                hedged_gain_step(x[j + 1, cols], s[j + 1, cols], x[j, cols], s[j, cols], carry[j], gain, scratch)
+                gain /= b_repo[j]
+                if j:
+                    acc += gain
+                else:
+                    acc[:] = gain
+                out[rows] = acc
+
+        start = s[0, 0] * x[0, 0] / b_repo[0]
+    elif kind == "fx" and name in model.currency_names:
+        x = scenario.fx(name).T
         ratio = scenario.account(name) / scenario.account(model.domestic)
-        start = x[:, 0] * ratio[0]
-        return x.T[nodes] * ratio[nodes, None] - start, float(start[0])
-    raise UnknownProcessId(process_id)
+        first = np.empty(width)
+
+        def fill(out, cols):
+            level = np.multiply(x[0, cols], ratio[0], out=first[: out.shape[1]])
+            for row, j in zip(out, nodes):
+                np.multiply(x[j, cols], ratio[j], out=row)
+                row -= level
+
+        start = x[0, 0] * ratio[0]
+    else:
+        raise UnknownProcessId(process_id)
+
+    def blocks():
+        for lo in range(0, n_paths, CHUNK_PATHS):
+            cols = slice(lo, min(lo + CHUNK_PATHS, n_paths))
+            out = block[:, : cols.stop - lo]
+            fill(out, cols)
+            yield out
+
+    return blocks(), float(start)
 
 
 def check_threshold(threshold: float) -> None:
@@ -102,7 +144,9 @@ def martingale_test(
     ``checkpoints`` is either a count >= 1 (that many grid nodes, evenly
     spaced, ending at the horizon) or a non-empty list of grid times after 0;
     anything else would certify nothing and raises :class:`ConfigError`, and
-    so does a scenario whose path count is odd or below four. z is the mean
+    so does a scenario whose path count is odd or below four. The mean and
+    its standard error are :func:`~xccy.simulation.sample_mean` of the
+    process at each checkpoint, folded chunk by chunk. z is the mean
     over the larger of its standard error and its rounding error,
     (j + 2) eps (1 + 2 RATE_BOUND t) of the level at node j: one rounding per
     step of a log at most 2 RATE_BOUND t in size, and a few for the
@@ -122,8 +166,11 @@ def martingale_test(
         if t.size == 0 or t.min() <= 0:
             raise ConfigError(f"checkpoints must be a non-empty list of times after t=0, got {t.tolist()}")
         nodes = grid.nodes_of(t)
-    samples, start = _checkpoint_samples(scenario, process_id, nodes)
-    mean, se = sample_mean(samples)
+        if nodes.min() == 0:
+            raise ConfigError(f"checkpoint {t.min()} snaps onto the grid node t=0")
+    blocks, start = _checkpoint_blocks(scenario, process_id, nodes)
+    check_error_bar_paths(scenario.n_paths)
+    mean, se = fold_sample_mean(blocks)
     relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
     rounding = relative * (np.abs(start + mean) + abs(start))
     scale = np.maximum(se, rounding)

@@ -176,21 +176,55 @@ def check_error_bar_paths(n_paths: int) -> None:
         )
 
 
+def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the pair means of consecutive path blocks, folded in order.
+
+    Each block holds an even number of paths along its last axis, whole
+    antithetic pairs; its k pair means are reduced to their mean and sum of
+    squared deviations M2, and (k, mean, M2) is combined with the running
+    statistics by the pairwise update of Chan, Golub and LeVeque (1983). A
+    block is consumed before the next is drawn, so a caller may yield one
+    reused buffer. The result is the mean of the pair means and
+    their sample standard deviation over sqrt(k); over one block it is
+    ``mean`` and ``std(ddof=1) / sqrt(k)`` of the pair means bit for bit.
+    """
+    count = 0
+    for block in blocks:
+        # numpy's own mean and var arithmetic, so M2 / (k - 1) is var(ddof=1) bit for bit
+        pairs = 0.5 * (block[..., 0::2] + block[..., 1::2])
+        k, m = pairs.shape[-1], pairs.mean(axis=-1)
+        pairs -= m[..., None]
+        pairs *= pairs
+        m2_block = pairs.sum(axis=-1)
+        if count == 0:
+            mean, m2 = m, m2_block
+        else:
+            delta = m - mean
+            mean = mean + delta * (k / (count + k))
+            m2 = m2 + m2_block + delta * delta * (count * k / (count + k))
+        count += k
+    return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
+
+
 def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the last (path) axis and its standard error: every error bar in the engine.
 
     Paths 2i and 2i+1 are antithetic twins (see :func:`_simulate_chunk`), so
     they are not independent: each adjacent pair is first reduced to its
     mean, and the result is the mean of the n/2 pair means with their sample
-    standard deviation over sqrt(n/2). The pair means form one fresh
-    contiguous array, so each row's mean has the bits of that row alone. A
-    path count that is odd or below four raises :class:`ConfigError`; callers
-    that simulate check it first with :func:`check_error_bar_paths`.
+    standard deviation over sqrt(n/2). The paths are taken in the
+    ``CHUNK_PATHS`` column blocks of the simulation chunks and folded in
+    chunk order by :func:`fold_sample_mean`, the reduction the streamed
+    martingale test feeds chunk by chunk, so both give the same bits; with at
+    most ``CHUNK_PATHS`` paths the result is ``mean`` and
+    ``std(ddof=1) / sqrt(n/2)`` of the pair means bit for bit. A path count
+    that is odd or below four raises :class:`ConfigError`; callers that
+    simulate check it first with :func:`check_error_bar_paths`.
     """
     samples = np.asarray(samples)
-    check_error_bar_paths(samples.shape[-1])
-    pairs = 0.5 * (samples[..., 0::2] + samples[..., 1::2])
-    return pairs.mean(axis=-1), pairs.std(axis=-1, ddof=1) / math.sqrt(pairs.shape[-1])
+    n_paths = samples.shape[-1]
+    check_error_bar_paths(n_paths)
+    return fold_sample_mean(samples[..., lo : lo + CHUNK_PATHS] for lo in range(0, n_paths, CHUNK_PATHS))
 
 
 def qe_drift_of(model: ValidatedModel, label: str, integrate, shift: float = 0.0):

@@ -51,20 +51,44 @@ def discounted_flows(scenario: ScenarioSet, contract: Contract) -> np.ndarray:
     return out
 
 
+def hedge_operands(scenario: ScenarioSet, asset_label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The asset's (n_paths, n_times) paths S, those of its currency's FX rate X, and its per-step carry.
+
+    The carry of step j is the dividend integral less the repo integral over
+    it, exact for piecewise-constant rates: the operands of :func:`hedged_gain_step`.
+    """
+    a = scenario.model.asset(asset_label)
+    times = scenario.grid.times
+    carry = a.dividend_yield.step_integrals(times) - a.repo_rate.step_integrals(times)
+    return scenario.asset(asset_label), scenario.fx(a.currency), carry
+
+
+def hedged_gain_step(x_next, s_next, x, s, carry, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """X_{j+1} (S_{j+1} - S_j) + X_j S_j carry_j, the FX-hedged gain over a step, written to ``out``.
+
+    The one definition of that step. The operands broadcast elementwise, so
+    they may be whole (n_paths, n_steps) blocks or one step's rows of a path
+    chunk; ``scratch`` is a buffer of the shape of ``out``.
+    """
+    np.subtract(s_next, s, out=out)
+    np.multiply(x_next, out, out=out)
+    np.multiply(x, s, out=scratch)
+    np.multiply(scratch, carry, out=scratch)
+    return np.add(out, scratch, out=out)
+
+
 def fx_hedge_gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
     """Per-step gain increments of the asset net of its FX exposure term S dX, domestic units.
 
-    Step j carries X_{j+1} dS + X_j S_j * (dividend integral - repo integral),
-    with exact rate integrals. This is the object whose accumulation must be
-    drift-free under the domestic martingale measure for both domestic and
-    foreign assets; for a domestic asset it is dS - S r dt + kappa S dt.
+    Step j carries X_{j+1} dS + X_j S_j * (dividend integral - repo integral)
+    (:func:`hedged_gain_step`), with exact rate integrals. This is the object
+    whose accumulation must be drift-free under the domestic martingale
+    measure for both domestic and foreign assets; for a domestic asset it is
+    dS - S r dt + kappa S dt.
     """
-    a = scenario.model.asset(asset_label)
-    s = scenario.asset(asset_label)
-    x = scenario.fx(a.currency)
-    times = scenario.grid.times
-    carry = a.dividend_yield.step_integrals(times) - a.repo_rate.step_integrals(times)
-    return x[:, 1:] * np.diff(s, axis=1) + x[:, :-1] * s[:, :-1] * carry
+    s, x, carry = hedge_operands(scenario, asset_label)
+    out = np.empty((scenario.n_paths, scenario.grid.n_steps))
+    return hedged_gain_step(x[:, 1:], s[:, 1:], x[:, :-1], s[:, :-1], carry, out, np.empty_like(out))
 
 
 def gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import pytest
 
@@ -196,6 +197,16 @@ def test_check_subcommand_passes_and_reports(docs):
     report = json.loads((out / "report.json").read_text())
     assert report["passed"] is True
     assert {p["process_id"] for p in report["processes"]} == {"asset:EQ", "fx:EUR", "fx:USD"}
+
+
+def test_check_workers_do_not_change_output(docs, monkeypatch):
+    # three chunks, the last ragged, on as many threads as the workers ask for
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    model, _, tmp = docs
+    base = ["check", "--model", str(model), "--paths", "20002", "--steps", "4", "--seed", "3"]
+    assert run(base + ["--workers", "1", "--out", str(tmp / "w1")]) == 0
+    assert run(base + ["--workers", "2", "--out", str(tmp / "w2")]) == 0
+    assert (tmp / "w1" / "report.json").read_bytes() == (tmp / "w2" / "report.json").read_bytes()
 
 
 def test_simulate_dumps_paths(docs):

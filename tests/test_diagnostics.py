@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from xccy import (
 )
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, UnknownProcessId
+from xccy.simulation import CHUNK_PATHS, sample_mean
 from xccy.wealth import fx_hedge_gain_increments
 
 
@@ -51,6 +53,8 @@ def test_checkpoint_at_time_zero_rejected(two_currency_model):
         martingale_test(scen, "fx:USD", [0.0])
     with pytest.raises(ConfigError):
         martingale_test(scen, "fx:USD", [1.0, 0.0])
+    with pytest.raises(ConfigError, match="snaps onto"):
+        martingale_test(scen, "fx:USD", [1e-10])  # within the snap tolerance of t=0
 
 
 def test_fx_process_passes_under_martingale_measure(two_currency_model):
@@ -136,8 +140,8 @@ def _reference_process_values(scenario, process_id):
 
 
 def _reference_checkpoint_loop(scenario, process_id, checkpoints):
-    """One strided column reduction per checkpoint over the antithetic pair means,
-    with the one-path and zero-spread branches."""
+    """One column reduction per checkpoint of the full process matrix through
+    sample_mean, with the zero-spread branch."""
     grid = scenario.grid
     if isinstance(checkpoints, int):
         idx = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
@@ -145,13 +149,9 @@ def _reference_checkpoint_loop(scenario, process_id, checkpoints):
     else:
         times = [float(t) for t in checkpoints]
     values = _reference_process_values(scenario, process_id)
-    n = scenario.n_paths // 2
     stats = []
     for t in times:
-        v = values[:, int(np.argmin(np.abs(grid.times - t)))]
-        pairs = 0.5 * (v[0::2] + v[1::2])
-        mean = float(np.mean(pairs))
-        se = float(np.std(pairs, ddof=1) / math.sqrt(n)) if n > 1 else 0.0
+        mean, se = map(float, sample_mean(values[:, int(np.argmin(np.abs(grid.times - t)))]))
         z = (0.0 if mean == 0.0 else math.inf) if se == 0.0 else mean / se
         stats.append((t, mean, se, z))
     return stats
@@ -163,6 +163,27 @@ def test_checkpoint_statistics_match_the_column_loop_bit_for_bit(two_currency_mo
     for pid in ("asset:EQ", "asset:FEQ", "fx:EUR", "fx:USD"):
         got = [(c.t, c.mean, c.std_error, c.z) for c in martingale_test(scen, pid, checkpoints).checkpoints]
         assert got == _reference_checkpoint_loop(scen, pid, checkpoints), pid
+
+
+def _peak_traced_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_checkpoint_statistics_take_memory_of_a_few_chunks_whatever_the_path_count(two_currency_model):
+    # the process is built chunk by chunk on reused buffers, never as (n_checkpoints, n_paths)
+    grid = TimeGrid.regular(1.0, 4)
+    peaks = []
+    for n_paths in (2 * CHUNK_PATHS, 16 * CHUNK_PATHS):
+        scen = simulate(two_currency_model, grid, n_paths, seed=4)
+        pids = ("asset:EQ", "asset:FEQ", "fx:EUR", "fx:USD")
+        peaks.append(max(_peak_traced_bytes(lambda: martingale_test(scen, pid)) for pid in pids))
+        del scen
+    assert abs(peaks[1] - peaks[0]) <= 4 * CHUNK_PATHS * 8, peaks
 
 
 def _frozen_fx_model():

@@ -78,7 +78,7 @@ def test_price_decomposes_exactly(scen):
 def test_linearity_in_the_contract(scen):
     a1 = Contract("USD", ((0.5, 1.0),))
     a2 = Contract("USD", ((1.0, -2.0),))
-    both = a1.plus(a2)
+    both = Contract("USD", ((0.5, 1.0), (1.0, -2.0)))
     coll = CollateralPath(np.cos(scen.fx("USD")), "USD")
     p1 = price_exogenous(scen, a1, coll, REHYP)
     p12 = price_exogenous(scen, both, coll, REHYP)

@@ -289,13 +289,25 @@ def test_thread_count_capped_by_cpus_and_chunks(monkeypatch):
     assert worker_threads(8, 13) == 1
 
 
-def test_antithetic_pairs_have_no_error_bar_spread():
-    # c + a and c - a in dyadic steps: every pair mean is exactly c, so the SE is 0
-    a = np.random.default_rng(0).integers(-1000, 1000, (3, 50)) / 64.0
+@pytest.mark.parametrize("n_pairs", [50, CHUNK_PATHS + 500], ids=["one chunk", "three chunks"])
+def test_antithetic_pairs_have_no_error_bar_spread(n_pairs):
+    # c + a and c - a in dyadic steps: every pair mean is exactly c, so the SE is 0; over
+    # several chunks (the last ragged) every chunk mean is c and the fold adds nothing,
+    # which the rounding floor of a zero-volatility FX pair relies on
+    a = np.random.default_rng(0).integers(-1000, 1000, (3, n_pairs)) / 64.0
     c = np.array([[3.0], [-0.5], [0.0]])
-    samples = np.stack([c + a, c - a], axis=-1).reshape(3, 100)
+    samples = np.stack([c + a, c - a], axis=-1).reshape(3, 2 * n_pairs)
     mean, se = sample_mean(samples)
     assert np.array_equal(mean, c[:, 0]) and np.array_equal(se, np.zeros(3))
+
+
+def test_chunk_fold_matches_the_two_pass_statistics():
+    # a large offset over a small spread: a naive sum of squares would lose every digit
+    samples = 1e6 + np.random.default_rng(2).standard_normal(3 * CHUNK_PATHS + 1000)
+    pairs = 0.5 * (samples[0::2] + samples[1::2])
+    mean, se = sample_mean(samples)
+    assert mean == pytest.approx(np.mean(pairs), rel=1e-12, abs=0.0)
+    assert se == pytest.approx(np.std(pairs, ddof=1) / math.sqrt(pairs.size), rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("n_paths", [0, 1, 2, 3, 2001])

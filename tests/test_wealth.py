@@ -289,7 +289,7 @@ def test_replay_scaling_linearity(scen):
         psi_cash={k: 2 * v for k, v in strat.psi_cash.items()},
     )
     wp1 = replay_wealth(scen, strat, contract, x=0.7)
-    wp2 = replay_wealth(scen, doubled, contract.scaled(2.0), x=1.4)
+    wp2 = replay_wealth(scen, doubled, Contract("USD", ((0.5, 2.0), (1.0, -4.0)), initial_flow=0.8), x=1.4)
     assert np.max(np.abs(wp2.v - 2 * wp1.v)) < 1e-10
 
 
