@@ -12,23 +12,29 @@ rates and the cash-posting account funded at the domestic unsecured rate.
 
 The scheme steps backward from V_T = 0: conditional expectations of the
 discounted continuation plus flows are estimated by least-squares regression
-on polynomial functions of the log-states. The driver is linear on each sign
-of v and the slice equation keeps the sign of the continuation value, so each
-slice is solved exactly: v = cont / (1 + dr - ds (1 + delta)), with delta1
-where cont < 0 and delta2 elsewhere (dr, ds: step integrals of r_dom and of
-the spread). At delta1 = delta2 = 0 the scheme collapses to deterministic
-discounting of the flow expectations, the closed form of
+on polynomial functions of the log-states log(S / x0), the cumulative
+log-increments that the simulation's log-path kernel writes. The driver is
+linear on each sign of v and the slice equation keeps the sign of the
+continuation value, so each slice is solved exactly:
+v = cont / (1 + dr - ds (1 + delta)), with delta1 where cont < 0 and delta2
+elsewhere (dr, ds: step integrals of r_dom and of the spread). At
+delta1 = delta2 = 0 the scheme collapses to deterministic discounting of the
+flow expectations, the closed form of
 :func:`xccy.pricing.price_fully_collateralized`.
 
 The solver runs in two passes over the simulation chunks of
-:mod:`xccy.simulation`. The fit simulates chunk 0 alone (all paths when
-there are at most ``CHUNK_PATHS``) and fits each slice's coefficients on it
-backward; slice 0, whose states are the initial levels, takes the mean of its
-target. The valuation reuses that chunk and simulates every later chunk into
-a buffer reused per worker thread, and carries the value v_j = cont / den and
-the pathwise value u (the flows discounted through the same slice
-denominators) backward with the fixed coefficients: once they are known, a
-path's values depend on its own states alone (Longstaff & Schwartz 2001).
+:mod:`xccy.simulation`, each chunk simulated as log-paths by
+:func:`~xccy.simulation._simulate_log_chunk` and never turned into levels: a
+flow in a foreign currency is converted at exp(log X) * x0 on its own node
+only. The fit simulates chunk 0 alone (all paths when there are at most
+``CHUNK_PATHS``) and fits each slice's coefficients on it backward; slice 0,
+whose states are the initial levels, takes the mean of its target. The
+valuation reuses that chunk and simulates every later chunk on the same
+kernel into a buffer reused per worker thread, and carries the value
+v_j = cont / den and the pathwise value u (the flows discounted through the
+same slice denominators) backward with the fixed coefficients: once they are
+known, a path's values depend on its own states alone (Longstaff & Schwartz
+2001).
 Memory is one chunk per thread plus the value surface. v0 is the mean of u
 and its error bar that of :func:`~xccy.simulation.sample_mean`, one estimator
 for both.
@@ -44,18 +50,18 @@ import numpy as np
 
 from .contracts import Contract
 from .errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
-from .model import ValidatedModel, cross_currency_basis_of
+from .model import ValidatedModel, cross_currency_basis_of, fx_label
 from .simulation import (
     CHUNK_PATHS,
-    ScenarioSet,
     TimeGrid,
-    _simulate_chunk,
+    _simulate_log_chunk,
     _step_coefficients,
     check_error_bar_paths,
     sample_mean,
-    simulate,
     worker_threads,
 )
+# not called by the solver; kept bound here because the benchmark's tracer wraps this name
+from .simulation import simulate  # noqa: F401
 from .wealth import flow_nodes
 
 RIDGE_LAMBDA = 1e-8
@@ -153,11 +159,14 @@ def solve_endogenous(
     receives) with its standard error, and the value surface on the grid. The
     slice coefficients are fitted on simulation chunk 0 alone; every chunk,
     chunk 0 included, is then valued with them, the later ones simulated one
-    at a time into a reused buffer per worker thread. v0 and its error bar
-    are the :func:`~xccy.simulation.sample_mean` of the pathwise value u, the
-    flows discounted through the slice denominators; :class:`BsdeConfig`
-    rejects a path count that is odd or below four with :class:`ConfigError`
-    before anything is simulated.
+    at a time into a reused buffer per worker thread. Every chunk, the pilot
+    chunk 0 included, comes from the log-path kernel
+    :func:`~xccy.simulation._simulate_log_chunk`, whose log-paths are the
+    regression states. v0 and its error bar are the
+    :func:`~xccy.simulation.sample_mean` of the pathwise value u, the flows
+    discounted through the slice denominators; :class:`BsdeConfig` rejects a
+    path count that is odd or below four with :class:`ConfigError` before
+    anything is simulated.
     """
     if not (delta1 > -1 and delta2 > -1):
         raise ConfigError(f"haircuts must exceed -1, got {delta1}, {delta2}")
@@ -189,46 +198,55 @@ def solve_endogenous(
         - cross_currency_basis_of(model, k3, lambda curve: curve.step_integrals(times))
     )
 
-    # log-states relative to their initial levels, and their monomials
+    # the states are the kernel's log-paths log(S / x0); the design holds their monomials
     n_drivers = len(model.driver_labels)
     products = _monomial_products(n_drivers, cfg.degree)
     drift, vol, x0 = _step_coefficients(model, grid, {})
-    log_x0 = np.log(x0)[:, None]
+    native = contract.native_currency
+    fx_row = None if native == model.domestic else model.driver_labels.index(fx_label(native))
     coefs: list = [None] * n_steps  # per slice: beta over the design rows, or the slice-0 mean
 
     def sweep(paths: np.ndarray, surface: np.ndarray, u: np.ndarray, fit: bool) -> None:
-        """Carry one chunk's paths backward from V_T = 0, writing its surface
-        rows and pathwise values; with ``fit``, fit each slice's coefficients
-        on this chunk first."""
+        """Carry one chunk's log-paths backward from V_T = 0, writing its
+        surface rows and pathwise values; with ``fit``, fit each slice's
+        coefficients on this chunk first."""
         count = paths.shape[2]
-        fx_k2 = ScenarioSet(model, grid, cfg.seed, paths).fx(contract.native_currency)
-        states = np.empty((n_drivers, count))
         design = np.ones((1 + len(products), count))
         for j in range(n_steps - 1, -1, -1):
-            paid = flows[j + 1] * fx_k2[:, j + 1]
+            target = surface[j + 1]
+            if flows[j + 1]:  # subtracting a zero flow would leave every bit as it is
+                paid = flows[j + 1]
+                if fx_row is not None:  # at exp(log X) * x0, bit for bit the level simulate stores
+                    paid = paid * (np.exp(paths[fx_row, j + 1]) * x0[fx_row])
+                u -= paid
+                if fit:
+                    target = target - paid
             if j == 0 or not n_drivers:
                 if fit:
-                    coefs[j] = float(np.mean(surface[j + 1] - paid))
+                    coefs[j] = float(np.mean(target))
                 cont = np.full(count, coefs[j])
             else:
-                np.log(paths[:, j], out=states)
-                states -= log_x0
-                _fill_design(design, states, products)
+                _fill_design(design, paths[:, j], products)
                 if fit:
-                    coefs[j] = _regress(design, surface[j + 1] - paid)
+                    coefs[j] = _regress(design, target)
                 cont = coefs[j] @ design
             den = _slice_denominator(cont, r_int[j], spread_int[j], delta1, delta2)
             np.divide(cont, den, out=surface[j])
-            u -= paid
             u /= den
 
     surface = np.zeros((n_steps + 1, n_paths))  # time-major: one row per slice
     # pathwise value: the flows discounted through the same slice denominators,
     # without the regression's averaging; its mean is v0 and its spread the error bar
     u = np.zeros(n_paths)
-    pilot = simulate(model, grid, min(n_paths, CHUNK_PATHS), cfg.seed)  # simulation chunk 0
-    sweep(pilot.paths, surface[:, : pilot.n_paths], u[: pilot.n_paths], fit=True)
-    del pilot
+
+    def run_chunk(buffer: np.ndarray, chunk: int, fit: bool) -> None:
+        cols = slice(chunk * CHUNK_PATHS, min((chunk + 1) * CHUNK_PATHS, n_paths))
+        block = buffer[:, :, : cols.stop - cols.start]
+        _simulate_log_chunk(block, cfg.seed, drift, vol, chunk)
+        sweep(block, surface[:, cols], u[cols], fit)
+
+    # the pilot: simulation chunk 0 (all paths when there are at most CHUNK_PATHS)
+    run_chunk(np.empty((n_drivers, n_steps + 1, min(n_paths, CHUNK_PATHS))), 0, fit=True)
 
     n_chunks = -(-n_paths // CHUNK_PATHS)
     n_threads = worker_threads(cfg.n_workers, max(n_chunks - 1, 1))  # chunks after the pilot
@@ -237,10 +255,7 @@ def solve_endogenous(
         """Chunks first, first + n_threads, ... on one reused buffer."""
         buffer = np.empty((n_drivers, n_steps + 1, CHUNK_PATHS))
         for chunk in range(first, n_chunks, n_threads):
-            cols = slice(chunk * CHUNK_PATHS, min((chunk + 1) * CHUNK_PATHS, n_paths))
-            block = buffer[:, :, : cols.stop - cols.start]
-            _simulate_chunk(block, cfg.seed, drift, vol, x0, chunk)
-            sweep(block, surface[:, cols], u[cols], fit=False)
+            run_chunk(buffer, chunk, fit=False)
 
     if n_threads == 1:
         value(1)

@@ -151,6 +151,8 @@ def martingale_test(
     (j + 2) eps (1 + 2 RATE_BOUND t) of the level at node j: one rounding per
     step of a log at most 2 RATE_BOUND t in size, and a few for the
     exponentials and account ratios. A deterministic process (a zero-volatility FX pair) thus passes.
+    The domestic FX process is identically 0 and is not simulated over: its
+    mean and standard error are 0 at every checkpoint.
     A threshold that is not finite and positive raises :class:`ConfigError`
     (:func:`check_threshold`).
     """
@@ -168,9 +170,14 @@ def martingale_test(
         nodes = grid.nodes_of(t)
         if nodes.min() == 0:
             raise ConfigError(f"checkpoint {t.min()} snaps onto the grid node t=0")
-    blocks, start = _checkpoint_blocks(scenario, process_id, nodes)
-    check_error_bar_paths(scenario.n_paths)
-    mean, se = fold_sample_mean(blocks)
+    if process_id == f"fx:{scenario.model.domestic}":
+        # X = 1 and B_dom / B_dom = 1 bit for bit: the process is identically 0 from the level 1
+        check_error_bar_paths(scenario.n_paths)
+        mean, se, start = np.zeros(len(nodes)), np.zeros(len(nodes)), 1.0
+    else:
+        blocks, start = _checkpoint_blocks(scenario, process_id, nodes)
+        check_error_bar_paths(scenario.n_paths)
+        mean, se = fold_sample_mean(blocks)
     relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
     rounding = relative * (np.abs(start + mean) + abs(start))
     scale = np.maximum(se, rounding)

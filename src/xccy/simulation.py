@@ -14,14 +14,17 @@ module certifies this). The only departure from this measure is a constant
 
 Paths are simulated in fixed chunks of ``CHUNK_PATHS`` whose boundaries do
 not depend on the worker count. Each chunk draws its normals from its own
-Philox stream (see :mod:`xccy.rng`), mixes them and steps them (one
-cumulative sum of log-increments, one ``exp``) straight into one time-major
-array of shape (n_drivers, n_times, n_paths). Antithetic pairs are the only
-sampling scheme: path p of a chunk is driven by row p // 2 of the chunk's
-normals with sign (-1)**p, so paths 2i and 2i + 1 are twins with negated
-normals. ``CHUNK_PATHS`` is even, so no pair spans two chunks or two
-workers, and an odd ragged last chunk draws a prefix of a full chunk's rows,
-its last path without a twin. Every error bar is taken over the pair means
+Philox stream (see :mod:`xccy.rng`) and goes through two steps straight into
+one time-major array of shape (n_drivers, n_times, n_paths): the log-path
+kernel :func:`_simulate_log_chunk` mixes the normals in cache-sized tiles of
+steps and sums the log-increments over time into log(S / x0), and the level
+step (one ``exp``, one product with x0) turns them into levels. The
+endogenous-collateral solver regresses on the log-paths and runs the kernel
+alone. Antithetic pairs are the only sampling scheme: path p of a chunk is
+driven by row p // 2 of the chunk's normals with sign (-1)**p, so paths 2i
+and 2i + 1 are twins with negated normals. ``CHUNK_PATHS`` is even, so no
+pair spans two chunks or two workers, and an odd ragged last chunk draws a
+prefix of a full chunk's rows, its last path without a twin. Every error bar is taken over the pair means
 (:func:`sample_mean`), the independent samples; an error bar needs an even
 path count of at least four (:func:`check_error_bar_paths`), while
 :func:`simulate` accepts any count of at least one. Every consumer reads time
@@ -53,6 +56,8 @@ GRID_SNAP_TOL = 1e-9
 # paths per simulation chunk: fixed, so results do not depend on the worker count,
 # and even, so no antithetic pair spans two chunks
 CHUNK_PATHS = 8192
+# bytes of the normals, mixed and term rows of one mixing tile: half of a 2 MB L2 cache
+TILE_BYTES = 1 << 20
 UNIT_RATE = RateCurve.flat(1.0)  # integrates to the elapsed time, bit for bit grid.dt
 
 
@@ -278,15 +283,14 @@ def worker_threads(n_workers: int, n_chunks: int) -> int:
     return min(n_workers, os.cpu_count() or 1, n_chunks)
 
 
-def _simulate_chunk(
+def _simulate_log_chunk(
     block: np.ndarray,
     seed: int,
     drift: np.ndarray,
     vol: np.ndarray,
-    x0: np.ndarray,
     chunk: int,
 ) -> None:
-    """Write the paths of simulation chunk ``chunk`` into the time-major ``block``.
+    """Write the log-paths log(S / x0) of simulation chunk ``chunk`` into the time-major ``block``.
 
     ``block`` is any (n_drivers, n_times, count) array, a slice of a whole
     scenario or a reused buffer, and receives the chunk's first ``count``
@@ -300,10 +304,13 @@ def _simulate_chunk(
     is bit for bit the mixing of the negated normals. The drawn rows are
     transposed once to (step, driver, pair), so each (step, driver) is a
     contiguous row, and the scratch memory beyond them is two (n_steps, pairs)
-    buffers. The cumulative sum over time is a loop that adds each time row to
-    the next: numpy's accumulate is slow along an axis that is not innermost,
-    and a cumulative sum is sequential either way, so the bits are those of
-    ``np.cumsum``.
+    buffers. The mixing runs in tiles of consecutive steps whose normals,
+    mixed and term rows fit ``TILE_BYTES``, so a tile's rows stay in cache
+    across the drivers; every element sees the same operations in the same
+    order for any tile size. The cumulative sum over time is a loop that adds
+    each time row to the next: numpy's accumulate is slow along an axis that
+    is not innermost, and a cumulative sum is sequential either way, so the
+    bits are those of ``np.cumsum``.
     """
     n_drivers, n_times, count = block.shape
     half = count - count // 2
@@ -313,17 +320,38 @@ def _simulate_chunk(
     # the heap; drawn first, they left ~18 MB of freed heap resident per BSDE run
     z = normal_block(seed, chunk, half, n_times - 1, n_drivers)
     z = np.ascontiguousarray(z.reshape(half, -1).T).reshape(n_times - 1, n_drivers, half)
+    # skip zero entries of the mixing matrix
+    active = [[k for k in range(n_drivers) if vol[d, k].any()] for d in range(n_drivers)]
+    tile = max(1, TILE_BYTES // ((n_drivers + 2) * half * z.itemsize))
     block[:, 0] = 0.0
-    for d in range(n_drivers):
-        mixed.fill(0.0)
-        for k in range(n_drivers):
-            if vol[d, k].any():  # skip zero entries of the mixing matrix
-                np.multiply(vol[d, k, :, None], z[:, k], out=term)
-                mixed += term
-        np.add(drift[d, :, None], mixed, out=block[d, 1:, 0::2])
-        np.subtract(drift[d, :, None], mixed[:, : count // 2], out=block[d, 1:, 1::2])
+    for lo in range(0, n_times - 1, tile):
+        steps = slice(lo, lo + tile)
+        m, t, zs = mixed[steps], term[steps], z[steps]
+        for d in range(n_drivers):
+            m.fill(0.0)
+            for k in active[d]:
+                np.multiply(vol[d, k, steps, None], zs[:, k], out=t)
+                m += t
+            np.add(drift[d, steps, None], m, out=block[d, 1 + lo : 1 + lo + tile, 0::2])
+            np.subtract(drift[d, steps, None], m[:, : count // 2], out=block[d, 1 + lo : 1 + lo + tile, 1::2])
     for j in range(1, n_times):
         np.add(block[:, j - 1], block[:, j], out=block[:, j])
+
+
+def _simulate_chunk(
+    block: np.ndarray,
+    seed: int,
+    drift: np.ndarray,
+    vol: np.ndarray,
+    x0: np.ndarray,
+    chunk: int,
+) -> None:
+    """Write the paths of simulation chunk ``chunk`` into the time-major ``block``.
+
+    The log-paths of :func:`_simulate_log_chunk` followed by the level step,
+    one ``exp`` and a product with the initial levels ``x0``.
+    """
+    _simulate_log_chunk(block, seed, drift, vol, chunk)
     np.exp(block, out=block)
     block *= x0[:, None, None]
 

@@ -19,7 +19,7 @@ from xccy import (
 from xccy.bsde import COND_LIMIT, _fill_design, _monomial_products, _regress, _slice_denominator
 from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError
 from xccy.model import cross_currency_basis_of
-from xccy.simulation import CHUNK_PATHS, sample_mean
+from xccy.simulation import CHUNK_PATHS, _simulate_log_chunk, _step_coefficients, sample_mean
 from xccy.wealth import flow_nodes
 
 
@@ -280,7 +280,7 @@ def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before the path count was checked")
 
-    monkeypatch.setattr("xccy.bsde.simulate", refuse)
+    monkeypatch.setattr("xccy.bsde._simulate_log_chunk", refuse)
     with pytest.raises(ConfigError, match="at least 4 paths"):
         solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", 0.0, 0.0, _cfg(n_paths=1))
 
@@ -288,13 +288,19 @@ def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
 def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
     """Reference: the solver that held every path and fitted every slice on all of them.
 
-    Returns its surface (n_paths, n_times), whose row 0 is the regressed
-    slice-0 value, and the pathwise values u.
+    Its states are the log-paths of the simulation's log-path kernel, chunk
+    by chunk, and its flows are converted at the levels :func:`simulate`
+    stores. Returns its surface (n_paths, n_times), whose row 0 is the
+    regressed slice-0 value, and the pathwise values u.
     """
     grid, n_paths, times = cfg.grid, cfg.n_paths, cfg.grid.times
     flows = np.zeros(grid.n_steps + 1)
     np.add.at(flows, flow_nodes(grid, contract), [a for _, a in contract.flows])
     scenario = simulate(model, grid, n_paths, cfg.seed, n_workers=cfg.n_workers)
+    drift, vol, _ = _step_coefficients(model, grid, {})
+    logs = np.empty_like(scenario.paths)
+    for lo in range(0, n_paths, CHUNK_PATHS):
+        _simulate_log_chunk(logs[:, :, lo : lo + CHUNK_PATHS], cfg.seed, drift, vol, lo // CHUNK_PATHS)
     r_e = model.curve(model.domestic, "unsecured")
     r_int = r_e.step_integrals(times)
     spread_int = (
@@ -305,8 +311,6 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
     fx_k2 = scenario.fx(contract.native_currency)
     n_drivers = len(model.driver_labels)
     products = _monomial_products(n_drivers, cfg.degree)
-    log_x0 = np.log(scenario.paths[:, 0, :1])
-    states = np.empty((n_drivers, n_paths))
     design = np.ones((1 + len(products), n_paths))
     surface = np.zeros((grid.n_steps + 1, n_paths))
     v = surface[grid.n_steps]
@@ -317,9 +321,7 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
         if j == 0 or not n_drivers:
             cont = np.full(n_paths, float(np.mean(y)))
         else:
-            np.log(scenario.paths[:, j], out=states)
-            states -= log_x0
-            _fill_design(design, states, products)
+            _fill_design(design, logs[:, j], products)
             cont = _regress(design, y) @ design
         den = _slice_denominator(cont, r_int[j], spread_int[j], delta1, delta2)
         v = np.divide(cont, den, out=surface[j])
@@ -354,15 +356,16 @@ def test_one_chunk_matches_the_stored_path_solver(
 def test_streamed_solver_simulates_no_more_than_one_chunk_at_once(bsde_two_currency_model, monkeypatch):
     requests = []
 
-    def recording(model, grid, n_paths, seed, *args, **kwargs):
-        requests.append(n_paths)
-        return simulate(model, grid, n_paths, seed, *args, **kwargs)
+    def recording(block, seed, drift, vol, chunk):
+        requests.append((chunk, block.shape[2]))
+        return _simulate_log_chunk(block, seed, drift, vol, chunk)
 
-    monkeypatch.setattr("xccy.bsde.simulate", recording)
+    monkeypatch.setattr("xccy.bsde._simulate_log_chunk", recording)
     contract = Contract("USD", ((1.0, -1.0),))
     n_paths = 2 * CHUNK_PATHS + 1000
     res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.2, 0.1, _cfg(n_steps=6, n_paths=n_paths))
-    assert requests and max(requests) <= CHUNK_PATHS
+    # each chunk simulated once, the pilot chunk 0 first, none wider than CHUNK_PATHS
+    assert requests == [(0, CHUNK_PATHS), (1, CHUNK_PATHS), (2, 1000)]
     assert res.surface.shape == (n_paths, 7)
     assert np.all(res.surface[:, 0] == res.v0)
     # the slices are fitted on chunk 0 alone, so its values are those of a one-chunk run

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import tracemalloc
 
@@ -18,6 +20,7 @@ from xccy import (
     run_martingale_suite,
     simulate,
 )
+import xccy.diagnostics
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, UnknownProcessId
 from xccy.simulation import CHUNK_PATHS, sample_mean
@@ -84,6 +87,24 @@ def test_suite_covers_every_driver(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 1000, seed=1)
     reports = run_martingale_suite(scen)
     assert {r.process_id for r in reports} == {"asset:EQ", "asset:FEQ", "fx:EUR", "fx:USD"}
+
+
+def test_suite_folds_no_block_for_the_domestic_fx_process(three_currency_model, monkeypatch):
+    # X B_EUR / B_EUR is identically 0: its report is written without building a block,
+    # with the bytes it had when every process was folded chunk by chunk
+    scen = simulate(three_currency_model, TimeGrid.regular(1.0, 6), 2 * CHUNK_PATHS + 100, seed=3)
+    built = []
+    blocks = xccy.diagnostics._checkpoint_blocks
+
+    def recording(scenario, process_id, nodes):
+        built.append(process_id)
+        return blocks(scenario, process_id, nodes)
+
+    monkeypatch.setattr("xccy.diagnostics._checkpoint_blocks", recording)
+    reports = run_martingale_suite(scen)
+    digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
+    assert digest == "f7447d5a4f44fb5b013ba5ef2799958cdfcdebfac8ecad4ff2d887984e28d471"
+    assert built == [r.process_id for r in reports if r.process_id != "fx:EUR"]
 
 
 def test_unknown_process_id(two_currency_model):

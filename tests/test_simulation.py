@@ -22,7 +22,16 @@ from xccy.curves import RateCurve, cash_account_value
 from xccy.errors import ConfigError, DomesticPairRequested, EmptyGrid, UnknownCurrency, ZeroPaths
 from xccy.model import CorrelationMatrix
 from xccy.rng import normal_block
-from xccy.simulation import CHUNK_PATHS, UNIT_RATE, check_error_bar_paths, sample_mean, worker_threads
+from xccy.simulation import (
+    CHUNK_PATHS,
+    UNIT_RATE,
+    _simulate_chunk,
+    _simulate_log_chunk,
+    _step_coefficients,
+    check_error_bar_paths,
+    sample_mean,
+    worker_threads,
+)
 
 
 def drift_at(model, label, t):
@@ -209,11 +218,29 @@ def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, 
     if fixture is None:
         assert (model.mixing == 0).any()
     grid = TimeGrid.regular(1.0, n_steps)
-    scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
-    monkeypatch.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
-    ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift)
-    for label in model.driver_labels:
-        assert np.array_equal(scen.driver(label), ref.driver(label)), label
+    with monkeypatch.context() as m:
+        m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
+        ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift)
+    # the tile budget of the kernel's mixing loop: one step per tile, three steps of
+    # a full chunk's rows, and at least the whole chunk
+    step_bytes = (len(model.driver_labels) + 2) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+    for budget in (1, 3 * step_bytes, n_steps * step_bytes):
+        monkeypatch.setattr("xccy.simulation.TILE_BYTES", budget)
+        scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
+        for label in model.driver_labels:
+            assert np.array_equal(scen.driver(label), ref.driver(label)), (label, budget)
+
+
+@pytest.mark.parametrize("count", [1000, 1001])  # 1001: the last path has no antithetic twin
+def test_level_step_is_x0_times_exp_of_the_log_kernel(three_currency_model, count):
+    grid = TimeGrid.regular(1.0, 7)
+    drift, vol, x0 = _step_coefficients(three_currency_model, grid, {})
+    shape = (len(x0), len(grid.times), count)
+    levels, logs = np.empty(shape), np.empty(shape)
+    _simulate_chunk(levels, 3, drift, vol, x0, 2)
+    _simulate_log_chunk(logs, 3, drift, vol, 2)
+    assert np.array_equal(logs[:, 0], np.zeros(shape[::2]))
+    assert levels.tobytes() == (np.exp(logs) * x0[:, None, None]).tobytes()
 
 
 def test_every_time_slice_is_a_contiguous_view_of_one_buffer(three_currency_model):
