@@ -42,7 +42,6 @@ for both.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -52,13 +51,13 @@ from .contracts import Contract
 from .errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from .model import ValidatedModel, cross_currency_basis_of, fx_label
 from .simulation import (
-    CHUNK_PATHS,
     TimeGrid,
     _simulate_log_chunk,
     _step_coefficients,
     check_error_bar_paths,
+    chunk_columns,
+    run_chunks,
     sample_mean,
-    worker_threads,
 )
 # not called by the solver; kept bound here because the benchmark's tracer wraps this name
 from .simulation import simulate  # noqa: F401
@@ -135,11 +134,14 @@ def _slice_denominator(cont: np.ndarray, dr: float, ds: float, delta1: float, de
     """Per-path 1 + dr - ds (1 + delta), delta = delta1 where cont < 0 and delta2 elsewhere.
 
     v = cont / denominator solves the slice equation when every denominator is
-    positive; otherwise no v of the sign of cont does."""
-    den = np.where(cont < 0, 1.0 + dr - ds * (1.0 + delta1), 1.0 + dr - ds * (1.0 + delta2))
-    if np.any(den <= 0):
+    positive; otherwise no v of the sign of cont does, and a non-positive
+    denominator that some path selects raises :class:`NumericalError`."""
+    below = 1.0 + dr - ds * (1.0 + delta1)
+    above = 1.0 + dr - ds * (1.0 + delta2)
+    den = np.where(cont < 0, below, above)
+    if min(below, above) <= 0 and den.min() <= 0:
         raise NumericalError(
-            f"non-positive slice denominator {float(den.min()):.3e}: "
+            f"non-positive slice denominator {den.min():.3e}: "
             f"haircuts ({delta1}, {delta2}) are too large for the step spread {ds:.3e}"
         )
     return den
@@ -159,10 +161,10 @@ def solve_endogenous(
     receives) with its standard error, and the value surface on the grid. The
     slice coefficients are fitted on simulation chunk 0 alone; every chunk,
     chunk 0 included, is then valued with them, the later ones simulated one
-    at a time into a reused buffer per worker thread. Every chunk, the pilot
-    chunk 0 included, comes from the log-path kernel
-    :func:`~xccy.simulation._simulate_log_chunk`, whose log-paths are the
-    regression states. v0 and its error bar are the
+    at a time into a reused buffer per worker thread of
+    :func:`~xccy.simulation.run_chunks`. Every chunk comes from the log-path
+    kernel :func:`~xccy.simulation._simulate_log_chunk`, whose log-paths are
+    the regression states. v0 and its error bar are the
     :func:`~xccy.simulation.sample_mean` of the pathwise value u, the flows
     discounted through the slice denominators; :class:`BsdeConfig` rejects a
     path count that is odd or below four with :class:`ConfigError` before
@@ -238,30 +240,19 @@ def solve_endogenous(
     # pathwise value: the flows discounted through the same slice denominators,
     # without the regression's averaging; its mean is v0 and its spread the error bar
     u = np.zeros(n_paths)
+    columns = chunk_columns(n_paths)
 
-    def run_chunk(buffer: np.ndarray, chunk: int, fit: bool) -> None:
-        cols = slice(chunk * CHUNK_PATHS, min((chunk + 1) * CHUNK_PATHS, n_paths))
-        block = buffer[:, :, : cols.stop - cols.start]
-        _simulate_log_chunk(block, cfg.seed, drift, vol, chunk)
-        sweep(block, surface[:, cols], u[cols], fit)
+    def value(chunks: list[int], fit: bool = False) -> None:
+        """Simulate and sweep ``chunks`` in order, on one buffer as wide as chunk 0."""
+        buffer = np.empty((n_drivers, n_steps + 1, columns[0].stop))
+        for chunk in chunks:
+            cols = columns[chunk]
+            block = buffer[:, :, : cols.stop - cols.start]
+            _simulate_log_chunk(block, cfg.seed, drift, vol, chunk)
+            sweep(block, surface[:, cols], u[cols], fit)
 
-    # the pilot: simulation chunk 0 (all paths when there are at most CHUNK_PATHS)
-    run_chunk(np.empty((n_drivers, n_steps + 1, min(n_paths, CHUNK_PATHS))), 0, fit=True)
-
-    n_chunks = -(-n_paths // CHUNK_PATHS)
-    n_threads = worker_threads(cfg.n_workers, max(n_chunks - 1, 1))  # chunks after the pilot
-
-    def value(first: int) -> None:
-        """Chunks first, first + n_threads, ... on one reused buffer."""
-        buffer = np.empty((n_drivers, n_steps + 1, CHUNK_PATHS))
-        for chunk in range(first, n_chunks, n_threads):
-            run_chunk(buffer, chunk, fit=False)
-
-    if n_threads == 1:
-        value(1)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(value, range(1, n_threads + 1)))
+    value([0], fit=True)  # the pilot: simulation chunk 0, all paths when there are at most CHUNK_PATHS
+    run_chunks(value, range(1, len(columns)), cfg.n_workers)
     v0, std_error = sample_mean(u)
     surface[0] = v0
     return BsdeResult(

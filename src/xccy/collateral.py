@@ -23,6 +23,10 @@ the segregated reinvestment rate equals the domestic unsecured rate, and the
 risky and cash streams coincide when the two posting-funding roles carry the
 same curve.
 
+The bracket is C times a weight picked by the sign of C, r_recv - r_cb where
+C > 0 and r_post - r_cl elsewhere, and every carry (here and in pricing) is
+computed in that form, bit for bit the received-minus-posted one.
+
 The stream here realizes the FX term as increments -C dX, with predictable
 (left-endpoint) collateral and FX states, for the wealth replay. Pricing
 integrates each leg, the FX term included, exactly over every step instead
@@ -159,7 +163,7 @@ def collateral_from_mark(mark, spec: CollateralSpec, fx_level) -> np.ndarray:
     if np.any(fx_level <= 0):
         raise NonPositiveFx("fx level must be strictly positive")
     mark = np.asarray(mark, dtype=float)
-    return ((1.0 + spec.delta1) * np.maximum(mark, 0.0) - (1.0 + spec.delta2) * np.maximum(-mark, 0.0)) / fx_level
+    return mark * np.where(mark > 0, 1.0 + spec.delta1, 1.0 + spec.delta2) / fx_level
 
 
 def margin_interest(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> np.ndarray:
@@ -175,36 +179,26 @@ def margin_interest(scenario: ScenarioSet, coll: CollateralPath, spec: Collatera
     lend = model.curve(spec.currency, "collateral_lend").step_integrals(times)
     borrow = model.curve(spec.currency, "collateral_borrow").step_integrals(times)
     x = scenario.fx(spec.currency)[:, :-1]
-    inc = x * (coll.posted[:, :-1] * lend - coll.received[:, :-1] * borrow)
+    c = coll.c[:, :-1]
+    inc = x * -(c * np.where(c > 0, borrow, lend))
     out = np.zeros((scenario.n_paths, len(times)))
     np.cumsum(inc, axis=1, out=out[:, 1:])
     return out
 
 
-def carry_roles(spec: CollateralSpec) -> tuple[tuple[str, str], tuple[str, str]]:
-    """(received-leg, posted-leg) funding roles as (currency_kind, role) pairs.
+def carry_curves(model: ValidatedModel, spec: CollateralSpec) -> tuple[RateCurve, RateCurve]:
+    """The (received-leg, posted-leg) funding curves of the module table.
 
-    ``currency_kind`` is "domestic" or "k3"; the cash/rehypothecation received
-    leg funds the trading book and therefore carries the domestic unsecured
-    rate, every other leg is a collateral-currency role.
+    Received cash under rehypothecation funds the trading book and therefore
+    carries the domestic unsecured rate; every other leg is a collateral-currency role.
     """
-    if spec.form == "cash":
-        recv = ("domestic", "unsecured") if spec.convention == "rehypothecation" else ("k3", "coll_reinvest_seg")
-        post = ("k3", "cash_post_funding")
+    if spec.form == "cash" and spec.convention == "rehypothecation":
+        recv = model.curve(model.domestic, "unsecured")
     else:
-        recv = (
-            ("k3", "coll_reinvest_rehyp") if spec.convention == "rehypothecation" else ("k3", "coll_reinvest_seg")
-        )
-        post = ("k3", "coll_post_funding")
-    return recv, post
-
-
-def carry_curves(model, spec: CollateralSpec) -> tuple[RateCurve, RateCurve]:
-    """The (received-leg, posted-leg) funding curves named by :func:`carry_roles`."""
-    recv, post = (
-        model.curve(model.domestic if kind == "domestic" else spec.currency, role) for kind, role in carry_roles(spec)
-    )
-    return recv, post
+        rehyp = spec.form == "risky" and spec.convention == "rehypothecation"
+        recv = model.curve(spec.currency, "coll_reinvest_rehyp" if rehyp else "coll_reinvest_seg")
+    post = "cash_post_funding" if spec.form == "cash" else "coll_post_funding"
+    return recv, model.curve(spec.currency, post)
 
 
 def warn_correlated_collateral_asset(model: ValidatedModel, label: str) -> None:
@@ -231,16 +225,14 @@ def adjustment_increments(scenario: ScenarioSet, coll: CollateralPath, spec: Col
         for label in (spec.posted_asset, spec.received_asset):
             warn_correlated_collateral_asset(model, label)
 
-    recv_curve, post_curve = carry_curves(model, spec)
     borrow = model.curve(spec.currency, "collateral_borrow").step_integrals(times)
     lend = model.curve(spec.currency, "collateral_lend").step_integrals(times)
-    recv_int = recv_curve.step_integrals(times)
-    post_int = post_curve.step_integrals(times)
+    recv_int, post_int = (curve.step_integrals(times) for curve in carry_curves(model, spec))
 
     x = scenario.fx(spec.currency)
-    x_l = x[:, :-1]
-    carry = x_l * (coll.received[:, :-1] * (recv_int - borrow) - coll.posted[:, :-1] * (post_int - lend))
-    return carry - coll.c[:, :-1] * np.diff(x, axis=1)
+    c = coll.c[:, :-1]
+    carry = x[:, :-1] * (c * np.where(c > 0, recv_int - borrow, post_int - lend))
+    return carry - c * np.diff(x, axis=1)
 
 
 def adjustment_stream(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> np.ndarray:

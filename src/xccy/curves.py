@@ -45,6 +45,8 @@ class RateCurve:
             raise ConfigError("rate curve needs at least one knot")
         if knots[0] != 0.0:
             raise ConfigError(f"first knot must be 0, got {knots[0]}")
+        if not np.all(np.isfinite(knots)):
+            raise ConfigError(f"knots must be finite, got {knots.tolist()}")
         if np.any(np.diff(knots) <= 0):
             raise ConfigError("knots must be strictly ascending")
         object.__setattr__(self, "knots", knots)

@@ -26,10 +26,10 @@ import numpy as np
 from .collateral import CollateralPath, CollateralSpec
 from .contracts import Contract
 from .curves import RATE_BOUND
-from .errors import ConfigError, UnknownProcessId
+from .errors import ConfigError, NumericalError, UnknownProcessId
 from .model import ValidatedModel
 from .pricing import _collateral_leg_weights, price_exogenous
-from .simulation import CHUNK_PATHS, ScenarioSet, TimeGrid, check_error_bar_paths, fold_sample_mean, simulate
+from .simulation import ScenarioSet, TimeGrid, check_error_bar_paths, chunk_columns, fold_sample_mean, simulate
 from .wealth import discounted_flows, gain_increments, hedge_operands, hedged_gain_step
 
 
@@ -78,7 +78,8 @@ def _checkpoint_blocks(
     """
     model, n_paths = scenario.model, scenario.n_paths
     kind, _, name = process_id.partition(":")
-    width = min(CHUNK_PATHS, n_paths)
+    columns = chunk_columns(n_paths)
+    width = columns[0].stop
     block = np.empty((len(nodes), width))
     if kind == "asset" and name in {a.label for a in model.assets}:
         s, x, carry = hedge_operands(scenario, name)
@@ -115,9 +116,8 @@ def _checkpoint_blocks(
         raise UnknownProcessId(process_id)
 
     def blocks():
-        for lo in range(0, n_paths, CHUNK_PATHS):
-            cols = slice(lo, min(lo + CHUNK_PATHS, n_paths))
-            out = block[:, : cols.stop - lo]
+        for cols in columns:
+            out = block[:, : cols.stop - cols.start]
             fill(out, cols)
             yield out
 
@@ -154,7 +154,8 @@ def martingale_test(
     The domestic FX process is identically 0 and is not simulated over: its
     mean and standard error are 0 at every checkpoint.
     A threshold that is not finite and positive raises :class:`ConfigError`
-    (:func:`check_threshold`).
+    (:func:`check_threshold`), and a mean or standard error that is not
+    finite raises :class:`NumericalError`: its z would read 0 and pass.
     """
     check_threshold(threshold)
     grid = scenario.grid
@@ -178,6 +179,8 @@ def martingale_test(
         blocks, start = _checkpoint_blocks(scenario, process_id, nodes)
         check_error_bar_paths(scenario.n_paths)
         mean, se = fold_sample_mean(blocks)
+        if not (np.isfinite(mean).all() and np.isfinite(se).all()):
+            raise NumericalError(f"{process_id}: non-finite checkpoint mean or standard error")
     relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
     rounding = relative * (np.abs(start + mean) + abs(start))
     scale = np.maximum(se, rounding)

@@ -104,9 +104,9 @@ class MarketModel:
 def _check_rate_bounds(name: str, curve: RateCurve | None, violations: list[Violation]) -> None:
     if curve is None:
         return
-    if curve.max_abs() > RATE_BOUND:
+    if not curve.max_abs() <= RATE_BOUND:  # NaN compares false: it is rejected too
         violations.append(
-            Violation("UnboundedRate", name, f"|rate| exceeds {RATE_BOUND}: max {curve.max_abs()}")
+            Violation("UnboundedRate", name, f"|rate| must be at most {RATE_BOUND}: max {curve.max_abs()}")
         )
 
 

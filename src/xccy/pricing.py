@@ -134,13 +134,14 @@ def price_exogenous(
     leg_contract = discounted_flows(scenario, contract)
     b_e = scenario.account(scenario.model.domestic)
     w_recv, w_post, w_fx = _collateral_leg_weights(scenario.model, spec, scenario.grid.times)
-    x_l = scenario.fx(spec.currency)[:, :-1]
-    carry = (
-        coll_path.received[:, :-1] * w_recv[None, :]
-        - coll_path.posted[:, :-1] * w_post[None, :]
-        - coll_path.c[:, :-1] * w_fx[None, :]
-    )
-    leg_coll = (carry * x_l / b_e[None, :-1]).sum(axis=1)
+    c = coll_path.c[:, :-1]
+    # C times the weight of its sign's leg, less the FX term: in place, one (n_paths, n_steps) buffer
+    carry = np.where(c > 0, w_recv, w_post)
+    carry *= c
+    carry -= c * w_fx
+    carry *= scenario.fx(spec.currency)[:, :-1]
+    carry /= b_e[:-1]
+    leg_coll = carry.sum(axis=1)
 
     _, se = sample_mean(leg_contract + leg_coll)
     leg_contractual = -float(np.mean(leg_contract))

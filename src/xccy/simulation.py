@@ -12,9 +12,11 @@ X * B_f / B_dom for every currency, empirical martingales (the diagnostics
 module certifies this). The only departure from this measure is a constant
 ``drift_shift`` per driver, the diagnostics negative control.
 
-Paths are simulated in fixed chunks of ``CHUNK_PATHS`` whose boundaries do
-not depend on the worker count. Each chunk draws its normals from its own
-Philox stream (see :mod:`xccy.rng`) and goes through two steps straight into
+Paths are simulated in fixed chunks of ``CHUNK_PATHS`` whose boundaries,
+:func:`chunk_columns`, do not depend on the worker count; :func:`run_chunks`
+is the one threaded chunk loop, thread i of T taking every T-th chunk from
+the i-th. Each chunk draws its normals from its own Philox stream (see
+:mod:`xccy.rng`) and goes through two steps straight into
 one time-major array of shape (n_drivers, n_times, n_paths): the log-path
 kernel :func:`_simulate_log_chunk` mixes the normals in cache-sized tiles of
 steps and sums the log-increments over time into log(S / x0), and the level
@@ -229,7 +231,7 @@ def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     samples = np.asarray(samples)
     n_paths = samples.shape[-1]
     check_error_bar_paths(n_paths)
-    return fold_sample_mean(samples[..., lo : lo + CHUNK_PATHS] for lo in range(0, n_paths, CHUNK_PATHS))
+    return fold_sample_mean(samples[..., cols] for cols in chunk_columns(n_paths))
 
 
 def qe_drift_of(model: ValidatedModel, label: str, integrate, shift: float = 0.0):
@@ -250,7 +252,8 @@ def qe_drift_of(model: ValidatedModel, label: str, integrate, shift: float = 0.0
     else:
         quanto = 0.0
         if spec.currency != model.domestic:
-            rho = _pair_correlation(model, label, fx_label(spec.currency))
+            labels = model.driver_labels
+            rho = float(model.correlation.matrix[labels.index(label), labels.index(fx_label(spec.currency))])
             quanto = rho * spec.sigma * model.fx_spec(spec.currency).sigma
         drift = integrate(spec.repo_rate) - integrate(spec.dividend_yield) - quanto * integrate(UNIT_RATE)
     if shift:
@@ -258,29 +261,32 @@ def qe_drift_of(model: ValidatedModel, label: str, integrate, shift: float = 0.0
     return drift
 
 
-def _pair_correlation(model: ValidatedModel, label_a: str, label_b: str) -> float:
-    ia = model.driver_labels.index(label_a)
-    ib = model.driver_labels.index(label_b)
-    return float(model.correlation.matrix[ia, ib])
-
-
-def _drift_integrals(model: ValidatedModel, grid: TimeGrid, drift_shift: dict[str, float]) -> np.ndarray:
-    """Integrated drift per (driver, step), exact for piecewise-constant rates."""
-
-    def step_integrals(curve):
-        return curve.step_integrals(grid.times)
-
-    out = np.empty((len(model.driver_labels), grid.n_steps))
-    for d, label in enumerate(model.driver_labels):
-        out[d] = qe_drift_of(model, label, step_integrals, drift_shift.get(label, 0.0))
-    return out
-
-
 def worker_threads(n_workers: int, n_chunks: int) -> int:
     """Threads to start: the requested workers, capped by the CPUs and by the chunks."""
     if n_workers < 1:
         raise ConfigError(f"n_workers must be >= 1, got {n_workers}")
     return min(n_workers, os.cpu_count() or 1, n_chunks)
+
+
+def chunk_columns(n_paths: int) -> list[slice]:
+    """The path columns of each simulation chunk: ``CHUNK_PATHS`` wide, the last one ragged."""
+    return [slice(lo, min(lo + CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, CHUNK_PATHS)]
+
+
+def run_chunks(work, chunks, n_workers: int) -> None:
+    """Run ``work(chunks[i::T])`` on thread i of T = :func:`worker_threads` threads.
+
+    ``chunks`` are indices into :func:`chunk_columns`; each share is in order,
+    so ``work`` may reuse one buffer across it. With one thread, or no chunk,
+    ``work`` runs on the caller's thread. An exception in ``work`` is raised here.
+    """
+    chunks = list(chunks)
+    n_threads = worker_threads(n_workers, len(chunks))
+    if n_threads <= 1:
+        work(chunks)
+        return
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        list(pool.map(work, [chunks[i::n_threads] for i in range(n_threads)]))
 
 
 def _simulate_log_chunk(
@@ -371,7 +377,10 @@ def _step_coefficients(
     specs = [model.driver_spec(label) for label in model.driver_labels]
     sigmas = np.array([spec.sigma for spec in specs])
     x0 = np.array([spec.x0 if isinstance(spec, FxSpec) else spec.s0 for spec in specs])
-    drift = _drift_integrals(model, grid, drift_shift) - 0.5 * np.outer(sigmas**2, grid.dt)
+    drift = np.empty((len(specs), grid.n_steps))
+    for d, label in enumerate(model.driver_labels):
+        drift[d] = qe_drift_of(model, label, lambda c: c.step_integrals(grid.times), drift_shift.get(label, 0.0))
+    drift -= 0.5 * np.outer(sigmas**2, grid.dt)
     vol = model.mixing[:, :, None] * np.outer(sigmas, np.sqrt(grid.dt))[:, None, :]
     return drift, vol, x0
 
@@ -389,29 +398,21 @@ def simulate(
     ``drift_shift`` adds a constant per-year drift bump to drivers named by
     ``model.driver_labels``, for diagnostics negative controls; a scenario
     with a non-zero shift is tagged ``"p"`` and pricing refuses it. A key
-    that names no driver raises :class:`ConfigError`. Paths are simulated in
-    chunks of ``CHUNK_PATHS`` on at most :func:`worker_threads` threads.
+    that names no driver raises :class:`ConfigError`. Paths are simulated
+    chunk by chunk through :func:`run_chunks`.
     """
     if n_paths < 1:
         raise ZeroPaths(f"n_paths={n_paths}")
-    n_chunks = -(-n_paths // CHUNK_PATHS)
-    n_threads = worker_threads(n_workers, n_chunks)
     drift_shift = drift_shift or {}
     drift, vol, x0 = _step_coefficients(model, grid, drift_shift)
-
     paths = np.empty((len(x0), len(grid.times), n_paths))
+    columns = chunk_columns(n_paths)
 
-    def fill(chunk: int) -> None:
-        block = paths[:, :, chunk * CHUNK_PATHS : (chunk + 1) * CHUNK_PATHS]
-        _simulate_chunk(block, seed, drift, vol, x0, chunk)
+    def fill(chunks: list[int]) -> None:
+        for chunk in chunks:
+            _simulate_chunk(paths[:, :, columns[chunk]], seed, drift, vol, x0, chunk)
 
-    if n_threads == 1:
-        for chunk in range(n_chunks):
-            fill(chunk)
-    else:
-        with ThreadPoolExecutor(max_workers=n_threads) as pool:
-            list(pool.map(fill, range(n_chunks)))
-
+    run_chunks(fill, range(len(columns)), n_workers)
     return ScenarioSet(
         model=model,
         grid=grid,

@@ -276,6 +276,17 @@ def test_nonpositive_slice_denominator_raises(bsde_two_currency_model):
         solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 1e4, _cfg(n_paths=500))
 
 
+def test_a_non_positive_denominator_raises_only_where_a_path_selects_it():
+    # delta1 is too large for the step: 1 + dr - ds (1 + delta1) < 0, the denominator where cont < 0
+    dr, ds, delta1, delta2 = 0.02 / 25, 0.008 / 25, 1e4, 0.1
+    cont = np.abs(np.random.default_rng(3).standard_normal(1000))
+    cont[:2] = (0.0, -0.0)  # not below 0: they take delta2
+    assert np.all(_slice_denominator(cont, dr, ds, delta1, delta2) == 1.0 + dr - ds * (1.0 + delta2))
+    cont[500] = -1e-300
+    with pytest.raises(NumericalError, match="denominator"):
+        _slice_denominator(cont, dr, ds, delta1, delta2)
+
+
 def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before the path count was checked")
@@ -374,19 +385,24 @@ def test_streamed_solver_simulates_no_more_than_one_chunk_at_once(bsde_two_curre
 
 
 def test_streamed_result_does_not_depend_on_the_worker_count(bsde_two_currency_model, monkeypatch):
-    monkeypatch.setattr("os.cpu_count", lambda: 4)  # let two workers start two threads
+    monkeypatch.setattr("os.cpu_count", lambda: 4)  # let the workers start up to four threads
     contract = Contract("USD", ((0.6, 1.5), (1.0, -1.0)))
     grid = TimeGrid.regular(1.0, 5, include=contract.flow_times)
-    results = [
-        solve_endogenous(
-            bsde_two_currency_model, contract, "EUR", 0.4, 0.2,
-            BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 322, seed=4, n_workers=workers),
-        )
-        for workers in (1, 2)
-    ]
-    one, two = results
-    assert one.surface.tobytes() == two.surface.tobytes()
-    assert (one.v0, one.v0_std_error, one.picard_counts) == (two.v0, two.v0_std_error, two.picard_counts)
+    # three chunks, two after the pilot, so two and three workers both start two threads;
+    # one chunk leaves no chunk after the pilot to value
+    for n_paths in (2 * CHUNK_PATHS + 322, 1000):
+        one, *others = [
+            solve_endogenous(
+                bsde_two_currency_model, contract, "EUR", 0.4, 0.2,
+                BsdeConfig(grid=grid, n_paths=n_paths, seed=4, n_workers=workers),
+            )
+            for workers in (1, 2, 3)
+        ]
+        for other in others:
+            assert one.surface.tobytes() == other.surface.tobytes()
+            assert (one.v0, one.v0_std_error, one.picard_counts) == (
+                other.v0, other.v0_std_error, other.picard_counts
+            )
 
 
 def test_later_chunks_value_their_own_scenario_paths(bsde_two_currency_model):

@@ -82,6 +82,17 @@ def test_validate_failure_exits_one(tmp_path, capsys):
     assert "NonPsdCorrelation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "command", [["validate"], ["check", "--paths", "2000", "--steps", "4"]], ids=["validate", "check"]
+)
+def test_nan_rate_exits_one_naming_the_field(tmp_path, capsys, command):
+    # json reads NaN; before it was rejected, check reported NaN means as passed
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(MODEL_DOC).replace('"unsecured": 0.02', '"unsecured": NaN'))
+    assert run([command[0], "--model", str(path), *command[1:]]) == 1
+    assert "violation: UnboundedRate [rates[EUR].unsecured]" in capsys.readouterr().err
+
+
 def test_missing_file_exits_three(tmp_path, capsys):
     assert run(["validate", "--model", str(tmp_path / "nope.json")]) == 3
     assert "i/o error" in capsys.readouterr().err

@@ -20,7 +20,7 @@ from xccy import (
     replay_wealth,
     simulate,
 )
-from xccy.collateral import adjustment_increments
+from xccy.collateral import adjustment_increments, carry_curves
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, MissingRates, NonPositiveFx
 from xccy.model import cross_currency_basis_integral
@@ -111,6 +111,47 @@ ALL_CONVENTIONS = [
     ("risky", "segregation"),
     ("risky", "rehypothecation"),
 ]
+
+
+def _received_posted_legs(scen, coll, spec):
+    """Reference: margin interest, carry increments and priced collateral leg in the
+    received-minus-posted form, C+ times the received weight less C- times the posted one."""
+    model, times = scen.model, scen.grid.times
+    received, posted, c = coll.received[:, :-1], coll.posted[:, :-1], coll.c[:, :-1]
+    borrow = model.curve(spec.currency, "collateral_borrow").step_integrals(times)
+    lend = model.curve(spec.currency, "collateral_lend").step_integrals(times)
+    recv_int, post_int = (curve.step_integrals(times) for curve in carry_curves(model, spec))
+    x = scen.fx(spec.currency)
+    interest = np.zeros((scen.n_paths, len(times)))
+    np.cumsum(x[:, :-1] * (posted * lend - received * borrow), axis=1, out=interest[:, 1:])
+    carry = x[:, :-1] * (received * (recv_int - borrow) - posted * (post_int - lend))
+    increments = carry - c * np.diff(x, axis=1)
+    w_recv, w_post, w_fx = _collateral_leg_weights(model, spec, times)
+    priced = received * w_recv[None, :] - posted * w_post[None, :] - c * w_fx[None, :]
+    leg = -float(np.mean((priced * x[:, :-1] / scen.account(model.domestic)[None, :-1]).sum(axis=1)))
+    return interest, increments, leg
+
+
+@pytest.mark.filterwarnings("ignore:collateral asset")
+@pytest.mark.parametrize("form,convention", ALL_CONVENTIONS)
+@pytest.mark.parametrize("k3", ["EUR", "USD"])
+def test_signed_legs_match_the_received_posted_form_bit_for_bit(scen, k3, form, convention):
+    # C times a weight picked by the sign of C is exact: x - 0 = x and 0 - y = -y
+    asset = {"EUR": "EQ", "USD": "FEQ"}[k3]
+    labels = {"posted_asset": asset, "received_asset": asset} if form == "risky" else {}
+    spec = CollateralSpec(currency=k3, form=form, convention=convention, delta1=0.3, delta2=0.1, **labels)
+    c = _sign_varying_path(scen, k3).c
+    c[::3, 5], c[1::3, 7] = 0.0, -0.0
+    coll = CollateralPath(c, k3)
+    assert (coll.c[:, :-1] > 0).any() and (coll.c[:, :-1] < 0).any() and (coll.c[:, :-1] == 0).any()
+    interest, increments, leg = _received_posted_legs(scen, coll, spec)
+    assert np.array_equal(margin_interest(scen, coll, spec), interest)
+    assert np.array_equal(adjustment_increments(scen, coll, spec), increments)
+    report = price_exogenous(scen, Contract("EUR", ((1.0, -1.0),)), coll, spec)
+    assert np.array_equal(report.leg_collateral, leg)
+    mark, fx = 3.0 * coll.c, scen.fx(k3)
+    split = ((1.0 + spec.delta1) * np.maximum(mark, 0.0) - (1.0 + spec.delta2) * np.maximum(-mark, 0.0)) / fx
+    assert np.array_equal(collateral_from_mark(mark, spec, fx), split)
 
 
 @pytest.mark.parametrize("form,convention", ALL_CONVENTIONS)

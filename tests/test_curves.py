@@ -69,6 +69,9 @@ def test_bad_curves_rejected():
         RateCurve([0.0, 0.0], [0.01, 0.02])  # not strictly ascending
     with pytest.raises(ConfigError):
         RateCurve([0.0, 1.0], [0.01])  # length mismatch
+    for bad in (math.nan, math.inf):  # np.diff of a NaN knot compares false to 0, so the order check misses it
+        with pytest.raises(ConfigError, match="finite"):
+            RateCurve([0.0, bad, 2.0], [0.01, 0.02, 0.03])
 
 
 @given(

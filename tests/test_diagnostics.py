@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import math
@@ -22,7 +23,7 @@ from xccy import (
 )
 import xccy.diagnostics
 from xccy.curves import RateCurve
-from xccy.errors import ConfigError, UnknownProcessId
+from xccy.errors import ConfigError, NumericalError, UnknownProcessId
 from xccy.simulation import CHUNK_PATHS, sample_mean
 from xccy.wealth import fx_hedge_gain_increments
 
@@ -58,6 +59,16 @@ def test_checkpoint_at_time_zero_rejected(two_currency_model):
         martingale_test(scen, "fx:USD", [1.0, 0.0])
     with pytest.raises(ConfigError, match="snaps onto"):
         martingale_test(scen, "fx:USD", [1e-10])  # within the snap tolerance of t=0
+
+
+@pytest.mark.parametrize("process_id", ["fx:USD", "asset:EQ", "asset:FEQ"])
+def test_non_finite_statistics_raise_instead_of_passing(two_currency_model, process_id):
+    # a NaN mean and SE gave z = 0 (scale > 0 is false for NaN), which passes any threshold
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 200, seed=0)
+    paths = scen.paths.copy()
+    paths[:, 2, 17] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        martingale_test(dataclasses.replace(scen, paths=paths), process_id)
 
 
 def test_fx_process_passes_under_martingale_measure(two_currency_model):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -92,6 +94,17 @@ def test_violations_name_the_offending_field():
     assert "assets[EQ].sigma" in fields
     assert "assets[EQ].s0" in fields
     assert "assets[EQ].repo_rate" in fields  # |r| > 1 bound
+
+
+@pytest.mark.parametrize("bad", [math.nan, -math.inf])
+def test_non_finite_rate_is_unbounded(bad):
+    # NaN fails every comparison, so the bound is stated as "at most", not "exceeds"
+    currencies = [Currency("EUR", 1, True)]
+    rates = {"EUR": curveset(0.02, 0.01, 0.01)}
+    assets = [AssetSpec("EQ", "EUR", 100.0, 0.2, RateCurve([0.0, 1.0], [0.0, bad]), RateCurve.flat(0.01))]
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(MarketModel(currencies, rates, assets, [], CorrelationMatrix.identity(["EQ"])))
+    assert [(v.code, v.field) for v in exc.value.violations] == [("UnboundedRate", "assets[EQ].dividend_yield")]
 
 
 def test_duplicate_currency_detected():

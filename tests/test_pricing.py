@@ -21,7 +21,7 @@ from xccy.errors import (
     EndogenousSpecPassed,
     ScenarioMeasureMismatch,
 )
-from xccy.collateral import carry_roles
+from xccy.collateral import carry_curves
 from xccy.pricing import _collateral_leg_weights
 
 
@@ -223,9 +223,7 @@ def test_collateral_leg_weights_match_scalar_reference(multi_knot_model, k3, for
     labels = {"posted_asset": "A", "received_asset": "A"} if form == "risky" else {}
     spec = CollateralSpec(currency=k3, form=form, convention=convention, **labels)
     times = TimeGrid.regular(2.0, 16, include=(0.3, 1.93)).times
-    (recv_kind, recv_role), (post_kind, post_role) = carry_roles(spec)
-    recv = model.curve("EUR" if recv_kind == "domestic" else k3, recv_role)
-    post = model.curve("EUR" if post_kind == "domestic" else k3, post_role)
+    recv, post = carry_curves(model, spec)
     r_e, r_k3 = model.curve("EUR", "unsecured"), model.curve(k3, "unsecured")
     triples = [
         (recv, model.curve(k3, "collateral_borrow"), r_k3),

@@ -29,6 +29,8 @@ from xccy.simulation import (
     _simulate_log_chunk,
     _step_coefficients,
     check_error_bar_paths,
+    chunk_columns,
+    run_chunks,
     sample_mean,
     worker_threads,
 )
@@ -314,6 +316,21 @@ def test_thread_count_capped_by_cpus_and_chunks(monkeypatch):
     assert worker_threads(1, 13) == 1
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # undeterminable: one thread
     assert worker_threads(8, 13) == 1
+
+
+def test_chunk_schedule_strides_the_chunks_over_the_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert chunk_columns(2 * CHUNK_PATHS + 5) == [
+        slice(0, CHUNK_PATHS), slice(CHUNK_PATHS, 2 * CHUNK_PATHS), slice(2 * CHUNK_PATHS, 2 * CHUNK_PATHS + 5)
+    ]
+    shares = []
+    run_chunks(shares.append, range(1, 8), 3)  # thread i takes chunks[i::3], each share in order
+    assert sorted(shares) == [[1, 4, 7], [2, 5], [3, 6]]
+    shares.clear()
+    run_chunks(shares.append, range(1, 1), 3)  # no chunk: one call on the caller's thread
+    assert shares == [[]]
+    with pytest.raises(ConfigError):
+        run_chunks(shares.append, range(4), 0)
 
 
 @pytest.mark.parametrize("n_pairs", [50, CHUNK_PATHS + 500], ids=["one chunk", "three chunks"])
