@@ -2,10 +2,10 @@
 
 Assets drift at repo-minus-dividend (with a quanto correction when quoted in
 a foreign currency), FX rates at the unsecured differential. Paths are
-simulated in fixed chunks, each drawing its normals from its own numpy Philox
-stream: the draw for (seed, path, step, driver) is a pure function of those
-integers, the grid length, the driver count and the chunk size, so the
-scenario is bit-identical for any worker count.
+simulated in fixed chunks, each drawing its normals from its own numpy SFC64
+stream, spawned from the seed: the draw for (seed, chunk, step, driver, pair)
+is a pure function of those integers, the chunk's width, the grid length and
+the driver count, so the scenario is bit-identical for any worker count.
 """
 
 import os

@@ -42,7 +42,7 @@ import numpy as np
 
 from .contracts import Contract
 from .curves import RateCurve
-from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value
+from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float
 from .model import ValidatedModel, collateralized_log_growth
 from .simulation import ScenarioSet
 
@@ -263,14 +263,14 @@ def collateral_value_adjustment(
 
 
 def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, params) -> CollateralPath:
-    level = doc_value(params, "level", "collateral.mode.exogenous.params", float, 0.0)
+    level = doc_value(params, "level", "collateral.mode.exogenous.params", finite_float, 0.0)
     c = np.full((scenario.n_paths, len(scenario.grid.times)), level)
     return CollateralPath(c, spec.currency)
 
 
 def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, params) -> CollateralPath:
     label = doc_value(params, "asset", "collateral.mode.exogenous.params")
-    fraction = doc_value(params, "fraction", "collateral.mode.exogenous.params", float, 1.0)
+    fraction = doc_value(params, "fraction", "collateral.mode.exogenous.params", finite_float, 1.0)
     asset = scenario.model.asset(label)
     value_dom = scenario.asset(label) * scenario.fx(asset.currency)
     c = fraction * value_dom / scenario.fx(spec.currency)

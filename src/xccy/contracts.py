@@ -7,6 +7,7 @@ optional flow at time 0 is the contract's inception price.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import ConfigError, doc_value
@@ -20,13 +21,18 @@ class Contract:
 
     def __init__(self, native_currency, flows, initial_flow=0.0):
         flows = tuple((float(t), float(a)) for t, a in flows)
-        for t, _ in flows:
+        for t, a in flows:
+            if not (math.isfinite(t) and math.isfinite(a)):
+                raise ConfigError(f"contract.flows: flow ({t}, {a}) needs a finite time and amount")
             if t <= 0:
                 raise ConfigError(f"flow time {t} must be strictly positive; use initial_flow for t=0")
         flows = tuple(sorted(flows))
+        initial_flow = float(initial_flow)
+        if not math.isfinite(initial_flow):
+            raise ConfigError(f"contract.initial_flow must be finite, got {initial_flow}")
         object.__setattr__(self, "native_currency", native_currency)
         object.__setattr__(self, "flows", flows)
-        object.__setattr__(self, "initial_flow", float(initial_flow))
+        object.__setattr__(self, "initial_flow", initial_flow)
 
     @property
     def flow_times(self) -> tuple[float, ...]:

@@ -7,6 +7,7 @@ and I/O errors (plain OSError, exit code 3).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -108,6 +109,14 @@ class UnknownProcessId(ConfigError):
 class SingularRegression(NumericalError):
     pass
 
+
+
+def finite_float(value) -> float:
+    """``float(value)``, raising :class:`ValueError` for NaN or an infinity: a ``kind`` for :func:`doc_value`."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not finite")
+    return number
 
 
 def doc_value(doc, key: str, where: str, kind=None, default=...):

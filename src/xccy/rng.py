@@ -1,17 +1,27 @@
-"""Random normals: one numpy Philox stream per simulation chunk.
+"""Random normals: one numpy SFC64 stream per simulation chunk.
 
 Chunk ``c`` of the simulation (paths ``c * CHUNK_PATHS`` onwards) draws its
-normals with numpy's ziggurat sampler, ``Generator.standard_normal``, from a
-Philox-4x64-10 generator keyed by the seed reduced modulo 2**128 (``Philox``
-rejects a negative key) and started at counter ``[0, c, 0, 0]``. The draws
-fill (row, step, driver) in C order. Paths come in antithetic pairs: path p
-of a chunk uses row p // 2 with sign (-1)**p, so a chunk of ``count`` paths
-draws ceil(count / 2) rows, and ``CHUNK_PATHS`` is even so that no pair
-spans two chunks. A ragged last chunk, odd or even, draws a prefix of a full
-chunk's rows, and a path's normals are a pure function of (seed, path,
-n_steps, n_drivers, ``CHUNK_PATHS``): fixed by the scenario identity and
-independent of the worker count. Two chunks' streams differ in counter word
-1 and could only overlap after more than 2**64 blocks in one chunk.
+normals with numpy's ziggurat sampler, ``Generator.standard_normal``, from an
+SFC64 generator seeded by ``SeedSequence(entropy=seed mod 2**128,
+spawn_key=(c,))`` (:func:`chunk_stream`). That is exactly the sequence
+``SeedSequence(seed mod 2**128).spawn(c + 1)[c]``: the chunks' streams are
+spawned children of one root, numpy's recommended way to give parallel work
+independent streams (NumPy's "Parallel random number generation" guide),
+and SFC64 is a 256-bit-state generator with a minimum period of 2**64 per
+stream (O'Neill 2014, PCG report, on stream independence). The seed is
+reduced modulo 2**128 so that any Python integer, negative included, names
+a stream.
+
+A chunk reads its stream in order, time-major: the normals of step j, driver
+k and antithetic pair i sit at flat position (j * n_drivers + k) * pairs + i,
+where ``pairs`` is ceil(count / 2) for a chunk of ``count`` paths. The
+simulation kernel draws them one mixing tile of consecutive steps at a time
+(:func:`normal_block`); successive draws from one generator continue its
+stream, so the tiling does not change a bit. In this order a path's normals
+depend on the width of its chunk: a ragged last chunk does not draw a prefix
+of a full chunk's normals. The chunk widths are fixed by ``n_paths`` and
+``CHUNK_PATHS`` alone, so a scenario is still a pure function of (model,
+grid, n_paths, seed) and independent of the worker count.
 
 NEP 19 lets numpy change the stream of a ``Generator`` method between
 releases, unlike the raw bit-generator stream. The known-answer tests in
@@ -24,12 +34,16 @@ from __future__ import annotations
 import numpy as np
 
 
-def normal_block(seed: int, chunk: int, count: int, n_steps: int, n_drivers: int) -> np.ndarray:
-    """The first ``count`` rows of standard normals of simulation chunk ``chunk``.
+def chunk_stream(seed: int, chunk: int) -> np.random.Generator:
+    """The generator of simulation chunk ``chunk``: SFC64 on the ``chunk``-th spawned child of the seed."""
+    sequence = np.random.SeedSequence(entropy=int(seed) % 2**128, spawn_key=(chunk,))
+    return np.random.Generator(np.random.SFC64(sequence))
 
-    Returns shape (count, n_steps, n_drivers); row i drives the antithetic
-    pair of paths 2i and 2i + 1. See the module docstring for the stream of
-    each chunk.
+
+def normal_block(stream: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the C-contiguous float64 ``out`` with the next standard normals of ``stream``, and return it.
+
+    The simulation kernel passes one mixing tile, shaped (tile_steps,
+    n_drivers, pairs); see the module docstring for the order.
     """
-    bits = np.random.Philox(key=int(seed) % 2**128, counter=[0, chunk, 0, 0])
-    return np.random.Generator(bits).standard_normal((count, n_steps, n_drivers))
+    return stream.standard_normal(out=out)

@@ -15,18 +15,19 @@ module certifies this). The only departure from this measure is a constant
 Paths are simulated in fixed chunks of ``CHUNK_PATHS`` whose boundaries,
 :func:`chunk_columns`, do not depend on the worker count; :func:`run_chunks`
 is the one threaded chunk loop, thread i of T taking every T-th chunk from
-the i-th. Each chunk draws its normals from its own Philox stream (see
-:mod:`xccy.rng`) and goes through two steps straight into
+the i-th. Each chunk draws its normals from its own SFC64 stream, read
+time-major (see :mod:`xccy.rng`), and goes through two steps straight into
 one time-major array of shape (n_drivers, n_times, n_paths): the log-path
-kernel :func:`_simulate_log_chunk` mixes the normals in cache-sized tiles of
-steps and sums the log-increments over time into log(S / x0), and the level
-step (one ``exp``, one product with x0) turns them into levels. The
-endogenous-collateral solver regresses on the log-paths and runs the kernel
-alone. Antithetic pairs are the only sampling scheme: path p of a chunk is
-driven by row p // 2 of the chunk's normals with sign (-1)**p, so paths 2i
-and 2i + 1 are twins with negated normals. ``CHUNK_PATHS`` is even, so no
-pair spans two chunks or two workers, and an odd ragged last chunk draws a
-prefix of a full chunk's rows, its last path without a twin. Every error bar is taken over the pair means
+kernel :func:`_simulate_log_chunk` draws and mixes the normals in cache-sized
+tiles of steps and sums the log-increments over time into log(S / x0), and
+the level step (one ``exp``, one product with x0) turns them into levels.
+The endogenous-collateral solver regresses on the log-paths and runs the
+kernel alone. Antithetic pairs are the only sampling scheme: path p of a
+chunk is driven by pair p // 2 of the chunk's normals with sign (-1)**p, so
+paths 2i and 2i + 1 are twins with negated normals. ``CHUNK_PATHS`` is even,
+so no pair spans two chunks or two workers; a ragged last chunk draws the
+time-major normals of its own width, not a prefix of a full chunk's, and
+when its width is odd its last path has no twin. Every error bar is taken over the pair means
 (:func:`sample_mean`), the independent samples; an error bar needs an even
 path count of at least four (:func:`check_error_bar_paths`), while
 :func:`simulate` accepts any count of at least one. Every consumer reads time
@@ -52,7 +53,7 @@ from .csvio import write_rows
 from .curves import RateCurve, cash_account_value
 from .errors import ConfigError, EmptyGrid, ZeroPaths
 from .model import FxSpec, ValidatedModel, fx_label
-from .rng import normal_block
+from .rng import chunk_stream, normal_block
 
 GRID_SNAP_TOL = 1e-9
 # paths per simulation chunk: fixed, so results do not depend on the worker count,
@@ -299,47 +300,52 @@ def _simulate_log_chunk(
     """Write the log-paths log(S / x0) of simulation chunk ``chunk`` into the time-major ``block``.
 
     ``block`` is any (n_drivers, n_times, count) array, a slice of a whole
-    scenario or a reused buffer, and receives the chunk's first ``count``
-    paths. Paths come in antithetic pairs: path p reads row p // 2 of the
-    chunk's normals with sign (-1)**p, so only ceil(count / 2) rows are drawn,
-    and with an odd ``count`` the last path has no twin. The mixed shock of
-    driver d over step j, m = sum_k vol[d, k, j] z_k, is summed once per pair
-    in a fixed driver order rather than by a BLAS product, so each path's
-    value does not depend on the chunking; the log-increment is
+    scenario or a reused buffer, and receives the chunk's ``count`` paths;
+    ``count`` is the chunk's width, which sets the order of its normals. Paths
+    come in antithetic pairs: path p reads pair p // 2 of the chunk's normals
+    with sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per
+    step and driver, and with an odd ``count`` the last path has no twin. The
+    mixed shock of driver d over step j, m = sum_k vol[d, k, j] z_k, is summed
+    once per pair in a fixed driver order rather than by a BLAS product, so
+    each path's value does not depend on the tiling; the log-increment is
     drift[d, j] + m on the even path and drift[d, j] - m on the odd one, which
-    is bit for bit the mixing of the negated normals. The drawn rows are
-    transposed once to (step, driver, pair), so each (step, driver) is a
-    contiguous row, and the scratch memory beyond them is two (n_steps, pairs)
-    buffers. The mixing runs in tiles of consecutive steps whose normals,
-    mixed and term rows fit ``TILE_BYTES``, so a tile's rows stay in cache
-    across the drivers; every element sees the same operations in the same
-    order for any tile size. The cumulative sum over time is a loop that adds
-    each time row to the next: numpy's accumulate is slow along an axis that
-    is not innermost, and a cumulative sum is sequential either way, so the
-    bits are those of ``np.cumsum``.
+    is bit for bit the mixing of the negated normals. The mixing runs in tiles
+    of consecutive steps whose normals, mixed and term rows fit
+    ``TILE_BYTES``, so a tile's rows stay in cache across the drivers. Each
+    tile's normals are drawn from the chunk's stream (:func:`normal_block`)
+    just before they are mixed, time-major as (tile steps, n_drivers, pairs)
+    into one tile-sized buffer, so each (step, driver) is a contiguous row and
+    no drawn normal is ever transposed or copied. The tiles read the stream in
+    order, so the normals, and every element's operations and their order, are
+    the same for any tile size. The cumulative sum over time is a loop that
+    adds each time row to the next: numpy's accumulate is slow along an axis
+    that is not innermost, and a cumulative sum is sequential either way, so
+    the bits are those of ``np.cumsum``.
     """
     n_drivers, n_times, count = block.shape
-    half = count - count // 2
-    mixed = np.empty((n_times - 1, half))  # m of one driver, one row per step
+    n_steps, half = n_times - 1, count - count // 2
+    tile = min(n_steps, max(1, TILE_BYTES // ((n_drivers + 2) * half * 8)))
+    # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
+    # took the solver's own peak RSS from 101 to 90 MB (one worker)
+    z = np.empty((tile, n_drivers, half))
+    mixed = np.empty((tile, half))  # m of one driver, one row per step
     term = np.empty_like(mixed)
-    # the normals come after the scratch buffers, so freeing them releases the top of
-    # the heap; drawn first, they left ~18 MB of freed heap resident per BSDE run
-    z = normal_block(seed, chunk, half, n_times - 1, n_drivers)
-    z = np.ascontiguousarray(z.reshape(half, -1).T).reshape(n_times - 1, n_drivers, half)
+    stream = chunk_stream(seed, chunk)
     # skip zero entries of the mixing matrix
     active = [[k for k in range(n_drivers) if vol[d, k].any()] for d in range(n_drivers)]
-    tile = max(1, TILE_BYTES // ((n_drivers + 2) * half * z.itemsize))
     block[:, 0] = 0.0
-    for lo in range(0, n_times - 1, tile):
-        steps = slice(lo, lo + tile)
-        m, t, zs = mixed[steps], term[steps], z[steps]
+    for lo in range(0, n_steps, tile):
+        hi = min(lo + tile, n_steps)
+        steps = slice(lo, hi)
+        zs = normal_block(stream, z[: hi - lo])
+        m, t = mixed[: hi - lo], term[: hi - lo]
         for d in range(n_drivers):
             m.fill(0.0)
             for k in active[d]:
                 np.multiply(vol[d, k, steps, None], zs[:, k], out=t)
                 m += t
-            np.add(drift[d, steps, None], m, out=block[d, 1 + lo : 1 + lo + tile, 0::2])
-            np.subtract(drift[d, steps, None], m[:, : count // 2], out=block[d, 1 + lo : 1 + lo + tile, 1::2])
+            np.add(drift[d, steps, None], m, out=block[d, 1 + lo : 1 + hi, 0::2])
+            np.subtract(drift[d, steps, None], m[:, : count // 2], out=block[d, 1 + lo : 1 + hi, 1::2])
     for j in range(1, n_times):
         np.add(block[:, j - 1], block[:, j], out=block[:, j])
 

@@ -93,6 +93,37 @@ def test_nan_rate_exits_one_naming_the_field(tmp_path, capsys, command):
     assert "violation: UnboundedRate [rates[EUR].unsecured]" in capsys.readouterr().err
 
 
+def _exogenous(functional, params):
+    return {"collateral": {**TRADE_DOC["collateral"], "mode": {"exogenous": {"functional": functional, "params": params}}}}
+
+
+# json reads NaN and Infinity; each field names itself in the error line
+NON_FINITE_TRADES = {
+    "flow amount": ("contract.flows", {"contract": {"currency": "EUR", "flows": [[1.0, math.nan]]}}),
+    "flow time": ("contract.flows", {"contract": {"currency": "EUR", "flows": [[math.inf, -1.0]]}}),
+    "initial flow": (
+        "contract.initial_flow",
+        {"contract": {"currency": "EUR", "flows": [[1.0, -1.0]], "initial_flow": math.nan}},
+    ),
+    "constant level": ("collateral.mode.exogenous.params.level", _exogenous("constant", {"level": math.nan})),
+    "asset fraction": (
+        "collateral.mode.exogenous.params.fraction",
+        _exogenous("fraction_of_asset", {"asset": "EQ", "fraction": -math.inf}),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_TRADES))
+def test_non_finite_trade_value_exits_one_naming_the_field(docs, capsys, case):
+    # unchecked, such a value gives "price": NaN and exit 0
+    model, _, tmp = docs
+    field, edit = NON_FINITE_TRADES[case]
+    trade = tmp / "non_finite.json"
+    trade.write_text(json.dumps({**TRADE_DOC, **edit}))
+    assert run(["price", "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
 def test_missing_file_exits_three(tmp_path, capsys):
     assert run(["validate", "--model", str(tmp_path / "nope.json")]) == 3
     assert "i/o error" in capsys.readouterr().err

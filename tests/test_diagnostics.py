@@ -114,7 +114,7 @@ def test_suite_folds_no_block_for_the_domestic_fx_process(three_currency_model, 
     monkeypatch.setattr("xccy.diagnostics._checkpoint_blocks", recording)
     reports = run_martingale_suite(scen)
     digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
-    assert digest == "f7447d5a4f44fb5b013ba5ef2799958cdfcdebfac8ecad4ff2d887984e28d471"
+    assert digest == "e3a06e2fc3948c747363b7421a11605005271f15ccfbc1848f6dd0d260abcd49"
     assert built == [r.process_id for r in reports if r.process_id != "fx:EUR"]
 
 

@@ -9,53 +9,76 @@ import numpy as np
 import pytest
 
 import xccy
-from xccy.rng import normal_block
+from xccy.rng import chunk_stream, normal_block
+from xccy.simulation import CHUNK_PATHS, TimeGrid, simulate
 
 
-def _reference_normals(seed, chunk, count, n_steps, n_drivers):
+def _reference_normals(seed, chunk, shape):
     """Normals of one chunk read straight from numpy: the ziggurat sampler on
-    Philox keyed by the seed (as two 64-bit words) at counter [0, chunk, 0, 0]."""
-    bits = np.random.Philox(key=[seed & (2**64 - 1), seed >> 64], counter=[0, chunk, 0, 0])
-    return np.random.Generator(bits).standard_normal((count, n_steps, n_drivers))
+    SFC64 fed by the ``chunk``-th spawned child of the seed reduced mod 2**128."""
+    child = np.random.SeedSequence(seed % 2**128).spawn(chunk + 1)[chunk]
+    return np.random.Generator(np.random.SFC64(child)).standard_normal(shape)
 
 
 @pytest.mark.parametrize(
-    "seed, chunk, count, n_steps, n_drivers",
+    "seed, chunk, shape",
     [
-        (3, 0, 5, 5, 3),
-        (12345, 3, 40, 50, 3),
-        ((0xCAFE << 64) | 0xDEADBEEF, 1, 7, 4, 4),
-        (99, 2, 30, 4, 6),
+        (3, 0, (5, 3, 3)),
+        (12345, 3, (50, 3, 20)),
+        ((0xCAFE << 64) | 0xDEADBEEF | (1 << 130), 1, (4, 4, 4)),
+        (-99, 2, (4, 6, 15)),
     ],
-    ids=["counter_zero", "mid_range", "wide_seed", "six_drivers"],
+    ids=["chunk_zero", "mid_range", "wide_seed", "six_drivers"],
 )
-def test_normal_block_pins_numpy_philox_at_flat_counter(seed, chunk, count, n_steps, n_drivers):
-    z = normal_block(seed, chunk, count, n_steps, n_drivers)
-    assert np.array_equal(z, _reference_normals(seed, chunk, count, n_steps, n_drivers))
+def test_chunk_stream_is_the_spawned_child_of_the_seed(seed, chunk, shape):
+    z = normal_block(chunk_stream(seed, chunk), np.empty(shape))
+    assert np.array_equal(z, _reference_normals(seed, chunk, shape))
 
 
 def test_normal_block_known_answer():
-    # a change to the key, the counter or numpy's sampler re-rolls every
-    # seeded number; it must show up here, not only in statistical tests
-    z = normal_block(7, 0, 3, 4, 3)
-    expected = [-1.7496944402112695, -1.0831235446557208, 1.5815935783513093]
-    assert [z[0, 0, 0], z[2, 3, 1], z[1, 2, 2]] == pytest.approx(expected, rel=1e-13)
+    # a change to the seeding, the bit generator or numpy's sampler re-rolls
+    # every seeded number; it must show up here, not only in statistical tests
+    z = normal_block(chunk_stream(7, 0), np.empty((4, 3, 2)))
+    expected = [-1.4500177039893056, 0.6630174774356634, -0.7486489922601834]
+    assert [z[0, 0, 0], z[3, 1, 1], z[2, 2, 0]] == pytest.approx(expected, rel=1e-13)
 
 
-def test_ragged_chunk_is_a_prefix_of_the_full_chunk():
-    full = normal_block(99, 2, 100, n_steps=7, n_drivers=3)
-    assert np.array_equal(normal_block(99, 2, 37, n_steps=7, n_drivers=3), full[:37])
+@pytest.mark.parametrize("tile", [1, 3, 7])
+def test_tile_by_tile_draws_equal_one_whole_chunk_draw(tile):
+    whole = normal_block(chunk_stream(5, 1), np.empty((7, 3, 19)))
+    stream, tiles, buffer = chunk_stream(5, 1), np.empty_like(whole), np.empty((tile, 3, 19))
+    for lo in range(0, 7, tile):
+        drawn = normal_block(stream, buffer[: min(tile, 7 - lo)])
+        tiles[lo : lo + tile] = drawn
+    assert np.array_equal(tiles, whole)
+
+
+def test_a_ragged_chunk_draws_the_time_major_block_of_its_own_width(two_currency_model):
+    # step j, driver k, pair i reads flat position (j * n_drivers + k) * pairs + i of the
+    # chunk's stream, so a ragged chunk's pairs are not a prefix of a full chunk's
+    full = normal_block(chunk_stream(99, 2), np.empty((7, 3, 50)))
+    ragged = normal_block(chunk_stream(99, 2), np.empty((7, 3, 19)))
+    assert np.array_equal(ragged.reshape(-1), full.reshape(-1)[: ragged.size])
+    assert not np.array_equal(ragged, full[:, :, :19])
+    # the chunk widths follow from n_paths alone: a scenario is a pure function of
+    # (model, grid, n_paths, seed), whatever the worker count
+    grid = TimeGrid.regular(1.0, 3)
+    short, wide = (simulate(two_currency_model, grid, CHUNK_PATHS + n, seed=4, n_workers=2) for n in (38, 100))
+    assert np.array_equal(short.paths[:, :, :CHUNK_PATHS], wide.paths[:, :, :CHUNK_PATHS])
+    assert not np.array_equal(short.paths[:, 1:, CHUNK_PATHS:], wide.paths[:, 1:, CHUNK_PATHS : CHUNK_PATHS + 38])
+    again = simulate(two_currency_model, grid, CHUNK_PATHS + 38, seed=4, n_workers=1)
+    assert np.array_equal(short.paths, again.paths)
 
 
 def test_normals_change_with_seed_path_step_driver():
-    base = normal_block(1, 5, 1, 3, 2)
-    assert not np.array_equal(base, normal_block(2, 5, 1, 3, 2))
-    assert not np.array_equal(base, normal_block(1, 6, 1, 3, 2))
-    assert base.shape == (1, 3, 2)
+    base = normal_block(chunk_stream(1, 5), np.empty((3, 2, 1)))
+    assert not np.array_equal(base, normal_block(chunk_stream(2, 5), np.empty((3, 2, 1))))
+    assert not np.array_equal(base, normal_block(chunk_stream(1, 6), np.empty((3, 2, 1))))
+    assert base.shape == (3, 2, 1)
 
 
 def test_normals_standard_moments():
-    z = normal_block(123, 0, 20000, n_steps=1, n_drivers=4).reshape(-1)
+    z = normal_block(chunk_stream(123, 0), np.empty((1, 4, 20000))).reshape(-1)
     n = z.size
     assert abs(z.mean()) < 4 / np.sqrt(n)
     assert abs(z.std() - 1.0) < 4 / np.sqrt(2 * n)
