@@ -48,7 +48,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .contracts import Contract
-from .errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
+from .errors import ConfigError, NumericalError, SingularRegression
 from .model import ValidatedModel, cross_currency_basis_of, fx_label
 from .simulation import (
     TimeGrid,
@@ -61,7 +61,7 @@ from .simulation import (
 )
 # not called by the solver; kept bound here because the benchmark's tracer wraps this name
 from .simulation import simulate  # noqa: F401
-from .wealth import flow_nodes
+from .wealth import flow_amounts
 
 RIDGE_LAMBDA = 1e-8
 COND_LIMIT = 1e12
@@ -172,10 +172,8 @@ def solve_endogenous(
     """
     if not (delta1 > -1 and delta2 > -1):
         raise ConfigError(f"haircuts must exceed -1, got {delta1}, {delta2}")
-    if not model.has_symmetric_collateral_rates(model.domestic):
-        raise AsymmetricCollateralRates("domestic collateral borrow and lend rates must coincide")
-    if not model.has_symmetric_collateral_rates(k3):
-        raise AsymmetricCollateralRates(f"collateral borrow and lend rates must coincide for {k3!r}")
+    model.require_symmetric_collateral_rates(model.domestic)
+    model.require_symmetric_collateral_rates(k3)
     cash_post = model.curve_set(k3).cash_post_funding
     r_e = model.curve(model.domestic, "unsecured")
     if cash_post is not None and cash_post != r_e:
@@ -184,8 +182,7 @@ def solve_endogenous(
             f"unsecured account; cash_post_funding for {k3!r} must equal the domestic unsecured curve"
         )
     grid = cfg.grid
-    flows = np.zeros(grid.n_steps + 1)  # contract amounts per grid node
-    np.add.at(flows, flow_nodes(grid, contract), [a for _, a in contract.flows])
+    flows = flow_amounts(grid, contract)
 
     times = grid.times
     n_steps = grid.n_steps

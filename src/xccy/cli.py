@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .bsde import BsdeConfig, solve_endogenous
-from .collateral import CollateralSpec, build_exogenous_path
+from .collateral import CollateralSpec, build_exogenous_path, check_collateral_spec
 from .contracts import Contract
 from .csvio import write_rows
 from .diagnostics import check_threshold, run_martingale_suite
@@ -101,6 +101,19 @@ def _load_trade(path: str) -> tuple[str, Contract, CollateralSpec]:
     return str(doc.get("trade_id", "trade")), contract, spec
 
 
+def _dump_file(args, wanted: bool, flag: str, name: str) -> str | None:
+    """Path of ``flag``'s file ``name`` under ``--out``, or None unless ``wanted``.
+
+    Checked, and the directory made, before anything is simulated.
+    """
+    if not wanted:
+        return None
+    if args.out is None:
+        raise ConfigError(f"{flag} requires --out")
+    os.makedirs(args.out, exist_ok=True)
+    return os.path.join(args.out, name)
+
+
 def _write_report(out_dir: str | None, report: dict) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
     if out_dir is None:
@@ -133,6 +146,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_simulate(args) -> int:
     model = validate_model(load_model(args.model))
+    dump = _dump_file(args, args.dump_paths, "--dump-paths", "paths.csv")
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
     report = {
@@ -147,11 +161,8 @@ def _cmd_simulate(args) -> int:
             label: float(np.mean(scenario.driver(label)[:, -1])) for label in model.driver_labels
         },
     }
-    if args.dump_paths:
-        if args.out is None:
-            raise ConfigError("--dump-paths requires --out")
-        os.makedirs(args.out, exist_ok=True)
-        dump_paths_csv(scenario, os.path.join(args.out, "paths.csv"))
+    if dump is not None:
+        dump_paths_csv(scenario, dump)
     _write_report(args.out, report)
     return EXIT_OK
 
@@ -177,6 +188,7 @@ def _cmd_price(args) -> int:
         if spec is None:
             raise ConfigError("trade document has no collateral block; use --mode full-collateral for none")
         check_error_bar_paths(args.paths)
+        check_collateral_spec(model, spec)
         grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
         scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
         coll = build_exogenous_path(scenario, spec, contract)
@@ -194,8 +206,10 @@ def _cmd_bsde(args) -> int:
     trade_id, contract, spec = _load_trade(args.trade)
     if spec is None:
         raise ConfigError("bsde requires a collateral block in the trade document")
+    check_collateral_spec(model, spec)
     delta1 = spec.delta1 if args.delta1 is None else args.delta1
     delta2 = spec.delta2 if args.delta2 is None else args.delta2
+    dump = _dump_file(args, args.dump_surface, "--dump-surface", "surface.csv")
     grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
     cfg = BsdeConfig(
         grid=grid,
@@ -219,11 +233,8 @@ def _cmd_bsde(args) -> int:
         "n_steps": grid.n_steps,
         "picard_counts": list(result.picard_counts),
     }
-    if args.dump_surface:
-        if args.out is None:
-            raise ConfigError("--dump-surface requires --out")
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "surface.csv"), "w", encoding="utf-8", newline="") as fh:
+    if dump is not None:
+        with open(dump, "w", encoding="utf-8", newline="") as fh:
             fh.write("path_id,time,value\n")
             write_rows(fh, np.arange(result.n_paths)[:, None], grid.times, result.surface)
     _write_report(args.out, report)

@@ -43,7 +43,7 @@ import numpy as np
 from .contracts import Contract
 from .curves import RateCurve
 from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float
-from .model import ValidatedModel, collateralized_log_growth
+from .model import ValidatedModel, collateralized_value
 from .simulation import ScenarioSet
 
 FORMS = ("cash", "risky")
@@ -57,7 +57,11 @@ class CollateralSpec:
     ``delta1`` scales collateral above a positive mark, ``delta2`` below a
     negative one; both must exceed -1. ``mode`` is either
     ``("exogenous", functional_name, params)`` or ``("endogenous",)``; the
-    exogenous functionals are listed in :data:`EXOGENOUS_FUNCTIONALS`.
+    exogenous functionals and their parameters are listed in
+    :data:`EXOGENOUS_FUNCTIONALS`. The name is checked and the parameters
+    converted when the spec is built, so a bad one raises :class:`ConfigError`
+    naming its field before anything is simulated; ``mode`` then holds the
+    converted parameters, defaults filled in.
     """
 
     currency: str
@@ -78,6 +82,19 @@ class CollateralSpec:
             raise ConfigError(f"haircuts must exceed -1, got {self.delta1}, {self.delta2}")
         if self.form == "risky" and (self.posted_asset is None or self.received_asset is None):
             raise ConfigError("risky collateral requires posted_asset and received_asset labels")
+        if not self.endogenous:
+            _, name, params = self.mode
+            if name not in EXOGENOUS_FUNCTIONALS:
+                raise ConfigError(
+                    f"collateral.mode.exogenous.functional: unknown exogenous functional {name!r}; "
+                    f"known: {sorted(EXOGENOUS_FUNCTIONALS)}"
+                )
+            where = "collateral.mode.exogenous.params"
+            params = {
+                key: doc_value(params, key, where, kind, default)
+                for key, (kind, default) in EXOGENOUS_FUNCTIONALS[name][1].items()
+            }
+            object.__setattr__(self, "mode", ("exogenous", name, params))
 
     @property
     def endogenous(self) -> bool:
@@ -133,25 +150,47 @@ class CollateralPath:
         return np.maximum(-self.c, 0.0)
 
 
+def check_collateral_spec(model: ValidatedModel, spec: CollateralSpec) -> None:
+    """Raise :class:`ConfigError` unless ``model`` has what ``spec`` names.
+
+    The collateral currency must be one of the model's, every asset the spec
+    names must be one of its assets, and risky collateral must post and
+    receive assets quoted in the collateral currency; each error names its
+    field. It needs no paths, so the CLI runs it before simulating.
+    """
+    model.curve_set(spec.currency)  # UnknownCurrency for a currency the model lacks
+
+    def asset(field: str, label):
+        try:
+            return model.asset(label)
+        except ConfigError as exc:
+            raise ConfigError(f"{field}: {exc}") from exc
+
+    if not spec.endogenous and "asset" in spec.mode[2]:
+        asset("collateral.mode.exogenous.params.asset", spec.mode[2]["asset"])
+    if spec.form == "risky":
+        for side in ("posted_asset", "received_asset"):
+            label = getattr(spec, side)
+            currency = asset(f"collateral.{side}", label).currency
+            if currency != spec.currency:
+                raise ConfigError(
+                    f"collateral.{side}: asset {label!r} is quoted in {currency!r}, not in the collateral "
+                    f"currency {spec.currency!r}"
+                )
+
+
 def check_collateral_path(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> None:
     """Raise :class:`ConfigError` unless ``coll`` is a collateral path of ``spec`` on ``scenario``.
 
-    The path must be in the spec's currency and of shape (n_paths, n_times);
-    risky collateral must post and receive assets quoted in that currency.
+    The path must be in the spec's currency and of shape (n_paths, n_times),
+    and the scenario's model must pass :func:`check_collateral_spec`.
     """
     if coll.currency != spec.currency:
         raise ConfigError(f"collateral path currency {coll.currency!r} != spec currency {spec.currency!r}")
     shape = (scenario.n_paths, len(scenario.grid.times))
     if coll.c.shape != shape:
         raise GridMismatch(f"collateral path shape {coll.c.shape} != (n_paths, n_times) {shape}")
-    if spec.form == "risky":
-        for label in (spec.posted_asset, spec.received_asset):
-            currency = scenario.model.asset(label).currency
-            if currency != spec.currency:
-                raise ConfigError(
-                    f"collateral asset {label!r} is quoted in {currency!r}, not in the collateral currency "
-                    f"{spec.currency!r}"
-                )
+    check_collateral_spec(scenario.model, spec)
 
 
 def collateral_from_mark(mark, spec: CollateralSpec, fx_level) -> np.ndarray:
@@ -262,53 +301,40 @@ def collateral_value_adjustment(
 # ---------------------------------------------------------------------------
 
 
-def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, params) -> CollateralPath:
-    level = doc_value(params, "level", "collateral.mode.exogenous.params", finite_float, 0.0)
-    c = np.full((scenario.n_paths, len(scenario.grid.times)), level)
-    return CollateralPath(c, spec.currency)
+def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, level) -> CollateralPath:
+    return CollateralPath(np.full((scenario.n_paths, len(scenario.grid.times)), level), spec.currency)
 
 
-def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, params) -> CollateralPath:
-    label = doc_value(params, "asset", "collateral.mode.exogenous.params")
-    fraction = doc_value(params, "fraction", "collateral.mode.exogenous.params", finite_float, 1.0)
-    asset = scenario.model.asset(label)
-    value_dom = scenario.asset(label) * scenario.fx(asset.currency)
+def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, asset, fraction) -> CollateralPath:
+    value_dom = scenario.asset(asset) * scenario.fx(scenario.model.asset(asset).currency)
     c = fraction * value_dom / scenario.fx(spec.currency)
     return CollateralPath(c, spec.currency)
 
 
-def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract, params) -> CollateralPath:
+def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract) -> CollateralPath:
     """Haircut collateral on a deterministic-forward proxy of the contract mark.
 
     The proxy marks the remaining flows at the perfect-collateralization
     discount (collateral rate plus cross-currency basis) and the FX forward
-    implied by unsecured differentials; the mark is the contract value to the
-    counterparty, i.e. minus the hedger's replication wealth. With G from
-    :func:`~xccy.model.collateralized_log_growth`, it is one
-    (n_times, n_flows) matrix a_i exp(G(t_i) - G(t)), zero where t_i <= t,
-    summed over the flows. G is evaluated at the flow dates themselves, so
-    they need not be grid nodes.
+    implied by unsecured differentials, the closed form of
+    :func:`~xccy.pricing.price_fully_collateralized` at every grid date: the
+    mark is :func:`~xccy.model.collateralized_value` at t times X_k2(t), the
+    contract value to the counterparty, i.e. minus the hedger's replication wealth.
     """
     if contract is None:
         raise ConfigError("mark_proxy functional needs the contract")
-    times = scenario.grid.times
-    flow_t = np.array(contract.flow_times)
-    n = len(times)
-    g = collateralized_log_growth(
-        scenario.model, contract.native_currency, spec.currency, np.concatenate([times, flow_t])
-    )
-    growth = np.where(flow_t[None, :] > times[:, None], np.exp(g[None, n:] - g[:n, None]), 0.0)
-    # hedger's replication wealth is -factor * X_k2, and the mark is its negative
-    factor = (growth * [a for _, a in contract.flows]).sum(axis=1)
-    mark = factor * scenario.fx(contract.native_currency)
+    value = collateralized_value(scenario.model, contract, spec.currency, scenario.grid.times)
+    mark = value * scenario.fx(contract.native_currency)
     c = collateral_from_mark(mark, spec, scenario.fx(spec.currency))
     return CollateralPath(c, spec.currency)
 
 
+# name -> (builder, {parameter: (doc_value conversion, default, ... if required)}); a builder
+# takes (scenario, spec, contract) and the parameters CollateralSpec converted by this table
 EXOGENOUS_FUNCTIONALS = {
-    "constant": _constant_functional,
-    "fraction_of_asset": _fraction_of_asset,
-    "mark_proxy": _mark_proxy,
+    "constant": (_constant_functional, {"level": (finite_float, 0.0)}),
+    "fraction_of_asset": (_fraction_of_asset, {"asset": (None, ...), "fraction": (finite_float, 1.0)}),
+    "mark_proxy": (_mark_proxy, {}),
 }
 
 
@@ -319,6 +345,4 @@ def build_exogenous_path(
     if spec.endogenous:
         raise ConfigError("spec is endogenous; use the BSDE solver")
     _, name, params = spec.mode
-    if name not in EXOGENOUS_FUNCTIONALS:
-        raise ConfigError(f"unknown exogenous functional {name!r}; known: {sorted(EXOGENOUS_FUNCTIONALS)}")
-    return EXOGENOUS_FUNCTIONALS[name](scenario, spec, contract, params)
+    return EXOGENOUS_FUNCTIONALS[name][0](scenario, spec, contract, **params)

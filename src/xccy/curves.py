@@ -17,7 +17,8 @@ different orders.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from typing import ClassVar
 
 import numpy as np
 
@@ -153,15 +154,7 @@ class CurveSet:
     coll_reinvest_rehyp: RateCurve | None = None
     cash_post_funding: RateCurve | None = None
 
-    ROLES = (
-        "unsecured",
-        "collateral_borrow",
-        "collateral_lend",
-        "coll_post_funding",
-        "coll_reinvest_seg",
-        "coll_reinvest_rehyp",
-        "cash_post_funding",
-    )
+    ROLES: ClassVar[tuple[str, ...]]  # the field names in field order, set below the class
 
     def by_role(self, role: str) -> RateCurve:
         if role not in self.ROLES:
@@ -170,3 +163,6 @@ class CurveSet:
         if curve is None:
             raise MissingRates(f"rate role {role!r} is not configured")
         return curve
+
+
+CurveSet.ROLES = tuple(f.name for f in fields(CurveSet))

@@ -19,8 +19,10 @@ from functools import partial
 
 import numpy as np
 
+from .contracts import Contract
 from .curves import RATE_BOUND, CurveSet, RateCurve
 from .errors import (
+    AsymmetricCollateralRates,
     ConfigError,
     DomesticPairRequested,
     ModelValidationError,
@@ -257,6 +259,11 @@ class ValidatedModel:
         cs = self.curve_set(currency)
         return cs.collateral_borrow is not None and cs.collateral_borrow == cs.collateral_lend
 
+    def require_symmetric_collateral_rates(self, currency: str) -> None:
+        """Raise :class:`AsymmetricCollateralRates` unless the collateral borrow and lend curves of ``currency`` coincide."""
+        if not self.has_symmetric_collateral_rates(currency):
+            raise AsymmetricCollateralRates(f"collateral borrow and lend rates must coincide for {currency!r}")
+
 
 def validate_model(model: MarketModel | ValidatedModel) -> ValidatedModel:
     """Validate and seal a market model; idempotent on an already sealed model.
@@ -340,6 +347,22 @@ def collateralized_log_growth(model: ValidatedModel, k2: str, k3: str, times) ->
     if k2 != e:
         g = g + (model.curve(e, "unsecured").integrals(times) - model.curve(k2, "unsecured").integrals(times))
     return g
+
+
+def collateralized_value(model: ValidatedModel, contract: Contract, k3: str, times) -> np.ndarray:
+    """Sum of a_i exp(G(t_i) - G(t)) over the flows with t_i > t, at each entry t of ``times``.
+
+    The value at t of the contract's remaining flows under full collateralization in k3,
+    in units of its currency k2 (:func:`collateralized_log_growth`), so times X_k2(t) in
+    domestic units. One (n_times, n_flows) matrix summed over the flows; G is evaluated
+    at the flow dates themselves, so they need not be grid nodes.
+    """
+    times = np.asarray(times, dtype=float)
+    flow_t = np.array(contract.flow_times)
+    n = len(times)
+    g = collateralized_log_growth(model, contract.native_currency, k3, np.concatenate([times, flow_t]))
+    growth = np.where(flow_t[None, :] > times[:, None], np.exp(g[None, n:] - g[:n, None]), 0.0)
+    return (growth * [a for _, a in contract.flows]).sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -26,12 +26,8 @@ import numpy as np
 from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path
 from .contracts import Contract
 from .curves import step_pieces
-from .errors import (
-    AsymmetricCollateralRates,
-    EndogenousSpecPassed,
-    ScenarioMeasureMismatch,
-)
-from .model import ValidatedModel, collateralized_log_growth, cross_currency_basis_of
+from .errors import EndogenousSpecPassed, ScenarioMeasureMismatch
+from .model import ValidatedModel, collateralized_value
 from .simulation import ScenarioSet, sample_mean
 from .wealth import discounted_flows
 
@@ -54,25 +50,18 @@ class PriceReport:
         return asdict(self)
 
 
-def _require_symmetric(model: ValidatedModel, currency: str) -> None:
-    if not model.has_symmetric_collateral_rates(currency):
-        raise AsymmetricCollateralRates(
-            f"closed-form pricing needs collateral borrow == lend for {currency!r}"
-        )
-
-
 def price_fully_collateralized(model: ValidatedModel, contract: Contract, k3: str) -> float:
     """Exact time-0 price of the contract under continuous full collateralization in k3.
 
-    Requires symmetric collateral rates (borrow == lend) for the domestic and
-    collateral currencies; deterministic rates make the result free of Monte
-    Carlo error.
+    Minus the value at 0 of every flow, :func:`~xccy.model.collateralized_value`,
+    converted at the spot X_k2(0). Requires symmetric collateral rates
+    (borrow == lend) for the domestic and collateral currencies; deterministic
+    rates make the result free of Monte Carlo error.
     """
-    _require_symmetric(model, model.domestic)
-    _require_symmetric(model, k3)
+    model.require_symmetric_collateral_rates(model.domestic)
+    model.require_symmetric_collateral_rates(k3)
     x0 = 1.0 if contract.native_currency == model.domestic else model.fx_spec(contract.native_currency).x0
-    growth = np.exp(collateralized_log_growth(model, contract.native_currency, k3, contract.flow_times))
-    return -float(np.sum(growth * [a for _, a in contract.flows])) * x0
+    return -float(collateralized_value(model, contract, k3, [0.0])[0]) * x0
 
 
 def _discounted_spread_weights(plus_curve, minus_curve, inner_curve, times: np.ndarray) -> np.ndarray:

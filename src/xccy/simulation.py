@@ -331,8 +331,6 @@ def _simulate_log_chunk(
     mixed = np.empty((tile, half))  # m of one driver, one row per step
     term = np.empty_like(mixed)
     stream = chunk_stream(seed, chunk)
-    # skip zero entries of the mixing matrix
-    active = [[k for k in range(n_drivers) if vol[d, k].any()] for d in range(n_drivers)]
     block[:, 0] = 0.0
     for lo in range(0, n_steps, tile):
         hi = min(lo + tile, n_steps)
@@ -341,7 +339,7 @@ def _simulate_log_chunk(
         m, t = mixed[: hi - lo], term[: hi - lo]
         for d in range(n_drivers):
             m.fill(0.0)
-            for k in active[d]:
+            for k in range(n_drivers):
                 np.multiply(vol[d, k, steps, None], zs[:, k], out=t)
                 m += t
             np.add(drift[d, steps, None], m, out=block[d, 1 + lo : 1 + hi, 0::2])

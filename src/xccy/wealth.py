@@ -38,6 +38,13 @@ def flow_nodes(grid: TimeGrid, contract: Contract) -> np.ndarray:
     return nodes
 
 
+def flow_amounts(grid: TimeGrid, contract: Contract) -> np.ndarray:
+    """The contract's amounts per grid node, (n_times,): flows on one node add up, and node 0 is 0."""
+    amounts = np.zeros(len(grid.times))
+    np.add.at(amounts, flow_nodes(grid, contract), [a for _, a in contract.flows])
+    return amounts
+
+
 def discounted_flows(scenario: ScenarioSet, contract: Contract) -> np.ndarray:
     """Per-path sum of the contract's flows in domestic units discounted to 0.
 
@@ -199,8 +206,7 @@ def replay_wealth(
     }
 
     # contractual flows at their nodes, converted at the flow date; node 0 holds the initial flow
-    amounts = np.zeros(n_steps + 1)
-    np.add.at(amounts, flow_nodes(scenario.grid, contract), [a for _, a in contract.flows])
+    amounts = flow_amounts(scenario.grid, contract)
     amounts[0] = contract.initial_flow
     flow = amounts * scenario.fx(contract.native_currency)
 

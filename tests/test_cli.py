@@ -275,12 +275,21 @@ def _refuse_to_simulate(*args, **kwargs):
     raise AssertionError("simulated before the inputs were checked")
 
 
-def _run_refusing_to_simulate(docs, monkeypatch, command, paths):
+def _run_refusing_to_simulate(docs, monkeypatch, command, paths, edit=None, flags=None):
+    """Run ``command`` with every simulation entry point failing the test.
+
+    ``edit`` updates the top-level keys of the trade document; ``flags``
+    replace the default ``--out`` directory.
+    """
     model, trade, tmp = docs
     monkeypatch.setattr("xccy.cli.simulate", _refuse_to_simulate)
-    monkeypatch.setattr("xccy.bsde.simulate", _refuse_to_simulate)
-    args = [command, "--model", str(model), "--paths", paths, "--steps", "4", "--out", str(tmp / command)]
-    if command != "check":
+    # the solver's own entry point: it runs the log-path kernel, never simulate
+    monkeypatch.setattr("xccy.bsde._simulate_log_chunk", _refuse_to_simulate)
+    if edit is not None:
+        trade.write_text(json.dumps({**TRADE_DOC, **edit}))
+    args = [command, "--model", str(model), "--paths", paths, "--steps", "4"]
+    args += ["--out", str(tmp / command)] if flags is None else flags
+    if command in ("price", "bsde"):
         args += ["--trade", str(trade)]
     return run(args)
 
@@ -297,6 +306,36 @@ def test_path_count_without_two_whole_pairs_exits_one(docs, capsys, monkeypatch,
     # paths come in antithetic pairs, and an error bar needs two of them
     assert _run_refusing_to_simulate(docs, monkeypatch, command, paths) == 1
     assert "error: a Monte Carlo error bar needs an even count of at least 4 paths" in capsys.readouterr().err
+
+
+# every trade-document error that used to surface only after simulating, with the field it names
+TRADE_ERRORS = {
+    **NON_FINITE_TRADES,
+    "unknown functional": ("collateral.mode.exogenous.functional", _exogenous("mark_proxi", {})),
+    "unknown fraction asset": (
+        "collateral.mode.exogenous.params.asset",
+        _exogenous("fraction_of_asset", {"asset": "NOPE"}),
+    ),
+    "unknown posted asset": (
+        "collateral.posted_asset",
+        {"collateral": {**TRADE_DOC["collateral"], "currency": "EUR", "form": "risky",
+                        "posted_asset": "NOPE", "received_asset": "EQ"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(TRADE_ERRORS))
+@pytest.mark.parametrize("command", ["price", "bsde"])
+def test_trade_error_exits_one_before_simulating(docs, capsys, monkeypatch, command, case):
+    field, edit = TRADE_ERRORS[case]
+    assert _run_refusing_to_simulate(docs, monkeypatch, command, "400000", edit) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize(("command", "flag"), [("bsde", "--dump-surface"), ("simulate", "--dump-paths")])
+def test_dump_without_out_exits_one_before_simulating(docs, capsys, monkeypatch, command, flag):
+    assert _run_refusing_to_simulate(docs, monkeypatch, command, "400000", flags=[flag]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {flag} requires --out")
 
 
 def test_one_path_still_simulates_and_prices_the_closed_form(docs):

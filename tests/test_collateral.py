@@ -303,10 +303,10 @@ def test_exogenous_mark_proxy_tracks_remaining_flows(scen):
     assert np.all(path.c[:, -1] == 0.0)
 
 
-def test_unknown_functional_rejected(scen):
-    spec = CollateralSpec(currency="USD", mode=("exogenous", "nope", {}))
-    with pytest.raises(ConfigError):
-        build_exogenous_path(scen, spec)
+def test_unknown_functional_rejected():
+    # rejected when the spec is built, before any path exists
+    with pytest.raises(ConfigError, match="collateral.mode.exogenous.functional"):
+        CollateralSpec(currency="USD", mode=("exogenous", "nope", {}))
 
 
 def test_bad_haircuts_rejected():
