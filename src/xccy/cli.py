@@ -207,6 +207,10 @@ def _cmd_bsde(args) -> int:
     if spec is None:
         raise ConfigError("bsde requires a collateral block in the trade document")
     check_collateral_spec(model, spec)
+    # the solver's driver is that of cash collateral under rehypothecation; it reads no other terms
+    for field, value, modelled in (("form", spec.form, "cash"), ("convention", spec.convention, "rehypothecation")):
+        if value != modelled:
+            raise ConfigError(f"collateral.{field}: bsde solves {modelled!r} collateral only, got {value!r}")
     delta1 = spec.delta1 if args.delta1 is None else args.delta1
     delta2 = spec.delta2 if args.delta2 is None else args.delta2
     dump = _dump_file(args, args.dump_surface, "--dump-surface", "surface.csv")

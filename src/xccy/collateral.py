@@ -58,10 +58,11 @@ class CollateralSpec:
     negative one; both must exceed -1. ``mode`` is either
     ``("exogenous", functional_name, params)`` or ``("endogenous",)``; the
     exogenous functionals and their parameters are listed in
-    :data:`EXOGENOUS_FUNCTIONALS`. The name is checked and the parameters
-    converted when the spec is built, so a bad one raises :class:`ConfigError`
-    naming its field before anything is simulated; ``mode`` then holds the
-    converted parameters, defaults filled in.
+    :data:`EXOGENOUS_FUNCTIONALS`. The name and the parameter keys are checked
+    and the parameters converted when the spec is built, so a bad one raises
+    :class:`ConfigError` naming its field before anything is simulated (a
+    misspelt key would otherwise fall back to its default); ``mode`` then
+    holds the converted parameters, defaults filled in.
     """
 
     currency: str
@@ -89,11 +90,13 @@ class CollateralSpec:
                     f"collateral.mode.exogenous.functional: unknown exogenous functional {name!r}; "
                     f"known: {sorted(EXOGENOUS_FUNCTIONALS)}"
                 )
-            where = "collateral.mode.exogenous.params"
-            params = {
-                key: doc_value(params, key, where, kind, default)
-                for key, (kind, default) in EXOGENOUS_FUNCTIONALS[name][1].items()
-            }
+            where, known = "collateral.mode.exogenous.params", EXOGENOUS_FUNCTIONALS[name][1]
+            unknown = sorted(set(params) - set(known)) if isinstance(params, dict) else []
+            if unknown:
+                raise ConfigError(
+                    f"{where}.{unknown[0]}: unknown parameter of {name!r}; known: {sorted(known)}"
+                )
+            params = {key: doc_value(params, key, where, kind, default) for key, (kind, default) in known.items()}
             object.__setattr__(self, "mode", ("exogenous", name, params))
 
     @property

@@ -18,9 +18,10 @@ is the one threaded chunk loop, thread i of T taking every T-th chunk from
 the i-th. Each chunk draws its normals from its own SFC64 stream, read
 time-major (see :mod:`xccy.rng`), and goes through two steps straight into
 one time-major array of shape (n_drivers, n_times, n_paths): the log-path
-kernel :func:`_simulate_log_chunk` draws and mixes the normals in cache-sized
-tiles of steps and sums the log-increments over time into log(S / x0), and
-the level step (one ``exp``, one product with x0) turns them into levels.
+kernel :func:`_simulate_log_chunk` draws the normals in cache-sized tiles of
+steps, mixes each tile with one ``np.einsum`` call (a k-ordered sum, not
+BLAS), and sums the log-increments over time into log(S / x0), and the level
+step (one ``exp``, one product with x0) turns them into levels.
 The endogenous-collateral solver regresses on the log-paths and runs the
 kernel alone. Antithetic pairs are the only sampling scheme: path p of a
 chunk is driven by pair p // 2 of the chunk's normals with sign (-1)**p, so
@@ -59,7 +60,8 @@ GRID_SNAP_TOL = 1e-9
 # paths per simulation chunk: fixed, so results do not depend on the worker count,
 # and even, so no antithetic pair spans two chunks
 CHUNK_PATHS = 8192
-# bytes of the normals, mixed and term rows of one mixing tile: half of a 2 MB L2 cache
+# bytes of the normals and mixed rows of one mixing tile, 2 * n_drivers rows per step:
+# half of a 2 MB L2 cache
 TILE_BYTES = 1 << 20
 UNIT_RATE = RateCurve.flat(1.0)  # integrates to the elapsed time, bit for bit grid.dt
 
@@ -306,46 +308,55 @@ def _simulate_log_chunk(
     with sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per
     step and driver, and with an odd ``count`` the last path has no twin. The
     mixed shock of driver d over step j, m = sum_k vol[d, k, j] z_k, is summed
-    once per pair in a fixed driver order rather than by a BLAS product, so
-    each path's value does not depend on the tiling; the log-increment is
+    once per pair in driver order k = 0, 1, ... rather than by a BLAS product,
+    so each path's value does not depend on the tiling; the log-increment is
     drift[d, j] + m on the even path and drift[d, j] - m on the odd one, which
     is bit for bit the mixing of the negated normals. The mixing runs in tiles
-    of consecutive steps whose normals, mixed and term rows fit
-    ``TILE_BYTES``, so a tile's rows stay in cache across the drivers. Each
-    tile's normals are drawn from the chunk's stream (:func:`normal_block`)
-    just before they are mixed, time-major as (tile steps, n_drivers, pairs)
-    into one tile-sized buffer, so each (step, driver) is a contiguous row and
-    no drawn normal is ever transposed or copied. The tiles read the stream in
-    order, so the normals, and every element's operations and their order, are
-    the same for any tile size. The cumulative sum over time is a loop that
-    adds each time row to the next: numpy's accumulate is slow along an axis
-    that is not innermost, and a cumulative sum is sequential either way, so
-    the bits are those of ``np.cumsum``.
+    of consecutive steps whose normals and mixed rows, 2 * n_drivers rows per
+    step, fit ``TILE_BYTES``. Each tile's normals are drawn from the chunk's
+    stream (:func:`normal_block`) just before they are mixed, time-major as
+    (tile steps, n_drivers, pairs) into one tile-sized buffer, so each (step,
+    driver) is a contiguous row and no drawn normal is ever transposed or
+    copied. One ``np.einsum("dkj,jkp->djp", ...)`` call mixes the whole tile
+    into an (n_drivers, tile steps, pairs) buffer, and one ``np.add`` and one
+    ``np.subtract`` write both antithetic halves of every driver. numpy's
+    c_einsum (``optimize=False``, so never BLAS) adds one product per k, in k
+    order, to each output element. On a tile of one pair its default
+    iteration would reduce over k innermost, in another order, so such tiles
+    pass ``order="F"``, which keeps k outermost; that order costs 17 to 25
+    times as much on a full tile, but on a one-pair tile the call's fixed cost
+    dominates. The tiles read the stream in order, so the normals, and every
+    element's operations and their order, are the same for any tile size. A
+    numpy build whose einsum fuses the multiply and add (aarch64 NEON, say)
+    may differ in the last bit, as the BSDE's BLAS regression and a SIMD
+    ``exp`` already can; results stay identical for any worker count. The
+    cumulative sum over time adds each time row to the next, over time-row
+    views built once, as each tile is written: numpy's accumulate is slow
+    along an axis that is not innermost, and a cumulative sum is sequential
+    either way, so the bits are those of ``np.cumsum``.
     """
     n_drivers, n_times, count = block.shape
     n_steps, half = n_times - 1, count - count // 2
-    tile = min(n_steps, max(1, TILE_BYTES // ((n_drivers + 2) * half * 8)))
+    tile = min(n_steps, max(1, TILE_BYTES // (2 * max(n_drivers, 1) * half * 8)))
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
     # took the solver's own peak RSS from 101 to 90 MB (one worker)
     z = np.empty((tile, n_drivers, half))
-    mixed = np.empty((tile, half))  # m of one driver, one row per step
-    term = np.empty_like(mixed)
+    mixed = np.empty((n_drivers, tile, half))  # m of every driver, one row per step
+    # one pair: einsum's default iteration would sum over k innermost, in another order
+    order = "F" if half == 1 else "K"
     stream = chunk_stream(seed, chunk)
     block[:, 0] = 0.0
+    rows = list(block.transpose(1, 0, 2))
     for lo in range(0, n_steps, tile):
         hi = min(lo + tile, n_steps)
         steps = slice(lo, hi)
         zs = normal_block(stream, z[: hi - lo])
-        m, t = mixed[: hi - lo], term[: hi - lo]
-        for d in range(n_drivers):
-            m.fill(0.0)
-            for k in range(n_drivers):
-                np.multiply(vol[d, k, steps, None], zs[:, k], out=t)
-                m += t
-            np.add(drift[d, steps, None], m, out=block[d, 1 + lo : 1 + hi, 0::2])
-            np.subtract(drift[d, steps, None], m[:, : count // 2], out=block[d, 1 + lo : 1 + hi, 1::2])
-    for j in range(1, n_times):
-        np.add(block[:, j - 1], block[:, j], out=block[:, j])
+        m = mixed[:, : hi - lo]
+        np.einsum("dkj,jkp->djp", vol[:, :, steps], zs, out=m, order=order, optimize=False)
+        np.add(drift[:, steps, None], m, out=block[:, 1 + lo : 1 + hi, 0::2])
+        np.subtract(drift[:, steps, None], m[:, :, : count // 2], out=block[:, 1 + lo : 1 + hi, 1::2])
+        for j in range(1 + lo, 1 + hi):  # the tile's rows are still in cache
+            np.add(rows[j - 1], rows[j], out=rows[j])
 
 
 def _simulate_chunk(

@@ -312,6 +312,7 @@ def test_path_count_without_two_whole_pairs_exits_one(docs, capsys, monkeypatch,
 TRADE_ERRORS = {
     **NON_FINITE_TRADES,
     "unknown functional": ("collateral.mode.exogenous.functional", _exogenous("mark_proxi", {})),
+    "unknown functional parameter": ("collateral.mode.exogenous.params.levl", _exogenous("constant", {"levl": 5.0})),
     "unknown fraction asset": (
         "collateral.mode.exogenous.params.asset",
         _exogenous("fraction_of_asset", {"asset": "NOPE"}),
@@ -329,6 +330,24 @@ TRADE_ERRORS = {
 def test_trade_error_exits_one_before_simulating(docs, capsys, monkeypatch, command, case):
     field, edit = TRADE_ERRORS[case]
     assert _run_refusing_to_simulate(docs, monkeypatch, command, "400000", edit) == 1
+    assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+# collateral terms the BSDE driver does not model, which it used to solve as cash under rehypothecation
+UNMODELLED_BSDE_COLLATERAL = {
+    "segregation": ("collateral.convention", {"collateral": {**TRADE_DOC["collateral"], "convention": "segregation"}}),
+    "risky": (
+        "collateral.form",
+        {"collateral": {**TRADE_DOC["collateral"], "currency": "EUR", "form": "risky",
+                        "posted_asset": "EQ", "received_asset": "EQ"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(UNMODELLED_BSDE_COLLATERAL))
+def test_bsde_rejects_collateral_its_driver_does_not_model(docs, capsys, monkeypatch, case):
+    field, edit = UNMODELLED_BSDE_COLLATERAL[case]
+    assert _run_refusing_to_simulate(docs, monkeypatch, "bsde", "400000", edit) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}")
 
 

@@ -309,6 +309,12 @@ def test_unknown_functional_rejected():
         CollateralSpec(currency="USD", mode=("exogenous", "nope", {}))
 
 
+def test_unknown_functional_parameter_rejected():
+    # a misspelt key used to fall back to the default level of 0
+    with pytest.raises(ConfigError, match=r"collateral\.mode\.exogenous\.params\.levl: .*known: \['level'\]"):
+        CollateralSpec(currency="USD", mode=("exogenous", "constant", {"levl": 5.0}))
+
+
 def test_bad_haircuts_rejected():
     with pytest.raises(ConfigError):
         CollateralSpec(currency="USD", delta1=-1.0)

@@ -211,6 +211,9 @@ LAYOUT_CASES = {
     "odd ragged last chunk": ("two_currency_model", CHUNK_PATHS + 777, 5, {"EQ": 0.01}),
     "steps exceed chunk paths": ("two_currency_model", 60, 300, None),
     "drift shift": ("two_currency_model", 1000, 6, {"fx:USD": 0.02, "EQ": -0.01}),
+    # a last chunk of one pair on one step, the tile einsum sums with order="F" (its summation
+    # order is pinned over many streams by test_one_pair_tiles_sum_the_mixing_in_driver_order)
+    "one-pair one-step tile": ("three_currency_model", CHUNK_PATHS + 2, 1, None),
 }
 
 
@@ -225,14 +228,28 @@ def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, 
     with monkeypatch.context() as m:
         m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
         ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift)
-    # the tile budget of the kernel's mixing loop: one step per tile, three steps of
-    # a full chunk's rows, and at least the whole chunk
-    step_bytes = (len(model.driver_labels) + 2) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+    # the tile budget of the kernel's mixing loop, 2 * n_drivers rows (normals and mixed) per
+    # step: one step per tile, three steps of a full chunk's rows, and at least the whole chunk
+    step_bytes = 2 * len(model.driver_labels) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
     for budget in (1, 3 * step_bytes, n_steps * step_bytes):
         monkeypatch.setattr("xccy.simulation.TILE_BYTES", budget)
         scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
         for label in model.driver_labels:
             assert np.array_equal(scen.driver(label), ref.driver(label)), (label, budget)
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_one_pair_tiles_sum_the_mixing_in_driver_order(three_currency_model, count):
+    # einsum's default iteration sums a one-pair, one-step tile in another order, which moves
+    # the paths of about half of these streams in their last bit
+    grid = TimeGrid.regular(1.0, 1)
+    drift, vol, x0 = _step_coefficients(three_currency_model, grid, {})
+    shape = (len(x0), len(grid.times), count)
+    for chunk in range(16):
+        got, ref = np.empty(shape), np.empty(shape)
+        _simulate_chunk(got, 17, drift, vol, x0, chunk)
+        _driver_major_chunk(ref, 17, drift, vol, x0, chunk)
+        assert got.tobytes() == ref.tobytes(), chunk
 
 
 @pytest.mark.parametrize("count", [1000, 1001])  # 1001: the last path has no antithetic twin
