@@ -47,6 +47,7 @@ from itertools import combinations_with_replacement
 
 import numpy as np
 
+from .collateral import check_haircuts
 from .contracts import Contract
 from .errors import ConfigError, NumericalError, SingularRegression
 from .model import ValidatedModel, cross_currency_basis_of, fx_label
@@ -58,6 +59,7 @@ from .simulation import (
     chunk_columns,
     run_chunks,
     sample_mean,
+    worker_threads,
 )
 # not called by the solver; kept bound here because the benchmark's tracer wraps this name
 from .simulation import simulate  # noqa: F401
@@ -79,8 +81,7 @@ class BsdeConfig:
         check_error_bar_paths(self.n_paths)
         if self.degree < 0:
             raise ConfigError(f"regression degree must be >= 0, got {self.degree}")
-        if self.n_workers < 1:
-            raise ConfigError(f"n_workers must be >= 1, got {self.n_workers}")
+        worker_threads(self.n_workers, 1)  # rejects a count below one
 
 
 @dataclass(frozen=True)
@@ -118,10 +119,10 @@ def _regress(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     values of any paths are ``beta @ design`` of their design."""
     gram = design @ design.T
     rhs = design @ target
-    cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > COND_LIMIT:
-        gram = gram + RIDGE_LAMBDA * np.eye(gram.shape[0])
-    try:
+    try:  # a non-finite design makes the condition number's SVD fail as well as the solve
+        cond = np.linalg.cond(gram)
+        if not np.isfinite(cond) or cond > COND_LIMIT:
+            gram = gram + RIDGE_LAMBDA * np.eye(gram.shape[0])
         beta = np.linalg.solve(gram, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularRegression(str(exc)) from exc
@@ -170,8 +171,7 @@ def solve_endogenous(
     path count that is odd or below four with :class:`ConfigError` before
     anything is simulated.
     """
-    if not (delta1 > -1 and delta2 > -1):
-        raise ConfigError(f"haircuts must exceed -1, got {delta1}, {delta2}")
+    check_haircuts(delta1, delta2)  # again: --delta1 and --delta2 bypass the CollateralSpec
     model.require_symmetric_collateral_rates(model.domestic)
     model.require_symmetric_collateral_rates(k3)
     cash_post = model.curve_set(k3).cash_post_funding

@@ -137,15 +137,13 @@ def _append_results(out_dir: str, row: dict) -> None:
         )
 
 
-def _cmd_validate(args) -> int:
-    model = validate_model(load_model(args.model))
+def _cmd_validate(args, model) -> int:
     drivers = ", ".join(model.driver_labels) or "none"
     print(f"OK: {len(model.currencies)} currencies, {len(model.assets)} assets, drivers: {drivers}")
     return EXIT_OK
 
 
-def _cmd_simulate(args) -> int:
-    model = validate_model(load_model(args.model))
+def _cmd_simulate(args, model) -> int:
     dump = _dump_file(args, args.dump_paths, "--dump-paths", "paths.csv")
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
@@ -167,8 +165,7 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _cmd_price(args) -> int:
-    model = validate_model(load_model(args.model))
+def _cmd_price(args, model) -> int:
     trade_id, contract, spec = _load_trade(args.trade)
     if args.mode == "full-collateral":
         k3 = spec.currency if spec is not None else model.domestic
@@ -183,7 +180,6 @@ def _cmd_price(args) -> int:
             "n_paths": 0,
             "seed": args.seed,
         }
-        report = {"command": "price", "mode": "full-collateral", **row}
     else:
         if spec is None:
             raise ConfigError("trade document has no collateral block; use --mode full-collateral for none")
@@ -194,15 +190,13 @@ def _cmd_price(args) -> int:
         coll = build_exogenous_path(scenario, spec, contract)
         result = price_exogenous(scenario, contract, coll, spec)
         row = {"trade_id": trade_id, **result.to_dict()}
-        report = {"command": "price", "mode": "exogenous", "trade_id": trade_id, **result.to_dict()}
     if args.out is not None:
         _append_results(args.out, row)
-    _write_report(args.out, report)
+    _write_report(args.out, {"command": "price", "mode": args.mode, **row})
     return EXIT_OK
 
 
-def _cmd_bsde(args) -> int:
-    model = validate_model(load_model(args.model))
+def _cmd_bsde(args, model) -> int:
     trade_id, contract, spec = _load_trade(args.trade)
     if spec is None:
         raise ConfigError("bsde requires a collateral block in the trade document")
@@ -245,8 +239,7 @@ def _cmd_bsde(args) -> int:
     return EXIT_OK
 
 
-def _cmd_check(args) -> int:
-    model = validate_model(load_model(args.model))
+def _cmd_check(args, model) -> int:
     check_error_bar_paths(args.paths)
     check_threshold(args.threshold)
     grid = TimeGrid.regular(args.horizon, args.steps)
@@ -281,7 +274,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command](args, validate_model(load_model(args.model)))
     except ModelValidationError as exc:
         for v in exc.violations:
             print(f"violation: {v}", file=sys.stderr)

@@ -35,6 +35,7 @@ integrates each leg, the FX term included, exactly over every step instead
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -55,7 +56,7 @@ class CollateralSpec:
     """Contractual collateral terms.
 
     ``delta1`` scales collateral above a positive mark, ``delta2`` below a
-    negative one; both must exceed -1. ``mode`` is either
+    negative one; both must be finite and exceed -1. ``mode`` is either
     ``("exogenous", functional_name, params)`` or ``("endogenous",)``; the
     exogenous functionals and their parameters are listed in
     :data:`EXOGENOUS_FUNCTIONALS`. The name and the parameter keys are checked
@@ -79,8 +80,7 @@ class CollateralSpec:
             raise ConfigError(f"form must be one of {FORMS}, got {self.form!r}")
         if self.convention not in CONVENTIONS:
             raise ConfigError(f"convention must be one of {CONVENTIONS}, got {self.convention!r}")
-        if not (self.delta1 > -1 and self.delta2 > -1):
-            raise ConfigError(f"haircuts must exceed -1, got {self.delta1}, {self.delta2}")
+        check_haircuts(self.delta1, self.delta2)
         if self.form == "risky" and (self.posted_asset is None or self.received_asset is None):
             raise ConfigError("risky collateral requires posted_asset and received_asset labels")
         if not self.endogenous:
@@ -151,6 +151,13 @@ class CollateralPath:
     @property
     def posted(self) -> np.ndarray:
         return np.maximum(-self.c, 0.0)
+
+
+def check_haircuts(delta1: float, delta2: float) -> None:
+    """Raise :class:`ConfigError` naming the haircut unless each is finite and exceeds -1."""
+    for name, delta in (("delta1", delta1), ("delta2", delta2)):
+        if not -1 < delta < math.inf:
+            raise ConfigError(f"collateral.{name} must be finite and exceed -1, got {delta}")
 
 
 def check_collateral_spec(model: ValidatedModel, spec: CollateralSpec) -> None:

@@ -14,6 +14,7 @@ pricing, diagnostics) takes a ``ValidatedModel``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -36,10 +37,9 @@ PSD_TOL = -1e-10  # smallest eigenvalue accepted before clipping to 0
 
 @dataclass(frozen=True)
 class Currency:
-    """One currency area; ``index`` is 1-based and contiguous across the model."""
+    """One currency area; the domestic one quotes every FX rate."""
 
     name: str
-    index: int
     domestic: bool
 
 
@@ -125,9 +125,6 @@ def _validate(model: MarketModel) -> list[Violation]:
                 "DomesticCount", "currencies", f"exactly one domestic currency required, got {len(domestic)}"
             )
         )
-    indices = sorted(c.index for c in model.currencies)
-    if indices != list(range(1, len(model.currencies) + 1)):
-        v.append(Violation("NonContiguousIndex", "currencies", f"indices must be 1..L, got {indices}"))
 
     for cur in model.currencies:
         if cur.name not in model.rates:
@@ -140,10 +137,12 @@ def _validate(model: MarketModel) -> list[Violation]:
     for a in model.assets:
         if a.currency not in names:
             v.append(Violation("UnknownCurrency", f"assets[{a.label}].currency", a.currency))
-        if not a.sigma > 0:
-            v.append(Violation("NegativeVolatility", f"assets[{a.label}].sigma", f"sigma={a.sigma} must be > 0"))
-        if not a.s0 > 0:
-            v.append(Violation("NonPositiveSpot", f"assets[{a.label}].s0", f"s0={a.s0} must be > 0"))
+        if not 0 < a.sigma < math.inf:
+            v.append(
+                Violation("NegativeVolatility", f"assets[{a.label}].sigma", f"sigma={a.sigma} must be finite and > 0")
+            )
+        if not 0 < a.s0 < math.inf:
+            v.append(Violation("NonPositiveSpot", f"assets[{a.label}].s0", f"s0={a.s0} must be finite and > 0"))
         _check_rate_bounds(f"assets[{a.label}].dividend_yield", a.dividend_yield, v)
         _check_rate_bounds(f"assets[{a.label}].repo_rate", a.repo_rate, v)
 
@@ -156,10 +155,12 @@ def _validate(model: MarketModel) -> list[Violation]:
             v.append(Violation("UnknownCurrency", f"fx[{f.foreign}].foreign", f.foreign))
         if f.foreign == dom_name:
             v.append(Violation("DomesticFxPair", f"fx[{f.foreign}]", "domestic pair is identically 1"))
-        if not f.x0 > 0:
-            v.append(Violation("NonPositiveFx", f"fx[{f.foreign}].x0", f"x0={f.x0} must be > 0"))
-        if not f.sigma >= 0:
-            v.append(Violation("NegativeVolatility", f"fx[{f.foreign}].sigma", f"sigma={f.sigma} must be >= 0"))
+        if not 0 < f.x0 < math.inf:
+            v.append(Violation("NonPositiveFx", f"fx[{f.foreign}].x0", f"x0={f.x0} must be finite and > 0"))
+        if not 0 <= f.sigma < math.inf:
+            v.append(
+                Violation("NegativeVolatility", f"fx[{f.foreign}].sigma", f"sigma={f.sigma} must be finite and >= 0")
+            )
     for cur in model.currencies:
         if dom_name is not None and cur.name != dom_name and cur.name not in fx_currencies:
             v.append(Violation("MissingFxPair", f"fx[{cur.name}]", "non-domestic currency without FX pair"))
@@ -331,36 +332,27 @@ def cross_currency_basis_of(model: ValidatedModel, k3: str, integrate):
     )
 
 
-def collateralized_log_growth(model: ValidatedModel, k2: str, k3: str, times) -> np.ndarray:
-    """G(t), the integral over [0, t] of -(rc_dom + q_k3) + (r_dom - r_k2), at each entry of ``times``.
-
-    One unit of k2 paid at T and fully collateralized in k3 is worth
-    exp(G(T) - G(t)) X_k2(t) at t: discounted at the domestic collateral rate
-    plus the cross-currency basis of k3 and converted at the FX forward of the
-    unsecured differential. The basis term drops for domestic k3 and the
-    forward term for domestic k2.
-    """
-    e = model.domestic
-    g = -model.curve(e, "collateral_lend").integrals(times) - cross_currency_basis_of(
-        model, k3, lambda curve: curve.integrals(times)
-    )
-    if k2 != e:
-        g = g + (model.curve(e, "unsecured").integrals(times) - model.curve(k2, "unsecured").integrals(times))
-    return g
-
-
 def collateralized_value(model: ValidatedModel, contract: Contract, k3: str, times) -> np.ndarray:
     """Sum of a_i exp(G(t_i) - G(t)) over the flows with t_i > t, at each entry t of ``times``.
 
-    The value at t of the contract's remaining flows under full collateralization in k3,
-    in units of its currency k2 (:func:`collateralized_log_growth`), so times X_k2(t) in
-    domestic units. One (n_times, n_flows) matrix summed over the flows; G is evaluated
-    at the flow dates themselves, so they need not be grid nodes.
+    G(t) is the integral over [0, t] of -(rc_dom + q_k3) + (r_dom - r_k2), so one
+    unit of k2 paid at T and fully collateralized in k3 is worth
+    exp(G(T) - G(t)) X_k2(t) at t: discounted at the domestic collateral rate
+    plus the cross-currency basis of k3 (none for domestic k3) and converted at
+    the FX forward of the unsecured differential (none for domestic k2). The
+    sum is in units of k2. One (n_times, n_flows) matrix summed over the flows;
+    G is evaluated at the flow dates themselves, so they need not be grid nodes.
     """
     times = np.asarray(times, dtype=float)
     flow_t = np.array(contract.flow_times)
     n = len(times)
-    g = collateralized_log_growth(model, contract.native_currency, k3, np.concatenate([times, flow_t]))
+    at = np.concatenate([times, flow_t])
+    e, k2 = model.domestic, contract.native_currency
+    g = -model.curve(e, "collateral_lend").integrals(at) - cross_currency_basis_of(
+        model, k3, lambda curve: curve.integrals(at)
+    )
+    if k2 != e:
+        g = g + (model.curve(e, "unsecured").integrals(at) - model.curve(k2, "unsecured").integrals(at))
     growth = np.where(flow_t[None, :] > times[:, None], np.exp(g[None, n:] - g[:n, None]), 0.0)
     return (growth * [a for _, a in contract.flows]).sum(axis=1)
 
@@ -388,7 +380,7 @@ def model_from_dict(doc: dict) -> MarketModel:
     rates = {}
     for i, cur in enumerate(doc_value(doc, "currencies", "model", list)):
         name = doc_value(cur, "name", f"currencies[{i}]")
-        currencies.append(Currency(name=name, index=i + 1, domestic=bool(cur.get("domestic", False))))
+        currencies.append(Currency(name=name, domestic=bool(cur.get("domestic", False))))
         rates[name] = _curveset_from_dict(cur.get("rates", {}), f"currencies[{i}].rates")
     assets = [
         AssetSpec(

@@ -76,6 +76,8 @@ class TimeGrid:
         times = np.asarray(times, dtype=float)
         if times.size < 2:
             raise EmptyGrid("grid needs at least two times")
+        if not np.all(np.isfinite(times)):
+            raise EmptyGrid(f"grid times must be finite, got {times.tolist()}")
         if times[0] != 0.0:
             raise EmptyGrid(f"grid must start at 0, got {times[0]}")
         if np.any(np.diff(times) <= 0):
@@ -89,7 +91,7 @@ class TimeGrid:
         A date within ``GRID_SNAP_TOL`` of an existing node replaces that
         node, so contract flow dates always appear verbatim on the grid.
         """
-        if horizon <= 0 or n_steps < 1:
+        if not 0 < horizon < math.inf or n_steps < 1:
             raise EmptyGrid(f"bad horizon/steps: {horizon}, {n_steps}")
         times = list(np.linspace(0.0, horizon, n_steps + 1))
         for t in include:

@@ -189,8 +189,8 @@ def replay_wealth(
 
     With no positions and no contract the result is exactly x * B_dom(t).
     When a collateral path and spec are supplied, the convention-specific
-    adjustment stream (and, for risky collateral, the posted-asset hedge
-    term) is added to the gains, and the wealth splits into portfolio and
+    adjustment stream (and, for risky collateral, the FX-hedged gain of the
+    posted shares) is added to the gains, and the wealth splits into portfolio and
     adjustment components.
     """
     model = scenario.model
@@ -235,14 +235,10 @@ def replay_wealth(
             raise MissingCollateralRates("collateral path supplied without a CollateralSpec")
         try:
             gain += adjustment_increments(scenario, collateral, collateral_spec)
-            if collateral_spec.form == "risky":
-                s_coll = scenario.asset(collateral_spec.posted_asset)
-                x_k3 = scenario.fx(collateral_spec.currency)
-                units = collateral.posted[:, :-1] / s_coll[:, :-1]
-                gain += units * (
-                    gain_increments(scenario, collateral_spec.posted_asset)
-                    - s_coll[:, :-1] * np.diff(x_k3, axis=1)
-                )
+            if collateral_spec.form == "risky":  # the posted asset is quoted in k3 (check_collateral_spec)
+                label = collateral_spec.posted_asset
+                units = collateral.posted[:, :-1] / scenario.asset(label)[:, :-1]
+                gain += units * fx_hedge_gain_increments(scenario, label)
             v_adj = collateral_value_adjustment(scenario, collateral, collateral_spec)
         except MissingRates as exc:
             raise MissingCollateralRates(str(exc)) from exc

@@ -31,7 +31,7 @@ def curveset(unsecured, coll_borrow=None, coll_lend=None, cash_post=None, coll_p
 
 
 def build_model(currencies, rates, assets=(), fx=(), correlation=None):
-    curs = [Currency(name, i + 1, domestic) for i, (name, domestic) in enumerate(currencies)]
+    curs = [Currency(name, domestic) for name, domestic in currencies]
     model = MarketModel(
         currencies=curs,
         rates=rates,

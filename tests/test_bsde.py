@@ -17,7 +17,7 @@ from xccy import (
     solve_endogenous,
 )
 from xccy.bsde import COND_LIMIT, _fill_design, _monomial_products, _regress, _slice_denominator
-from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError
+from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from xccy.model import cross_currency_basis_of
 from xccy.simulation import CHUNK_PATHS, _simulate_log_chunk, _step_coefficients, sample_mean
 from xccy.wealth import flow_nodes
@@ -142,6 +142,23 @@ def test_flow_dates_must_lie_on_grid(bsde_two_currency_model):
     contract = Contract("EUR", ((0.123456789, -1.0),))
     with pytest.raises(ConfigError):
         solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 0.0, _cfg(n_paths=100))
+
+
+@pytest.mark.parametrize("haircuts", [(math.inf, 0.0), (0.0, math.nan)], ids=["delta1", "delta2"])
+def test_non_finite_haircut_rejected_before_simulating(bsde_two_currency_model, monkeypatch, haircuts):
+    # the solver takes haircuts apart from any CollateralSpec, so it checks them itself
+    monkeypatch.setattr("xccy.bsde._simulate_log_chunk", lambda *a: pytest.fail("simulated"))
+    with pytest.raises(ConfigError, match="must be finite and exceed -1"):
+        solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", *haircuts, _cfg(n_paths=100))
+
+
+def test_non_finite_design_is_a_singular_regression():
+    # the condition number's SVD fails on a NaN before the solve is reached
+    design = np.ones((2, 8))
+    design[1] = np.arange(8.0)
+    design[1, 3] = math.nan
+    with pytest.raises(SingularRegression):
+        _regress(design, np.arange(8.0))
 
 
 def test_asymmetric_collateral_rates_rejected():

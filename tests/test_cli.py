@@ -93,6 +93,33 @@ def test_nan_rate_exits_one_naming_the_field(tmp_path, capsys, command):
     assert "violation: UnboundedRate [rates[EUR].unsecured]" in capsys.readouterr().err
 
 
+def _edited_model(section, **changes):
+    doc = json.loads(json.dumps(MODEL_DOC))
+    doc[section][0].update(changes)
+    return doc
+
+
+# json reads Infinity, and "not sigma > 0" is false for it; each check names its field
+NON_FINITE_MODELS = {
+    "asset sigma": ("NegativeVolatility [assets[EQ].sigma]", _edited_model("assets", sigma=math.inf)),
+    "asset spot": ("NonPositiveSpot [assets[EQ].s0]", _edited_model("assets", s0=math.inf)),
+    "fx level": ("NonPositiveFx [fx[USD].x0]", _edited_model("fx", x0=math.inf)),
+    "fx sigma": ("NegativeVolatility [fx[USD].sigma]", _edited_model("fx", sigma=math.inf)),
+}
+
+
+@pytest.mark.parametrize("command", ["price", "bsde"])
+@pytest.mark.parametrize("case", list(NON_FINITE_MODELS))
+def test_non_finite_model_value_exits_one_naming_the_field(docs, capsys, case, command):
+    # unchecked, an infinite x0 priced to NaN with exit 0 and an infinite sigma crashed bsde in an SVD
+    _, trade, tmp = docs
+    finding, doc = NON_FINITE_MODELS[case]
+    path = tmp / "non_finite_model.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, "--model", str(path), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
+    assert f"violation: {finding}" in capsys.readouterr().err
+
+
 def _exogenous(functional, params):
     return {"collateral": {**TRADE_DOC["collateral"], "mode": {"exogenous": {"functional": functional, "params": params}}}}
 
@@ -106,6 +133,8 @@ NON_FINITE_TRADES = {
         {"contract": {"currency": "EUR", "flows": [[1.0, -1.0]], "initial_flow": math.nan}},
     ),
     "constant level": ("collateral.mode.exogenous.params.level", _exogenous("constant", {"level": math.nan})),
+    # bsde used to write "delta1": Infinity into report.json, which is not JSON
+    "haircut": ("collateral.delta1", {"collateral": {**TRADE_DOC["collateral"], "delta1": math.inf}}),
     "asset fraction": (
         "collateral.mode.exogenous.params.fraction",
         _exogenous("fraction_of_asset", {"asset": "EQ", "fraction": -math.inf}),
@@ -349,6 +378,48 @@ def test_bsde_rejects_collateral_its_driver_does_not_model(docs, capsys, monkeyp
     field, edit = UNMODELLED_BSDE_COLLATERAL[case]
     assert _run_refusing_to_simulate(docs, monkeypatch, "bsde", "400000", edit) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("flag", [["--delta1", "inf"], ["--delta2", "nan"]], ids=["delta1", "delta2"])
+def test_non_finite_haircut_flag_exits_one_before_simulating(docs, capsys, monkeypatch, flag):
+    # the flags bypass the trade's CollateralSpec, so the solver checks the haircuts again
+    assert _run_refusing_to_simulate(docs, monkeypatch, "bsde", "400000", flags=flag) == 1
+    assert capsys.readouterr().err.startswith(f"error: collateral.{flag[0][2:]} must be finite and exceed -1")
+
+
+@pytest.mark.parametrize("horizon", ["nan", "inf"])
+@pytest.mark.parametrize("command", ["simulate", "check"])
+def test_non_finite_horizon_exits_one_naming_it(docs, capsys, monkeypatch, command, horizon):
+    # a NaN horizon used to be reported as "grid must start at 0, got nan"
+    assert _run_refusing_to_simulate(docs, monkeypatch, command, "2000", flags=["--horizon", horizon]) == 1
+    assert capsys.readouterr().err.startswith(f"error: bad horizon/steps: {horizon}")
+
+
+@pytest.mark.parametrize("command", ["price", "bsde"])
+def test_trade_without_collateral_block_exits_one_before_simulating(docs, capsys, monkeypatch, command):
+    _, trade, _ = docs
+    trade.write_text(json.dumps({key: value for key, value in TRADE_DOC.items() if key != "collateral"}))
+    assert _run_refusing_to_simulate(docs, monkeypatch, command, "400000") == 1
+    assert "collateral block" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_overflowing_volatility_exits_two(docs, capsys):
+    # sigma**2 overflows, the log-paths are infinite and the regression's condition number has no SVD
+    _, trade, tmp = docs
+    path = tmp / "huge_sigma.json"
+    path.write_text(json.dumps(_edited_model("assets", sigma=1e200)))
+    assert run(["bsde", "--model", str(path), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure:")
+
+
+def test_failing_martingale_check_exits_two(docs, capsys):
+    model, _, tmp = docs
+    args = ["check", "--model", str(model), "--paths", "2000", "--steps", "4", "--threshold", "1e-3"]
+    assert run(args + ["--out", str(tmp / "check")]) == 2
+    assert capsys.readouterr().err.startswith("numerical failure: martingale check failed:")
+    assert json.loads((tmp / "check" / "report.json").read_text())["passed"] is False
 
 
 @pytest.mark.parametrize(("command", "flag"), [("bsde", "--dump-surface"), ("simulate", "--dump-paths")])

@@ -320,6 +320,27 @@ def test_bad_haircuts_rejected():
         CollateralSpec(currency="USD", delta1=-1.0)
 
 
+@pytest.mark.parametrize(
+    "terms", [{"form": "bond"}, {"convention": "netting"}], ids=["unknown form", "unknown convention"]
+)
+def test_unknown_collateral_terms_rejected(terms):
+    (field,) = terms
+    with pytest.raises(ConfigError, match=f"{field} must be one of"):
+        CollateralSpec(currency="USD", **terms)
+
+
+@pytest.mark.parametrize(
+    "haircut",
+    [{"delta1": math.inf}, {"delta2": math.nan}, {"delta2": -math.inf}],
+    ids=["infinite delta1", "nan delta2", "minus infinite delta2"],
+)
+def test_haircut_must_be_finite_and_exceed_minus_one(haircut):
+    # an infinite haircut used to pass and reach report.json as Infinity, which is not JSON
+    (field,) = haircut
+    with pytest.raises(ConfigError, match=f"collateral.{field} must be finite and exceed -1"):
+        CollateralSpec(currency="USD", **haircut)
+
+
 def test_risky_spec_requires_asset_labels():
     with pytest.raises(ConfigError):
         CollateralSpec(currency="USD", form="risky")

@@ -5,8 +5,21 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from xccy.curves import RateCurve, cash_account_value
+from xccy.curves import CurveSet, RateCurve, cash_account_value
 from xccy.errors import ConfigError, NegativeTime
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: RateCurve([], []), "at least one knot"),
+        (lambda: CurveSet(RateCurve.flat(0.02)).by_role("overnight"), "unknown rate role 'overnight'"),
+    ],
+    ids=["no knots", "unknown role"],
+)
+def test_curve_input_rejected(build, message):
+    with pytest.raises(ConfigError, match=message):
+        build()
 
 
 def test_zero_rate_account_is_one():

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ from xccy.model import cross_currency_basis_integral
 
 
 def _simple_raw(corr=None, sigma=0.2):
-    currencies = [Currency("EUR", 1, True)]
+    currencies = [Currency("EUR", True)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01, cash_post=0.02)}
     assets = [AssetSpec("EQ", "EUR", 100.0, sigma, RateCurve.flat(0.0), RateCurve.flat(0.01))]
     correlation = corr if corr is not None else CorrelationMatrix.identity(["EQ"])
@@ -51,7 +52,7 @@ def test_identity_correlation_single_asset_is_valid():
 
 
 def test_entry_above_one_rejected():
-    currencies = [Currency("EUR", 1, True)]
+    currencies = [Currency("EUR", True)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01)}
     assets = [
         AssetSpec("A", "EUR", 1.0, 0.2, RateCurve.flat(0.0), RateCurve.flat(0.0)),
@@ -70,7 +71,7 @@ def test_three_driver_negative_determinant_rejected():
     rho = -0.9
     det = 1.0 + 2.0 * rho**3 - 3.0 * rho**2
     assert det < 0
-    currencies = [Currency("EUR", 1, True)]
+    currencies = [Currency("EUR", True)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01)}
     assets = [
         AssetSpec(lab, "EUR", 1.0, 0.2, RateCurve.flat(0.0), RateCurve.flat(0.0))
@@ -85,7 +86,7 @@ def test_three_driver_negative_determinant_rejected():
 
 
 def test_violations_name_the_offending_field():
-    currencies = [Currency("EUR", 1, True)]
+    currencies = [Currency("EUR", True)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01)}
     assets = [AssetSpec("EQ", "EUR", -1.0, -0.2, RateCurve.flat(0.0), RateCurve.flat(2.5))]
     with pytest.raises(ModelValidationError) as exc:
@@ -99,7 +100,7 @@ def test_violations_name_the_offending_field():
 @pytest.mark.parametrize("bad", [math.nan, -math.inf])
 def test_non_finite_rate_is_unbounded(bad):
     # NaN fails every comparison, so the bound is stated as "at most", not "exceeds"
-    currencies = [Currency("EUR", 1, True)]
+    currencies = [Currency("EUR", True)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01)}
     assets = [AssetSpec("EQ", "EUR", 100.0, 0.2, RateCurve([0.0, 1.0], [0.0, bad]), RateCurve.flat(0.01))]
     with pytest.raises(ModelValidationError) as exc:
@@ -108,7 +109,7 @@ def test_non_finite_rate_is_unbounded(bad):
 
 
 def test_duplicate_currency_detected():
-    currencies = [Currency("EUR", 1, True), Currency("EUR", 2, False)]
+    currencies = [Currency("EUR", True), Currency("EUR", False)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01)}
     with pytest.raises(ModelValidationError) as exc:
         validate_model(MarketModel(currencies, rates, [], [], CorrelationMatrix.identity([])))
@@ -116,11 +117,85 @@ def test_duplicate_currency_detected():
 
 
 def test_missing_fx_pair_detected():
-    currencies = [Currency("EUR", 1, True), Currency("GBP", 2, False)]
+    currencies = [Currency("EUR", True), Currency("GBP", False)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01), "GBP": curveset(0.03, 0.01, 0.01)}
     with pytest.raises(ModelValidationError) as exc:
         validate_model(MarketModel(currencies, rates, [], [], CorrelationMatrix.identity([])))
     assert "MissingFxPair" in {v.code for v in exc.value.violations}
+
+
+def _two_currency_raw():
+    """EUR domestic, USD foreign, one EUR asset: a raw model that validates."""
+    return MarketModel(
+        [Currency("EUR", True), Currency("USD", False)],
+        {"EUR": curveset(0.02, 0.01, 0.01), "USD": curveset(0.03, 0.02, 0.02)},
+        [AssetSpec("EQ", "EUR", 100.0, 0.2, RateCurve.flat(0.0), RateCurve.flat(0.01))],
+        [FxSpec("USD", 0.9, 0.1)],
+        CorrelationMatrix.identity(["EQ", "fx:USD"]),
+    )
+
+
+def _with_asset(**changes):
+    return lambda raw: dataclasses.replace(raw, assets=[dataclasses.replace(raw.assets[0], **changes)])
+
+
+def _with_fx(**changes):
+    return lambda raw: dataclasses.replace(raw, fx=[dataclasses.replace(raw.fx[0], **changes)])
+
+
+def _with_correlation(labels, matrix):
+    return lambda raw: dataclasses.replace(raw, correlation=CorrelationMatrix(labels, matrix))
+
+
+# one edit of a valid model per finding, with the (code, field) it must produce
+VALIDATION_FINDINGS = {
+    "no domestic": (
+        ("DomesticCount", "currencies"),
+        lambda raw: dataclasses.replace(raw, currencies=[Currency("EUR", False), Currency("USD", False)]),
+    ),
+    "missing rates": (
+        ("MissingRates", "rates[USD]"),
+        lambda raw: dataclasses.replace(raw, rates={"EUR": raw.rates["EUR"]}),
+    ),
+    "asset currency": (("UnknownCurrency", "assets[EQ].currency"), _with_asset(currency="GBP")),
+    "infinite asset sigma": (("NegativeVolatility", "assets[EQ].sigma"), _with_asset(sigma=math.inf)),
+    "infinite spot": (("NonPositiveSpot", "assets[EQ].s0"), _with_asset(s0=math.inf)),
+    "fx currency": (("UnknownCurrency", "fx[GBP].foreign"), _with_fx(foreign="GBP")),
+    "duplicate fx pair": (
+        ("DuplicateFxPair", "fx"),
+        lambda raw: dataclasses.replace(raw, fx=raw.fx + raw.fx),
+    ),
+    "domestic fx pair": (
+        ("DomesticFxPair", "fx[EUR]"),
+        lambda raw: dataclasses.replace(raw, fx=raw.fx + [FxSpec("EUR", 1.0, 0.0)]),
+    ),
+    "zero fx level": (("NonPositiveFx", "fx[USD].x0"), _with_fx(x0=0.0)),
+    "infinite fx level": (("NonPositiveFx", "fx[USD].x0"), _with_fx(x0=math.inf)),
+    "negative fx sigma": (("NegativeVolatility", "fx[USD].sigma"), _with_fx(sigma=-0.1)),
+    "infinite fx sigma": (("NegativeVolatility", "fx[USD].sigma"), _with_fx(sigma=math.inf)),
+    "correlation label": (
+        ("MissingCorrelationLabel", "correlation.labels"),
+        _with_correlation(["EQ", "fx:GBP"], np.eye(2)),
+    ),
+    "correlation shape": (("BadCorrelationShape", "correlation.matrix"), _with_correlation(["EQ", "fx:USD"], np.eye(3))),
+    "asymmetric correlation": (
+        ("NonSymmetricCorrelation", "correlation.matrix"),
+        _with_correlation(["EQ", "fx:USD"], [[1.0, 0.3], [0.2, 1.0]]),
+    ),
+    "diagonal not one": (
+        ("NonUnitDiagonal", "correlation.matrix"),
+        _with_correlation(["EQ", "fx:USD"], [[0.9, 0.0], [0.0, 1.0]]),
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(VALIDATION_FINDINGS))
+def test_validation_finding_names_its_field(case):
+    finding, edit = VALIDATION_FINDINGS[case]
+    validate_model(_two_currency_raw())  # the unedited model is valid
+    with pytest.raises(ModelValidationError) as exc:
+        validate_model(edit(_two_currency_raw()))
+    assert finding in {(v.code, v.field) for v in exc.value.violations}
 
 
 def test_revalidation_is_idempotent(two_currency_model):
@@ -187,7 +262,7 @@ def test_normalized_gram_matrices_always_validate(data):
     corr = gram / np.outer(d, d)
     np.fill_diagonal(corr, 1.0)
     labels = [f"A{i}" for i in range(n)]
-    currencies = [Currency("EUR", 1, True)]
+    currencies = [Currency("EUR", True)]
     rates = {"EUR": curveset(0.02, 0.01, 0.01)}
     assets = [
         AssetSpec(lab, "EUR", 1.0, 0.2, RateCurve.flat(0.0), RateCurve.flat(0.0)) for lab in labels

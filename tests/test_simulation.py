@@ -57,6 +57,24 @@ def test_grid_rejects_degenerate_inputs():
         TimeGrid.regular(0.0, 5)
 
 
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        # NaN compares false to 0, so the ascending check alone let it through to an IndexError in simulate
+        (lambda: TimeGrid([0.0, math.nan, 1.0]), EmptyGrid, r"grid times must be finite, got \[0.0, nan, 1.0\]"),
+        (lambda: TimeGrid([0.0, math.inf]), EmptyGrid, "grid times must be finite"),
+        (lambda: TimeGrid([0.0, 1.0, 0.5]), EmptyGrid, "strictly ascending"),
+        (lambda: TimeGrid.regular(math.nan, 4), EmptyGrid, "bad horizon/steps: nan"),
+        (lambda: TimeGrid.regular(math.inf, 4), EmptyGrid, "bad horizon/steps: inf"),
+        (lambda: TimeGrid.regular(1.0, 4, include=[1.5]), ConfigError, r"date 1.5 outside \[0, 1.0\]"),
+    ],
+    ids=["nan time", "infinite time", "not ascending", "nan horizon", "infinite horizon", "date past horizon"],
+)
+def test_bad_grid_rejected_naming_the_value(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 def test_domestic_asset_drift_is_repo_minus_dividend(two_currency_model):
     assert drift_at(two_currency_model, "EQ", 0.5) == pytest.approx(0.015 - 0.01, abs=1e-15)
 

@@ -55,6 +55,12 @@ def test_flow_off_grid_raises(scen):
         discounted_flows(scen, Contract("EUR", ((0.123456, 1.0),)))
 
 
+@pytest.mark.parametrize("t", [0.0, -0.5])
+def test_non_positive_flow_time_rejected(t):
+    with pytest.raises(ConfigError, match=f"flow time {t} must be strictly positive"):
+        Contract("EUR", ((t, 1.0), (1.0, -1.0)))
+
+
 def test_flow_off_grid_raises_in_replay(scen):
     with pytest.raises(FlowOffGrid):
         replay_wealth(scen, Strategy.empty(), Contract("EUR", ((0.123456, 1.0),)))
