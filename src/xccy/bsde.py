@@ -172,8 +172,7 @@ def solve_endogenous(
     anything is simulated.
     """
     check_haircuts(delta1, delta2)  # again: --delta1 and --delta2 bypass the CollateralSpec
-    model.require_symmetric_collateral_rates(model.domestic)
-    model.require_symmetric_collateral_rates(k3)
+    model.require_symmetric_collateral_rates(model.domestic, k3)
     cash_post = model.curve_set(k3).cash_post_funding
     r_e = model.curve(model.domestic, "unsecured")
     if cash_post is not None and cash_post != r_e:

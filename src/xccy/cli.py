@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``validate``, ``simulate``, ``price``, ``bsde``, ``check``.
-Exit codes: 0 success, 1 validation/configuration failure, 2 numerical
-failure, 3 I/O error. Reports carry no timestamps so that identical inputs
-and seed produce byte-identical outputs, whatever the worker count.
+Exit codes: 0 success, 1 validation/configuration failure (an allocation
+that runs out of memory among them), 2 numerical failure, 3 I/O error.
+Reports carry no timestamps so that identical inputs and seed produce
+byte-identical outputs, whatever the worker count.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .bsde import BsdeConfig, solve_endogenous
 from .collateral import CollateralSpec, build_exogenous_path, check_collateral_spec
 from .contracts import Contract
-from .csvio import write_rows
+from .csvio import write_grid
 from .diagnostics import check_threshold, run_martingale_suite
 from .errors import ConfigError, ModelValidationError, NumericalError, doc_value
 from .model import load_model, validate_model
@@ -30,7 +31,7 @@ EXIT_CONFIG = 1
 EXIT_NUMERICAL = 2
 EXIT_IO = 3
 
-RESULTS_HEADER = "trade_id,convention,k2,k3,price,std_error,n_paths,seed\n"
+RESULTS_COLUMNS = ("trade_id", "convention", "k2", "k3", "price", "std_error", "n_paths", "seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -82,7 +83,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--delta1", type=float, default=None, help="override trade haircut above the mark")
     p.add_argument("--delta2", type=float, default=None, help="override trade haircut below the mark")
-    p.add_argument("--degree", type=int, default=2)
     p.add_argument("--dump-surface", action="store_true")
 
     p = sub.add_parser("check", help="run the martingale certification suite")
@@ -99,6 +99,23 @@ def _load_trade(path: str) -> tuple[str, Contract, CollateralSpec]:
     contract = Contract.from_dict(doc_value(doc, "contract", "trade"))
     spec = CollateralSpec.from_dict(doc["collateral"]) if "collateral" in doc else None
     return str(doc.get("trade_id", "trade")), contract, spec
+
+
+def _collateralized_trade(args, model) -> tuple[str, Contract, CollateralSpec, TimeGrid]:
+    """The ``--trade`` document with its collateral block checked, and its grid of ``--steps`` steps.
+
+    The grid runs to the contract's maturity (1 year for a contract without
+    flows) and holds every flow date. A trade without a collateral block, or
+    one :func:`check_collateral_spec` rejects, raises :class:`ConfigError`.
+    """
+    trade_id, contract, spec = _load_trade(args.trade)
+    if spec is None:
+        raise ConfigError(
+            f"{args.command} needs a collateral block in the trade document; price --mode full-collateral needs none"
+        )
+    check_collateral_spec(model, spec)
+    grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
+    return trade_id, contract, spec, grid
 
 
 def _dump_file(args, wanted: bool, flag: str, name: str) -> str | None:
@@ -130,11 +147,8 @@ def _append_results(out_dir: str, row: dict) -> None:
     fresh = not os.path.exists(path)
     with open(path, "a", encoding="utf-8", newline="") as fh:
         if fresh:
-            fh.write(RESULTS_HEADER)
-        fh.write(
-            f"{row['trade_id']},{row['convention']},{row['k2']},{row['k3']},"
-            f"{row['price']!r},{row['std_error']!r},{row['n_paths']},{row['seed']}\n"
-        )
+            fh.write(",".join(RESULTS_COLUMNS) + "\n")
+        fh.write(",".join(str(row[name]) for name in RESULTS_COLUMNS) + "\n")  # str of a float is its repr
 
 
 def _cmd_validate(args, model) -> int:
@@ -166,8 +180,8 @@ def _cmd_simulate(args, model) -> int:
 
 
 def _cmd_price(args, model) -> int:
-    trade_id, contract, spec = _load_trade(args.trade)
     if args.mode == "full-collateral":
+        trade_id, contract, spec = _load_trade(args.trade)
         k3 = spec.currency if spec is not None else model.domestic
         price = price_fully_collateralized(model, contract, k3)
         row = {
@@ -181,11 +195,8 @@ def _cmd_price(args, model) -> int:
             "seed": args.seed,
         }
     else:
-        if spec is None:
-            raise ConfigError("trade document has no collateral block; use --mode full-collateral for none")
+        trade_id, contract, spec, grid = _collateralized_trade(args, model)
         check_error_bar_paths(args.paths)
-        check_collateral_spec(model, spec)
-        grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
         scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
         coll = build_exogenous_path(scenario, spec, contract)
         result = price_exogenous(scenario, contract, coll, spec)
@@ -197,10 +208,7 @@ def _cmd_price(args, model) -> int:
 
 
 def _cmd_bsde(args, model) -> int:
-    trade_id, contract, spec = _load_trade(args.trade)
-    if spec is None:
-        raise ConfigError("bsde requires a collateral block in the trade document")
-    check_collateral_spec(model, spec)
+    trade_id, contract, spec, grid = _collateralized_trade(args, model)
     # the solver's driver is that of cash collateral under rehypothecation; it reads no other terms
     for field, value, modelled in (("form", spec.form, "cash"), ("convention", spec.convention, "rehypothecation")):
         if value != modelled:
@@ -208,14 +216,7 @@ def _cmd_bsde(args, model) -> int:
     delta1 = spec.delta1 if args.delta1 is None else args.delta1
     delta2 = spec.delta2 if args.delta2 is None else args.delta2
     dump = _dump_file(args, args.dump_surface, "--dump-surface", "surface.csv")
-    grid = TimeGrid.regular(contract.maturity or 1.0, args.steps, include=contract.flow_times)
-    cfg = BsdeConfig(
-        grid=grid,
-        n_paths=args.paths,
-        seed=args.seed,
-        degree=args.degree,
-        n_workers=args.workers,
-    )
+    cfg = BsdeConfig(grid=grid, n_paths=args.paths, seed=args.seed, n_workers=args.workers)
     result = solve_endogenous(model, contract, spec.currency, delta1, delta2, cfg)
     report = {
         "command": "bsde",
@@ -232,9 +233,7 @@ def _cmd_bsde(args, model) -> int:
         "picard_counts": list(result.picard_counts),
     }
     if dump is not None:
-        with open(dump, "w", encoding="utf-8", newline="") as fh:
-            fh.write("path_id,time,value\n")
-            write_rows(fh, np.arange(result.n_paths)[:, None], grid.times, result.surface)
+        write_grid(dump, ("value",), grid.times, [(result.surface,)])
     _write_report(args.out, report)
     return EXIT_OK
 
@@ -281,6 +280,9 @@ def run(argv=None) -> int:
         return EXIT_CONFIG
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except MemoryError as exc:  # numpy's names the array it could not allocate; a bare one has no text
+        print(f"error: out of memory: {exc or 'MemoryError'}; run fewer --paths or --steps", file=sys.stderr)
         return EXIT_CONFIG
     except NumericalError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

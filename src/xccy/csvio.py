@@ -2,9 +2,10 @@
 
 Every CSV the engine writes (scenario paths, replayed wealth, the BSDE value
 surface) is a grid of values indexed by path and time, with the path id and
-the time repeated on every row. :func:`write_rows` renders each entry of a
-column once per block of rows, however often broadcasting repeats it, and
-writes the rows in blocks of bounded size.
+the time repeated on every row; :func:`write_grid` writes each of them.
+:func:`write_rows` renders each entry of a column once per block of rows,
+however often broadcasting repeats it, and writes the rows in blocks of
+bounded size.
 """
 
 from __future__ import annotations
@@ -35,3 +36,17 @@ def write_rows(fh, *columns) -> None:
         shape = (min(step, n_rows - a), width)
         block = [c[a : a + step] if c.ndim == 2 and c.shape[0] > 1 else c for c in columns]
         fh.writelines(",".join(row) + "\n" for row in zip(*(_cells(c, shape) for c in block)))
+
+
+def write_grid(path, names, times, blocks) -> None:
+    """Write the CSV file ``path`` with header ``path_id,time,*names``, then each block's rows.
+
+    A block holds one column per name, each a scalar or an (n_paths, n_times)
+    array, and gets one row per path and time of ``times``, path-major, led by
+    the path id 0 .. n_paths - 1 and the time (:func:`write_rows`).
+    """
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(["path_id", "time", *names]) + "\n")
+        for columns in blocks:
+            n_paths = np.broadcast_shapes(*(np.shape(c) for c in columns))[0]
+            write_rows(fh, np.arange(n_paths)[:, None], times, *columns)

@@ -25,6 +25,9 @@ import numpy as np
 from .errors import ConfigError, MissingRates, NegativeTime
 
 RATE_BOUND = 1.0  # sanity bound on |r|, per-year
+# sanity bound on a lognormal volatility, per sqrt(year): the log-drift -sigma^2 T / 2 stays above
+# exp's underflow (about -745) for horizons T up to about 60 years
+VOL_BOUND = 5.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,14 +103,14 @@ class RateCurve:
 def cash_account_value(rate: RateCurve, t) -> float | np.ndarray:
     """Value of the unit cash account B(t) = exp(integral of the rate).
 
-    B(0) = 1 and the evaluation is the exact piecewise exponential.
+    B(0) = 1 and the evaluation is the exact piecewise exponential of
+    :meth:`RateCurve.integrals`: a float for a scalar ``t``, an array for an array.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise NegativeTime(f"cash account requested at negative time {t}")
-    if t_arr.ndim == 0:
-        return float(np.exp(rate.integral(0.0, float(t_arr))))
-    return np.exp(rate.integrals(t_arr))
+    value = np.exp(rate.integrals(t_arr))
+    return value if t_arr.ndim else float(value)
 
 
 def step_pieces(times, *curves: RateCurve) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

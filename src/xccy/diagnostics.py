@@ -3,8 +3,8 @@
 Two families of processes must be drift-free under the domestic martingale
 measure: per asset, the accumulated funding-gain increments net of the FX
 exposure term; per currency, the discounted FX account X * B_f / B_dom. Each
-test builds the process at the checkpoint nodes only, one simulation chunk of
-paths at a time on a reused buffer, and folds each chunk's pair-mean moments
+test builds the process at the checkpoint nodes only, one block per
+simulation chunk of paths, and folds each chunk's pair-mean moments
 into every checkpoint's running mean and error bar in chunk order
 (:func:`xccy.simulation.fold_sample_mean`, the reduction behind
 :func:`~xccy.simulation.sample_mean`), so its memory does not grow with the
@@ -69,59 +69,50 @@ def _checkpoint_blocks(
 ) -> tuple[Iterator[np.ndarray], float]:
     """The process at the grid ``nodes``, one block per simulation chunk, and the level it starts from.
 
-    The blocks are (n_nodes, count) views of one reused buffer of
-    ``CHUNK_PATHS`` columns, yielded in chunk order, each filled from the
-    chunk's time rows ``scenario.paths[d, j, lo:hi]``; the accounts, carries
-    and driver rows are set up once per test. Assets accumulate the
-    repo-discounted FX-hedged gains (:func:`~xccy.wealth.hedged_gain_step`)
-    step by step, from X S / B_repo; FX is X * B_f / B_dom less its start.
+    Each block is a new (n_nodes, count) array of one chunk, built from the
+    chunk's time rows ``scenario.paths[d, j, lo:hi]`` only when the consumer
+    draws it, in chunk order; no buffer outlives its chunk. The accounts,
+    carries and driver rows are set up once per test.
+    Assets accumulate the repo-discounted FX-hedged gains
+    (:func:`~xccy.wealth.hedged_gain_step`) step by step, from X S / B_repo;
+    FX is X * B_f / B_dom less its start.
     """
-    model, n_paths = scenario.model, scenario.n_paths
+    model = scenario.model
     kind, _, name = process_id.partition(":")
-    columns = chunk_columns(n_paths)
-    width = columns[0].stop
-    block = np.empty((len(nodes), width))
     if kind == "asset" and name in {a.label for a in model.assets}:
         s, x, carry = hedge_operands(scenario, name)
         s, x = s.T, x.T  # time rows
         b_repo = scenario.repo_account(name)
         rows_at_step = [np.flatnonzero(nodes == j + 1) for j in range(nodes.max())]
-        buffers = np.empty((3, width))
 
-        def fill(out, cols):
-            acc, gain, scratch = buffers[:, : out.shape[1]]
+        def block(cols):
+            out = np.empty((len(nodes), cols.stop - cols.start))
+            acc, gain, scratch = np.empty((3, out.shape[1]))
             for j, rows in enumerate(rows_at_step):
                 hedged_gain_step(x[j + 1, cols], s[j + 1, cols], x[j, cols], s[j, cols], carry[j], gain, scratch)
                 gain /= b_repo[j]
                 if j:
                     acc += gain
                 else:
-                    acc[:] = gain
+                    acc[:] = gain  # a copy: 0.0 + gain would turn a -0.0 gain into 0.0
                 out[rows] = acc
+            return out
 
         start = s[0, 0] * x[0, 0] / b_repo[0]
     elif kind == "fx" and name in model.currency_names:
         x = scenario.fx(name).T
         ratio = scenario.account(name) / scenario.account(model.domestic)
-        first = np.empty(width)
 
-        def fill(out, cols):
-            level = np.multiply(x[0, cols], ratio[0], out=first[: out.shape[1]])
-            for row, j in zip(out, nodes):
-                np.multiply(x[j, cols], ratio[j], out=row)
-                row -= level
+        def block(cols):
+            out = x[nodes, cols]
+            out *= ratio[nodes, None]
+            out -= x[0, cols] * ratio[0]
+            return out
 
         start = x[0, 0] * ratio[0]
     else:
         raise UnknownProcessId(process_id)
-
-    def blocks():
-        for cols in columns:
-            out = block[:, : cols.stop - cols.start]
-            fill(out, cols)
-            yield out
-
-    return blocks(), float(start)
+    return (block(cols) for cols in chunk_columns(scenario.n_paths)), float(start)
 
 
 def check_threshold(threshold: float) -> None:

@@ -119,6 +119,16 @@ def finite_float(value) -> float:
     return number
 
 
+def json_bool(value) -> bool:
+    """``value`` if it is a JSON boolean, else :class:`TypeError`: a ``kind`` for :func:`doc_value`.
+
+    ``bool`` would read the string ``"false"`` as true.
+    """
+    if not isinstance(value, bool):
+        raise TypeError(f"{value!r} is not a JSON boolean (true or false)")
+    return value
+
+
 def doc_value(doc, key: str, where: str, kind=None, default=...):
     """``doc[key]`` of a parsed JSON object, converted by ``kind`` if given; ``default`` if absent.
 

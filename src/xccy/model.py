@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from .contracts import Contract
-from .curves import RATE_BOUND, CurveSet, RateCurve
+from .curves import RATE_BOUND, VOL_BOUND, CurveSet, RateCurve
 from .errors import (
     AsymmetricCollateralRates,
     ConfigError,
@@ -30,6 +30,7 @@ from .errors import (
     UnknownCurrency,
     Violation,
     doc_value,
+    json_bool,
 )
 
 PSD_TOL = -1e-10  # smallest eigenvalue accepted before clipping to 0
@@ -137,9 +138,9 @@ def _validate(model: MarketModel) -> list[Violation]:
     for a in model.assets:
         if a.currency not in names:
             v.append(Violation("UnknownCurrency", f"assets[{a.label}].currency", a.currency))
-        if not 0 < a.sigma < math.inf:
+        if not 0 < a.sigma <= VOL_BOUND:
             v.append(
-                Violation("NegativeVolatility", f"assets[{a.label}].sigma", f"sigma={a.sigma} must be finite and > 0")
+                Violation("NegativeVolatility", f"assets[{a.label}].sigma", f"sigma {a.sigma} not in (0, {VOL_BOUND}]")
             )
         if not 0 < a.s0 < math.inf:
             v.append(Violation("NonPositiveSpot", f"assets[{a.label}].s0", f"s0={a.s0} must be finite and > 0"))
@@ -157,9 +158,9 @@ def _validate(model: MarketModel) -> list[Violation]:
             v.append(Violation("DomesticFxPair", f"fx[{f.foreign}]", "domestic pair is identically 1"))
         if not 0 < f.x0 < math.inf:
             v.append(Violation("NonPositiveFx", f"fx[{f.foreign}].x0", f"x0={f.x0} must be finite and > 0"))
-        if not 0 <= f.sigma < math.inf:
+        if not 0 <= f.sigma <= VOL_BOUND:
             v.append(
-                Violation("NegativeVolatility", f"fx[{f.foreign}].sigma", f"sigma={f.sigma} must be finite and >= 0")
+                Violation("NegativeVolatility", f"fx[{f.foreign}].sigma", f"sigma {f.sigma} not in [0, {VOL_BOUND}]")
             )
     for cur in model.currencies:
         if dom_name is not None and cur.name != dom_name and cur.name not in fx_currencies:
@@ -256,14 +257,15 @@ class ValidatedModel:
             raise DomesticPairRequested(currency)
         return self.fx_spec(currency)
 
-    def has_symmetric_collateral_rates(self, currency: str) -> bool:
-        cs = self.curve_set(currency)
-        return cs.collateral_borrow is not None and cs.collateral_borrow == cs.collateral_lend
+    def require_symmetric_collateral_rates(self, *currencies: str) -> None:
+        """Raise :class:`AsymmetricCollateralRates` unless each currency's collateral borrow and lend curves coincide.
 
-    def require_symmetric_collateral_rates(self, currency: str) -> None:
-        """Raise :class:`AsymmetricCollateralRates` unless the collateral borrow and lend curves of ``currency`` coincide."""
-        if not self.has_symmetric_collateral_rates(currency):
-            raise AsymmetricCollateralRates(f"collateral borrow and lend rates must coincide for {currency!r}")
+        Both curves must be set; a currency the model lacks raises :class:`UnknownCurrency`.
+        """
+        for currency in currencies:
+            cs = self.curve_set(currency)
+            if cs.collateral_borrow is None or cs.collateral_borrow != cs.collateral_lend:
+                raise AsymmetricCollateralRates(f"collateral borrow and lend rates must coincide for {currency!r}")
 
 
 def validate_model(model: MarketModel | ValidatedModel) -> ValidatedModel:
@@ -380,7 +382,8 @@ def model_from_dict(doc: dict) -> MarketModel:
     rates = {}
     for i, cur in enumerate(doc_value(doc, "currencies", "model", list)):
         name = doc_value(cur, "name", f"currencies[{i}]")
-        currencies.append(Currency(name=name, domestic=bool(cur.get("domestic", False))))
+        domestic = doc_value(cur, "domestic", f"currencies[{i}]", json_bool, False)
+        currencies.append(Currency(name=name, domestic=domestic))
         rates[name] = _curveset_from_dict(cur.get("rates", {}), f"currencies[{i}].rates")
     assets = [
         AssetSpec(

@@ -58,8 +58,7 @@ def price_fully_collateralized(model: ValidatedModel, contract: Contract, k3: st
     (borrow == lend) for the domestic and collateral currencies; deterministic
     rates make the result free of Monte Carlo error.
     """
-    model.require_symmetric_collateral_rates(model.domestic)
-    model.require_symmetric_collateral_rates(k3)
+    model.require_symmetric_collateral_rates(model.domestic, k3)
     x0 = 1.0 if contract.native_currency == model.domestic else model.fx_spec(contract.native_currency).x0
     return -float(collateralized_value(model, contract, k3, [0.0])[0]) * x0
 

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csvio import write_rows
+from .csvio import write_grid
 from .curves import RateCurve, cash_account_value
 from .errors import ConfigError, EmptyGrid, ZeroPaths
 from .model import FxSpec, ValidatedModel, fx_label
@@ -195,9 +195,10 @@ def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
     antithetic pairs; its k pair means are reduced to their mean and sum of
     squared deviations M2, and (k, mean, M2) is combined with the running
     statistics by the pairwise update of Chan, Golub and LeVeque (1983). A
-    block is consumed before the next is drawn, so a caller may yield one
-    reused buffer. The result is the mean of the pair means and
-    their sample standard deviation over sqrt(k); over one block it is
+    block is consumed, and released, before the next is drawn, so a caller
+    may build each block afresh and the allocator hands the next one the
+    same memory. The result is the mean of the pair means and their sample
+    standard deviation over sqrt(k); over one block it is
     ``mean`` and ``std(ddof=1) / sqrt(k)`` of the pair means bit for bit.
     """
     count = 0
@@ -208,6 +209,7 @@ def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
         pairs -= m[..., None]
         pairs *= pairs
         m2_block = pairs.sum(axis=-1)
+        del block, pairs  # freed before the next block is built, which can then reuse the memory
         if count == 0:
             mean, m2 = m, m2_block
         else:
@@ -441,8 +443,5 @@ def simulate(
 
 def dump_paths_csv(scenario: ScenarioSet, path: str) -> None:
     """Columnar dump: path_id, time, driver_label, value."""
-    path_ids = np.arange(scenario.n_paths)[:, None]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("path_id,time,driver_label,value\n")
-        for label in scenario.model.driver_labels:
-            write_rows(fh, path_ids, scenario.grid.times, label, scenario.driver(label))
+    blocks = ((label, scenario.driver(label)) for label in scenario.model.driver_labels)
+    write_grid(path, ("driver_label", "value"), scenario.grid.times, blocks)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .collateral import adjustment_increments, collateral_value_adjustment
 from .contracts import Contract
-from .csvio import write_rows
+from .csvio import write_grid
 from .errors import ConfigError, FlowOffGrid, GridMismatch, MissingCollateralRates, MissingRates
 from .simulation import ScenarioSet, TimeGrid
 
@@ -160,10 +160,8 @@ class WealthPath:
 
     def to_csv(self, grid, path: str) -> None:
         """Columnar dump: path_id, time, wealth, portfolio, adjustment, netted."""
-        path_ids = np.arange(self.v.shape[0])[:, None]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write("path_id,time,v,v_portfolio,v_adjustment,v_net\n")
-            write_rows(fh, path_ids, grid.times, self.v, self.v_portfolio, self.v_adjustment, self.v_net)
+        names = ("v", "v_portfolio", "v_adjustment", "v_net")
+        write_grid(path, names, grid.times, [tuple(getattr(self, name) for name in names)])
 
 
 def _position(arr, n_paths: int, n_steps: int, what: str) -> np.ndarray:

@@ -403,15 +403,49 @@ def test_trade_without_collateral_block_exits_one_before_simulating(docs, capsys
     assert "collateral block" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_overflowing_volatility_exits_two(docs, capsys):
-    # sigma**2 overflows, the log-paths are infinite and the regression's condition number has no SVD
-    _, trade, tmp = docs
-    path = tmp / "huge_sigma.json"
-    path.write_text(json.dumps(_edited_model("assets", sigma=1e200)))
-    assert run(["bsde", "--model", str(path), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 2
-    assert capsys.readouterr().err.startswith("numerical failure:")
+# a volatility past VOL_BOUND collapsed the paths: sigma**2 overflowed (simulate reported a terminal
+# mean of 0.0, price a non-positive FX level, bsde a regression design without an SVD), or
+# exp(-sigma**2 t / 2) underflowed (check failed with |z| near 1e15)
+HUGE_VOLATILITIES = {
+    "simulate": ("assets[EQ].sigma", _edited_model("assets", sigma=1e200)),
+    "price": ("fx[USD].sigma", _edited_model("fx", sigma=1e200)),
+    "check": ("assets[EQ].sigma", _edited_model("assets", sigma=40.0)),
+    "bsde": ("assets[EQ].sigma", _edited_model("assets", sigma=1e200)),
+}
+
+
+@pytest.mark.parametrize("command", list(HUGE_VOLATILITIES))
+def test_volatility_above_the_bound_exits_one_before_simulating(docs, capsys, monkeypatch, command):
+    model, _, _ = docs
+    field, doc = HUGE_VOLATILITIES[command]
+    model.write_text(json.dumps(doc))
+    assert _run_refusing_to_simulate(docs, monkeypatch, command, "2000") == 1
+    assert capsys.readouterr().err.startswith(f"violation: NegativeVolatility [{field}]: sigma")
+
+
+def test_out_of_memory_exits_one(docs, capsys, monkeypatch):
+    # numpy raised its MemoryError as a traceback, as for 100M paths x 50 steps (a 114 GiB scenario)
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 114. GiB for an array with shape (6, 51, 100000000)")
+
+    monkeypatch.setattr("xccy.cli.simulate", exhausted)
+    model, _, _ = docs
+    assert run(["check", "--model", str(model), "--paths", "100000000", "--steps", "50"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: Unable to allocate 114. GiB")
+    assert "fewer --paths or --steps" in err
+
+
+@pytest.mark.parametrize("flag", ["false", 1], ids=["string", "number"])
+def test_non_boolean_domestic_flag_exits_one_naming_it(docs, capsys, flag):
+    # bool("false") is true: the flag made USD a second domestic currency, reported as a DomesticCount,
+    # DomesticFxPair and MissingFxPair violation
+    model, _, _ = docs
+    doc = json.loads(json.dumps(MODEL_DOC))
+    doc["currencies"][1]["domestic"] = flag
+    model.write_text(json.dumps(doc))
+    assert run(["validate", "--model", str(model)]) == 1
+    assert capsys.readouterr().err.startswith("error: currencies[1].domestic is malformed")
 
 
 def test_failing_martingale_check_exits_two(docs, capsys):

@@ -18,7 +18,7 @@ from xccy import (
     validate_model,
 )
 from xccy.curves import RateCurve
-from xccy.errors import UnknownCurrency
+from xccy.errors import AsymmetricCollateralRates, UnknownCurrency
 from xccy.model import cross_currency_basis_integral
 
 
@@ -37,12 +37,16 @@ def test_symmetric_collateral_rates_compare_multi_knot_curves(lend_values, symme
     borrow = RateCurve([0.0, 0.5, 1.7], [0.016, 0.013, 0.021])
     lend = None if lend_values is None else RateCurve([0.0, 0.5, 1.7], lend_values)
     model = build_model([("EUR", True)], {"EUR": curveset(0.02, borrow, lend)})
-    assert model.has_symmetric_collateral_rates("EUR") is symmetric
+    if symmetric:
+        model.require_symmetric_collateral_rates("EUR")
+    else:
+        with pytest.raises(AsymmetricCollateralRates):
+            model.require_symmetric_collateral_rates("EUR")
 
 
 def test_symmetric_collateral_rates_of_a_currency_the_model_lacks_raise(two_currency_model):
     with pytest.raises(UnknownCurrency):
-        two_currency_model.has_symmetric_collateral_rates("GBP")
+        two_currency_model.require_symmetric_collateral_rates("GBP")
 
 
 def test_identity_correlation_single_asset_is_valid():
