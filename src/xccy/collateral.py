@@ -45,7 +45,7 @@ from .contracts import Contract
 from .curves import RateCurve
 from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float
 from .model import ValidatedModel, collateralized_value
-from .simulation import ScenarioSet
+from .simulation import TILE_BYTES, ScenarioSet
 
 FORMS = ("cash", "risky")
 CONVENTIONS = ("segregation", "rehypothecation")
@@ -137,7 +137,16 @@ class CollateralPath:
     currency: str
 
     def __init__(self, c, currency):
-        c = np.array(c, dtype=float)
+        self._hold(np.array(c, dtype=float), currency)
+
+    @classmethod
+    def _holding(cls, c: np.ndarray, currency: str) -> "CollateralPath":
+        """The path holding the float array ``c`` itself, not a copy: for a fresh array no one else holds."""
+        path = cls.__new__(cls)
+        path._hold(c, currency)
+        return path
+
+    def _hold(self, c: np.ndarray, currency: str) -> None:
         if c.ndim != 2:
             raise ConfigError("collateral path must be (n_paths, n_times)")
         c[:, -1] = 0.0
@@ -203,16 +212,58 @@ def check_collateral_path(scenario: ScenarioSet, coll: CollateralPath, spec: Col
     check_collateral_spec(scenario.model, spec)
 
 
+def path_blocks(n_paths: int, n_cols: int) -> list[slice]:
+    """Consecutive row slices covering ``range(n_paths)``, each about ``TILE_BYTES`` of float rows.
+
+    A block has at least two rows, and a one-row remainder joins the block
+    before it: numpy sums a lone row of an F-ordered array pairwise, not
+    column by column as it sums two or more, so row sums taken block by block
+    keep the bits of the whole-array ones.
+    """
+    step = max(2, TILE_BYTES // (8 * max(n_cols, 1)))
+    ends = list(range(step, n_paths, step))
+    if ends and n_paths - ends[-1] == 1:
+        ends.pop()
+    return [slice(a, b) for a, b in zip([0, *ends], [*ends, n_paths])]
+
+
+def _apply_haircut(c: np.ndarray, spec: CollateralSpec, fx_level) -> None:
+    """Turn the marks ``c`` into collateral in place: c * (1 + delta) / fx_level.
+
+    The one definition of the haircut rule: delta is ``delta1`` where the
+    mark is > 0 and ``delta2`` elsewhere. ``c`` is a float array of one or
+    more dimensions that ``fx_level`` broadcasts to; it is worked through in
+    :func:`path_blocks` of its outermost axis in memory (the time axis of an
+    F-ordered path array), so each block is contiguous and the only
+    temporaries are one block's factors. Raises :class:`NonPositiveFx`,
+    leaving ``c`` as it was, unless every fx level is > 0 (NaN is not).
+    """
+    if not np.min(fx_level, initial=math.inf) > 0:
+        raise NonPositiveFx("fx level must be strictly positive")
+    fx = np.broadcast_to(fx_level, c.shape)
+    if c.flags.f_contiguous:
+        c, fx = c.T, fx.T
+    up, down = 1.0 + spec.delta1, 1.0 + spec.delta2
+    for rows in path_blocks(len(c), c[:1].size):
+        block = c[rows]
+        block *= np.where(block > 0, up, down)
+        block /= fx[rows]
+
+
 def collateral_from_mark(mark, spec: CollateralSpec, fx_level) -> np.ndarray:
     """Collateral amount implied by a mark-to-market value in domestic units.
 
-    X * C = (1 + delta1) * mark+ - (1 + delta2) * mark-.
+    X * C = (1 + delta1) * mark+ - (1 + delta2) * mark-. The result is a new
+    array of the broadcast shape of ``mark`` and ``fx_level`` (a scalar when
+    both are): one copy of ``mark``, haircut and divided in place. Neither
+    input is modified. Raises :class:`NonPositiveFx` unless every fx level is
+    > 0; a NaN level is not.
     """
     fx_level = np.asarray(fx_level, dtype=float)
-    if np.any(fx_level <= 0):
-        raise NonPositiveFx("fx level must be strictly positive")
     mark = np.asarray(mark, dtype=float)
-    return mark * np.where(mark > 0, 1.0 + spec.delta1, 1.0 + spec.delta2) / fx_level
+    c = np.array(np.broadcast_to(mark, np.broadcast_shapes(mark.shape, fx_level.shape)))
+    _apply_haircut(np.atleast_1d(c), spec, fx_level)
+    return c if c.ndim else c[()]
 
 
 def margin_interest(scenario: ScenarioSet, coll: CollateralPath, spec: CollateralSpec) -> np.ndarray:
@@ -311,17 +362,18 @@ def collateral_value_adjustment(
 # ---------------------------------------------------------------------------
 
 
-def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, level) -> CollateralPath:
-    return CollateralPath(np.full((scenario.n_paths, len(scenario.grid.times)), level), spec.currency)
+def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, level) -> np.ndarray:
+    return np.full((scenario.n_paths, len(scenario.grid.times)), level)
 
 
-def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, asset, fraction) -> CollateralPath:
-    value_dom = scenario.asset(asset) * scenario.fx(scenario.model.asset(asset).currency)
-    c = fraction * value_dom / scenario.fx(spec.currency)
-    return CollateralPath(c, spec.currency)
+def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, asset, fraction) -> np.ndarray:
+    c = scenario.asset(asset) * scenario.fx(scenario.model.asset(asset).currency)  # the asset's domestic value
+    c *= fraction  # x * fraction is fraction * x, bit for bit
+    c /= scenario.fx(spec.currency)
+    return c
 
 
-def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract) -> CollateralPath:
+def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract) -> np.ndarray:
     """Haircut collateral on a deterministic-forward proxy of the contract mark.
 
     The proxy marks the remaining flows at the perfect-collateralization
@@ -334,13 +386,14 @@ def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract)
     if contract is None:
         raise ConfigError("mark_proxy functional needs the contract")
     value = collateralized_value(scenario.model, contract, spec.currency, scenario.grid.times)
-    mark = value * scenario.fx(contract.native_currency)
-    c = collateral_from_mark(mark, spec, scenario.fx(spec.currency))
-    return CollateralPath(c, spec.currency)
+    c = value * scenario.fx(contract.native_currency)  # the mark
+    _apply_haircut(c, spec, scenario.fx(spec.currency))
+    return c
 
 
 # name -> (builder, {parameter: (doc_value conversion, default, ... if required)}); a builder
-# takes (scenario, spec, contract) and the parameters CollateralSpec converted by this table
+# takes (scenario, spec, contract) and the parameters CollateralSpec converted by this table,
+# and returns a fresh (n_paths, n_times) float array, the path's only full-size allocation
 EXOGENOUS_FUNCTIONALS = {
     "constant": (_constant_functional, {"level": (finite_float, 0.0)}),
     "fraction_of_asset": (_fraction_of_asset, {"asset": (None, ...), "fraction": (finite_float, 1.0)}),
@@ -355,4 +408,5 @@ def build_exogenous_path(
     if spec.endogenous:
         raise ConfigError("spec is endogenous; use the BSDE solver")
     _, name, params = spec.mode
-    return EXOGENOUS_FUNCTIONALS[name][0](scenario, spec, contract, **params)
+    build = EXOGENOUS_FUNCTIONALS[name][0]
+    return CollateralPath._holding(build(scenario, spec, contract, **params), spec.currency)

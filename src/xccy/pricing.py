@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path
+from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path, path_blocks
 from .contracts import Contract
 from .curves import step_pieces
 from .errors import EndogenousSpecPassed, ScenarioMeasureMismatch
@@ -104,6 +104,33 @@ def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: 
     )
 
 
+def _discounted_collateral_legs(
+    scenario: ScenarioSet, coll_path: CollateralPath, spec: CollateralSpec
+) -> np.ndarray:
+    """Per-path sum over the steps of the collateral carry, FX term included, discounted to 0.
+
+    Each step is C times the weight of its sign's leg, less C times the FX
+    weight, times X / B_dom, all at the step's left end. The steps are summed
+    a block of path rows at a time (:func:`~xccy.collateral.path_blocks`), so
+    no temporary is larger than a block; each row sums alone, so the blocks
+    keep the bits of the row sums of one whole (n_paths, n_steps) array.
+    """
+    b_e = scenario.account(scenario.model.domestic)[:-1]
+    w_recv, w_post, w_fx = _collateral_leg_weights(scenario.model, spec, scenario.grid.times)
+    c = coll_path.c[:, :-1]
+    x = scenario.fx(spec.currency)[:, :-1]
+    legs = np.empty(scenario.n_paths)
+    for rows in path_blocks(*c.shape):
+        c_rows = c[rows]
+        carry = np.where(c_rows > 0, w_recv, w_post)
+        carry *= c_rows
+        carry -= c_rows * w_fx
+        carry *= x[rows]
+        carry /= b_e
+        carry.sum(axis=1, out=legs[rows])
+    return legs
+
+
 def price_exogenous(
     scenario: ScenarioSet,
     contract: Contract,
@@ -120,16 +147,7 @@ def price_exogenous(
     check_collateral_path(scenario, coll_path, spec)
 
     leg_contract = discounted_flows(scenario, contract)
-    b_e = scenario.account(scenario.model.domestic)
-    w_recv, w_post, w_fx = _collateral_leg_weights(scenario.model, spec, scenario.grid.times)
-    c = coll_path.c[:, :-1]
-    # C times the weight of its sign's leg, less the FX term: in place, one (n_paths, n_steps) buffer
-    carry = np.where(c > 0, w_recv, w_post)
-    carry *= c
-    carry -= c * w_fx
-    carry *= scenario.fx(spec.currency)[:, :-1]
-    carry /= b_e[:-1]
-    leg_coll = carry.sum(axis=1)
+    leg_coll = _discounted_collateral_legs(scenario, coll_path, spec)
 
     _, se = sample_mean(leg_contract + leg_coll)
     leg_contractual = -float(np.mean(leg_contract))

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,8 @@ from xccy import (
     Currency,
     FxSpec,
     MarketModel,
+    TimeGrid,
+    simulate,
     validate_model,
 )
 from xccy.curves import CurveSet, RateCurve
@@ -170,3 +174,19 @@ def multi_knot_model():
         ),
     }
     return build_model([("EUR", True), ("USD", False)], rates, fx=[FxSpec("USD", 0.9, 0.1)])
+
+
+def peak_traced_bytes(fn) -> int:
+    """Peak bytes that ``fn()`` holds at once, as tracemalloc (which numpy reports to) counts them."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def long_scen(two_currency_model):
+    """2000 paths on a 2000-step grid: one (n_paths, n_times) float array is 32 MB, many tiles."""
+    return simulate(two_currency_model, TimeGrid.regular(1.0, 2000), 2000, seed=5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_model, curveset
+from conftest import build_model, curveset, peak_traced_bytes
 from xccy import (
     AssetSpec,
     CollateralPath,
@@ -25,6 +25,7 @@ from xccy.curves import RateCurve
 from xccy.errors import ConfigError, MissingRates, NonPositiveFx
 from xccy.model import cross_currency_basis_integral
 from xccy.pricing import _collateral_leg_weights
+from xccy.simulation import TILE_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -57,6 +58,13 @@ def test_nonpositive_fx_rejected():
     spec = CollateralSpec(currency="USD")
     with pytest.raises(NonPositiveFx):
         collateral_from_mark(1.0, spec, 0.0)
+
+
+@pytest.mark.parametrize("fx", [math.nan, np.array([1.0, math.nan, 2.0])], ids=["scalar", "array"])
+def test_nan_fx_rejected(fx):
+    # NaN <= 0 is False, so a NaN level once passed and turned the collateral into NaN
+    with pytest.raises(NonPositiveFx, match="fx level must be strictly positive"):
+        collateral_from_mark(1.0, CollateralSpec(currency="USD"), fx)
 
 
 def test_terminal_condition_enforced(scen):
@@ -410,3 +418,29 @@ def test_risky_collateral_asset_in_another_currency_is_rejected(scen, consumer, 
     spec = CollateralSpec(currency="USD", form="risky", **{"posted_asset": "FEQ", "received_asset": "FEQ", side: "EQ"})
     with pytest.raises(ConfigError, match="EQ"):
         COLLATERAL_CONSUMERS[consumer](scen, _sign_varying_path(scen), spec)
+
+
+EXOGENOUS_PARAMS = {"constant": {"level": 2.5}, "fraction_of_asset": {"asset": "EQ", "fraction": 0.5}, "mark_proxy": {}}
+
+
+@pytest.mark.parametrize("functional", sorted(EXOGENOUS_PARAMS))
+def test_exogenous_path_allocates_only_its_output(long_scen, functional):
+    # the path array itself plus a few tile-sized blocks, never a full-size temporary
+    mode = ("exogenous", functional, EXOGENOUS_PARAMS[functional])
+    spec = CollateralSpec(currency="USD", delta1=0.3, delta2=0.1, mode=mode)
+    contract = Contract("USD", ((0.5, 1.0), (1.0, -1.5)))
+    output = long_scen.n_paths * len(long_scen.grid.times) * 8
+    peak = peak_traced_bytes(lambda: build_exogenous_path(long_scen, spec, contract))
+    assert peak <= output + 2 * TILE_BYTES, (peak, output)
+
+
+def test_collateral_from_mark_leaves_its_inputs_and_matches_the_whole_array_rule(long_scen):
+    spec = CollateralSpec(currency="USD", delta1=0.3, delta2=0.1)
+    mark = long_scen.fx("USD") - 0.9  # F-ordered, many blocks, both signs
+    mark[::7, 3], mark[1::7, 5] = 0.0, -0.0
+    fx = long_scen.fx("USD")
+    mark_before, fx_before = mark.copy(), fx.copy()
+    c = collateral_from_mark(mark, spec, fx)
+    assert np.array_equal(mark, mark_before) and np.array_equal(fx, fx_before)
+    reference = mark * np.where(mark > 0, 1.0 + spec.delta1, 1.0 + spec.delta2) / fx
+    assert np.array_equal(c, reference) and np.array_equal(np.signbit(c), np.signbit(reference))

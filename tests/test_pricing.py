@@ -3,13 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from conftest import build_model, curveset
+from conftest import build_model, curveset, peak_traced_bytes
 from xccy import (
     CollateralPath,
     CollateralSpec,
     Contract,
     FxSpec,
     TimeGrid,
+    build_exogenous_path,
     cross_currency_basis,
     price_exogenous,
     price_fully_collateralized,
@@ -22,7 +23,8 @@ from xccy.errors import (
     ScenarioMeasureMismatch,
 )
 from xccy.collateral import carry_curves
-from xccy.pricing import _collateral_leg_weights
+from xccy.pricing import _collateral_leg_weights, _discounted_collateral_legs
+from xccy.simulation import TILE_BYTES
 
 
 @pytest.fixture(scope="module")
@@ -240,3 +242,48 @@ def test_price_needs_two_paths(two_currency_model):
     with pytest.raises(ConfigError):
         price_exogenous(scen1, Contract("EUR", ((1.0, -1.0),)), CollateralPath(np.zeros((1, 5)), "USD"),
                         CollateralSpec(currency="USD"))
+
+
+def _whole_array_legs(scen, coll, spec):
+    """The per-path collateral legs over one (n_paths, n_steps) array, as computed before path blocks."""
+    w_recv, w_post, w_fx = _collateral_leg_weights(scen.model, spec, scen.grid.times)
+    c = coll.c[:, :-1]
+    carry = np.where(c > 0, w_recv, w_post)
+    carry *= c
+    carry -= c * w_fx
+    carry *= scen.fx(spec.currency)[:, :-1]
+    carry /= scen.account(scen.model.domestic)[:-1]
+    return carry.sum(axis=1)
+
+
+LONG_STEPS = 2000
+BLOCK_ROWS = TILE_BYTES // (8 * LONG_STEPS)  # odd, so whole blocks plus 0, 1 or 2 rows can all be even
+
+
+@pytest.mark.parametrize("remainder", [0, 1, 2])
+@pytest.mark.parametrize("functional", ["constant", "mark_proxy"])
+def test_leg_in_path_blocks_matches_the_whole_array_bit_for_bit(two_currency_model, functional, remainder):
+    # constant paths are C-ordered (np.full), mark-proxy paths F-ordered like the simulated paths
+    assert BLOCK_ROWS % 2 == 1
+    n_paths = (4 - remainder % 2) * BLOCK_ROWS + remainder
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, LONG_STEPS), n_paths, seed=8)
+    contract = Contract("USD", ((0.5, 1.0), (1.0, -1.5)))
+    params = {"level": 2.5} if functional == "constant" else {}
+    spec = CollateralSpec(currency="USD", delta1=0.3, delta2=0.1, mode=("exogenous", functional, params))
+    coll = build_exogenous_path(scen, spec, contract)
+    assert coll.c.flags.c_contiguous == (functional == "constant")
+    coll.c[::3] *= -1.0  # in place, so the memory order stays
+    coll.c[::5, 7], coll.c[1::5, 9] = 0.0, -0.0
+    assert (coll.c > 0).any() and (coll.c < 0).any() and np.signbit(coll.c[1, 9])
+    legs = _whole_array_legs(scen, coll, spec)
+    assert np.array_equal(_discounted_collateral_legs(scen, coll, spec), legs)
+    assert price_exogenous(scen, contract, coll, spec).leg_collateral == -float(np.mean(legs))
+
+
+def test_price_exogenous_takes_memory_of_a_few_tiles(long_scen):
+    spec = CollateralSpec(currency="USD", delta1=0.3, delta2=0.1, mode=("exogenous", "mark_proxy", {}))
+    contract = Contract("USD", ((0.5, 1.0), (1.0, -1.5)))
+    coll = build_exogenous_path(long_scen, spec, contract)
+    peak = peak_traced_bytes(lambda: price_exogenous(long_scen, contract, coll, spec))
+    n_steps = len(long_scen.grid.times) - 1
+    assert peak <= 4 * TILE_BYTES + 16 * 8 * (long_scen.n_paths + n_steps), peak
