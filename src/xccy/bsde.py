@@ -56,6 +56,7 @@ from .simulation import (
     _simulate_log_chunk,
     _step_coefficients,
     check_error_bar_paths,
+    check_finite_estimate,
     chunk_columns,
     run_chunks,
     sample_mean,
@@ -169,7 +170,8 @@ def solve_endogenous(
     :func:`~xccy.simulation.sample_mean` of the pathwise value u, the flows
     discounted through the slice denominators; :class:`BsdeConfig` rejects a
     path count that is odd or below four with :class:`ConfigError` before
-    anything is simulated.
+    anything is simulated, and a v0 or error bar that is not finite raises
+    :class:`NumericalError` (:func:`~xccy.simulation.check_finite_estimate`).
     """
     check_haircuts(delta1, delta2)  # again: --delta1 and --delta2 bypass the CollateralSpec
     model.require_symmetric_collateral_rates(model.domestic, k3)
@@ -250,6 +252,7 @@ def solve_endogenous(
     value([0], fit=True)  # the pilot: simulation chunk 0, all paths when there are at most CHUNK_PATHS
     run_chunks(value, range(1, len(columns)), cfg.n_workers)
     v0, std_error = sample_mean(u)
+    check_finite_estimate("v0", v0, std_error)
     surface[0] = v0
     return BsdeResult(
         v0=float(v0),

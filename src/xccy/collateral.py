@@ -43,9 +43,9 @@ import numpy as np
 
 from .contracts import Contract
 from .curves import RateCurve
-from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float
+from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float, json_float
 from .model import ValidatedModel, collateralized_value
-from .simulation import TILE_BYTES, ScenarioSet
+from .simulation import ScenarioSet, row_tiles
 
 FORMS = ("cash", "risky")
 CONVENTIONS = ("segregation", "rehypothecation")
@@ -117,8 +117,8 @@ class CollateralSpec:
             currency=currency,
             form=doc.get("form", "cash"),
             convention=doc.get("convention", "rehypothecation"),
-            delta1=doc_value(doc, "delta1", "collateral", float, 0.0),
-            delta2=doc_value(doc, "delta2", "collateral", float, 0.0),
+            delta1=doc_value(doc, "delta1", "collateral", json_float, 0.0),
+            delta2=doc_value(doc, "delta2", "collateral", json_float, 0.0),
             mode=mode,
             posted_asset=doc.get("posted_asset"),
             received_asset=doc.get("received_asset"),
@@ -129,19 +129,23 @@ class CollateralSpec:
 class CollateralPath:
     """Collateral per path per grid time, in units of the collateral currency.
 
-    The terminal condition C_T = 0 (collateral returned at the end of
-    trading) is enforced at construction.
+    Held time-major, like :class:`~xccy.simulation.ScenarioSet`'s paths: ``c``
+    is the (n_paths, n_times) view of one C-ordered (n_times, n_paths) array,
+    so ``c.T`` walks contiguous time rows. The constructor copies its input
+    into that layout and every exogenous builder allocates in it. The
+    terminal condition C_T = 0 (collateral returned at the end of trading) is
+    enforced at construction.
     """
 
     c: np.ndarray
     currency: str
 
     def __init__(self, c, currency):
-        self._hold(np.array(c, dtype=float), currency)
+        self._hold(np.array(c, dtype=float, order="F"), currency)
 
     @classmethod
     def _holding(cls, c: np.ndarray, currency: str) -> "CollateralPath":
-        """The path holding the float array ``c`` itself, not a copy: for a fresh array no one else holds."""
+        """The path holding the F-ordered float array ``c`` itself, not a copy: for a fresh array no one else holds."""
         path = cls.__new__(cls)
         path._hold(c, currency)
         return path
@@ -212,39 +216,23 @@ def check_collateral_path(scenario: ScenarioSet, coll: CollateralPath, spec: Col
     check_collateral_spec(scenario.model, spec)
 
 
-def path_blocks(n_paths: int, n_cols: int) -> list[slice]:
-    """Consecutive row slices covering ``range(n_paths)``, each about ``TILE_BYTES`` of float rows.
-
-    A block has at least two rows, and a one-row remainder joins the block
-    before it: numpy sums a lone row of an F-ordered array pairwise, not
-    column by column as it sums two or more, so row sums taken block by block
-    keep the bits of the whole-array ones.
-    """
-    step = max(2, TILE_BYTES // (8 * max(n_cols, 1)))
-    ends = list(range(step, n_paths, step))
-    if ends and n_paths - ends[-1] == 1:
-        ends.pop()
-    return [slice(a, b) for a, b in zip([0, *ends], [*ends, n_paths])]
-
-
 def _apply_haircut(c: np.ndarray, spec: CollateralSpec, fx_level) -> None:
     """Turn the marks ``c`` into collateral in place: c * (1 + delta) / fx_level.
 
     The one definition of the haircut rule: delta is ``delta1`` where the
-    mark is > 0 and ``delta2`` elsewhere. ``c`` is a float array of one or
-    more dimensions that ``fx_level`` broadcasts to; it is worked through in
-    :func:`path_blocks` of its outermost axis in memory (the time axis of an
-    F-ordered path array), so each block is contiguous and the only
-    temporaries are one block's factors. Raises :class:`NonPositiveFx`,
-    leaving ``c`` as it was, unless every fx level is > 0 (NaN is not).
+    mark is > 0 and ``delta2`` elsewhere. ``c`` is a C-contiguous float array
+    of one or more dimensions that ``fx_level`` broadcasts to (a path
+    builder passes the time rows ``c.T``); it is worked through in
+    :func:`~xccy.simulation.row_tiles` of its first axis, so each tile is
+    contiguous and the only temporaries are one tile's factors. Raises
+    :class:`NonPositiveFx`, leaving ``c`` as it was, unless every fx level is
+    > 0 (NaN is not).
     """
     if not np.min(fx_level, initial=math.inf) > 0:
         raise NonPositiveFx("fx level must be strictly positive")
     fx = np.broadcast_to(fx_level, c.shape)
-    if c.flags.f_contiguous:
-        c, fx = c.T, fx.T
     up, down = 1.0 + spec.delta1, 1.0 + spec.delta2
-    for rows in path_blocks(len(c), c[:1].size):
+    for rows in row_tiles(len(c), c[:1].nbytes):
         block = c[rows]
         block *= np.where(block > 0, up, down)
         block /= fx[rows]
@@ -261,7 +249,7 @@ def collateral_from_mark(mark, spec: CollateralSpec, fx_level) -> np.ndarray:
     """
     fx_level = np.asarray(fx_level, dtype=float)
     mark = np.asarray(mark, dtype=float)
-    c = np.array(np.broadcast_to(mark, np.broadcast_shapes(mark.shape, fx_level.shape)))
+    c = np.array(np.broadcast_to(mark, np.broadcast_shapes(mark.shape, fx_level.shape)), order="C")
     _apply_haircut(np.atleast_1d(c), spec, fx_level)
     return c if c.ndim else c[()]
 
@@ -363,11 +351,12 @@ def collateral_value_adjustment(
 
 
 def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, level) -> np.ndarray:
-    return np.full((scenario.n_paths, len(scenario.grid.times)), level)
+    return np.full((scenario.n_paths, len(scenario.grid.times)), level, order="F")
 
 
 def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, asset, fraction) -> np.ndarray:
-    c = scenario.asset(asset) * scenario.fx(scenario.model.asset(asset).currency)  # the asset's domestic value
+    # the asset's domestic value
+    c = np.multiply(scenario.asset(asset), scenario.fx(scenario.model.asset(asset).currency), order="F")
     c *= fraction  # x * fraction is fraction * x, bit for bit
     c /= scenario.fx(spec.currency)
     return c
@@ -386,14 +375,14 @@ def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract)
     if contract is None:
         raise ConfigError("mark_proxy functional needs the contract")
     value = collateralized_value(scenario.model, contract, spec.currency, scenario.grid.times)
-    c = value * scenario.fx(contract.native_currency)  # the mark
-    _apply_haircut(c, spec, scenario.fx(spec.currency))
+    c = np.multiply(value, scenario.fx(contract.native_currency), order="F")  # the mark
+    _apply_haircut(c.T, spec, scenario.fx(spec.currency).T)
     return c
 
 
 # name -> (builder, {parameter: (doc_value conversion, default, ... if required)}); a builder
 # takes (scenario, spec, contract) and the parameters CollateralSpec converted by this table,
-# and returns a fresh (n_paths, n_times) float array, the path's only full-size allocation
+# and returns a fresh F-ordered (n_paths, n_times) float array, the path's only full-size allocation
 EXOGENOUS_FUNCTIONALS = {
     "constant": (_constant_functional, {"level": (finite_float, 0.0)}),
     "fraction_of_asset": (_fraction_of_asset, {"asset": (None, ...), "fraction": (finite_float, 1.0)}),

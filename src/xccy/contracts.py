@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, doc_value
+from .errors import ConfigError, doc_value, json_float
 
 
 @dataclass(frozen=True)
@@ -50,6 +50,6 @@ class Contract:
     def from_dict(cls, doc: dict) -> "Contract":
         return cls(
             native_currency=doc_value(doc, "currency", "contract"),
-            flows=doc_value(doc, "flows", "contract", lambda f: [(float(t), float(a)) for t, a in f], ()),
-            initial_flow=doc_value(doc, "initial_flow", "contract", float, 0.0),
+            flows=doc_value(doc, "flows", "contract", lambda f: [(json_float(t), json_float(a)) for t, a in f], ()),
+            initial_flow=doc_value(doc, "initial_flow", "contract", json_float, 0.0),
         )

@@ -26,10 +26,18 @@ import numpy as np
 from .collateral import CollateralPath, CollateralSpec
 from .contracts import Contract
 from .curves import RATE_BOUND
-from .errors import ConfigError, NumericalError, UnknownProcessId
+from .errors import ConfigError, UnknownProcessId
 from .model import ValidatedModel
 from .pricing import _collateral_leg_weights, price_exogenous
-from .simulation import ScenarioSet, TimeGrid, check_error_bar_paths, chunk_columns, fold_sample_mean, simulate
+from .simulation import (
+    ScenarioSet,
+    TimeGrid,
+    check_error_bar_paths,
+    check_finite_estimate,
+    chunk_columns,
+    fold_sample_mean,
+    simulate,
+)
 from .wealth import discounted_flows, gain_increments, hedge_operands, hedged_gain_step
 
 
@@ -146,7 +154,7 @@ def martingale_test(
     mean and standard error are 0 at every checkpoint.
     A threshold that is not finite and positive raises :class:`ConfigError`
     (:func:`check_threshold`), and a mean or standard error that is not
-    finite raises :class:`NumericalError`: its z would read 0 and pass.
+    finite raises :class:`NumericalError` (:func:`~xccy.simulation.check_finite_estimate`).
     """
     check_threshold(threshold)
     grid = scenario.grid
@@ -170,8 +178,7 @@ def martingale_test(
         blocks, start = _checkpoint_blocks(scenario, process_id, nodes)
         check_error_bar_paths(scenario.n_paths)
         mean, se = fold_sample_mean(blocks)
-        if not (np.isfinite(mean).all() and np.isfinite(se).all()):
-            raise NumericalError(f"{process_id}: non-finite checkpoint mean or standard error")
+        check_finite_estimate(f"{process_id} checkpoint mean", mean, se)
     relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
     rounding = relative * (np.abs(start + mean) + abs(start))
     scale = np.maximum(se, rounding)

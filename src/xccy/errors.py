@@ -111,9 +111,28 @@ class SingularRegression(NumericalError):
 
 
 
+def json_numbers(value):
+    """``value`` itself, unless it is or its nested lists hold a JSON boolean: :class:`TypeError` then.
+
+    ``float`` and ``np.asarray(..., dtype=float)`` would read ``true`` as 1.0;
+    a ``kind`` for :func:`doc_value` of a number or an array of numbers.
+    """
+    if isinstance(value, bool):
+        raise TypeError(f"{str(value).lower()} is a JSON boolean, not a number")
+    if isinstance(value, list):
+        for item in value:
+            json_numbers(item)
+    return value
+
+
+def json_float(value) -> float:
+    """``float(value)`` of a JSON number, :class:`TypeError` for a boolean: a ``kind`` for :func:`doc_value`."""
+    return float(json_numbers(value))
+
+
 def finite_float(value) -> float:
-    """``float(value)``, raising :class:`ValueError` for NaN or an infinity: a ``kind`` for :func:`doc_value`."""
-    number = float(value)
+    """:func:`json_float`, raising :class:`ValueError` for NaN or an infinity: a ``kind`` for :func:`doc_value`."""
+    number = json_float(value)
     if not math.isfinite(number):
         raise ValueError(f"{number} is not finite")
     return number

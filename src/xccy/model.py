@@ -16,7 +16,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -31,6 +30,8 @@ from .errors import (
     Violation,
     doc_value,
     json_bool,
+    json_float,
+    json_numbers,
 )
 
 PSD_TOL = -1e-10  # smallest eigenvalue accepted before clipping to 0
@@ -364,16 +365,21 @@ def collateralized_value(model: ValidatedModel, contract: Contract, k3: str, tim
 # ---------------------------------------------------------------------------
 
 
-def _curve_from_dict(obj, where: str) -> RateCurve:
-    if isinstance(obj, (int, float)):
-        return RateCurve.flat(float(obj))
-    floats = partial(np.asarray, dtype=float)
-    return RateCurve(doc_value(obj, "knots", where, floats), doc_value(obj, "values", where, floats))
+def _curve_from_dict(doc: dict, key: str, where: str) -> RateCurve:
+    """The curve ``doc[key]``: a flat rate (0 when absent) or an object of knots and values."""
+    if isinstance(doc.get(key, 0.0), (int, float)):  # a boolean is an int, and json_float rejects it
+        return RateCurve.flat(doc_value(doc, key, where, json_float, 0.0))
+    where = f"{where}.{key}"
+
+    def floats(value):
+        return np.asarray(json_numbers(value), dtype=float)
+
+    return RateCurve(doc_value(doc[key], "knots", where, floats), doc_value(doc[key], "values", where, floats))
 
 
 def _curveset_from_dict(obj: dict, where: str) -> CurveSet:
     doc_value(obj, "unsecured", where)  # the one required role
-    return CurveSet(**{role: _curve_from_dict(obj[role], f"{where}.{role}") for role in CurveSet.ROLES if role in obj})
+    return CurveSet(**{role: _curve_from_dict(obj, role, where) for role in CurveSet.ROLES if role in obj})
 
 
 def model_from_dict(doc: dict) -> MarketModel:
@@ -389,18 +395,18 @@ def model_from_dict(doc: dict) -> MarketModel:
         AssetSpec(
             label=doc_value(a, "label", f"assets[{i}]"),
             currency=doc_value(a, "currency", f"assets[{i}]"),
-            s0=doc_value(a, "s0", f"assets[{i}]", float),
-            sigma=doc_value(a, "sigma", f"assets[{i}]", float),
-            dividend_yield=_curve_from_dict(a.get("dividend_yield", 0.0), f"assets[{i}].dividend_yield"),
-            repo_rate=_curve_from_dict(a.get("repo_rate", 0.0), f"assets[{i}].repo_rate"),
+            s0=doc_value(a, "s0", f"assets[{i}]", json_float),
+            sigma=doc_value(a, "sigma", f"assets[{i}]", json_float),
+            dividend_yield=_curve_from_dict(a, "dividend_yield", f"assets[{i}]"),
+            repo_rate=_curve_from_dict(a, "repo_rate", f"assets[{i}]"),
         )
         for i, a in enumerate(doc_value(doc, "assets", "model", list, []))
     ]
     fx = [
         FxSpec(
             foreign=doc_value(f, "currency", f"fx[{i}]"),
-            x0=doc_value(f, "x0", f"fx[{i}]", float),
-            sigma=doc_value(f, "sigma", f"fx[{i}]", float),
+            x0=doc_value(f, "x0", f"fx[{i}]", json_float),
+            sigma=doc_value(f, "sigma", f"fx[{i}]", json_float),
         )
         for i, f in enumerate(doc_value(doc, "fx", "model", list, []))
     ]
@@ -410,7 +416,7 @@ def model_from_dict(doc: dict) -> MarketModel:
         correlation = CorrelationMatrix.identity(labels)
     else:
         labels = doc_value(corr_doc, "labels", "correlation")
-        correlation = doc_value(corr_doc, "matrix", "correlation", lambda m: CorrelationMatrix(labels, m))
+        correlation = doc_value(corr_doc, "matrix", "correlation", lambda m: CorrelationMatrix(labels, json_numbers(m)))
     return MarketModel(currencies=currencies, rates=rates, assets=assets, fx=fx, correlation=correlation)
 
 

@@ -23,12 +23,12 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path, path_blocks
+from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path
 from .contracts import Contract
 from .curves import step_pieces
 from .errors import EndogenousSpecPassed, ScenarioMeasureMismatch
 from .model import ValidatedModel, collateralized_value
-from .simulation import ScenarioSet, sample_mean
+from .simulation import ScenarioSet, check_finite_estimate, row_tiles, sample_mean
 from .wealth import discounted_flows
 
 
@@ -110,24 +110,29 @@ def _discounted_collateral_legs(
     """Per-path sum over the steps of the collateral carry, FX term included, discounted to 0.
 
     Each step is C times the weight of its sign's leg, less C times the FX
-    weight, times X / B_dom, all at the step's left end. The steps are summed
-    a block of path rows at a time (:func:`~xccy.collateral.path_blocks`), so
-    no temporary is larger than a block; each row sums alone, so the blocks
-    keep the bits of the row sums of one whole (n_paths, n_steps) array.
+    weight, times X / B_dom, all at the step's left end. The time-major path
+    is worked through in :func:`~xccy.simulation.row_tiles` of its time rows,
+    so no temporary is larger than a tile. Each tile's steps are added to a
+    running per-path total in step order: its first row takes the total so
+    far, and the tile is summed over its rows, which numpy does one row after
+    another. The legs are thus, bit for bit, the column-by-column row sums of
+    one whole F-ordered (n_paths, n_steps) array.
     """
     b_e = scenario.account(scenario.model.domestic)[:-1]
     w_recv, w_post, w_fx = _collateral_leg_weights(scenario.model, spec, scenario.grid.times)
-    c = coll_path.c[:, :-1]
-    x = scenario.fx(spec.currency)[:, :-1]
-    legs = np.empty(scenario.n_paths)
-    for rows in path_blocks(*c.shape):
-        c_rows = c[rows]
-        carry = np.where(c_rows > 0, w_recv, w_post)
-        carry *= c_rows
-        carry -= c_rows * w_fx
-        carry *= x[rows]
-        carry /= b_e
-        carry.sum(axis=1, out=legs[rows])
+    c = coll_path.c[:, :-1].T
+    x = scenario.fx(spec.currency)[:, :-1].T
+    legs = np.zeros(scenario.n_paths)
+    for steps in row_tiles(len(c), c[:1].nbytes):
+        c_steps = c[steps]
+        carry = np.where(c_steps > 0, w_recv[steps, None], w_post[steps, None])
+        carry *= c_steps
+        carry -= c_steps * w_fx[steps, None]
+        carry *= x[steps]
+        carry /= b_e[steps, None]
+        carry[0] += legs
+        carry.sum(axis=0, out=legs)
+        del carry  # freed before the next tile is built
     return legs
 
 
@@ -137,7 +142,11 @@ def price_exogenous(
     coll_path: CollateralPath,
     spec: CollateralSpec,
 ) -> PriceReport:
-    """Monte Carlo ex-dividend price at t=0 with a predetermined collateral path."""
+    """Monte Carlo ex-dividend price at t=0 with a predetermined collateral path.
+
+    A price or error bar that is not finite raises :class:`~xccy.errors.NumericalError`
+    (:func:`~xccy.simulation.check_finite_estimate`).
+    """
     if scenario.measure_tag != "qe":
         raise ScenarioMeasureMismatch(
             f"pricing requires a martingale-measure scenario, got {scenario.measure_tag!r}"
@@ -152,8 +161,10 @@ def price_exogenous(
     _, se = sample_mean(leg_contract + leg_coll)
     leg_contractual = -float(np.mean(leg_contract))
     leg_collateral = -float(np.mean(leg_coll))
+    price = leg_contractual + leg_collateral
+    check_finite_estimate("price", price, se)
     return PriceReport(
-        price=leg_contractual + leg_collateral,
+        price=price,
         std_error=float(se),
         leg_contractual=leg_contractual,
         leg_collateral=leg_collateral,

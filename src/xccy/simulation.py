@@ -52,7 +52,7 @@ import numpy as np
 
 from .csvio import write_grid
 from .curves import RateCurve, cash_account_value
-from .errors import ConfigError, EmptyGrid, ZeroPaths
+from .errors import ConfigError, EmptyGrid, NumericalError, ZeroPaths
 from .model import FxSpec, ValidatedModel, fx_label
 from .rng import chunk_stream, normal_block
 
@@ -60,8 +60,8 @@ GRID_SNAP_TOL = 1e-9
 # paths per simulation chunk: fixed, so results do not depend on the worker count,
 # and even, so no antithetic pair spans two chunks
 CHUNK_PATHS = 8192
-# bytes of the normals and mixed rows of one mixing tile, 2 * n_drivers rows per step:
-# half of a 2 MB L2 cache
+# bytes of one tile of rows (:func:`row_tiles`), the kernel's mixing tiles and the collateral
+# path's time rows alike: half of a 2 MB L2 cache
 TILE_BYTES = 1 << 20
 UNIT_RATE = RateCurve.flat(1.0)  # integrates to the elapsed time, bit for bit grid.dt
 
@@ -241,6 +241,18 @@ def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return fold_sample_mean(samples[..., cols] for cols in chunk_columns(n_paths))
 
 
+def check_finite_estimate(name: str, mean, std_error) -> None:
+    """Raise :class:`NumericalError` naming the estimate ``name`` unless its mean and error bar are finite.
+
+    Every Monte Carlo estimator checks its result so: an overflowing path
+    gives an infinite mean and a NaN error bar, which a z-test would read as
+    0 and pass, and which a JSON report could only write as non-standard
+    ``Infinity`` and ``NaN``.
+    """
+    if not (np.isfinite(mean).all() and np.isfinite(std_error).all()):
+        raise NumericalError(f"non-finite {name}: {mean} with standard error {std_error}")
+
+
 def qe_drift_of(model: ValidatedModel, label: str, integrate, shift: float = 0.0):
     """Drift of one driver under the domestic measure, as a combination of ``integrate(curve)``.
 
@@ -280,6 +292,16 @@ def chunk_columns(n_paths: int) -> list[slice]:
     return [slice(lo, min(lo + CHUNK_PATHS, n_paths)) for lo in range(0, n_paths, CHUNK_PATHS)]
 
 
+def row_tiles(n_rows: int, row_bytes: int) -> list[slice]:
+    """Consecutive slices covering ``range(n_rows)``, each of at least one row and about ``TILE_BYTES``.
+
+    The one tiling rule of the engine: the kernel's mixing tiles of steps, and
+    the collateral path's tiles of time rows, are all taken from it.
+    """
+    step = max(1, TILE_BYTES // max(row_bytes, 1))
+    return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
 def run_chunks(work, chunks, n_workers: int) -> None:
     """Run ``work(chunks[i::T])`` on thread i of T = :func:`worker_threads` threads.
 
@@ -316,9 +338,10 @@ def _simulate_log_chunk(
     so each path's value does not depend on the tiling; the log-increment is
     drift[d, j] + m on the even path and drift[d, j] - m on the odd one, which
     is bit for bit the mixing of the negated normals. The mixing runs in tiles
-    of consecutive steps whose normals and mixed rows, 2 * n_drivers rows per
-    step, fit ``TILE_BYTES``. Each tile's normals are drawn from the chunk's
-    stream (:func:`normal_block`) just before they are mixed, time-major as
+    of consecutive steps (:func:`row_tiles`) whose normals and mixed rows,
+    2 * n_drivers rows per step, fit ``TILE_BYTES``. Each tile's normals are
+    drawn from the chunk's stream (:func:`normal_block`) just before they are
+    mixed, time-major as
     (tile steps, n_drivers, pairs) into one tile-sized buffer, so each (step,
     driver) is a contiguous row and no drawn normal is ever transposed or
     copied. One ``np.einsum("dkj,jkp->djp", ...)`` call mixes the whole tile
@@ -340,20 +363,19 @@ def _simulate_log_chunk(
     either way, so the bits are those of ``np.cumsum``.
     """
     n_drivers, n_times, count = block.shape
-    n_steps, half = n_times - 1, count - count // 2
-    tile = min(n_steps, max(1, TILE_BYTES // (2 * max(n_drivers, 1) * half * 8)))
+    half = count - count // 2
+    tiles = row_tiles(n_times - 1, 2 * max(n_drivers, 1) * half * 8)
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
     # took the solver's own peak RSS from 101 to 90 MB (one worker)
-    z = np.empty((tile, n_drivers, half))
-    mixed = np.empty((n_drivers, tile, half))  # m of every driver, one row per step
+    z = np.empty((tiles[0].stop, n_drivers, half))
+    mixed = np.empty((n_drivers, tiles[0].stop, half))  # m of every driver, one row per step
     # one pair: einsum's default iteration would sum over k innermost, in another order
     order = "F" if half == 1 else "K"
     stream = chunk_stream(seed, chunk)
     block[:, 0] = 0.0
     rows = list(block.transpose(1, 0, 2))
-    for lo in range(0, n_steps, tile):
-        hi = min(lo + tile, n_steps)
-        steps = slice(lo, hi)
+    for steps in tiles:
+        lo, hi = steps.start, steps.stop
         zs = normal_block(stream, z[: hi - lo])
         m = mixed[:, : hi - lo]
         np.einsum("dkj,jkp->djp", vol[:, :, steps], zs, out=m, order=order, optimize=False)

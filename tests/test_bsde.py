@@ -433,3 +433,10 @@ def test_later_chunks_value_their_own_scenario_paths(bsde_two_currency_model):
     pairs = 0.5 * (x_t[0::2] + x_t[1::2])
     expected = np.std(pairs, ddof=1) / math.sqrt(cfg.n_paths // 2) / np.mean(pairs)
     assert res.v0_std_error / res.v0 == pytest.approx(expected, rel=1e-12)
+
+
+def test_non_finite_v0_raises_naming_the_estimate(bsde_two_currency_model):
+    # one step: slice 0 is a plain mean, so the overflowing foreign flow reaches v0 unregressed
+    contract = Contract("USD", ((1.0, -1e308),))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="non-finite v0"):
+        solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.0, 0.0, _cfg(n_steps=1, n_paths=2000))

@@ -2,6 +2,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from xccy.cli import run
@@ -151,6 +152,77 @@ def test_non_finite_trade_value_exits_one_naming_the_field(docs, capsys, case):
     trade.write_text(json.dumps({**TRADE_DOC, **edit}))
     assert run(["price", "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
     assert capsys.readouterr().err.startswith(f"error: {field}")
+
+
+@pytest.mark.parametrize("command", [["price", "--steps", "4"], ["bsde", "--steps", "1"]])
+def test_non_finite_estimate_exits_two(docs, capsys, command):
+    # an overflowing foreign flow used to give "price": Infinity (or "v0": Infinity) with a NaN error bar
+    # and exit 0; bsde on one step takes slice 0 as a plain mean, so the overflow reaches v0 unregressed
+    model, _, tmp = docs
+    trade = tmp / "overflow.json"
+    trade.write_text(json.dumps({**TRADE_DOC, "contract": {"currency": "USD", "flows": [[1.0, -1e308]]}}))
+    with np.errstate(over="ignore", invalid="ignore"):
+        code = run([command[0], "--model", str(model), "--trade", str(trade), "--paths", "2000", *command[1:]])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("numerical failure: non-finite")
+
+
+def _model_with(path, value):
+    """MODEL_DOC with the field at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(MODEL_DOC))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+# float(true) is 1.0: every number of a document, scalar or in an array, rejects a JSON boolean
+BOOLEAN_MODELS = {
+    "asset spot": ("assets[0].s0", ("assets", 0, "s0")),
+    "asset sigma": ("assets[0].sigma", ("assets", 0, "sigma")),
+    "fx level": ("fx[0].x0", ("fx", 0, "x0")),
+    "fx sigma": ("fx[0].sigma", ("fx", 0, "sigma")),
+    "flat curve": ("currencies[1].rates.unsecured", ("currencies", 1, "rates", "unsecured")),
+    "flat dividend yield": ("assets[0].dividend_yield", ("assets", 0, "dividend_yield")),
+    "curve knots": ("assets[0].repo_rate.knots", ("assets", 0, "repo_rate", "knots", 1)),
+    "curve values": ("assets[0].repo_rate.values", ("assets", 0, "repo_rate", "values", 0)),
+    "correlation matrix": ("correlation.matrix", ("correlation", "matrix", 0, 0)),
+}
+BOOLEAN_TRADES = {
+    "flow time": ("contract.flows", {"contract": {"currency": "EUR", "flows": [[True, -1.0]]}}),
+    "flow amount": ("contract.flows", {"contract": {"currency": "EUR", "flows": [[1.0, False]]}}),
+    "initial flow": (
+        "contract.initial_flow",
+        {"contract": {"currency": "EUR", "flows": [[1.0, -1.0]], "initial_flow": True}},
+    ),
+    "delta1": ("collateral.delta1", {"collateral": {**TRADE_DOC["collateral"], "delta1": True}}),
+    "delta2": ("collateral.delta2", {"collateral": {**TRADE_DOC["collateral"], "delta2": False}}),
+    "constant level": ("collateral.mode.exogenous.params.level", _exogenous("constant", {"level": True})),
+    "asset fraction": (
+        "collateral.mode.exogenous.params.fraction",
+        _exogenous("fraction_of_asset", {"asset": "EQ", "fraction": True}),
+    ),
+}
+BOOLEAN_CASES = [("model", case) for case in BOOLEAN_MODELS] + [("trade", case) for case in BOOLEAN_TRADES]
+
+
+@pytest.mark.parametrize("command", ["price", "bsde"])
+@pytest.mark.parametrize("document, case", BOOLEAN_CASES)
+def test_json_boolean_in_a_number_exits_one_naming_the_field(docs, capsys, command, document, case):
+    # "delta1": true gave a bsde report with "delta1": 1.0, and "unsecured": true a flat 100% curve
+    model, trade, tmp = docs
+    if document == "model":
+        field, path = BOOLEAN_MODELS[case]
+        model = tmp / "boolean_model.json"
+        model.write_text(json.dumps(_model_with(path, True)))
+    else:
+        field, edit = BOOLEAN_TRADES[case]
+        trade = tmp / "boolean_trade.json"
+        trade.write_text(json.dumps({**TRADE_DOC, **edit}))
+    assert run([command, "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} is malformed: ") and "is a JSON boolean, not a number" in err, err
 
 
 def test_missing_file_exits_three(tmp_path, capsys):

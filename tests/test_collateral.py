@@ -434,6 +434,34 @@ def test_exogenous_path_allocates_only_its_output(long_scen, functional):
     assert peak <= output + 2 * TILE_BYTES, (peak, output)
 
 
+@pytest.mark.parametrize("k3", ["EUR", "USD"])
+@pytest.mark.parametrize("k2", ["EUR", "USD"])
+@pytest.mark.parametrize("functional", sorted(EXOGENOUS_PARAMS))
+def test_every_exogenous_path_is_time_major(scen, functional, k2, k3):
+    # EUR is domestic, so its FX is a broadcast scalar: a mark proxy or an asset value in EUR is
+    # a product with it; the asset named by fraction_of_asset is quoted in k2
+    params = dict(EXOGENOUS_PARAMS[functional])
+    if "asset" in params:
+        params["asset"] = "EQ" if k2 == "EUR" else "FEQ"
+    spec = CollateralSpec(currency=k3, delta1=0.3, delta2=0.1, mode=("exogenous", functional, params))
+    path = build_exogenous_path(scen, spec, Contract(k2, ((0.5, 1.0), (1.0, -1.5))))
+    assert path.c.flags.f_contiguous and path.c.shape == (scen.n_paths, len(scen.grid.times))
+
+
+@pytest.mark.parametrize(
+    "c",
+    [np.ones((6, 4)), np.asfortranarray(np.ones((6, 4))), np.ones((4, 6)).T, [[1, 2, 3], [4, 5, 6]], np.ones((1, 3))],
+    ids=["C", "F", "transposed", "nested lists", "one path"],
+)
+def test_constructed_collateral_path_is_a_time_major_copy(c):
+    path = CollateralPath(c, "USD")
+    assert path.c.flags.f_contiguous and path.c.dtype == float
+    assert not np.shares_memory(path.c, c)
+    expected = np.array(c, dtype=float)
+    expected[:, -1] = 0.0
+    assert np.array_equal(path.c, expected)
+
+
 def test_collateral_from_mark_leaves_its_inputs_and_matches_the_whole_array_rule(long_scen):
     spec = CollateralSpec(currency="USD", delta1=0.3, delta2=0.1)
     mark = long_scen.fx("USD") - 0.9  # F-ordered, many blocks, both signs

@@ -71,6 +71,16 @@ def test_non_finite_statistics_raise_instead_of_passing(two_currency_model, proc
         martingale_test(dataclasses.replace(scen, paths=paths), process_id)
 
 
+@pytest.mark.parametrize("process_id", ["fx:USD", "asset:EQ", "asset:FEQ"])
+def test_overflowing_level_raises_naming_the_estimate(two_currency_model, process_id):
+    # one infinite level: the checkpoint mean is infinite and its error bar NaN
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 200, seed=0)
+    paths = scen.paths.copy()
+    paths[:, 2:, 17] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(NumericalError, match=f"non-finite {process_id} checkpoint mean"):
+        martingale_test(dataclasses.replace(scen, paths=paths), process_id)
+
+
 def test_fx_process_passes_under_martingale_measure(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 100_000, seed=41)
     report = martingale_test(scen, "fx:USD")

@@ -20,6 +20,7 @@ from xccy.errors import (
     AsymmetricCollateralRates,
     ConfigError,
     EndogenousSpecPassed,
+    NumericalError,
     ScenarioMeasureMismatch,
 )
 from xccy.collateral import carry_curves
@@ -256,22 +257,24 @@ def _whole_array_legs(scen, coll, spec):
     return carry.sum(axis=1)
 
 
-LONG_STEPS = 2000
-BLOCK_ROWS = TILE_BYTES // (8 * LONG_STEPS)  # odd, so whole blocks plus 0, 1 or 2 rows can all be even
+LEG_PATHS = 2000
+# time rows per tile of the leg; odd, so whole tiles plus 0, 1 or 2 rows can all be an even step
+# count, whose grid holds the flow date 0.5
+TILE_ROWS = TILE_BYTES // (8 * LEG_PATHS)
 
 
 @pytest.mark.parametrize("remainder", [0, 1, 2])
 @pytest.mark.parametrize("functional", ["constant", "mark_proxy"])
 def test_leg_in_path_blocks_matches_the_whole_array_bit_for_bit(two_currency_model, functional, remainder):
-    # constant paths are C-ordered (np.full), mark-proxy paths F-ordered like the simulated paths
-    assert BLOCK_ROWS % 2 == 1
-    n_paths = (4 - remainder % 2) * BLOCK_ROWS + remainder
-    scen = simulate(two_currency_model, TimeGrid.regular(1.0, LONG_STEPS), n_paths, seed=8)
+    # every path is time-major; the last tile of time rows holds a full tile, one row or two
+    assert TILE_ROWS % 2 == 1
+    n_steps = (4 - remainder % 2) * TILE_ROWS + remainder
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, n_steps), LEG_PATHS, seed=8)
     contract = Contract("USD", ((0.5, 1.0), (1.0, -1.5)))
     params = {"level": 2.5} if functional == "constant" else {}
     spec = CollateralSpec(currency="USD", delta1=0.3, delta2=0.1, mode=("exogenous", functional, params))
     coll = build_exogenous_path(scen, spec, contract)
-    assert coll.c.flags.c_contiguous == (functional == "constant")
+    assert coll.c.flags.f_contiguous
     coll.c[::3] *= -1.0  # in place, so the memory order stays
     coll.c[::5, 7], coll.c[1::5, 9] = 0.0, -0.0
     assert (coll.c > 0).any() and (coll.c < 0).any() and np.signbit(coll.c[1, 9])
@@ -287,3 +290,13 @@ def test_price_exogenous_takes_memory_of_a_few_tiles(long_scen):
     peak = peak_traced_bytes(lambda: price_exogenous(long_scen, contract, coll, spec))
     n_steps = len(long_scen.grid.times) - 1
     assert peak <= 4 * TILE_BYTES + 16 * 8 * (long_scen.n_paths + n_steps), peak
+
+
+def test_non_finite_price_raises_naming_the_estimate(two_currency_model):
+    # a foreign flow of -1e308 overflows on paths where X_USD > 1: the mean is -inf, the error bar NaN,
+    # which a report could only write as Infinity and NaN
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 2000, seed=1)
+    contract = Contract("USD", ((1.0, -1e308),))
+    spec = CollateralSpec(currency="USD")
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="non-finite price"):
+        price_exogenous(scen, contract, _zero_coll(scen), spec)

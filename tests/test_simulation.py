@@ -24,12 +24,14 @@ from xccy.model import CorrelationMatrix
 from xccy.rng import chunk_stream, normal_block
 from xccy.simulation import (
     CHUNK_PATHS,
+    TILE_BYTES,
     UNIT_RATE,
     _simulate_chunk,
     _simulate_log_chunk,
     _step_coefficients,
     check_error_bar_paths,
     chunk_columns,
+    row_tiles,
     run_chunks,
     sample_mean,
     worker_threads,
@@ -506,3 +508,13 @@ def test_step_drift_is_the_integral_of_the_instantaneous_drift(
                 for a, b in zip(edges[:-1], edges[1:])
             )
             assert abs(steps[j] - ref) <= 1e-14 * scale * (t1 - t0)
+
+
+@pytest.mark.parametrize("row_bytes", [0, 1, 8, 4000, TILE_BYTES - 1, TILE_BYTES, TILE_BYTES + 1, 3 * TILE_BYTES])
+@pytest.mark.parametrize("n_rows", [0, 1, 2, 3, 65, 262, 263, 2000])
+def test_row_tiles_cover_the_rows_once_in_non_empty_tiles(n_rows, row_bytes):
+    tiles = row_tiles(n_rows, row_bytes)
+    assert [i for t in tiles for i in range(n_rows)[t]] == list(range(n_rows))
+    assert all(t.stop > t.start for t in tiles)
+    # each tile holds as many whole rows as fit TILE_BYTES, and at least one
+    assert all(t.stop - t.start == max(1, TILE_BYTES // max(row_bytes, 1)) for t in tiles[:-1])
