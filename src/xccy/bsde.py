@@ -223,7 +223,8 @@ def solve_endogenous(
                     target = target - paid
             if j == 0 or not n_drivers:
                 if fit:
-                    coefs[j] = float(np.mean(target))
+                    with np.errstate(over="ignore", invalid="ignore"):  # check_finite_estimate reports an overflow
+                        coefs[j] = float(np.mean(target))
                 cont = np.full(count, coefs[j])
             else:
                 _fill_design(design, paths[:, j], products)

@@ -390,12 +390,28 @@ EXOGENOUS_FUNCTIONALS = {
 }
 
 
+def priced_drivers(model: ValidatedModel, spec: CollateralSpec, contract: Contract | None) -> list[str]:
+    """The drivers an exogenous price of ``contract`` reads: the FX rates of its currency and of the
+    collateral's, and the functional's asset with its currency's FX rate.
+
+    :func:`build_exogenous_path` and :func:`~xccy.pricing.price_exogenous`
+    both load these, so the two simulate them in one pass. The domestic FX
+    rate is identically one and is no driver.
+    """
+    currencies = [spec.currency] + ([] if contract is None else [contract.native_currency])
+    asset = None if spec.endogenous else spec.mode[2].get("asset")
+    if asset is None:
+        return model.fx_drivers(*currencies)
+    return [asset, *model.fx_drivers(*currencies, model.asset(asset).currency)]
+
+
 def build_exogenous_path(
     scenario: ScenarioSet, spec: CollateralSpec, contract: Contract | None = None
 ) -> CollateralPath:
     """Materialize the exogenous collateral path named by the spec's mode."""
     if spec.endogenous:
         raise ConfigError("spec is endogenous; use the BSDE solver")
+    scenario.load(*priced_drivers(scenario.model, spec, contract))
     _, name, params = spec.mode
     build = EXOGENOUS_FUNCTIONALS[name][0]
     return CollateralPath._holding(build(scenario, spec, contract, **params), spec.currency)

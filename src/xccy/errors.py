@@ -112,13 +112,16 @@ class SingularRegression(NumericalError):
 
 
 def json_numbers(value):
-    """``value`` itself, unless it is or its nested lists hold a JSON boolean: :class:`TypeError` then.
+    """``value`` itself, unless it is or its nested lists hold a JSON boolean or string: :class:`TypeError` then.
 
-    ``float`` and ``np.asarray(..., dtype=float)`` would read ``true`` as 1.0;
-    a ``kind`` for :func:`doc_value` of a number or an array of numbers.
+    ``float`` and ``np.asarray(..., dtype=float)`` would read ``true`` as 1.0
+    and ``"0.5"`` as 0.5; a ``kind`` for :func:`doc_value` of a number or an
+    array of numbers.
     """
     if isinstance(value, bool):
         raise TypeError(f"{str(value).lower()} is a JSON boolean, not a number")
+    if isinstance(value, str):
+        raise TypeError(f"{value!r} is a JSON string, not a number")
     if isinstance(value, list):
         for item in value:
             json_numbers(item)
@@ -126,7 +129,7 @@ def json_numbers(value):
 
 
 def json_float(value) -> float:
-    """``float(value)`` of a JSON number, :class:`TypeError` for a boolean: a ``kind`` for :func:`doc_value`."""
+    """``float(value)`` of a JSON number, :class:`TypeError` for a boolean or a string: a ``kind`` for :func:`doc_value`."""
     return float(json_numbers(value))
 
 

@@ -258,6 +258,10 @@ class ValidatedModel:
             raise DomesticPairRequested(currency)
         return self.fx_spec(currency)
 
+    def fx_drivers(self, *currencies: str) -> list[str]:
+        """The driver labels of the FX rates of ``currencies``, each once; the domestic rate is one, no driver."""
+        return [fx_label(currency) for currency in dict.fromkeys(currencies) if currency != self.domestic]
+
     def require_symmetric_collateral_rates(self, *currencies: str) -> None:
         """Raise :class:`AsymmetricCollateralRates` unless each currency's collateral borrow and lend curves coincide.
 
@@ -367,7 +371,7 @@ def collateralized_value(model: ValidatedModel, contract: Contract, k3: str, tim
 
 def _curve_from_dict(doc: dict, key: str, where: str) -> RateCurve:
     """The curve ``doc[key]``: a flat rate (0 when absent) or an object of knots and values."""
-    if isinstance(doc.get(key, 0.0), (int, float)):  # a boolean is an int, and json_float rejects it
+    if not isinstance(doc.get(key), dict):  # json_float rejects a boolean or a string
         return RateCurve.flat(doc_value(doc, key, where, json_float, 0.0))
     where = f"{where}.{key}"
 

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path
+from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path, priced_drivers
 from .contracts import Contract
 from .curves import step_pieces
 from .errors import EndogenousSpecPassed, ScenarioMeasureMismatch
@@ -154,13 +154,15 @@ def price_exogenous(
     if spec.endogenous:
         raise EndogenousSpecPassed("endogenous collateral must be priced with the BSDE solver")
     check_collateral_path(scenario, coll_path, spec)
+    scenario.load(*priced_drivers(scenario.model, spec, contract))
 
     leg_contract = discounted_flows(scenario, contract)
     leg_coll = _discounted_collateral_legs(scenario, coll_path, spec)
 
-    _, se = sample_mean(leg_contract + leg_coll)
-    leg_contractual = -float(np.mean(leg_contract))
-    leg_collateral = -float(np.mean(leg_coll))
+    with np.errstate(over="ignore", invalid="ignore"):  # check_finite_estimate reports an overflow
+        _, se = sample_mean(leg_contract + leg_coll)
+        leg_contractual = -float(np.mean(leg_contract))
+        leg_collateral = -float(np.mean(leg_coll))
     price = leg_contractual + leg_collateral
     check_finite_estimate("price", price, se)
     return PriceReport(

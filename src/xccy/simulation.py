@@ -38,15 +38,22 @@ of (model, grid, n_paths, seed) and ``CHUNK_PATHS``, byte-identical for any
 worker count. A :class:`ScenarioSet` is that array with its model, grid, seed
 and measure tag; its unsecured and repo accounts are not stored but derived
 from the curves by :func:`~xccy.curves.cash_account_value`, the one
-definition of B(t).
+definition of B(t). :func:`simulate` checks its inputs and computes the step
+coefficients but simulates no driver: a driver is simulated the first time
+it is read (:meth:`ScenarioSet.load`), so a price pays only for the drivers
+its trade reads. Each pass still draws every normal of every chunk and mixes
+only the rows it writes, so a driver's bits do not depend on which drivers
+are loaded, in which order or in how many passes; a reader of several
+drivers loads them in one call, one pass over the chunks.
 """
 
 from __future__ import annotations
 
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -127,33 +134,109 @@ class TimeGrid:
         return nodes
 
 
+class _StoredPaths:
+    """The ``paths`` field of :class:`ScenarioSet`: set as given, read only once every driver is simulated.
+
+    The array is kept in the instance's ``_store``; reading ``paths`` first
+    loads every driver (:meth:`ScenarioSet.load`), so no reader of the whole
+    array sees a row that was never simulated.
+    """
+
+    def __get__(self, scenario, owner=None):
+        if scenario is None:
+            raise AttributeError("paths")  # a dataclass field without a default
+        scenario.load(*scenario.model.driver_labels)
+        return scenario._store
+
+    def __set__(self, scenario, paths):
+        scenario.__dict__["_store"] = paths
+
+
+@dataclass
+class _Simulation:
+    """What a scenario of :func:`simulate` needs to simulate its drivers on first read."""
+
+    drift: np.ndarray
+    vol: np.ndarray
+    x0: np.ndarray
+    n_workers: int
+    simulated: frozenset[int] = frozenset()  # rows of ``model.driver_labels``, replaced whole under ``lock``
+    lock: threading.Lock = field(default_factory=threading.Lock)
+
+
 @dataclass(frozen=True)
 class ScenarioSet:
     """Simulated paths on a grid, with the cash accounts derived from the model's curves.
 
-    ``paths`` is the time-major (n_drivers, n_times, n_paths) array that
-    :func:`simulate` fills, in ``model.driver_labels`` order; :meth:`driver`
-    serves a driver as the (n_paths, n_times) view ``paths[d].T``, whose column
-    j (time j across paths) is contiguous. The domestic FX path is identically
-    one, served by :meth:`fx` as a read-only broadcast view. :meth:`account`
-    and :meth:`repo_account` are :func:`cash_account_value` of a currency's
+    ``paths`` is the time-major (n_drivers, n_times, n_paths) array, in
+    ``model.driver_labels`` order; :meth:`driver` serves a driver as the
+    (n_paths, n_times) view ``paths[d].T``, whose column j (time j across
+    paths) is contiguous. A scenario of :func:`simulate` simulates each driver
+    the first time it is read: :meth:`load` fills the rows of the drivers it
+    names, and :meth:`driver`, :meth:`fx`, :meth:`asset` and ``paths`` (which
+    loads them all) call it, so a reader only ever sees simulated rows and
+    the rows of unread drivers are never written. :attr:`simulated_drivers`
+    names the drivers simulated so far. A scenario built from a whole array,
+    such as ``dataclasses.replace(scenario, paths=scenario.paths[:, :, a:b])``,
+    counts as fully simulated. The domestic FX path is identically one, served
+    by :meth:`fx` as a read-only broadcast view. :meth:`account` and
+    :meth:`repo_account` are :func:`cash_account_value` of a currency's
     unsecured curve or an asset's repo curve on the grid.
     """
 
     model: ValidatedModel
     grid: TimeGrid
     seed: int
-    paths: np.ndarray
+    paths: np.ndarray = _StoredPaths()
     measure_tag: str = "qe"  # "p" when drifts were shifted away from the martingale measure
+    _simulation: _Simulation | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_paths(self) -> int:
-        return self.paths.shape[2]
+        return self._store.shape[2]
+
+    @property
+    def simulated_drivers(self) -> tuple[str, ...]:
+        """The labels of the drivers simulated so far, in ``model.driver_labels`` order."""
+        labels = self.model.driver_labels
+        if self._simulation is None:
+            return labels
+        return tuple(labels[d] for d in sorted(self._simulation.simulated))
+
+    def load(self, *labels: str) -> None:
+        """Simulate the drivers named by ``labels`` that are not simulated yet, in one pass over the chunks.
+
+        Each chunk draws all of its normals whatever it mixes
+        (:func:`_simulate_log_chunk`), so every driver keeps the bits a full
+        simulation gives it, and a reader of several drivers names them all
+        in one call. A label that names no driver raises :class:`ConfigError`.
+        """
+        wanted = {self._row(label) for label in labels}
+        simulation = self._simulation
+        if simulation is None:
+            return
+        with simulation.lock:
+            rows = np.array(sorted(wanted - simulation.simulated), dtype=int)
+            if not rows.size:
+                return
+            columns = chunk_columns(self.n_paths)
+
+            def fill(chunks: list[int]) -> None:
+                for chunk in chunks:
+                    block = self._store[:, :, columns[chunk]]
+                    _simulate_chunk(block, self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows)
+
+            run_chunks(fill, range(len(columns)), simulation.n_workers)
+            simulation.simulated = simulation.simulated.union(rows.tolist())
+
+    def _row(self, label: str) -> int:
+        self.model.driver_spec(label)  # ConfigError for a label that names no driver
+        return self.model.driver_labels.index(label)
 
     def driver(self, label: str) -> np.ndarray:
         """Paths of the driver named by one of ``model.driver_labels``, a view of ``paths``."""
-        self.model.driver_spec(label)  # ConfigError for a label that names no driver
-        return self.paths[self.model.driver_labels.index(label)].T
+        self.load(label)
+        return self._store[self._row(label)].T
 
     def fx(self, currency: str) -> np.ndarray:
         if currency == self.model.domestic:
@@ -188,6 +271,9 @@ def check_error_bar_paths(n_paths: int) -> None:
         )
 
 
+# an overflowing path gives an infinite mean and a NaN error bar, which the estimator's
+# check_finite_estimate reports; numpy's warnings would only repeat it
+@np.errstate(over="ignore", invalid="ignore")
 def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of the pair means of consecutive path blocks, folded in order.
 
@@ -318,35 +404,50 @@ def run_chunks(work, chunks, n_workers: int) -> None:
         list(pool.map(work, [chunks[i::n_threads] for i in range(n_threads)]))
 
 
+def _row_runs(rows: np.ndarray | None, n_drivers: int) -> list[slice]:
+    """The sorted driver ``rows``, all ``n_drivers`` of them if None, as maximal slices of consecutive rows."""
+    if rows is None:
+        return [slice(0, n_drivers)]
+    breaks = np.flatnonzero(np.diff(rows) > 1) + 1
+    return [slice(int(run[0]), int(run[-1]) + 1) for run in np.split(rows, breaks) if run.size]
+
+
 def _simulate_log_chunk(
     block: np.ndarray,
     seed: int,
     drift: np.ndarray,
     vol: np.ndarray,
     chunk: int,
+    rows: np.ndarray | None = None,
 ) -> None:
     """Write the log-paths log(S / x0) of simulation chunk ``chunk`` into the time-major ``block``.
 
     ``block`` is any (n_drivers, n_times, count) array, a slice of a whole
-    scenario or a reused buffer, and receives the chunk's ``count`` paths;
-    ``count`` is the chunk's width, which sets the order of its normals. Paths
+    scenario or a reused buffer, and receives the chunk's ``count`` paths of
+    the drivers ``rows`` (sorted indices into ``drift`` and ``vol``; every
+    driver by default); its other rows are not written. ``count`` is the
+    chunk's width, which sets the order of its normals. Paths
     come in antithetic pairs: path p reads pair p // 2 of the chunk's normals
     with sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per
     step and driver, and with an odd ``count`` the last path has no twin. The
-    mixed shock of driver d over step j, m = sum_k vol[d, k, j] z_k, is summed
+    chunk draws the normals of all n_drivers = ``vol.shape[1]`` drivers
+    whatever ``rows`` is, and mixes only the rows it writes: the mixed shock
+    of driver d over step j, m = sum_k vol[d, k, j] z_k, is summed
     once per pair in driver order k = 0, 1, ... rather than by a BLAS product,
-    so each path's value does not depend on the tiling; the log-increment is
+    so each path's value depends neither on the tiling nor on which other
+    drivers are written with it; the log-increment is
     drift[d, j] + m on the even path and drift[d, j] - m on the odd one, which
     is bit for bit the mixing of the negated normals. The mixing runs in tiles
     of consecutive steps (:func:`row_tiles`) whose normals and mixed rows,
-    2 * n_drivers rows per step, fit ``TILE_BYTES``. Each tile's normals are
-    drawn from the chunk's stream (:func:`normal_block`) just before they are
-    mixed, time-major as
+    n_drivers + len(rows) rows per step, fit ``TILE_BYTES``. Each tile's
+    normals are drawn from the chunk's stream (:func:`normal_block`) just
+    before they are mixed, time-major as
     (tile steps, n_drivers, pairs) into one tile-sized buffer, so each (step,
     driver) is a contiguous row and no drawn normal is ever transposed or
     copied. One ``np.einsum("dkj,jkp->djp", ...)`` call mixes the whole tile
-    into an (n_drivers, tile steps, pairs) buffer, and one ``np.add`` and one
-    ``np.subtract`` write both antithetic halves of every driver. numpy's
+    into a (len(rows), tile steps, pairs) buffer, and one ``np.add`` and one
+    ``np.subtract`` per run of consecutive rows write both antithetic halves
+    of every driver. numpy's
     c_einsum (``optimize=False``, so never BLAS) adds one product per k, in k
     order, to each output element. On a tile of one pair its default
     iteration would reduce over k innermost, in another order, so such tiles
@@ -362,27 +463,37 @@ def _simulate_log_chunk(
     along an axis that is not innermost, and a cumulative sum is sequential
     either way, so the bits are those of ``np.cumsum``.
     """
-    n_drivers, n_times, count = block.shape
+    _, n_times, count = block.shape
+    n_drivers = vol.shape[1]
+    runs = _row_runs(rows, n_drivers)
+    if rows is not None:
+        drift, vol = drift[rows], vol[rows]
     half = count - count // 2
-    tiles = row_tiles(n_times - 1, 2 * max(n_drivers, 1) * half * 8)
+    tiles = row_tiles(n_times - 1, (n_drivers + len(vol)) * half * 8)
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
     # took the solver's own peak RSS from 101 to 90 MB (one worker)
     z = np.empty((tiles[0].stop, n_drivers, half))
-    mixed = np.empty((n_drivers, tiles[0].stop, half))  # m of every driver, one row per step
+    mixed = np.empty((len(vol), tiles[0].stop, half))  # m of every driver written, one row per step
     # one pair: einsum's default iteration would sum over k innermost, in another order
     order = "F" if half == 1 else "K"
     stream = chunk_stream(seed, chunk)
-    block[:, 0] = 0.0
-    rows = list(block.transpose(1, 0, 2))
+    # each run of consecutive rows of ``block``, with its time-row views and its rows of ``mixed``
+    parts, first = [], 0
+    for run in runs:
+        part = block[run]
+        part[:, 0] = 0.0
+        parts.append((part, list(part.transpose(1, 0, 2)), slice(first, first + len(part))))
+        first += len(part)
     for steps in tiles:
         lo, hi = steps.start, steps.stop
         zs = normal_block(stream, z[: hi - lo])
         m = mixed[:, : hi - lo]
         np.einsum("dkj,jkp->djp", vol[:, :, steps], zs, out=m, order=order, optimize=False)
-        np.add(drift[:, steps, None], m, out=block[:, 1 + lo : 1 + hi, 0::2])
-        np.subtract(drift[:, steps, None], m[:, :, : count // 2], out=block[:, 1 + lo : 1 + hi, 1::2])
-        for j in range(1 + lo, 1 + hi):  # the tile's rows are still in cache
-            np.add(rows[j - 1], rows[j], out=rows[j])
+        for part, part_rows, sel in parts:
+            np.add(drift[sel, steps, None], m[sel], out=part[:, 1 + lo : 1 + hi, 0::2])
+            np.subtract(drift[sel, steps, None], m[sel, :, : count // 2], out=part[:, 1 + lo : 1 + hi, 1::2])
+            for j in range(1 + lo, 1 + hi):  # the tile's rows are still in cache
+                np.add(part_rows[j - 1], part_rows[j], out=part_rows[j])
 
 
 def _simulate_chunk(
@@ -392,15 +503,18 @@ def _simulate_chunk(
     vol: np.ndarray,
     x0: np.ndarray,
     chunk: int,
+    rows: np.ndarray | None = None,
 ) -> None:
-    """Write the paths of simulation chunk ``chunk`` into the time-major ``block``.
+    """Write the paths of the drivers ``rows`` of simulation chunk ``chunk`` into the time-major ``block``.
 
     The log-paths of :func:`_simulate_log_chunk` followed by the level step,
     one ``exp`` and a product with the initial levels ``x0``.
     """
-    _simulate_log_chunk(block, seed, drift, vol, chunk)
-    np.exp(block, out=block)
-    block *= x0[:, None, None]
+    _simulate_log_chunk(block, seed, drift, vol, chunk, rows)
+    for run in _row_runs(rows, len(block)):
+        part = block[run]
+        np.exp(part, out=part)
+        part *= x0[run, None, None]
 
 
 def _step_coefficients(
@@ -434,36 +548,37 @@ def simulate(
     drift_shift: dict[str, float] | None = None,
     n_workers: int = 1,
 ) -> ScenarioSet:
-    """Generate a ScenarioSet.
+    """A ScenarioSet whose drivers are simulated the first time they are read.
 
+    The inputs are checked, and the step coefficients computed, at once:
+    ``n_paths`` below one raises :class:`ZeroPaths`, and ``n_workers`` below
+    one, or a ``drift_shift`` key that names no driver, :class:`ConfigError`.
+    No driver is simulated here; :meth:`ScenarioSet.load` simulates those a
+    reader names, chunk by chunk through :func:`run_chunks` on ``n_workers``
+    threads, each to the bits a simulation of every driver gives it.
     ``drift_shift`` adds a constant per-year drift bump to drivers named by
     ``model.driver_labels``, for diagnostics negative controls; a scenario
-    with a non-zero shift is tagged ``"p"`` and pricing refuses it. A key
-    that names no driver raises :class:`ConfigError`. Paths are simulated
-    chunk by chunk through :func:`run_chunks`.
+    with a non-zero shift is tagged ``"p"`` and pricing refuses it.
     """
     if n_paths < 1:
         raise ZeroPaths(f"n_paths={n_paths}")
+    worker_threads(n_workers, 1)  # rejects a count below one
     drift_shift = drift_shift or {}
     drift, vol, x0 = _step_coefficients(model, grid, drift_shift)
-    paths = np.empty((len(x0), len(grid.times), n_paths))
-    columns = chunk_columns(n_paths)
-
-    def fill(chunks: list[int]) -> None:
-        for chunk in chunks:
-            _simulate_chunk(paths[:, :, columns[chunk]], seed, drift, vol, x0, chunk)
-
-    run_chunks(fill, range(len(columns)), n_workers)
-    return ScenarioSet(
+    scenario = ScenarioSet(
         model=model,
         grid=grid,
         seed=seed,
-        paths=paths,
+        # rows are written only when their driver is loaded; unwritten pages are never resident
+        paths=np.empty((len(x0), len(grid.times), n_paths)),
         measure_tag="p" if any(drift_shift.values()) else "qe",
     )
+    object.__setattr__(scenario, "_simulation", _Simulation(drift, vol, x0, n_workers))
+    return scenario
 
 
 def dump_paths_csv(scenario: ScenarioSet, path: str) -> None:
     """Columnar dump: path_id, time, driver_label, value."""
+    scenario.load(*scenario.model.driver_labels)
     blocks = ((label, scenario.driver(label)) for label in scenario.model.driver_labels)
     write_grid(path, ("driver_label", "value"), scenario.grid.times, blocks)

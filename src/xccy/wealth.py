@@ -63,8 +63,10 @@ def hedge_operands(scenario: ScenarioSet, asset_label: str) -> tuple[np.ndarray,
 
     The carry of step j is the dividend integral less the repo integral over
     it, exact for piecewise-constant rates: the operands of :func:`hedged_gain_step`.
+    The asset and its FX rate are simulated in one pass.
     """
     a = scenario.model.asset(asset_label)
+    scenario.load(asset_label, *scenario.model.fx_drivers(a.currency))
     times = scenario.grid.times
     carry = a.dividend_yield.step_integrals(times) - a.repo_rate.step_integrals(times)
     return scenario.asset(asset_label), scenario.fx(a.currency), carry
@@ -133,6 +135,7 @@ class Strategy:
     @classmethod
     def repo_constrained(cls, scenario: ScenarioSet, xi: dict[str, np.ndarray], psi_cash=None) -> "Strategy":
         """Fill repo positions so psi B + xi S = 0 at every node."""
+        scenario.load(*xi)
         psi_repo = {}
         for label, units in xi.items():
             s = scenario.asset(label)[:, :-1]
@@ -192,6 +195,7 @@ def replay_wealth(
     adjustment components.
     """
     model = scenario.model
+    scenario.load(*model.driver_labels)  # the replay reads most drivers: one pass for all of them
     n_paths, n_steps = scenario.n_paths, scenario.grid.n_steps
     b_e = scenario.account(model.domestic)
 

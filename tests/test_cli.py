@@ -1,10 +1,13 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import xccy
 from xccy.cli import run
 
 MODEL_DOC = {
@@ -223,6 +226,52 @@ def test_json_boolean_in_a_number_exits_one_naming_the_field(docs, capsys, comma
     assert run([command, "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: {field} is malformed: ") and "is a JSON boolean, not a number" in err, err
+
+
+def _with_strings(doc):
+    """``doc`` with every JSON boolean in it replaced by the string "0.5"."""
+    if isinstance(doc, bool):
+        return "0.5"
+    if isinstance(doc, dict):
+        return {key: _with_strings(value) for key, value in doc.items()}
+    if isinstance(doc, list):
+        return [_with_strings(item) for item in doc]
+    return doc
+
+
+@pytest.mark.parametrize("command", ["price", "bsde"])
+@pytest.mark.parametrize("document, case", BOOLEAN_CASES)
+def test_json_string_in_a_number_exits_one_naming_the_field(docs, capsys, command, document, case):
+    # float("0.5") is 0.5: "x0": "0.9" passed validate, and "delta1": "0.5" gave a bsde report with "delta1": 0.5
+    model, trade, tmp = docs
+    if document == "model":
+        field, path = BOOLEAN_MODELS[case]
+        model = tmp / "string_model.json"
+        model.write_text(json.dumps(_model_with(path, "0.5")))
+    else:
+        field, edit = BOOLEAN_TRADES[case]
+        trade = tmp / "string_trade.json"
+        trade.write_text(json.dumps({**TRADE_DOC, **_with_strings(edit)}))
+    assert run([command, "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} is malformed: ") and "'0.5' is a JSON string, not a number" in err, err
+
+
+@pytest.mark.parametrize("command", [["price", "--steps", "4"], ["bsde", "--steps", "1"]])
+def test_non_finite_estimate_prints_one_stderr_line(docs, command):
+    # numpy's overflow warnings, each with its source line, used to come before the one that names the estimate
+    model, _, tmp = docs
+    trade = tmp / "overflow.json"
+    trade.write_text(json.dumps({**TRADE_DOC, "contract": {"currency": "USD", "flows": [[1.0, -1e308]]}}))
+    src = os.path.dirname(os.path.dirname(xccy.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [command[0], "--model", str(model), "--trade", str(trade), "--paths", "2000", "--seed", "1", *command[1:]]
+    done = subprocess.run(
+        [sys.executable, "-m", "xccy.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: non-finite"), done.stderr
 
 
 def test_missing_file_exits_three(tmp_path, capsys):

@@ -258,6 +258,29 @@ def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, 
             assert np.array_equal(scen.driver(label), ref.driver(label)), (label, budget)
 
 
+@pytest.mark.parametrize("n_workers", [1, 2])
+@pytest.mark.parametrize("case", list(LAYOUT_CASES))
+def test_each_driver_loaded_alone_matches_the_driver_major_reference(request, monkeypatch, case, n_workers):
+    # a scenario simulates a driver when it is first read, so the reference scenario is read
+    # (every driver at once, through ``paths``) while the reference kernel is in place
+    fixture, n_paths, n_steps, drift_shift = LAYOUT_CASES[case]
+    model = _uncorrelated_model() if fixture is None else request.getfixturevalue(fixture)
+    grid = TimeGrid.regular(1.0, n_steps)
+    labels = model.driver_labels
+
+    def reference(block, seed, drift, vol, x0, chunk, rows):
+        assert rows.tolist() == list(range(len(labels)))
+        _driver_major_chunk(block, seed, drift, vol, x0, chunk)
+
+    with monkeypatch.context() as m:
+        m.setattr("xccy.simulation._simulate_chunk", reference)
+        ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift).paths
+    for d, label in enumerate(labels):
+        scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
+        assert scen.driver(label).T.tobytes() == ref[d].tobytes(), label
+        assert scen.simulated_drivers == (label,)
+
+
 @pytest.mark.parametrize("count", [1, 2])
 def test_one_pair_tiles_sum_the_mixing_in_driver_order(three_currency_model, count):
     # einsum's default iteration sums a one-pair, one-step tile in another order, which moves
@@ -303,7 +326,8 @@ def test_scenario_is_one_path_array_with_accounts_from_the_curves(multi_knot_mod
     model = _with_foreign_asset(multi_knot_model, 0.3, 0.2, repo, RateCurve.flat(0.0))
     grid = TimeGrid.regular(2.0, 7, include=[0.4])
     scen = simulate(model, grid, 300, seed=2)
-    assert [f.name for f in dataclasses.fields(scen)] == ["model", "grid", "seed", "paths", "measure_tag"]
+    fields = ["model", "grid", "seed", "paths", "measure_tag", "_simulation"]
+    assert [f.name for f in dataclasses.fields(scen)] == fields
     assert scen.paths.shape == (len(model.driver_labels), len(grid.times), 300) and scen.n_paths == 300
     for d, label in enumerate(model.driver_labels):
         assert np.shares_memory(scen.driver(label), scen.paths)
