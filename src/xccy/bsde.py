@@ -240,6 +240,7 @@ def solve_endogenous(
     # without the regression's averaging; its mean is v0 and its spread the error bar
     u = np.zeros(n_paths)
     columns = chunk_columns(n_paths)
+    every_driver = np.arange(n_drivers)  # the regression states are every driver's log-path
 
     def value(chunks: list[int], fit: bool = False) -> None:
         """Simulate and sweep ``chunks`` in order, on one buffer as wide as chunk 0."""
@@ -247,7 +248,7 @@ def solve_endogenous(
         for chunk in chunks:
             cols = columns[chunk]
             block = buffer[:, :, : cols.stop - cols.start]
-            _simulate_log_chunk(block, cfg.seed, drift, vol, chunk)
+            _simulate_log_chunk(block, cfg.seed, drift, vol, chunk, every_driver)
             sweep(block, surface[:, cols], u[cols], fit)
 
     value([0], fit=True)  # the pilot: simulation chunk 0, all paths when there are at most CHUNK_PATHS

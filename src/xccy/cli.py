@@ -161,7 +161,7 @@ def _cmd_simulate(args, model) -> int:
     dump = _dump_file(args, args.dump_paths, "--dump-paths", "paths.csv")
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
-    scenario.load(*model.driver_labels)
+    scenario.load()  # the terminal means read every driver: one pass for all of them
     report = {
         "command": "simulate",
         "n_paths": scenario.n_paths,

@@ -192,7 +192,7 @@ def run_martingale_suite(
 ) -> list[TestReport]:
     """One test per certifiable process: per asset, then per currency."""
     model = scenario.model
-    scenario.load(*model.driver_labels)  # the tests read every driver: one pass for all of them
+    scenario.load()  # the tests read every driver: one pass for all of them
     ids = [f"asset:{a.label}" for a in model.assets] + [f"fx:{c}" for c in model.currency_names]
     return [martingale_test(scenario, pid, checkpoints, threshold) for pid in ids]
 
@@ -227,7 +227,7 @@ def reduction_suite(model: ValidatedModel, n_paths: int = 2000, seed: int = 7) -
     horizon = 1.0
     grid = TimeGrid.regular(horizon, 8)
     scenario = simulate(model, grid, n_paths, seed)
-    scenario.load(*model.driver_labels)  # every asset is read: one pass for all of them
+    scenario.load()  # every asset is read: one pass for all of them
     checks: list[SuiteCheck] = []
 
     # 1) every collateral convention loses its FX term identically

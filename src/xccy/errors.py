@@ -129,7 +129,7 @@ def json_numbers(value):
 
 
 def json_float(value) -> float:
-    """``float(value)`` of a JSON number, :class:`TypeError` for a boolean or a string: a ``kind`` for :func:`doc_value`."""
+    """``float`` of a JSON number, :class:`TypeError` for a boolean or a string: a ``kind`` for :func:`doc_value`."""
     return float(json_numbers(value))
 
 

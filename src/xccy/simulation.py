@@ -145,7 +145,7 @@ class _StoredPaths:
     def __get__(self, scenario, owner=None):
         if scenario is None:
             raise AttributeError("paths")  # a dataclass field without a default
-        scenario.load(*scenario.model.driver_labels)
+        scenario.load()
         return scenario._store
 
     def __set__(self, scenario, paths):
@@ -204,14 +204,14 @@ class ScenarioSet:
         return tuple(labels[d] for d in sorted(self._simulation.simulated))
 
     def load(self, *labels: str) -> None:
-        """Simulate the drivers named by ``labels`` that are not simulated yet, in one pass over the chunks.
+        """Simulate the drivers named by ``labels`` (every driver if none is named) not simulated yet, in one pass.
 
         Each chunk draws all of its normals whatever it mixes
         (:func:`_simulate_log_chunk`), so every driver keeps the bits a full
         simulation gives it, and a reader of several drivers names them all
         in one call. A label that names no driver raises :class:`ConfigError`.
         """
-        wanted = {self._row(label) for label in labels}
+        wanted = {self._row(label) for label in labels or self.model.driver_labels}
         simulation = self._simulation
         if simulation is None:
             return
@@ -404,10 +404,8 @@ def run_chunks(work, chunks, n_workers: int) -> None:
         list(pool.map(work, [chunks[i::n_threads] for i in range(n_threads)]))
 
 
-def _row_runs(rows: np.ndarray | None, n_drivers: int) -> list[slice]:
-    """The sorted driver ``rows``, all ``n_drivers`` of them if None, as maximal slices of consecutive rows."""
-    if rows is None:
-        return [slice(0, n_drivers)]
+def _row_runs(rows: np.ndarray) -> list[slice]:
+    """The sorted driver ``rows`` as maximal slices of consecutive rows."""
     breaks = np.flatnonzero(np.diff(rows) > 1) + 1
     return [slice(int(run[0]), int(run[-1]) + 1) for run in np.split(rows, breaks) if run.size]
 
@@ -418,14 +416,14 @@ def _simulate_log_chunk(
     drift: np.ndarray,
     vol: np.ndarray,
     chunk: int,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> None:
     """Write the log-paths log(S / x0) of simulation chunk ``chunk`` into the time-major ``block``.
 
     ``block`` is any (n_drivers, n_times, count) array, a slice of a whole
     scenario or a reused buffer, and receives the chunk's ``count`` paths of
-    the drivers ``rows`` (sorted indices into ``drift`` and ``vol``; every
-    driver by default); its other rows are not written. ``count`` is the
+    the drivers ``rows`` (sorted indices into ``drift`` and ``vol``); its
+    other rows are not written. ``count`` is the
     chunk's width, which sets the order of its normals. Paths
     come in antithetic pairs: path p reads pair p // 2 of the chunk's normals
     with sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per
@@ -465,9 +463,8 @@ def _simulate_log_chunk(
     """
     _, n_times, count = block.shape
     n_drivers = vol.shape[1]
-    runs = _row_runs(rows, n_drivers)
-    if rows is not None:
-        drift, vol = drift[rows], vol[rows]
+    runs = _row_runs(rows)
+    drift, vol = drift[rows], vol[rows]
     half = count - count // 2
     tiles = row_tiles(n_times - 1, (n_drivers + len(vol)) * half * 8)
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
@@ -503,7 +500,7 @@ def _simulate_chunk(
     vol: np.ndarray,
     x0: np.ndarray,
     chunk: int,
-    rows: np.ndarray | None = None,
+    rows: np.ndarray,
 ) -> None:
     """Write the paths of the drivers ``rows`` of simulation chunk ``chunk`` into the time-major ``block``.
 
@@ -511,7 +508,7 @@ def _simulate_chunk(
     one ``exp`` and a product with the initial levels ``x0``.
     """
     _simulate_log_chunk(block, seed, drift, vol, chunk, rows)
-    for run in _row_runs(rows, len(block)):
+    for run in _row_runs(rows):
         part = block[run]
         np.exp(part, out=part)
         part *= x0[run, None, None]
@@ -579,6 +576,6 @@ def simulate(
 
 def dump_paths_csv(scenario: ScenarioSet, path: str) -> None:
     """Columnar dump: path_id, time, driver_label, value."""
-    scenario.load(*scenario.model.driver_labels)
-    blocks = ((label, scenario.driver(label)) for label in scenario.model.driver_labels)
+    paths = scenario.paths  # every driver, simulated in one pass
+    blocks = ((label, paths[d].T) for d, label in enumerate(scenario.model.driver_labels))
     write_grid(path, ("driver_label", "value"), scenario.grid.times, blocks)

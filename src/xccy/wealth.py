@@ -135,7 +135,7 @@ class Strategy:
     @classmethod
     def repo_constrained(cls, scenario: ScenarioSet, xi: dict[str, np.ndarray], psi_cash=None) -> "Strategy":
         """Fill repo positions so psi B + xi S = 0 at every node."""
-        scenario.load(*xi)
+        scenario.load()  # the replay the strategy is built for reads every driver: one pass for both
         psi_repo = {}
         for label, units in xi.items():
             s = scenario.asset(label)[:, :-1]
@@ -195,7 +195,7 @@ def replay_wealth(
     adjustment components.
     """
     model = scenario.model
-    scenario.load(*model.driver_labels)  # the replay reads most drivers: one pass for all of them
+    scenario.load()  # the replay reads most drivers: one pass for all of them
     n_paths, n_steps = scenario.n_paths, scenario.grid.n_steps
     b_e = scenario.account(model.domestic)
 

@@ -326,9 +326,10 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
     np.add.at(flows, flow_nodes(grid, contract), [a for _, a in contract.flows])
     scenario = simulate(model, grid, n_paths, cfg.seed, n_workers=cfg.n_workers)
     drift, vol, _ = _step_coefficients(model, grid, {})
+    every_driver = np.arange(len(model.driver_labels))
     logs = np.empty_like(scenario.paths)
     for lo in range(0, n_paths, CHUNK_PATHS):
-        _simulate_log_chunk(logs[:, :, lo : lo + CHUNK_PATHS], cfg.seed, drift, vol, lo // CHUNK_PATHS)
+        _simulate_log_chunk(logs[:, :, lo : lo + CHUNK_PATHS], cfg.seed, drift, vol, lo // CHUNK_PATHS, every_driver)
     r_e = model.curve(model.domestic, "unsecured")
     r_int = r_e.step_integrals(times)
     spread_int = (
@@ -384,9 +385,9 @@ def test_one_chunk_matches_the_stored_path_solver(
 def test_streamed_solver_simulates_no_more_than_one_chunk_at_once(bsde_two_currency_model, monkeypatch):
     requests = []
 
-    def recording(block, seed, drift, vol, chunk):
+    def recording(block, seed, drift, vol, chunk, rows):
         requests.append((chunk, block.shape[2]))
-        return _simulate_log_chunk(block, seed, drift, vol, chunk)
+        return _simulate_log_chunk(block, seed, drift, vol, chunk, rows)
 
     monkeypatch.setattr("xccy.bsde._simulate_log_chunk", recording)
     contract = Contract("USD", ((1.0, -1.0),))

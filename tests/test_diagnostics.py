@@ -222,6 +222,7 @@ def test_checkpoint_statistics_take_memory_of_a_few_chunks_whatever_the_path_cou
     peaks = []
     for n_paths in (2 * CHUNK_PATHS, 16 * CHUNK_PATHS):
         scen = simulate(two_currency_model, grid, n_paths, seed=4)
+        scen.load()  # simulated before measuring: only the checkpoint statistics are measured
         pids = ("asset:EQ", "asset:FEQ", "fx:EUR", "fx:USD")
         peaks.append(max(_peak_traced_bytes(lambda: martingale_test(scen, pid)) for pid in pids))
         del scen

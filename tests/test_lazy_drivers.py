@@ -185,6 +185,11 @@ def test_a_wealth_replay_makes_one_pass(two_currency_model, streams):
     strategy = Strategy({"EQ": np.ones(4), "FEQ": np.ones(4)}, {"FEQ": -np.ones(4)}, {"USD": np.ones(4)})
     replay_wealth(scen, strategy, Contract("USD", ((1.0, -1.0),)))
     assert streams == _one_pass(N_PASS_PATHS)
+    streams.clear()
+    scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
+    strategy = Strategy.repo_constrained(scen, {"FEQ": np.ones(4)})  # built to be replayed: one pass for both
+    replay_wealth(scen, strategy, Contract.zero("EUR"))
+    assert streams == _one_pass(N_PASS_PATHS)
 
 
 def test_cli_simulate_makes_one_pass(tmp_path, streams):

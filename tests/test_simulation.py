@@ -184,17 +184,19 @@ def test_bit_identical_across_worker_counts(two_currency_model):
         assert np.array_equal(one.fx("USD"), eight.fx("USD"))
 
 
-def _driver_major_chunk(block, seed, drift, vol, x0, chunk):
-    """Reference: a driver-major kernel on explicitly paired normals.
+def _driver_major_chunk(block, seed, drift, vol, x0, chunk, rows=None):
+    """Reference: a driver-major kernel on explicitly paired normals, writing every driver.
 
     Path 2i reads pair i of the chunk's normals and path 2i+1 its negation:
     the two are interleaved here, before any mixing, so path 2i+1 is the
     negated-normals twin of path 2i by construction. Each driver's
     (count, n_times) block is its drift plus the mixed normals, summed in k
     order, stepped with a row-wise cumsum and copied into the time-major
-    ``block``.
+    ``block``. ``rows``, when given as by :meth:`ScenarioSet.load`, must name
+    every driver.
     """
     n_drivers, n_times, count = block.shape
+    assert rows is None or rows.tolist() == list(range(n_drivers))
     # the chunk's whole time-major (step, driver, pair) block in one draw, viewed as (pair, step, driver)
     drawn = normal_block(chunk_stream(seed, chunk), np.empty((n_times - 1, n_drivers, -(-count // 2))))
     half = drawn.transpose(2, 0, 1)
@@ -248,6 +250,7 @@ def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, 
     with monkeypatch.context() as m:
         m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
         ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift)
+        ref.load()  # simulated on first read: read while the reference kernel is in place
     # the tile budget of the kernel's mixing loop, 2 * n_drivers rows (normals and mixed) per
     # step: one step per tile, three steps of a full chunk's rows, and at least the whole chunk
     step_bytes = 2 * len(model.driver_labels) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
@@ -267,18 +270,21 @@ def test_each_driver_loaded_alone_matches_the_driver_major_reference(request, mo
     model = _uncorrelated_model() if fixture is None else request.getfixturevalue(fixture)
     grid = TimeGrid.regular(1.0, n_steps)
     labels = model.driver_labels
-
-    def reference(block, seed, drift, vol, x0, chunk, rows):
-        assert rows.tolist() == list(range(len(labels)))
-        _driver_major_chunk(block, seed, drift, vol, x0, chunk)
-
     with monkeypatch.context() as m:
-        m.setattr("xccy.simulation._simulate_chunk", reference)
+        m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
         ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift).paths
-    for d, label in enumerate(labels):
-        scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
-        assert scen.driver(label).T.tobytes() == ref[d].tobytes(), label
-        assert scen.simulated_drivers == (label,)
+    # each driver alone, and the first and last together (two runs of rows), at the tile budgets
+    # of the test above: a load mixes n_drivers + len(load) rows per step
+    loads = [(label,) for label in labels] + ([(labels[0], labels[-1])] if len(labels) > 2 else [])
+    for load in loads:
+        step_bytes = (len(labels) + len(load)) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+        for budget in (1, 3 * step_bytes, n_steps * step_bytes):
+            monkeypatch.setattr("xccy.simulation.TILE_BYTES", budget)
+            scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
+            scen.load(*load)
+            assert scen.simulated_drivers == load
+            for label in load:
+                assert scen.driver(label).T.tobytes() == ref[labels.index(label)].tobytes(), (load, budget)
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -290,7 +296,7 @@ def test_one_pair_tiles_sum_the_mixing_in_driver_order(three_currency_model, cou
     shape = (len(x0), len(grid.times), count)
     for chunk in range(16):
         got, ref = np.empty(shape), np.empty(shape)
-        _simulate_chunk(got, 17, drift, vol, x0, chunk)
+        _simulate_chunk(got, 17, drift, vol, x0, chunk, np.arange(len(x0)))
         _driver_major_chunk(ref, 17, drift, vol, x0, chunk)
         assert got.tobytes() == ref.tobytes(), chunk
 
@@ -301,8 +307,8 @@ def test_level_step_is_x0_times_exp_of_the_log_kernel(three_currency_model, coun
     drift, vol, x0 = _step_coefficients(three_currency_model, grid, {})
     shape = (len(x0), len(grid.times), count)
     levels, logs = np.empty(shape), np.empty(shape)
-    _simulate_chunk(levels, 3, drift, vol, x0, 2)
-    _simulate_log_chunk(logs, 3, drift, vol, 2)
+    _simulate_chunk(levels, 3, drift, vol, x0, 2, np.arange(len(x0)))
+    _simulate_log_chunk(logs, 3, drift, vol, 2, np.arange(len(x0)))
     assert np.array_equal(logs[:, 0], np.zeros(shape[::2]))
     assert levels.tobytes() == (np.exp(logs) * x0[:, None, None]).tobytes()
 
