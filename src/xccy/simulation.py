@@ -404,12 +404,6 @@ def run_chunks(work, chunks, n_workers: int) -> None:
         list(pool.map(work, [chunks[i::n_threads] for i in range(n_threads)]))
 
 
-def _row_runs(rows: np.ndarray) -> list[slice]:
-    """The sorted driver ``rows`` as maximal slices of consecutive rows."""
-    breaks = np.flatnonzero(np.diff(rows) > 1) + 1
-    return [slice(int(run[0]), int(run[-1]) + 1) for run in np.split(rows, breaks) if run.size]
-
-
 def _simulate_log_chunk(
     block: np.ndarray,
     seed: int,
@@ -422,8 +416,8 @@ def _simulate_log_chunk(
 
     ``block`` is any (n_drivers, n_times, count) array, a slice of a whole
     scenario or a reused buffer, and receives the chunk's ``count`` paths of
-    the drivers ``rows`` (sorted indices into ``drift`` and ``vol``); its
-    other rows are not written. ``count`` is the
+    the drivers ``rows`` (sorted indices into ``drift`` and ``vol``), each
+    written on its own; its other rows are not written. ``count`` is the
     chunk's width, which sets the order of its normals. Paths
     come in antithetic pairs: path p reads pair p // 2 of the chunk's normals
     with sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per
@@ -439,58 +433,52 @@ def _simulate_log_chunk(
     of consecutive steps (:func:`row_tiles`) whose normals and mixed rows,
     n_drivers + len(rows) rows per step, fit ``TILE_BYTES``. Each tile's
     normals are drawn from the chunk's stream (:func:`normal_block`) just
-    before they are mixed, time-major as
-    (tile steps, n_drivers, pairs) into one tile-sized buffer, so each (step,
-    driver) is a contiguous row and no drawn normal is ever transposed or
-    copied. One ``np.einsum("dkj,jkp->djp", ...)`` call mixes the whole tile
-    into a (len(rows), tile steps, pairs) buffer, and one ``np.add`` and one
-    ``np.subtract`` per run of consecutive rows write both antithetic halves
-    of every driver. numpy's
-    c_einsum (``optimize=False``, so never BLAS) adds one product per k, in k
-    order, to each output element. On a tile of one pair its default
-    iteration would reduce over k innermost, in another order, so such tiles
-    pass ``order="F"``, which keeps k outermost; that order costs 17 to 25
-    times as much on a full tile, but on a one-pair tile the call's fixed cost
-    dominates. The tiles read the stream in order, so the normals, and every
-    element's operations and their order, are the same for any tile size. A
-    numpy build whose einsum fuses the multiply and add (aarch64 NEON, say)
-    may differ in the last bit, as the BSDE's BLAS regression and a SIMD
-    ``exp`` already can; results stay identical for any worker count. The
-    cumulative sum over time adds each time row to the next, over time-row
-    views built once, as each tile is written: numpy's accumulate is slow
-    along an axis that is not innermost, and a cumulative sum is sequential
-    either way, so the bits are those of ``np.cumsum``.
+    before they are mixed, time-major as (tile steps, n_drivers, pairs) into
+    one tile-sized buffer, so each (step, driver) is a contiguous row and no
+    drawn normal is ever transposed or copied. One
+    ``np.einsum("dkj,jkp->djp", ...)`` call mixes the whole tile, and each
+    driver's even and odd columns take one ``np.add`` and one
+    ``np.subtract``. numpy's c_einsum (``optimize=False``, so never BLAS)
+    adds one product per k, in k order, to each output element. On a tile of
+    one pair its default iteration would reduce over k innermost, in another
+    order, so such tiles pass ``order="F"``, which keeps k outermost; that
+    order costs 17 to 25 times as much on a full tile, but on a one-pair tile
+    the call's fixed cost dominates. The tiles read the stream in order, so
+    the normals, and every element's operations and their order, are the
+    same for any tile size. A numpy build whose einsum fuses the multiply and
+    add (aarch64 NEON, say) may differ in the last bit, as the BSDE's BLAS
+    regression and a SIMD ``exp`` already can; results stay identical for
+    any worker count. The cumulative sum over time adds each time row to the
+    next as each tile is written: numpy's accumulate is slow along an axis
+    that is not innermost, and a cumulative sum is sequential either way, so
+    the bits are those of ``np.cumsum``.
     """
     _, n_times, count = block.shape
     n_drivers = vol.shape[1]
-    runs = _row_runs(rows)
     drift, vol = drift[rows], vol[rows]
     half = count - count // 2
-    tiles = row_tiles(n_times - 1, (n_drivers + len(vol)) * half * 8)
+    tiles = row_tiles(n_times - 1, (n_drivers + len(rows)) * half * 8)
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
     # took the solver's own peak RSS from 101 to 90 MB (one worker)
     z = np.empty((tiles[0].stop, n_drivers, half))
-    mixed = np.empty((len(vol), tiles[0].stop, half))  # m of every driver written, one row per step
+    mixed = np.empty((len(rows), tiles[0].stop, half))  # m of every driver written, one row per step
     # one pair: einsum's default iteration would sum over k innermost, in another order
     order = "F" if half == 1 else "K"
     stream = chunk_stream(seed, chunk)
-    # each run of consecutive rows of ``block``, with its time-row views and its rows of ``mixed``
-    parts, first = [], 0
-    for run in runs:
-        part = block[run]
-        part[:, 0] = 0.0
-        parts.append((part, list(part.transpose(1, 0, 2)), slice(first, first + len(part))))
-        first += len(part)
+    # each driver's path and its time-row views, built once: indexing them per step costs time
+    paths = [(block[d], list(block[d])) for d in rows]
+    for path, _ in paths:
+        path[0] = 0.0
     for steps in tiles:
         lo, hi = steps.start, steps.stop
         zs = normal_block(stream, z[: hi - lo])
         m = mixed[:, : hi - lo]
         np.einsum("dkj,jkp->djp", vol[:, :, steps], zs, out=m, order=order, optimize=False)
-        for part, part_rows, sel in parts:
-            np.add(drift[sel, steps, None], m[sel], out=part[:, 1 + lo : 1 + hi, 0::2])
-            np.subtract(drift[sel, steps, None], m[sel, :, : count // 2], out=part[:, 1 + lo : 1 + hi, 1::2])
+        for i, (path, path_rows) in enumerate(paths):
+            np.add(drift[i, steps, None], m[i], out=path[1 + lo : 1 + hi, 0::2])
+            np.subtract(drift[i, steps, None], m[i, :, : count // 2], out=path[1 + lo : 1 + hi, 1::2])
             for j in range(1 + lo, 1 + hi):  # the tile's rows are still in cache
-                np.add(part_rows[j - 1], part_rows[j], out=part_rows[j])
+                np.add(path_rows[j - 1], path_rows[j], out=path_rows[j])
 
 
 def _simulate_chunk(
@@ -508,10 +496,9 @@ def _simulate_chunk(
     one ``exp`` and a product with the initial levels ``x0``.
     """
     _simulate_log_chunk(block, seed, drift, vol, chunk, rows)
-    for run in _row_runs(rows):
-        part = block[run]
-        np.exp(part, out=part)
-        part *= x0[run, None, None]
+    for d in rows:
+        np.exp(block[d], out=block[d])
+        block[d] *= x0[d]
 
 
 def _step_coefficients(
