@@ -24,7 +24,7 @@ from .diagnostics import check_threshold, run_martingale_suite
 from .errors import ConfigError, ModelValidationError, NumericalError, doc_value
 from .model import load_model, validate_model
 from .pricing import price_exogenous, price_fully_collateralized
-from .simulation import TimeGrid, check_error_bar_paths, dump_paths_csv, simulate
+from .simulation import TimeGrid, check_error_bar_paths, check_finite_estimate, dump_paths_csv, simulate
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -162,6 +162,9 @@ def _cmd_simulate(args, model) -> int:
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
     scenario.load()  # the terminal means read every driver: one pass for all of them
+    means = {label: float(np.mean(scenario.driver(label)[:, -1])) for label in model.driver_labels}
+    for label, mean in means.items():
+        check_finite_estimate(f"{label} terminal mean", mean, 0.0)
     report = {
         "command": "simulate",
         "n_paths": scenario.n_paths,
@@ -170,9 +173,7 @@ def _cmd_simulate(args, model) -> int:
         "n_steps": grid.n_steps,
         "measure": scenario.measure_tag,
         "drivers": list(model.driver_labels),
-        "terminal_means": {
-            label: float(np.mean(scenario.driver(label)[:, -1])) for label in model.driver_labels
-        },
+        "terminal_means": means,
     }
     if dump is not None:
         dump_paths_csv(scenario, dump)

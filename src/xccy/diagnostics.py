@@ -157,6 +157,7 @@ def martingale_test(
     finite raises :class:`NumericalError` (:func:`~xccy.simulation.check_finite_estimate`).
     """
     check_threshold(threshold)
+    check_error_bar_paths(scenario.n_paths)  # before any driver is simulated
     grid = scenario.grid
     if isinstance(checkpoints, int):
         if checkpoints < 1:
@@ -172,11 +173,9 @@ def martingale_test(
             raise ConfigError(f"checkpoint {t.min()} snaps onto the grid node t=0")
     if process_id == f"fx:{scenario.model.domestic}":
         # X = 1 and B_dom / B_dom = 1 bit for bit: the process is identically 0 from the level 1
-        check_error_bar_paths(scenario.n_paths)
         mean, se, start = np.zeros(len(nodes)), np.zeros(len(nodes)), 1.0
     else:
         blocks, start = _checkpoint_blocks(scenario, process_id, nodes)
-        check_error_bar_paths(scenario.n_paths)
         mean, se = fold_sample_mean(blocks)
         check_finite_estimate(f"{process_id} checkpoint mean", mean, se)
     relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
@@ -223,6 +222,7 @@ def reduction_suite(model: ValidatedModel, n_paths: int = 2000, seed: int = 7) -
     """Single-currency consistency checks; the model must have exactly one currency."""
     if len(model.currencies) != 1:
         raise ConfigError("reduction suite requires a single-currency model")
+    check_error_bar_paths(n_paths)
     e = model.domestic
     horizon = 1.0
     grid = TimeGrid.regular(horizon, 8)

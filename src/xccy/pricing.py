@@ -28,7 +28,7 @@ from .contracts import Contract
 from .curves import step_pieces
 from .errors import EndogenousSpecPassed, ScenarioMeasureMismatch
 from .model import ValidatedModel, collateralized_value
-from .simulation import ScenarioSet, check_finite_estimate, row_tiles, sample_mean
+from .simulation import ScenarioSet, check_error_bar_paths, check_finite_estimate, row_tiles, sample_mean
 from .wealth import discounted_flows
 
 
@@ -144,7 +144,9 @@ def price_exogenous(
 ) -> PriceReport:
     """Monte Carlo ex-dividend price at t=0 with a predetermined collateral path.
 
-    A price or error bar that is not finite raises :class:`~xccy.errors.NumericalError`
+    A path count with no error bar (:func:`~xccy.simulation.check_error_bar_paths`)
+    raises :class:`~xccy.errors.ConfigError` before any driver is simulated. A
+    price or error bar that is not finite raises :class:`~xccy.errors.NumericalError`
     (:func:`~xccy.simulation.check_finite_estimate`).
     """
     if scenario.measure_tag != "qe":
@@ -154,6 +156,7 @@ def price_exogenous(
     if spec.endogenous:
         raise EndogenousSpecPassed("endogenous collateral must be priced with the BSDE solver")
     check_collateral_path(scenario, coll_path, spec)
+    check_error_bar_paths(scenario.n_paths)
     scenario.load(*priced_drivers(scenario.model, spec, contract))
 
     leg_contract = discounted_flows(scenario, contract)

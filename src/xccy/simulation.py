@@ -20,8 +20,9 @@ time-major (see :mod:`xccy.rng`), and goes through two steps straight into
 one time-major array of shape (n_drivers, n_times, n_paths): the log-path
 kernel :func:`_simulate_log_chunk` draws the normals in cache-sized tiles of
 steps, mixes each tile with one ``np.einsum`` call (a k-ordered sum, not
-BLAS), and sums the log-increments over time into log(S / x0), and the level
-step (one ``exp``, one product with x0) turns them into levels.
+BLAS), and writes each driver on its own, summing its log-increments over
+time into log(S / x0); the level step (one ``exp``, one product with x0)
+turns them into levels.
 The endogenous-collateral solver regresses on the log-paths and runs the
 kernel alone. Antithetic pairs are the only sampling scheme: path p of a
 chunk is driven by pair p // 2 of the chunk's normals with sign (-1)**p, so
@@ -418,50 +419,48 @@ def _simulate_log_chunk(
     scenario or a reused buffer, and receives the chunk's ``count`` paths of
     the drivers ``rows`` (sorted indices into ``drift`` and ``vol``), each
     written on its own; its other rows are not written. ``count`` is the
-    chunk's width, which sets the order of its normals. Paths
-    come in antithetic pairs: path p reads pair p // 2 of the chunk's normals
-    with sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per
-    step and driver, and with an odd ``count`` the last path has no twin. The
-    chunk draws the normals of all n_drivers = ``vol.shape[1]`` drivers
-    whatever ``rows`` is, and mixes only the rows it writes: the mixed shock
-    of driver d over step j, m = sum_k vol[d, k, j] z_k, is summed
-    once per pair in driver order k = 0, 1, ... rather than by a BLAS product,
-    so each path's value depends neither on the tiling nor on which other
-    drivers are written with it; the log-increment is
-    drift[d, j] + m on the even path and drift[d, j] - m on the odd one, which
-    is bit for bit the mixing of the negated normals. The mixing runs in tiles
-    of consecutive steps (:func:`row_tiles`) whose normals and mixed rows,
-    n_drivers + len(rows) rows per step, fit ``TILE_BYTES``. Each tile's
-    normals are drawn from the chunk's stream (:func:`normal_block`) just
-    before they are mixed, time-major as (tile steps, n_drivers, pairs) into
-    one tile-sized buffer, so each (step, driver) is a contiguous row and no
-    drawn normal is ever transposed or copied. One
-    ``np.einsum("dkj,jkp->djp", ...)`` call mixes the whole tile, and each
-    driver's even and odd columns take one ``np.add`` and one
-    ``np.subtract``. numpy's c_einsum (``optimize=False``, so never BLAS)
-    adds one product per k, in k order, to each output element. On a tile of
-    one pair its default iteration would reduce over k innermost, in another
+    chunk's width, which sets the order of its normals. Paths come in
+    antithetic pairs: path p reads pair p // 2 of the chunk's normals with
+    sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per step
+    and driver, and with an odd ``count`` the last path has no twin. The chunk
+    draws the normals of all n_drivers = ``vol.shape[1]`` drivers whatever
+    ``rows`` is, and mixes only the rows it writes: the mixed shock of driver
+    d over step j, m = sum_k vol[d, k, j] z_k, is summed once per pair in
+    driver order k = 0, 1, ... rather than by a BLAS product, so each path's
+    value depends neither on the tiling nor on which other drivers are written
+    with it; the log-increment is drift[d, j] + m on the even path and
+    drift[d, j] - m on the odd one, which is bit for bit the mixing of the
+    negated normals. The mixing runs in tiles of consecutive steps
+    (:func:`row_tiles`) whose normals and mixed rows, n_drivers + len(rows)
+    rows per step, fit ``TILE_BYTES``. Each tile's normals are drawn from the
+    chunk's stream (:func:`normal_block`) just before they are mixed,
+    time-major as (tile steps, n_drivers, pairs) into one tile-sized buffer,
+    so each (step, driver) is a contiguous row and no drawn normal is ever
+    transposed or copied. One ``np.einsum("dkj,jkp->djp", ...)`` call mixes
+    the whole tile: numpy's c_einsum (``optimize=False``, so never BLAS) adds
+    one product per k, in k order, to each output element. On a tile of one
+    pair its default iteration would reduce over k innermost, in another
     order, so such tiles pass ``order="F"``, which keeps k outermost; that
     order costs 17 to 25 times as much on a full tile, but on a one-pair tile
     the call's fixed cost dominates. The tiles read the stream in order, so
-    the normals, and every element's operations and their order, are the
-    same for any tile size. A numpy build whose einsum fuses the multiply and
-    add (aarch64 NEON, say) may differ in the last bit, as the BSDE's BLAS
-    regression and a SIMD ``exp`` already can; results stay identical for
-    any worker count. The cumulative sum over time adds each time row to the
-    next as each tile is written: numpy's accumulate is slow along an axis
-    that is not innermost, and a cumulative sum is sequential either way, so
-    the bits are those of ``np.cumsum``.
+    the normals, and every element's operations and their order, are the same
+    for any tile size. A numpy build whose einsum fuses the multiply and add
+    (aarch64 NEON, say) may differ in the last bit, as the BSDE's BLAS
+    regression and a SIMD ``exp`` already can; results stay identical for any
+    worker count. The cumulative sum over time adds each time row to the next
+    as each tile is written: numpy's accumulate is slow along an axis that is
+    not innermost, and a cumulative sum is sequential either way, so the bits
+    are those of ``np.cumsum``.
     """
     _, n_times, count = block.shape
     n_drivers = vol.shape[1]
     drift, vol = drift[rows], vol[rows]
     half = count - count // 2
-    tiles = row_tiles(n_times - 1, (n_drivers + len(rows)) * half * 8)
+    tiles = row_tiles(n_times - 1, (n_drivers + len(vol)) * half * 8)
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
     # took the solver's own peak RSS from 101 to 90 MB (one worker)
     z = np.empty((tiles[0].stop, n_drivers, half))
-    mixed = np.empty((len(rows), tiles[0].stop, half))  # m of every driver written, one row per step
+    mixed = np.empty((len(vol), tiles[0].stop, half))  # m of every driver written, one row per step
     # one pair: einsum's default iteration would sum over k innermost, in another order
     order = "F" if half == 1 else "K"
     stream = chunk_stream(seed, chunk)
@@ -481,6 +480,9 @@ def _simulate_log_chunk(
                 np.add(path_rows[j - 1], path_rows[j], out=path_rows[j])
 
 
+# an overflowing level is infinite, which every estimate that reads it reports
+# (check_finite_estimate); numpy's warning would only repeat it
+@np.errstate(over="ignore")
 def _simulate_chunk(
     block: np.ndarray,
     seed: int,

@@ -313,6 +313,11 @@ def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
         solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", 0.0, 0.0, _cfg(n_paths=1))
 
 
+def test_negative_regression_degree_is_rejected():
+    with pytest.raises(ConfigError, match="regression degree must be >= 0, got -1"):
+        _cfg(degree=-1)
+
+
 def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
     """Reference: the solver that held every path and fitted every slice on all of them.
 

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -341,6 +342,15 @@ def test_price_repeated_runs_are_byte_identical(docs):
     assert rows[1] == rows[2]
 
 
+def test_printed_report_is_the_report_written_under_out(docs, capsys):
+    model, trade, tmp = docs
+    args = ["price", "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "10"]
+    assert run(args) == 0
+    printed = capsys.readouterr().out
+    assert run(args + ["--out", str(tmp / "out")]) == 0
+    assert printed.encode() == (tmp / "out" / "report.json").read_bytes()
+
+
 def test_price_workers_do_not_change_output(docs):
     model, trade, tmp = docs
     out1, out8 = tmp / "w1", tmp / "w8"
@@ -409,6 +419,23 @@ def test_simulate_dumps_paths(docs):
     lines = (out / "paths.csv").read_text().splitlines()
     assert lines[0] == "path_id,time,driver_label,value"
     assert len(lines) == 1 + 2 * 3 * 3  # drivers * paths * times
+
+
+def test_overflowing_terminal_mean_exits_two_writing_nothing(docs):
+    # the demo's FEQ level overflows at this horizon: simulate wrote "FEQ": Infinity, not JSON, and exited 0
+    _, _, tmp = docs
+    model, out = Path(__file__).resolve().parents[1] / "demos" / "config" / "model.json", tmp / "sim"
+    src = os.path.dirname(os.path.dirname(xccy.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["simulate", "--model", str(model), "--paths", "100", "--steps", "4", "--horizon", "1e308",
+            "--out", str(out), "--dump-paths"]
+    done = subprocess.run(
+        [sys.executable, "-m", "xccy.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: non-finite FEQ terminal mean"), done.stderr
+    assert list(out.iterdir()) == []  # neither paths.csv nor report.json
 
 
 def test_dumped_paths_are_parseable_floats(docs):

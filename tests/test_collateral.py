@@ -472,3 +472,21 @@ def test_collateral_from_mark_leaves_its_inputs_and_matches_the_whole_array_rule
     assert np.array_equal(mark, mark_before) and np.array_equal(fx, fx_before)
     reference = mark * np.where(mark > 0, 1.0 + spec.delta1, 1.0 + spec.delta2) / fx
     assert np.array_equal(c, reference) and np.array_equal(np.signbit(c), np.signbit(reference))
+
+
+@pytest.mark.parametrize("mode", ["endogenous", {"endogenous": {}}], ids=["string", "block"])
+def test_spec_document_names_endogenous_collateral_either_way(mode):
+    # the string form is the one perfbench/inputs/bsde_haircut/trade.json uses
+    spec = CollateralSpec.from_dict({"currency": "USD", "delta1": 0.1, "delta2": 0.05, "mode": mode})
+    assert spec.endogenous and spec.mode == ("endogenous",)
+    assert (spec.currency, spec.delta1, spec.delta2) == ("USD", 0.1, 0.05)
+
+
+def test_exogenous_path_of_an_endogenous_spec_raises(scen):
+    with pytest.raises(ConfigError, match="endogenous"):
+        build_exogenous_path(scen, CollateralSpec(currency="USD", mode=("endogenous",)))
+
+
+def test_mark_proxy_path_without_a_contract_raises(scen):
+    with pytest.raises(ConfigError, match="needs the contract"):
+        build_exogenous_path(scen, CollateralSpec(currency="USD", mode=("exogenous", "mark_proxy", {})))

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from xccy import (
+    CollateralPath,
     CollateralSpec,
     Contract,
     Strategy,
@@ -17,6 +18,7 @@ from xccy import (
     build_exogenous_path,
     martingale_test,
     price_exogenous,
+    reduction_suite,
     replay_wealth,
     run_martingale_suite,
     simulate,
@@ -207,3 +209,29 @@ def test_every_load_order_keeps_the_bits_of_a_full_simulation(two_currency_model
         scen = simulate(two_currency_model, grid, full.shape[2], seed=9, n_workers=n_workers)
         for label in order:
             assert scen.driver(label).T.tobytes() == full[labels.index(label)].tobytes(), (order, label)
+
+
+@pytest.mark.parametrize("process_id", ["fx:EUR", "fx:USD", "asset:EQ"])
+def test_a_martingale_test_without_an_error_bar_simulates_nothing(two_currency_model, streams, process_id):
+    # three paths are one pair and a half: the test used to load its drivers before rejecting them
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 3, seed=1)
+    with pytest.raises(ConfigError, match="error bar"):
+        martingale_test(scen, process_id)
+    assert streams == [] and scen.simulated_drivers == ()
+
+
+def test_a_price_without_an_error_bar_simulates_nothing(two_currency_model, streams):
+    # a collateral path built without reading the scenario: the price used to load fx:USD and sum both legs first
+    grid = TimeGrid.regular(1.0, 4)
+    scen = simulate(two_currency_model, grid, 3, seed=1)
+    spec = CollateralSpec(currency="USD", mode=("exogenous", "constant", {"level": 1.0}))
+    coll_path = CollateralPath(np.ones((3, len(grid.times))), "USD")
+    with pytest.raises(ConfigError, match="error bar"):
+        price_exogenous(scen, Contract("EUR", ((1.0, -1.0),)), coll_path, spec)
+    assert streams == [] and scen.simulated_drivers == ()
+
+
+def test_a_reduction_suite_without_an_error_bar_simulates_nothing(single_currency_model, streams):
+    with pytest.raises(ConfigError, match="error bar"):
+        reduction_suite(single_currency_model, n_paths=3)
+    assert streams == []

@@ -1,5 +1,7 @@
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from xccy import (
     MarketModel,
     ModelValidationError,
     cross_currency_basis,
+    model_from_dict,
     validate_model,
 )
 from xccy.curves import RateCurve
@@ -284,3 +287,11 @@ def test_every_exported_name_resolves():
 
     missing = [name for name in xccy.__all__ if not hasattr(xccy, name)]
     assert not missing
+
+
+def test_a_model_document_without_a_correlation_block_gets_the_identity():
+    doc = json.loads((Path(__file__).resolve().parents[1] / "demos" / "config" / "model.json").read_text())
+    del doc["correlation"]
+    model = validate_model(model_from_dict(doc))
+    assert model.correlation.labels == ("EQ", "FEQ", "fx:USD")
+    assert np.array_equal(model.correlation.matrix, np.eye(3))
