@@ -2,13 +2,19 @@
 
 Two families of processes must be drift-free under the domestic martingale
 measure: per asset, the accumulated funding-gain increments net of the FX
-exposure term; per currency, the discounted FX account X * B_f / B_dom. Each
-test builds the process at the checkpoint nodes only, one block per
-simulation chunk of paths, and folds each chunk's pair-mean moments
-into every checkpoint's running mean and error bar in chunk order
-(:func:`xccy.simulation.fold_sample_mean`, the reduction behind
-:func:`~xccy.simulation.sample_mean`), so its memory does not grow with the
-path count; a deliberately mis-drifted scenario is the negative control.
+exposure term; per currency, the discounted FX account X * B_f / B_dom. The
+tests are streamed: each test's set-up (accounts, carry, checkpoint rows)
+runs once, and then one pass over the simulation chunks
+(:meth:`~xccy.simulation.ScenarioSet.map_chunks`) builds every process at
+the checkpoint nodes from each chunk's paths and reduces it to its pair-mean
+moments on the chunk's worker thread
+(:func:`~xccy.simulation.pair_moments`). The moments are combined in chunk
+order (:func:`~xccy.simulation.combine_moments`, the reduction behind
+:func:`~xccy.simulation.sample_mean`), so the bits do not depend on the
+worker count. On a scenario whose drivers are not simulated yet, the chunks
+are simulated into a buffer per thread and not kept, so the memory does not
+grow with the path count. A deliberately mis-drifted scenario is the
+negative control.
 
 The single-currency reduction suite asserts that with one currency every FX
 correction term vanishes identically and the engine collapses to plain
@@ -18,7 +24,6 @@ single-curve pricing.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -34,11 +39,11 @@ from .simulation import (
     TimeGrid,
     check_error_bar_paths,
     check_finite_estimate,
-    chunk_columns,
-    fold_sample_mean,
+    combine_moments,
+    pair_moments,
     simulate,
 )
-from .wealth import discounted_flows, gain_increments, hedge_operands, hedged_gain_step
+from .wealth import discounted_flows, gain_increments, hedge_carry, hedged_gain_step
 
 
 @dataclass(frozen=True)
@@ -72,55 +77,63 @@ class TestReport:
         }
 
 
-def _checkpoint_blocks(
-    scenario: ScenarioSet, process_id: str, nodes: np.ndarray
-) -> tuple[Iterator[np.ndarray], float]:
-    """The process at the grid ``nodes``, one block per simulation chunk, and the level it starts from.
+class _CheckpointProcess:
+    """A test's process at the checkpoint ``nodes``: set up once per test, built once per chunk (:meth:`block`).
 
-    Each block is a new (n_nodes, count) array of one chunk, built from the
-    chunk's time rows ``scenario.paths[d, j, lo:hi]`` only when the consumer
-    draws it, in chunk order; no buffer outlives its chunk. The accounts,
-    carries and driver rows are set up once per test.
-    Assets accumulate the repo-discounted FX-hedged gains
-    (:func:`~xccy.wealth.hedged_gain_step`) step by step, from X S / B_repo;
-    FX is X * B_f / B_dom less its start.
+    The set-up holds what does not depend on the paths: the accounts, the
+    carry, the checkpoint rows each step writes, the FX account ratio and
+    ``start``, the level the process starts from at the model's initial
+    levels. Assets accumulate the repo-discounted FX-hedged gains
+    (:func:`~xccy.wealth.hedged_gain_step`) step by step, from
+    X S / B_repo; FX is X * B_f / B_dom less its start. ``drivers`` names
+    the drivers a block reads. A process id that names no asset or foreign
+    currency raises :class:`UnknownProcessId`.
     """
-    model = scenario.model
-    kind, _, name = process_id.partition(":")
-    if kind == "asset" and name in {a.label for a in model.assets}:
-        s, x, carry = hedge_operands(scenario, name)
-        s, x = s.T, x.T  # time rows
-        b_repo = scenario.repo_account(name)
-        rows_at_step = [np.flatnonzero(nodes == j + 1) for j in range(nodes.max())]
 
-        def block(cols):
-            out = np.empty((len(nodes), cols.stop - cols.start))
-            acc, gain, scratch = np.empty((3, out.shape[1]))
-            for j, rows in enumerate(rows_at_step):
-                hedged_gain_step(x[j + 1, cols], s[j + 1, cols], x[j, cols], s[j, cols], carry[j], gain, scratch)
-                gain /= b_repo[j]
-                if j:
-                    acc += gain
-                else:
-                    acc[:] = gain  # a copy: 0.0 + gain would turn a -0.0 gain into 0.0
-                out[rows] = acc
+    # an overflowing account or level gives a non-finite checkpoint mean, which
+    # check_finite_estimate reports; numpy's warnings would only repeat it
+    @np.errstate(over="ignore", invalid="ignore")
+    def __init__(self, scenario: ScenarioSet, process_id: str, nodes: np.ndarray):
+        model = scenario.model
+        kind, _, name = process_id.partition(":")
+        if kind == "asset" and name in {a.label for a in model.assets}:
+            asset = model.asset(name)
+            self.currency = asset.currency
+            self.drivers = (name, *model.fx_drivers(self.currency))
+            self.carry = hedge_carry(scenario, name)
+            self.b_repo = scenario.repo_account(name)
+            self.rows_at_step = [np.flatnonzero(nodes == j + 1) for j in range(nodes.max())]
+            x0 = 1.0 if self.currency == model.domestic else model.fx_spec(self.currency).x0
+            self.start = float(asset.s0 * x0 / self.b_repo[0])
+        elif kind == "fx" and name in model.currency_names:
+            self.drivers = tuple(model.fx_drivers(name))
+            self.ratio = scenario.account(name) / scenario.account(model.domestic)
+            self.start = float(model.fx_spec(name).x0 * self.ratio[0])
+        else:
+            raise UnknownProcessId(process_id)
+        self.process_id, self.kind, self.name, self.nodes = process_id, kind, name, nodes
+
+    @np.errstate(over="ignore", invalid="ignore")
+    def block(self, view: ScenarioSet) -> np.ndarray:
+        """The process at the nodes on the paths of the chunk ``view``: a new (n_nodes, count) array."""
+        if self.kind == "fx":
+            x = view.fx(self.name).T  # time rows
+            out = x[self.nodes]
+            out *= self.ratio[self.nodes, None]
+            out -= x[0] * self.ratio[0]
             return out
-
-        start = s[0, 0] * x[0, 0] / b_repo[0]
-    elif kind == "fx" and name in model.currency_names:
-        x = scenario.fx(name).T
-        ratio = scenario.account(name) / scenario.account(model.domestic)
-
-        def block(cols):
-            out = x[nodes, cols]
-            out *= ratio[nodes, None]
-            out -= x[0, cols] * ratio[0]
-            return out
-
-        start = x[0, 0] * ratio[0]
-    else:
-        raise UnknownProcessId(process_id)
-    return (block(cols) for cols in chunk_columns(scenario.n_paths)), float(start)
+        s, x = view.asset(self.name).T, view.fx(self.currency).T
+        out = np.empty((len(self.nodes), view.n_paths))
+        acc, gain, scratch = np.empty((3, view.n_paths))
+        for j, rows in enumerate(self.rows_at_step):
+            hedged_gain_step(x[j + 1], s[j + 1], x[j], s[j], self.carry[j], gain, scratch)
+            gain /= self.b_repo[j]
+            if j:
+                acc += gain
+            else:
+                acc[:] = gain  # a copy: 0.0 + gain would turn a -0.0 gain into 0.0
+            out[rows] = acc
+        return out
 
 
 def check_threshold(threshold: float) -> None:
@@ -132,20 +145,79 @@ def check_threshold(threshold: float) -> None:
         raise ConfigError(f"threshold must be finite and > 0, got {threshold}")
 
 
+def _checkpoint_nodes(grid: TimeGrid, checkpoints: int | list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """The grid nodes of ``checkpoints`` and their times; see :func:`martingale_test`."""
+    if isinstance(checkpoints, int):
+        if checkpoints < 1:
+            raise ConfigError(f"checkpoint count must be >= 1, got {checkpoints}")
+        nodes = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
+        return nodes, grid.times[nodes]
+    t = np.asarray(checkpoints, dtype=float)
+    if t.size == 0 or t.min() <= 0:
+        raise ConfigError(f"checkpoints must be a non-empty list of times after t=0, got {t.tolist()}")
+    nodes = grid.nodes_of(t)
+    if nodes.min() == 0:
+        raise ConfigError(f"checkpoint {t.min()} snaps onto the grid node t=0")
+    return nodes, t
+
+
+def _run_tests(
+    scenario: ScenarioSet, process_ids: list[str], checkpoints: int | list[float], threshold: float
+) -> list[TestReport]:
+    """The tests of ``process_ids``, in that order, from one pass over the simulation chunks.
+
+    Every input is checked first, so a bad one simulates nothing. Each
+    chunk's worker builds every process's block from the chunk's paths
+    (:meth:`ScenarioSet.map_chunks`) and reduces it to its pair-mean moments
+    (:func:`~xccy.simulation.pair_moments`); the moments are combined in
+    chunk order (:func:`~xccy.simulation.combine_moments`), so the bits do
+    not depend on the worker count, and no paths are kept.
+    """
+    check_threshold(threshold)
+    check_error_bar_paths(scenario.n_paths)  # before any driver is simulated
+    nodes, t = _checkpoint_nodes(scenario.grid, checkpoints)
+    domestic = f"fx:{scenario.model.domestic}"
+    processes = [_CheckpointProcess(scenario, pid, nodes) for pid in process_ids if pid != domestic]
+
+    def moments(view: ScenarioSet) -> list:
+        return [pair_moments(p.block(view)) for p in processes]
+
+    drivers = [label for p in processes for label in p.drivers]
+    chunks = scenario.map_chunks(moments, *drivers) if processes else []
+    folded = {p.process_id: (p.start, *combine_moments(c[i] for c in chunks)) for i, p in enumerate(processes)}
+    # X = 1 and B_dom / B_dom = 1 bit for bit: the domestic FX process is identically 0 from the level 1
+    folded[domestic] = (1.0, np.zeros(len(nodes)), np.zeros(len(nodes)))
+    reports = []
+    for process_id in process_ids:
+        start, mean, se = folded[process_id]
+        check_finite_estimate(f"{process_id} checkpoint mean", mean, se)
+        relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
+        rounding = relative * (np.abs(start + mean) + abs(start))
+        scale = np.maximum(se, rounding)
+        z = np.divide(mean, scale, out=np.zeros_like(mean), where=scale > 0)
+        stats = (CheckpointStat(*map(float, row)) for row in zip(t, mean, se, z))
+        reports.append(TestReport(process_id=process_id, checkpoints=tuple(stats), threshold=threshold))
+    return reports
+
+
 def martingale_test(
     scenario: ScenarioSet,
     process_id: str,
     checkpoints: int | list[float] = 4,
     threshold: float = 3.0,
 ) -> TestReport:
-    """z-statistics of the process mean at checkpoint times.
+    """z-statistics of the process mean at checkpoint times: the suite of one process.
 
     ``checkpoints`` is either a count >= 1 (that many grid nodes, evenly
     spaced, ending at the horizon) or a non-empty list of grid times after 0;
     anything else would certify nothing and raises :class:`ConfigError`, and
     so does a scenario whose path count is odd or below four. The mean and
     its standard error are :func:`~xccy.simulation.sample_mean` of the
-    process at each checkpoint, folded chunk by chunk. z is the mean
+    process at each checkpoint, streamed chunk by chunk: the process's
+    drivers are read from the store when they are all simulated, and
+    otherwise simulated one chunk at a time into a buffer per worker thread
+    and not kept (:meth:`~xccy.simulation.ScenarioSet.map_chunks`), so the
+    memory does not grow with the path count. z is the mean
     over the larger of its standard error and its rounding error,
     (j + 2) eps (1 + 2 RATE_BOUND t) of the level at node j: one rounding per
     step of a log at most 2 RATE_BOUND t in size, and a few for the
@@ -156,44 +228,20 @@ def martingale_test(
     (:func:`check_threshold`), and a mean or standard error that is not
     finite raises :class:`NumericalError` (:func:`~xccy.simulation.check_finite_estimate`).
     """
-    check_threshold(threshold)
-    check_error_bar_paths(scenario.n_paths)  # before any driver is simulated
-    grid = scenario.grid
-    if isinstance(checkpoints, int):
-        if checkpoints < 1:
-            raise ConfigError(f"checkpoint count must be >= 1, got {checkpoints}")
-        nodes = np.unique(np.linspace(0, grid.n_steps, checkpoints + 1).round().astype(int))[1:]
-        t = grid.times[nodes]
-    else:
-        t = np.asarray(checkpoints, dtype=float)
-        if t.size == 0 or t.min() <= 0:
-            raise ConfigError(f"checkpoints must be a non-empty list of times after t=0, got {t.tolist()}")
-        nodes = grid.nodes_of(t)
-        if nodes.min() == 0:
-            raise ConfigError(f"checkpoint {t.min()} snaps onto the grid node t=0")
-    if process_id == f"fx:{scenario.model.domestic}":
-        # X = 1 and B_dom / B_dom = 1 bit for bit: the process is identically 0 from the level 1
-        mean, se, start = np.zeros(len(nodes)), np.zeros(len(nodes)), 1.0
-    else:
-        blocks, start = _checkpoint_blocks(scenario, process_id, nodes)
-        mean, se = fold_sample_mean(blocks)
-        check_finite_estimate(f"{process_id} checkpoint mean", mean, se)
-    relative = np.finfo(float).eps * (nodes + 2) * (1.0 + 2.0 * RATE_BOUND * t)
-    rounding = relative * (np.abs(start + mean) + abs(start))
-    scale = np.maximum(se, rounding)
-    z = np.divide(mean, scale, out=np.zeros_like(mean), where=scale > 0)
-    stats = (CheckpointStat(*map(float, row)) for row in zip(t, mean, se, z))
-    return TestReport(process_id=process_id, checkpoints=tuple(stats), threshold=threshold)
+    return _run_tests(scenario, [process_id], checkpoints, threshold)[0]
 
 
 def run_martingale_suite(
     scenario: ScenarioSet, checkpoints: int | list[float] = 4, threshold: float = 3.0
 ) -> list[TestReport]:
-    """One test per certifiable process: per asset, then per currency."""
+    """One test per certifiable process, per asset then per currency, from one pass over the chunks.
+
+    Every test is :func:`martingale_test`'s, bit for bit; the suite streams
+    the chunks once for all of them, reading every driver, and keeps no paths.
+    """
     model = scenario.model
-    scenario.load()  # the tests read every driver: one pass for all of them
     ids = [f"asset:{a.label}" for a in model.assets] + [f"fx:{c}" for c in model.currency_names]
-    return [martingale_test(scenario, pid, checkpoints, threshold) for pid in ids]
+    return _run_tests(scenario, ids, checkpoints, threshold)
 
 
 @dataclass(frozen=True)

@@ -40,12 +40,18 @@ worker count. A :class:`ScenarioSet` is that array with its model, grid, seed
 and measure tag; its unsecured and repo accounts are not stored but derived
 from the curves by :func:`~xccy.curves.cash_account_value`, the one
 definition of B(t). :func:`simulate` checks its inputs and computes the step
-coefficients but simulates no driver: a driver is simulated the first time
-it is read (:meth:`ScenarioSet.load`), so a price pays only for the drivers
-its trade reads. Each pass still draws every normal of every chunk and mixes
-only the rows it writes, so a driver's bits do not depend on which drivers
-are loaded, in which order or in how many passes; a reader of several
-drivers loads them in one call, one pass over the chunks.
+coefficients but simulates no driver and allocates no array: a driver is
+simulated the first time it is read (:meth:`ScenarioSet.load`), so a price
+pays only for the drivers its trade reads. Each pass still draws every
+normal of every chunk and mixes only the rows it writes, so a driver's bits
+do not depend on which drivers are loaded, in which order or in how many
+passes; a reader of several drivers loads them in one call, one pass over
+the chunks. A streamed reader stores nothing: :meth:`ScenarioSet.map_chunks`
+hands it one chunk of paths at a time, simulated into a buffer kept per
+worker thread (or read from the store when its drivers are already there),
+and it reduces each chunk on the worker, as the martingale check does with
+:func:`pair_moments` and :func:`combine_moments`. Loading and streaming run
+the one chunk loop, so both give every driver the same bits.
 """
 
 from __future__ import annotations
@@ -54,7 +60,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -138,9 +144,10 @@ class TimeGrid:
 class _StoredPaths:
     """The ``paths`` field of :class:`ScenarioSet`: set as given, read only once every driver is simulated.
 
-    The array is kept in the instance's ``_store``; reading ``paths`` first
-    loads every driver (:meth:`ScenarioSet.load`), so no reader of the whole
-    array sees a row that was never simulated.
+    The array is kept in the instance's ``_store`` (``None`` until a scenario
+    of :func:`simulate` first loads a driver); reading ``paths`` first loads
+    every driver (:meth:`ScenarioSet.load`), so no reader of the whole array
+    sees a row that was never simulated.
     """
 
     def __get__(self, scenario, owner=None):
@@ -161,6 +168,7 @@ class _Simulation:
     vol: np.ndarray
     x0: np.ndarray
     n_workers: int
+    n_paths: int
     simulated: frozenset[int] = frozenset()  # rows of ``model.driver_labels``, replaced whole under ``lock``
     lock: threading.Lock = field(default_factory=threading.Lock)
 
@@ -177,8 +185,10 @@ class ScenarioSet:
     names, and :meth:`driver`, :meth:`fx`, :meth:`asset` and ``paths`` (which
     loads them all) call it, so a reader only ever sees simulated rows and
     the rows of unread drivers are never written. :attr:`simulated_drivers`
-    names the drivers simulated so far. A scenario built from a whole array,
-    such as ``dataclasses.replace(scenario, paths=scenario.paths[:, :, a:b])``,
+    names the drivers simulated so far; the store is allocated at the first
+    load, so a scenario read only through :meth:`map_chunks` never holds its
+    paths. A scenario built from a whole array, such as
+    ``dataclasses.replace(scenario, paths=scenario.paths[:, :, a:b])``,
     counts as fully simulated. The domestic FX path is identically one, served
     by :meth:`fx` as a read-only broadcast view. :meth:`account` and
     :meth:`repo_account` are :func:`cash_account_value` of a currency's
@@ -194,7 +204,7 @@ class ScenarioSet:
 
     @property
     def n_paths(self) -> int:
-        return self._store.shape[2]
+        return self._simulation.n_paths if self._store is None else self._store.shape[2]
 
     @property
     def simulated_drivers(self) -> tuple[str, ...]:
@@ -212,23 +222,69 @@ class ScenarioSet:
         simulation gives it, and a reader of several drivers names them all
         in one call. A label that names no driver raises :class:`ConfigError`.
         """
-        wanted = {self._row(label) for label in labels or self.model.driver_labels}
+        wanted = self._rows(labels)
         simulation = self._simulation
         if simulation is None:
             return
         with simulation.lock:
-            rows = np.array(sorted(wanted - simulation.simulated), dtype=int)
-            if not rows.size:
-                return
-            columns = chunk_columns(self.n_paths)
+            if self._store is None:  # the first load allocates the store; a streamed reader never does
+                self.__dict__["_store"] = np.empty((len(simulation.x0), len(self.grid.times), simulation.n_paths))
+            rows = wanted - simulation.simulated
+            if rows:
+                self._over_chunks(None, rows, stored=True)
+                simulation.simulated = simulation.simulated.union(rows)
 
-            def fill(chunks: list[int]) -> None:
-                for chunk in chunks:
-                    block = self._store[:, :, columns[chunk]]
+    def map_chunks(self, work, *labels: str) -> list:
+        """``work(view)`` on each simulation chunk, on the :func:`run_chunks` threads; the results in chunk order.
+
+        The chunk source of every streamed reader. ``view`` is
+        ``dataclasses.replace(scenario, paths=block)``, a scenario of the
+        chunk's paths alone, and ``work`` reads from it only the drivers
+        named by ``labels`` (every driver if none is named). When they are
+        all stored, ``block`` is the store's columns of the chunk; otherwise
+        the chunk's named rows are simulated into one (n_drivers, n_times,
+        ``CHUNK_PATHS``) buffer per thread, to the bits :meth:`load` would
+        store, and nothing is stored: the memory does not grow with the
+        path count, and each such call is one pass over the chunks. ``work``
+        runs on several threads at once, one chunk each, so it may only
+        write what it allocates. A label that names no driver raises
+        :class:`ConfigError`.
+        """
+        rows = self._rows(labels)
+        simulation = self._simulation
+        if simulation is None or rows and rows <= simulation.simulated:
+            return self._over_chunks(work, frozenset(), stored=True)
+        return self._over_chunks(work, rows, stored=False)
+
+    def _over_chunks(self, work, rows: frozenset[int], stored: bool) -> list:
+        """The one chunk loop: simulate ``rows`` into each chunk's block, then ``work`` its view.
+
+        The block is the store's columns of the chunk if ``stored``, and a
+        buffer kept per thread otherwise; a ``work`` of ``None`` only fills
+        the blocks (:meth:`load`).
+        """
+        simulation = self._simulation
+        columns = chunk_columns(self.n_paths)
+        rows = np.array(sorted(rows), dtype=int)
+        results = [None] * len(columns)
+
+        def run(chunks: list[int]) -> None:
+            if not stored:  # as wide as chunk 0, the widest; only the rows simulated into it are ever read
+                buffer = np.empty((len(self.model.driver_labels), len(self.grid.times), columns[0].stop))
+            for chunk in chunks:
+                cols = columns[chunk]
+                block = self._store[:, :, cols] if stored else buffer[:, :, : cols.stop - cols.start]
+                if rows.size:
                     _simulate_chunk(block, self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows)
+                if work is not None:
+                    results[chunk] = work(replace(self, paths=block))
 
-            run_chunks(fill, range(len(columns)), simulation.n_workers)
-            simulation.simulated = simulation.simulated.union(rows.tolist())
+        run_chunks(run, range(len(columns)), 1 if simulation is None else simulation.n_workers)
+        return results
+
+    def _rows(self, labels) -> frozenset[int]:
+        """The rows of the drivers named by ``labels``, every driver if none is named."""
+        return frozenset(self._row(label) for label in labels or self.model.driver_labels)
 
     def _row(self, label: str) -> int:
         self.model.driver_spec(label)  # ConfigError for a label that names no driver
@@ -275,28 +331,34 @@ def check_error_bar_paths(n_paths: int) -> None:
 # an overflowing path gives an infinite mean and a NaN error bar, which the estimator's
 # check_finite_estimate reports; numpy's warnings would only repeat it
 @np.errstate(over="ignore", invalid="ignore")
-def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the pair means of consecutive path blocks, folded in order.
+def pair_moments(block: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
+    """The count k, mean and sum of squared deviations M2 of the pair means of one path block.
 
-    Each block holds an even number of paths along its last axis, whole
-    antithetic pairs; its k pair means are reduced to their mean and sum of
-    squared deviations M2, and (k, mean, M2) is combined with the running
-    statistics by the pairwise update of Chan, Golub and LeVeque (1983). A
-    block is consumed, and released, before the next is drawn, so a caller
-    may build each block afresh and the allocator hands the next one the
-    same memory. The result is the mean of the pair means and their sample
-    standard deviation over sqrt(k); over one block it is
-    ``mean`` and ``std(ddof=1) / sqrt(k)`` of the pair means bit for bit.
+    The block holds an even number of paths along its last axis, whole
+    antithetic pairs. numpy's own mean and var arithmetic, so M2 / (k - 1) is
+    ``var(ddof=1)`` of the pair means bit for bit. A streamed reader takes
+    these moments of each chunk on its worker thread and combines them in
+    chunk order with :func:`combine_moments`.
+    """
+    pairs = 0.5 * (block[..., 0::2] + block[..., 1::2])
+    k, mean = pairs.shape[-1], pairs.mean(axis=-1)
+    pairs -= mean[..., None]
+    pairs *= pairs
+    return k, mean, pairs.sum(axis=-1)
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def combine_moments(moments) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the pair means, from the (k, mean, M2) of consecutive blocks, in order.
+
+    Each triple (:func:`pair_moments`) is combined with the running
+    statistics by the pairwise update of Chan, Golub and LeVeque (1983). The
+    result is the mean of the pair means and their sample standard deviation
+    over sqrt(k); from one block it is ``mean`` and ``std(ddof=1) / sqrt(k)``
+    of the pair means bit for bit.
     """
     count = 0
-    for block in blocks:
-        # numpy's own mean and var arithmetic, so M2 / (k - 1) is var(ddof=1) bit for bit
-        pairs = 0.5 * (block[..., 0::2] + block[..., 1::2])
-        k, m = pairs.shape[-1], pairs.mean(axis=-1)
-        pairs -= m[..., None]
-        pairs *= pairs
-        m2_block = pairs.sum(axis=-1)
-        del block, pairs  # freed before the next block is built, which can then reuse the memory
+    for k, m, m2_block in moments:
         if count == 0:
             mean, m2 = m, m2_block
         else:
@@ -307,6 +369,17 @@ def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
+def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of the pair means of consecutive path blocks, folded in order.
+
+    :func:`pair_moments` of each block, combined by :func:`combine_moments`.
+    A block is reduced, and released, before the next is drawn, so a caller
+    may build each block afresh and the allocator hands the next one the
+    same memory.
+    """
+    return combine_moments(map(pair_moments, blocks))
+
+
 def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the last (path) axis and its standard error: every error bar in the engine.
 
@@ -315,9 +388,10 @@ def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     mean, and the result is the mean of the n/2 pair means with their sample
     standard deviation over sqrt(n/2). The paths are taken in the
     ``CHUNK_PATHS`` column blocks of the simulation chunks and folded in
-    chunk order by :func:`fold_sample_mean`, the reduction the streamed
-    martingale test feeds chunk by chunk, so both give the same bits; with at
-    most ``CHUNK_PATHS`` paths the result is ``mean`` and
+    chunk order by :func:`fold_sample_mean`, whose two steps,
+    :func:`pair_moments` and :func:`combine_moments`, the streamed martingale
+    test runs on its own chunks, so both give the same bits; with at most
+    ``CHUNK_PATHS`` paths the result is ``mean`` and
     ``std(ddof=1) / sqrt(n/2)`` of the pair means bit for bit. A path count
     that is odd or below four raises :class:`ConfigError`; callers that
     simulate check it first with :func:`check_error_bar_paths`.
@@ -539,9 +613,11 @@ def simulate(
     The inputs are checked, and the step coefficients computed, at once:
     ``n_paths`` below one raises :class:`ZeroPaths`, and ``n_workers`` below
     one, or a ``drift_shift`` key that names no driver, :class:`ConfigError`.
-    No driver is simulated here; :meth:`ScenarioSet.load` simulates those a
-    reader names, chunk by chunk through :func:`run_chunks` on ``n_workers``
-    threads, each to the bits a simulation of every driver gives it.
+    No driver is simulated, and no path array allocated, here;
+    :meth:`ScenarioSet.load` simulates those a reader names into the store,
+    and :meth:`ScenarioSet.map_chunks` streams them, chunk by chunk through
+    :func:`run_chunks` on ``n_workers`` threads, each to the bits a
+    simulation of every driver gives it.
     ``drift_shift`` adds a constant per-year drift bump to drivers named by
     ``model.driver_labels``, for diagnostics negative controls; a scenario
     with a non-zero shift is tagged ``"p"`` and pricing refuses it.
@@ -555,11 +631,10 @@ def simulate(
         model=model,
         grid=grid,
         seed=seed,
-        # rows are written only when their driver is loaded; unwritten pages are never resident
-        paths=np.empty((len(x0), len(grid.times), n_paths)),
+        paths=None,  # allocated at the first load
         measure_tag="p" if any(drift_shift.values()) else "qe",
     )
-    object.__setattr__(scenario, "_simulation", _Simulation(drift, vol, x0, n_workers))
+    object.__setattr__(scenario, "_simulation", _Simulation(drift, vol, x0, n_workers, n_paths))
     return scenario
 
 

@@ -58,18 +58,21 @@ def discounted_flows(scenario: ScenarioSet, contract: Contract) -> np.ndarray:
     return out
 
 
+def hedge_carry(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
+    """The asset's carry per step: its dividend integral less its repo integral, exact for piecewise-constant rates."""
+    a, times = scenario.model.asset(asset_label), scenario.grid.times
+    return a.dividend_yield.step_integrals(times) - a.repo_rate.step_integrals(times)
+
+
 def hedge_operands(scenario: ScenarioSet, asset_label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The asset's (n_paths, n_times) paths S, those of its currency's FX rate X, and its per-step carry.
 
-    The carry of step j is the dividend integral less the repo integral over
-    it, exact for piecewise-constant rates: the operands of :func:`hedged_gain_step`.
-    The asset and its FX rate are simulated in one pass.
+    The operands of :func:`hedged_gain_step`; the carry is
+    :func:`hedge_carry`. The asset and its FX rate are simulated in one pass.
     """
-    a = scenario.model.asset(asset_label)
-    scenario.load(asset_label, *scenario.model.fx_drivers(a.currency))
-    times = scenario.grid.times
-    carry = a.dividend_yield.step_integrals(times) - a.repo_rate.step_integrals(times)
-    return scenario.asset(asset_label), scenario.fx(a.currency), carry
+    currency = scenario.model.asset(asset_label).currency
+    scenario.load(asset_label, *scenario.model.fx_drivers(currency))
+    return scenario.asset(asset_label), scenario.fx(currency), hedge_carry(scenario, asset_label)
 
 
 def hedged_gain_step(x_next, s_next, x, s, carry, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:

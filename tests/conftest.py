@@ -188,5 +188,11 @@ def peak_traced_bytes(fn) -> int:
 
 @pytest.fixture(scope="module")
 def long_scen(two_currency_model):
-    """2000 paths on a 2000-step grid: one (n_paths, n_times) float array is 32 MB, many tiles."""
-    return simulate(two_currency_model, TimeGrid.regular(1.0, 2000), 2000, seed=5)
+    """2000 paths on a 2000-step grid: one (n_paths, n_times) float array is 32 MB, many tiles.
+
+    Every driver is simulated here, so a test that measures what a reader
+    allocates does not count the store the first load allocates.
+    """
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 2000), 2000, seed=5)
+    scen.load()
+    return scen

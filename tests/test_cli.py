@@ -438,6 +438,23 @@ def test_overflowing_terminal_mean_exits_two_writing_nothing(docs):
     assert list(out.iterdir()) == []  # neither paths.csv nor report.json
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_overflowing_account_in_check_prints_one_stderr_line(docs, workers):
+    # the accounts of a 1e308-year horizon overflow: numpy's warning and its source line came first
+    _, _, tmp = docs
+    model = Path(__file__).resolve().parents[1] / "demos" / "config" / "model.json"
+    src = os.path.dirname(os.path.dirname(xccy.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["check", "--model", str(model), "--paths", "100", "--steps", "4", "--horizon", "1e308",
+            "--workers", workers, "--out", str(tmp / "check")]
+    done = subprocess.run(
+        [sys.executable, "-m", "xccy.cli", *argv], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: non-finite asset:EQ checkpoint mean"), done.stderr
+
+
 def test_dumped_paths_are_parseable_floats(docs):
     model, _, tmp = docs
     out = tmp / "simdump"

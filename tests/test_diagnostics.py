@@ -115,17 +115,37 @@ def test_suite_folds_no_block_for_the_domestic_fx_process(three_currency_model, 
     # with the bytes it had when every process was folded chunk by chunk
     scen = simulate(three_currency_model, TimeGrid.regular(1.0, 6), 2 * CHUNK_PATHS + 100, seed=3)
     built = []
-    blocks = xccy.diagnostics._checkpoint_blocks
+    block = xccy.diagnostics._CheckpointProcess.block
 
-    def recording(scenario, process_id, nodes):
-        built.append(process_id)
-        return blocks(scenario, process_id, nodes)
+    def recording(process, view):
+        built.append(process.process_id)
+        return block(process, view)
 
-    monkeypatch.setattr("xccy.diagnostics._checkpoint_blocks", recording)
+    monkeypatch.setattr(xccy.diagnostics._CheckpointProcess, "block", recording)
     reports = run_martingale_suite(scen)
     digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
     assert digest == "e3a06e2fc3948c747363b7421a11605005271f15ccfbc1848f6dd0d260abcd49"
-    assert built == [r.process_id for r in reports if r.process_id != "fx:EUR"]
+    # one block per process and chunk, none for fx:EUR
+    folded = [r.process_id for r in reports if r.process_id != "fx:EUR"]
+    assert built == 3 * folded
+
+
+def test_suite_and_single_tests_give_the_same_bytes_from_every_chunk_source(three_currency_model):
+    # streamed through a buffer per thread, read from the store, or read from a whole array; the last
+    # chunk is ragged, and the worker count changes neither the chunks nor the order they are folded in
+    grid, n_paths = TimeGrid.regular(1.0, 4), 2 * CHUNK_PATHS + 102
+    reference = None
+    for n_workers in (1, 2):
+        lazy = simulate(three_currency_model, grid, n_paths, seed=8, n_workers=n_workers)
+        stored = simulate(three_currency_model, grid, n_paths, seed=8, n_workers=n_workers)
+        stored.load()
+        for source, scen in (("lazy", lazy), ("stored", stored), ("array", dataclasses.replace(stored, paths=stored.paths))):
+            suite = [json.dumps(r.to_dict()) for r in run_martingale_suite(scen)]
+            single = [json.dumps(martingale_test(scen, json.loads(r)["process_id"]).to_dict()) for r in suite]
+            assert single == suite, (source, n_workers)
+            reference = reference or suite
+            assert suite == reference, (source, n_workers)
+        assert lazy.simulated_drivers == ()  # streamed: nothing was stored
 
 
 def test_unknown_process_id(two_currency_model):

@@ -4,6 +4,7 @@ import dataclasses
 import itertools
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -145,6 +146,41 @@ def test_concurrent_readers_simulate_each_driver_once(two_currency_model, stream
     assert sorted(streams) == sorted(len(labels) * _one_pass(N_PASS_PATHS))
 
 
+def test_concurrent_streams_and_loads_give_the_bits_of_a_stored_scenario(three_currency_model):
+    # streamed tests and driver loads on one scenario at once: a test streams from a buffer or
+    # from the store, depending on what is loaded when it starts, and reports the same bytes either way
+    grid, labels = TimeGrid.regular(1.0, 4), three_currency_model.driver_labels
+    stored = simulate(three_currency_model, grid, N_PASS_PATHS, seed=2)
+    stored.load()
+    process_ids = ["asset:EQ1", "asset:UST", "fx:USD", "fx:JPY"]
+    expected = {pid: martingale_test(stored, pid) for pid in process_ids}
+    scen = simulate(three_currency_model, grid, N_PASS_PATHS, seed=2, n_workers=2)
+    barrier = threading.Barrier(8)
+    seen = {}
+
+    def read(i):
+        barrier.wait()
+        if i % 2:
+            label = labels[i % len(labels)]
+            seen[i] = scen.driver(label).T.tobytes() == stored.paths[labels.index(label)].tobytes()
+        else:
+            pid = process_ids[i // 2]
+            seen[i] = martingale_test(scen, pid) == expected[pid]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(i,)) for i in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert seen == {i: True for i in range(8)}
+
+
 MARK_PROXY = CollateralSpec(currency="USD", mode=("exogenous", "mark_proxy", {}))
 
 
@@ -177,8 +213,39 @@ def test_the_suite_and_a_test_make_one_pass_each(three_currency_model, streams):
     assert streams == _one_pass(N_PASS_PATHS)
     streams.clear()
     scen = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3)
-    martingale_test(scen, "asset:UST")  # the asset and its FX rate
-    assert scen.simulated_drivers == ("UST", "fx:USD") and streams == _one_pass(N_PASS_PATHS)
+    martingale_test(scen, "asset:UST")  # the asset and its FX rate, streamed: a streamed reader stores nothing
+    assert scen.simulated_drivers == () and streams == _one_pass(N_PASS_PATHS)
+
+
+def test_a_stored_scenario_is_streamed_without_drawing_and_a_lazy_one_in_one_pass(three_currency_model, streams):
+    grid = TimeGrid.regular(1.0, 4)
+    stored = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3)
+    stored.load()
+    streams.clear()
+    run_martingale_suite(stored)
+    martingale_test(stored, "asset:UST")
+    assert streams == []  # read from the store
+    for read in (run_martingale_suite, lambda scen: martingale_test(scen, "fx:JPY")):
+        lazy = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3, n_workers=2)
+        read(lazy)
+        assert sorted(streams) == _one_pass(N_PASS_PATHS) and lazy.simulated_drivers == ()
+        streams.clear()
+
+
+def test_a_streamed_suite_takes_memory_of_a_few_chunks_whatever_the_path_count(three_currency_model):
+    # simulation included: the scenario is built and simulated inside the measurement, and keeps no paths
+    grid = TimeGrid.regular(1.0, 4)
+    run_martingale_suite(simulate(three_currency_model, grid, 4, seed=4))  # numpy's one-time imports, unmeasured
+    peaks = []
+    for n_paths in (2 * CHUNK_PATHS, 16 * CHUNK_PATHS):
+        tracemalloc.start()
+        try:
+            run_martingale_suite(simulate(three_currency_model, grid, n_paths, seed=4))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    # one driver's paths over the 14 extra chunks alone would be 14 * CHUNK_PATHS * 5 * 8 bytes
+    assert abs(peaks[1] - peaks[0]) <= 4 * CHUNK_PATHS * 8, peaks
 
 
 def test_a_wealth_replay_makes_one_pass(two_currency_model, streams):
