@@ -10,11 +10,15 @@ driver
 valid for cash collateral under rehypothecation with symmetric collateral
 rates and the cash-posting account funded at the domestic unsecured rate.
 
-The scheme steps backward from V_T = 0: conditional expectations of the
-discounted continuation plus flows are estimated by least-squares regression
-on polynomial functions of the log-states log(S / x0), the cumulative
-log-increments that the simulation's log-path kernel writes. The driver is
-linear on each sign of v and the slice equation keeps the sign of the
+The driver reads deterministic curves only, and the contract pays its flows in
+one currency k2, converted at X_k2; so the value is a function of time and
+X_k2 alone, deterministic when k2 is domestic. The scheme steps backward from
+V_T = 0: conditional expectations of the discounted continuation plus flows
+are estimated by least-squares regression on polynomial functions of that
+Markov state (Longstaff & Schwartz 2001), the log-state log(X_k2 / x0) that
+the simulation's log-path kernel writes for the sub-model
+``model.restricted(model.fx_drivers(k2))``, or on none for a domestic k2. The
+driver is linear on each sign of v and the slice equation keeps the sign of the
 continuation value, so each slice is solved exactly:
 v = cont / (1 + dr - ds (1 + delta)), with delta1 where cont < 0 and delta2
 elsewhere (dr, ds: step integrals of r_dom and of the spread). At
@@ -23,10 +27,13 @@ flow expectations, the closed form of
 :func:`xccy.pricing.price_fully_collateralized`.
 
 The solver runs in two passes over the simulation chunks of
-:mod:`xccy.simulation`, each chunk simulated as log-paths by
+:mod:`xccy.simulation`, each chunk simulated as log-paths of that sub-model by
 :func:`~xccy.simulation._simulate_log_chunk` and never turned into levels: a
 flow in a foreign currency is converted at exp(log X) * x0 on its own node
-only. The fit simulates chunk 0 alone (all paths when there are at most
+only. A domestic trade's sub-model has no driver, so its chunks draw no
+normals, and every slice is the mean of a target that is the same on every
+path. Drivers the trade does not read are not simulated and move no bit of
+the result. The fit simulates chunk 0 alone (all paths when there are at most
 ``CHUNK_PATHS``) and fits each slice's coefficients on it backward; slice 0,
 whose states are the initial levels, takes the mean of its target. The
 valuation reuses that chunk and simulates every later chunk on the same
@@ -50,7 +57,7 @@ import numpy as np
 from .collateral import check_haircuts
 from .contracts import Contract
 from .errors import ConfigError, NumericalError, SingularRegression
-from .model import ValidatedModel, cross_currency_basis_of, fx_label
+from .model import ValidatedModel, cross_currency_basis_of
 from .simulation import (
     TimeGrid,
     _simulate_log_chunk,
@@ -165,8 +172,11 @@ def solve_endogenous(
     chunk 0 included, is then valued with them, the later ones simulated one
     at a time into a reused buffer per worker thread of
     :func:`~xccy.simulation.run_chunks`. Every chunk comes from the log-path
-    kernel :func:`~xccy.simulation._simulate_log_chunk`, whose log-paths are
-    the regression states. v0 and its error bar are the
+    kernel :func:`~xccy.simulation._simulate_log_chunk` run on the sub-model
+    of the flows' FX driver, ``model.restricted(model.fx_drivers(k2))``: its
+    one log-path log(X_k2 / x0) is the regression state, and a domestic
+    trade has no state and draws no normals. The rates, the basis and k3's
+    curves are read from ``model``. v0 and its error bar are the
     :func:`~xccy.simulation.sample_mean` of the pathwise value u, the flows
     discounted through the slice denominators; :class:`BsdeConfig` rejects a
     path count that is odd or below four with :class:`ConfigError` before
@@ -198,12 +208,12 @@ def solve_endogenous(
         - cross_currency_basis_of(model, k3, lambda curve: curve.step_integrals(times))
     )
 
-    # the states are the kernel's log-paths log(S / x0); the design holds their monomials
-    n_drivers = len(model.driver_labels)
+    # the one random input is the flows' FX rate, so the states are its log-path log(X_k2 / x0),
+    # simulated on the sub-model of that driver alone; a domestic trade has none
+    sub_model = model.restricted(model.fx_drivers(contract.native_currency))
+    n_drivers = len(sub_model.driver_labels)
     products = _monomial_products(n_drivers, cfg.degree)
-    drift, vol, x0 = _step_coefficients(model, grid, {})
-    native = contract.native_currency
-    fx_row = None if native == model.domestic else model.driver_labels.index(fx_label(native))
+    drift, vol, x0 = _step_coefficients(sub_model, grid, {})
     coefs: list = [None] * n_steps  # per slice: beta over the design rows, or the slice-0 mean
 
     def sweep(paths: np.ndarray, surface: np.ndarray, u: np.ndarray, fit: bool) -> None:
@@ -216,8 +226,8 @@ def solve_endogenous(
             target = surface[j + 1]
             if flows[j + 1]:  # subtracting a zero flow would leave every bit as it is
                 paid = flows[j + 1]
-                if fx_row is not None:  # at exp(log X) * x0, bit for bit the level simulate stores
-                    paid = paid * (np.exp(paths[fx_row, j + 1]) * x0[fx_row])
+                if n_drivers:  # at X_k2 = exp(log X) * x0, bit for bit the level simulate stores
+                    paid = paid * (np.exp(paths[0, j + 1]) * x0[0])
                 u -= paid
                 if fit:
                     target = target - paid
@@ -240,7 +250,6 @@ def solve_endogenous(
     # without the regression's averaging; its mean is v0 and its spread the error bar
     u = np.zeros(n_paths)
     columns = chunk_columns(n_paths)
-    every_driver = np.arange(n_drivers)  # the regression states are every driver's log-path
 
     def value(chunks: list[int], fit: bool = False) -> None:
         """Simulate and sweep ``chunks`` in order, on one buffer as wide as chunk 0."""
@@ -248,7 +257,7 @@ def solve_endogenous(
         for chunk in chunks:
             cols = columns[chunk]
             block = buffer[:, :, : cols.stop - cols.start]
-            _simulate_log_chunk(block, cfg.seed, drift, vol, chunk, every_driver)
+            _simulate_log_chunk(block, cfg.seed, drift, vol, chunk, np.arange(n_drivers))
             sweep(block, surface[:, cols], u[cols], fit)
 
     value([0], fit=True)  # the pilot: simulation chunk 0, all paths when there are at most CHUNK_PATHS

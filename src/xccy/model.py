@@ -262,6 +262,37 @@ class ValidatedModel:
         """The driver labels of the FX rates of ``currencies``, each once; the domestic rate is one, no driver."""
         return [fx_label(currency) for currency in dict.fromkeys(currencies) if currency != self.domestic]
 
+    def restricted(self, labels) -> "ValidatedModel":
+        """The sub-model of the drivers ``labels``, sealed by :func:`validate_model`.
+
+        It keeps the domestic currency, each currency whose FX driver is
+        named, each named asset with the FX pair of its currency, and the
+        correlation submatrix, in ``driver_labels`` order; so
+        ``restricted(driver_labels)`` simulates bit for bit as the model does,
+        and ``restricted(())`` is a zero-driver model. A label that names no
+        driver raises :class:`ConfigError`.
+        """
+        labels = set(labels)
+        unknown = sorted(labels - set(self.driver_labels))
+        if unknown:
+            raise ConfigError(f"restricted names no driver: {unknown}; drivers: {list(self.driver_labels)}")
+        assets = [a for a in self.assets if a.label in labels]
+        kept = {self.domestic} | {a.currency for a in assets}
+        kept |= {f.foreign for f in self.fx if fx_label(f.foreign) in labels}
+        currencies = [c for c in self.currencies if c.name in kept]
+        fx = [f for f in self.fx if f.foreign in kept]
+        drivers = [a.label for a in assets] + [fx_label(f.foreign) for f in fx]
+        rows = [self.driver_labels.index(label) for label in drivers]
+        return validate_model(
+            MarketModel(
+                currencies=currencies,
+                rates={c.name: self.rates[c.name] for c in currencies},
+                assets=assets,
+                fx=fx,
+                correlation=CorrelationMatrix(drivers, self.correlation.matrix[np.ix_(rows, rows)]),
+            )
+        )
+
     def require_symmetric_collateral_rates(self, *currencies: str) -> None:
         """Raise :class:`AsymmetricCollateralRates` unless each currency's collateral borrow and lend curves coincide.
 

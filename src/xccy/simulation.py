@@ -24,7 +24,9 @@ BLAS), and writes each driver on its own, summing its log-increments over
 time into log(S / x0); the level step (one ``exp``, one product with x0)
 turns them into levels.
 The endogenous-collateral solver regresses on the log-paths and runs the
-kernel alone. Antithetic pairs are the only sampling scheme: path p of a
+kernel alone, on the sub-model of the one FX driver its flows read
+(:meth:`~xccy.model.ValidatedModel.restricted`); a sub-model with no driver
+draws no normals. Antithetic pairs are the only sampling scheme: path p of a
 chunk is driven by pair p // 2 of the chunk's normals with sign (-1)**p, so
 paths 2i and 2i + 1 are twins with negated normals. ``CHUNK_PATHS`` is even,
 so no pair spans two chunks or two workers; a ragged last chunk draws the

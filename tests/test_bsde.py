@@ -6,8 +6,10 @@ import pytest
 
 from conftest import build_model, curveset
 from xccy import (
+    AssetSpec,
     BsdeConfig,
     Contract,
+    CorrelationMatrix,
     FxSpec,
     RateCurve,
     TimeGrid,
@@ -19,12 +21,18 @@ from xccy import (
 from xccy.bsde import COND_LIMIT, _fill_design, _monomial_products, _regress, _slice_denominator
 from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from xccy.model import cross_currency_basis_of
+from xccy.rng import normal_block
 from xccy.simulation import CHUNK_PATHS, _simulate_log_chunk, _step_coefficients, sample_mean
-from xccy.wealth import flow_nodes
+from xccy.wealth import flow_amounts, flow_nodes
 
 
 def _cfg(n_steps=25, n_paths=20_000, seed=11, **kw):
     return BsdeConfig(grid=TimeGrid.regular(1.0, n_steps), n_paths=n_paths, seed=seed, **kw)
+
+
+def _sub_model(model, contract):
+    """The sub-model the solver simulates: the FX driver of the flows' currency, none for domestic flows."""
+    return model.restricted(model.fx_drivers(contract.native_currency))
 
 
 def test_zero_contract_gives_zero_surface(bsde_two_currency_model):
@@ -63,7 +71,7 @@ def test_v0_std_error_is_the_slice_zero_sample_error(bsde_two_currency_model):
     contract = Contract("USD", ((1.0, -1.0),))
     cfg = _cfg(n_steps=1, n_paths=4000)
     res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.5, 0.5, cfg)
-    y = simulate(bsde_two_currency_model, cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, 1]
+    y = simulate(_sub_model(bsde_two_currency_model, contract), cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, 1]
     assert res.v0 != pytest.approx(np.mean(y), rel=1e-3)
     pairs = 0.5 * (y[0::2] + y[1::2])
     expected = np.std(pairs, ddof=1) / math.sqrt(cfg.n_paths // 2) * res.v0 / np.mean(pairs)
@@ -321,17 +329,19 @@ def test_negative_regression_degree_is_rejected():
 def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
     """Reference: the solver that held every path and fitted every slice on all of them.
 
-    Its states are the log-paths of the simulation's log-path kernel, chunk
-    by chunk, and its flows are converted at the levels :func:`simulate`
-    stores. Returns its surface (n_paths, n_times), whose row 0 is the
-    regressed slice-0 value, and the pathwise values u.
+    Its states are the log-paths of the simulation's log-path kernel on the
+    sub-model of the flows' FX driver, chunk by chunk, and its flows are
+    converted at the levels :func:`simulate` stores for that sub-model.
+    Returns its surface (n_paths, n_times), whose row 0 is the regressed
+    slice-0 value, and the pathwise values u.
     """
     grid, n_paths, times = cfg.grid, cfg.n_paths, cfg.grid.times
     flows = np.zeros(grid.n_steps + 1)
     np.add.at(flows, flow_nodes(grid, contract), [a for _, a in contract.flows])
-    scenario = simulate(model, grid, n_paths, cfg.seed, n_workers=cfg.n_workers)
-    drift, vol, _ = _step_coefficients(model, grid, {})
-    every_driver = np.arange(len(model.driver_labels))
+    sub_model = _sub_model(model, contract)
+    scenario = simulate(sub_model, grid, n_paths, cfg.seed, n_workers=cfg.n_workers)
+    drift, vol, _ = _step_coefficients(sub_model, grid, {})
+    every_driver = np.arange(len(sub_model.driver_labels))
     logs = np.empty_like(scenario.paths)
     for lo in range(0, n_paths, CHUNK_PATHS):
         _simulate_log_chunk(logs[:, :, lo : lo + CHUNK_PATHS], cfg.seed, drift, vol, lo // CHUNK_PATHS, every_driver)
@@ -343,7 +353,7 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
         - cross_currency_basis_of(model, k3, lambda curve: curve.step_integrals(times))
     )
     fx_k2 = scenario.fx(contract.native_currency)
-    n_drivers = len(model.driver_labels)
+    n_drivers = len(sub_model.driver_labels)
     products = _monomial_products(n_drivers, cfg.degree)
     design = np.ones((1 + len(products), n_paths))
     surface = np.zeros((grid.n_steps + 1, n_paths))
@@ -435,7 +445,7 @@ def test_later_chunks_value_their_own_scenario_paths(bsde_two_currency_model):
     contract = Contract("USD", ((1.0, -1.0),))
     cfg = _cfg(n_steps=3, n_paths=2 * CHUNK_PATHS + 1000)
     res = solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.4, 0.4, cfg)
-    x_t = simulate(bsde_two_currency_model, cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, -1]
+    x_t = simulate(_sub_model(bsde_two_currency_model, contract), cfg.grid, cfg.n_paths, cfg.seed).fx("USD")[:, -1]
     pairs = 0.5 * (x_t[0::2] + x_t[1::2])
     expected = np.std(pairs, ddof=1) / math.sqrt(cfg.n_paths // 2) / np.mean(pairs)
     assert res.v0_std_error / res.v0 == pytest.approx(expected, rel=1e-12)
@@ -446,3 +456,80 @@ def test_non_finite_v0_raises_naming_the_estimate(bsde_two_currency_model):
     contract = Contract("USD", ((1.0, -1e308),))
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericalError, match="non-finite v0"):
         solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.0, 0.0, _cfg(n_steps=1, n_paths=2000))
+
+
+def _wider_models(model):
+    """``model`` with an EUR asset, and with a GBP currency and its FX pair; each correlated with fx:USD."""
+    base = model.correlation.matrix  # driver order EQ, FEQ, fx:USD
+
+    def bordered(row):
+        return np.block([[base, np.array(row)[:, None]], [np.array([*row, 1.0])]])
+
+    extra_asset = AssetSpec("EQ3", "EUR", 30.0, 0.35, RateCurve.flat(0.0), RateCurve.flat(0.01))
+    gbp = {"GBP": curveset(0.04, 0.03, 0.03, cash_post=0.02)}
+    currencies = [(c.name, c.domestic) for c in model.currencies]
+    return [
+        build_model(
+            currencies, model.rates, [*model.assets, extra_asset], model.fx,
+            CorrelationMatrix([*model.driver_labels, "EQ3"], bordered([0.1, 0.0, 0.25])),
+        ),
+        build_model(
+            [*currencies, ("GBP", False)], {**model.rates, **gbp}, model.assets, [*model.fx, FxSpec("GBP", 1.15, 0.12)],
+            CorrelationMatrix([*model.driver_labels, "fx:GBP"], bordered([0.0, 0.2, 0.5])),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("native", ["USD", "EUR"], ids=["foreign", "domestic"])
+def test_drivers_a_trade_does_not_read_leave_its_solve_byte_identical(bsde_two_currency_model, native):
+    # the solver simulates the flows' FX driver alone, so an unread driver, even a correlated one, moves no bit
+    contract = Contract(native, ((0.5, 2.0), (1.0, -1.0)))
+    grid = TimeGrid.regular(1.0, 4, include=contract.flow_times)
+    cfg = BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 100, seed=5)
+    models = [bsde_two_currency_model, *_wider_models(bsde_two_currency_model)]
+    first, *others = [solve_endogenous(model, contract, "USD", 0.3, 0.1, cfg) for model in models]
+    assert (first.v0_std_error > 1e-12) == (native == "USD")  # a domestic trade has a rounding-level error bar
+    for other in others:
+        assert (other.v0, other.v0_std_error) == (first.v0, first.v0_std_error)
+        assert other.surface.tobytes() == first.surface.tobytes()
+
+
+@pytest.mark.parametrize("delta1, delta2", [(0.6, 0.15), (-0.3, 0.4)])
+def test_a_domestic_trade_is_the_deterministic_recursion_and_draws_no_normals(
+    bsde_two_currency_model, monkeypatch, delta1, delta2
+):
+    model = bsde_two_currency_model
+    drawn = []
+
+    def counting(stream, out):
+        drawn.append(out.size)
+        return normal_block(stream, out)
+
+    monkeypatch.setattr("xccy.simulation.normal_block", counting)
+    # a sign-switching trade: the value is negative before the receipt at 0.5 and positive after it
+    contract = Contract("EUR", ((0.5, 5.0), (1.0, -3.0)))
+    grid = TimeGrid.regular(1.0, 10, include=contract.flow_times)
+    times = grid.times
+    dr = model.curve("EUR", "unsecured").step_integrals(times)
+    ds = (
+        dr
+        - model.curve("EUR", "collateral_lend").step_integrals(times)
+        - cross_currency_basis_of(model, "USD", lambda curve: curve.step_integrals(times))
+    )
+    a = flow_amounts(grid, contract)
+    v = np.zeros(len(times))
+    below = []
+    for j in range(grid.n_steps - 1, -1, -1):
+        cont = v[j + 1] - a[j + 1]
+        below.append(cont < 0)
+        v[j] = cont / (1.0 + dr[j] - ds[j] * (1.0 + (delta1 if cont < 0 else delta2)))
+    assert any(below) and not all(below)
+    cfg = BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 100, seed=3)
+    res = solve_endogenous(model, contract, "USD", delta1, delta2, cfg)
+    assert res.v0 == pytest.approx(v[0], rel=1e-12)
+    np.testing.assert_allclose(res.surface, np.broadcast_to(v, res.surface.shape), rtol=1e-12, atol=0)
+    assert res.v0_std_error <= 1e-12 * abs(res.v0)
+    assert sum(drawn) == 0
+    # the spy sees the normals of the same trade paid in USD
+    solve_endogenous(model, Contract("USD", contract.flows), "USD", delta1, delta2, _cfg(n_steps=10, n_paths=100))
+    assert sum(drawn) > 0

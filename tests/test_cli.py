@@ -384,6 +384,37 @@ def test_bsde_agrees_with_full_collateral_closed_form(docs):
     assert len(report["picard_counts"]) == 25
 
 
+def _wider_model_docs():
+    """MODEL_DOC with an EUR asset, and with a GBP currency and its FX pair; each correlated with fx:USD."""
+    with_asset = json.loads(json.dumps(MODEL_DOC))
+    with_asset["assets"].append({"label": "EQ2", "currency": "EUR", "s0": 30.0, "sigma": 0.35})
+    with_currency = json.loads(json.dumps(MODEL_DOC))
+    with_currency["currencies"].append({"name": "GBP", "rates": {"unsecured": 0.04, "collateral_lend": 0.03}})
+    with_currency["fx"].append({"currency": "GBP", "x0": 1.15, "sigma": 0.12})
+    for doc, label in ((with_asset, "EQ2"), (with_currency, "fx:GBP")):
+        doc["correlation"] = {
+            "labels": ["EQ", "fx:USD", label],
+            "matrix": [[1.0, 0.3, 0.1], [0.3, 1.0, 0.4], [0.1, 0.4, 1.0]],
+        }
+    return [with_asset, with_currency]
+
+
+@pytest.mark.parametrize("native", ["USD", "EUR"], ids=["foreign", "domestic"])
+def test_bsde_report_does_not_move_with_drivers_the_trade_does_not_read(docs, native):
+    model, trade, tmp = docs
+    trade.write_text(json.dumps({**TRADE_DOC, "contract": {"currency": native, "flows": [[0.5, 2.0], [1.0, -1.0]]}}))
+    reports = []
+    for i, doc in enumerate([MODEL_DOC, *_wider_model_docs()]):
+        path = tmp / f"model{i}.json"
+        path.write_text(json.dumps(doc))
+        out = tmp / f"bsde{i}"
+        assert run(["bsde", "--model", str(path), "--trade", str(trade), "--paths", "20000", "--steps", "4",
+                    "--seed", "3", "--delta1", "0.3", "--delta2", "0.1", "--out", str(out), "--dump-surface"]) == 0
+        reports.append(((out / "report.json").read_bytes(), (out / "surface.csv").read_bytes()))
+    assert reports[1:] == reports[:1] * 2
+    assert json.loads(reports[0][0])["k2"] == native
+
+
 def test_bsde_nonpositive_slice_denominator_exits_two(docs, capsys):
     model, trade, tmp = docs
     assert run(["bsde", "--model", str(model), "--trade", str(trade), "--paths", "500",

@@ -16,13 +16,16 @@ from xccy import (
     FxSpec,
     MarketModel,
     ModelValidationError,
+    TimeGrid,
     cross_currency_basis,
     model_from_dict,
+    simulate,
     validate_model,
 )
 from xccy.curves import RateCurve
-from xccy.errors import AsymmetricCollateralRates, UnknownCurrency
+from xccy.errors import AsymmetricCollateralRates, ConfigError, UnknownCurrency
 from xccy.model import cross_currency_basis_integral
+from xccy.simulation import CHUNK_PATHS, qe_drift_of
 
 
 def _simple_raw(corr=None, sigma=0.2):
@@ -295,3 +298,61 @@ def test_a_model_document_without_a_correlation_block_gets_the_identity():
     model = validate_model(model_from_dict(doc))
     assert model.correlation.labels == ("EQ", "FEQ", "fx:USD")
     assert np.array_equal(model.correlation.matrix, np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "labels, currencies, assets, fx",
+    [
+        (["UST"], ("EUR", "USD"), ("UST",), ("USD",)),
+        (["fx:JPY", "EQ1"], ("EUR", "JPY"), ("EQ1",), ("JPY",)),
+        (["NKY", "fx:USD", "EQ2"], ("EUR", "USD", "JPY"), ("EQ2", "NKY"), ("USD", "JPY")),
+    ],
+)
+def test_a_restriction_keeps_its_drivers_and_what_they_need(three_currency_model, labels, currencies, assets, fx):
+    model = three_currency_model
+    sub = model.restricted(labels)
+    assert sub.currency_names == currencies
+    assert sub.domestic == "EUR"
+    assert {name: sub.curve_set(name) for name in currencies} == {name: model.curve_set(name) for name in currencies}
+    assert tuple(a.label for a in sub.assets) == assets
+    assert tuple(f.foreign for f in sub.fx) == fx
+    assert sub.driver_labels == assets + tuple(f"fx:{c}" for c in fx)
+    rows = [model.driver_labels.index(label) for label in sub.driver_labels]
+    assert np.array_equal(sub.correlation.matrix, model.correlation.matrix[np.ix_(rows, rows)])
+    np.testing.assert_allclose(sub.mixing @ sub.mixing.T, sub.correlation.matrix, atol=1e-12)
+    # an asset keeps the FX pair of its currency, so its quanto-corrected drift
+    for label in sub.driver_labels:
+        assert qe_drift_of(sub, label, lambda c: c.rate(0.3)) == qe_drift_of(model, label, lambda c: c.rate(0.3))
+
+
+def test_a_restriction_takes_the_correlation_submatrix(three_currency_model):
+    sub = three_currency_model.restricted(["UST"])
+    assert sub.correlation.labels == ("UST", "fx:USD")
+    assert sub.correlation.matrix.tolist() == [[1.0, -0.3], [-0.3, 1.0]]
+
+
+def test_restricting_to_every_driver_simulates_the_same_bits(three_currency_model):
+    model = three_currency_model
+    whole = model.restricted(model.driver_labels)
+    assert model.restricted(reversed(model.driver_labels)).driver_labels == model.driver_labels
+    assert whole.mixing.tobytes() == model.mixing.tobytes()
+    grid = TimeGrid.regular(1.0, 6)
+    paths = [simulate(m, grid, CHUNK_PATHS + 10, seed=3).paths for m in (whole, model)]
+    assert paths[0].tobytes() == paths[1].tobytes()
+
+
+@pytest.mark.parametrize("label", ["EQ9", "fx:EUR", "fx:GBP"], ids=["asset", "domestic-fx", "unknown-fx"])
+def test_a_restriction_to_an_unknown_driver_raises(three_currency_model, label):
+    with pytest.raises(ConfigError, match="names no driver"):
+        three_currency_model.restricted(["EQ1", label])
+
+
+def test_the_empty_restriction_is_a_zero_driver_model(three_currency_model):
+    sub = three_currency_model.restricted(())
+    assert sub.currency_names == ("EUR",)
+    assert (sub.assets, sub.fx, sub.driver_labels) == ((), (), ())
+    assert sub.mixing.shape == (0, 0)
+    assert validate_model(sub) is sub
+    scenario = simulate(sub, TimeGrid.regular(1.0, 4), 10, seed=1)
+    assert scenario.paths.shape == (0, 5, 10)
+    assert np.all(scenario.fx("EUR") == 1.0)
