@@ -14,10 +14,12 @@ The driver reads deterministic curves only, and the contract pays its flows in
 one currency k2, converted at X_k2; so the value is a function of time and
 X_k2 alone, deterministic when k2 is domestic. The scheme steps backward from
 V_T = 0: conditional expectations of the discounted continuation plus flows
-are estimated by least-squares regression on polynomial functions of that
-Markov state (Longstaff & Schwartz 2001), the log-state log(X_k2 / x0) that
-the simulation's log-path kernel writes for the sub-model
-``model.restricted(model.fx_drivers(k2))``, or on none for a domestic k2. The
+are estimated by least-squares regression on the powers 1, s, ..., s^degree
+of that Markov state (Longstaff & Schwartz 2001), the log-state
+s = log(X_k2 / x0) that the simulation's log-path kernel writes for the
+sub-model ``model.restricted(model.fx_drivers(k2))``, or on none for a
+domestic k2. Each fit is one rank-revealing least-squares solve of the normal
+equations, so a degenerate state gets the minimum-norm fit. The
 driver is linear on each sign of v and the slice equation keeps the sign of the
 continuation value, so each slice is solved exactly:
 v = cont / (1 + dr - ds (1 + delta)), with delta1 where cont < 0 and delta2
@@ -50,7 +52,6 @@ for both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -72,9 +73,6 @@ from .simulation import (
 # not called by the solver; kept bound here because the benchmark's tracer wraps this name
 from .simulation import simulate  # noqa: F401
 from .wealth import flow_amounts
-
-RIDGE_LAMBDA = 1e-8
-COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -103,35 +101,23 @@ class BsdeResult:
     seed: int
 
 
-def _monomial_products(n_drivers: int, degree: int) -> list[tuple[int, int]]:
-    """Design rows after the constant row 0: one per monomial of total degree
-    1..degree in the states, as (row of the monomial without its last factor,
-    state row of that factor)."""
-    monomials = [()] + [
-        combo for deg in range(1, degree + 1) for combo in combinations_with_replacement(range(n_drivers), deg)
-    ]
-    row_of = {combo: row for row, combo in enumerate(monomials)}
-    return [(row_of[combo[:-1]], combo[-1]) for combo in monomials[1:]]
-
-
-def _fill_design(design: np.ndarray, states: np.ndarray, products: list[tuple[int, int]]) -> None:
-    """Write the monomials of ``states`` (n_drivers, n_paths) into rows 1.. of
-    ``design``, whose row 0 holds ones."""
-    for row, (prefix, d) in enumerate(products, 1):
-        np.multiply(design[prefix], states[d], out=design[row])
-
-
 def _regress(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     """Least-squares coefficients of ``target`` on the rows of ``design``
-    (n_basis, n_paths), with a ridge fallback on ill-conditioning; the fitted
-    values of any paths are ``beta @ design`` of their design."""
-    gram = design @ design.T
-    rhs = design @ target
-    try:  # a non-finite design makes the condition number's SVD fail as well as the solve
-        cond = np.linalg.cond(gram)
-        if not np.isfinite(cond) or cond > COND_LIMIT:
-            gram = gram + RIDGE_LAMBDA * np.eye(gram.shape[0])
-        beta = np.linalg.solve(gram, rhs)
+    (n_basis, n_paths); the fitted values of any paths are ``beta @ design``
+    of their design.
+
+    The normal equations are solved by one rank-revealing ``lstsq``, so a
+    degenerate state (a constant one, say) gets the minimum-norm
+    least-squares fit. A non-finite Gram matrix or right-hand side raises
+    :class:`SingularRegression` before LAPACK sees it.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below reports an overflow
+        gram = design @ design.T
+        rhs = design @ target
+    if not (np.all(np.isfinite(gram)) and np.all(np.isfinite(rhs))):
+        raise SingularRegression("non-finite regression design or target")
+    try:
+        beta = np.linalg.lstsq(gram, rhs, rcond=None)[0]
     except np.linalg.LinAlgError as exc:
         raise SingularRegression(str(exc)) from exc
     if not np.all(np.isfinite(beta)):
@@ -212,7 +198,6 @@ def solve_endogenous(
     # simulated on the sub-model of that driver alone; a domestic trade has none
     sub_model = model.restricted(model.fx_drivers(contract.native_currency))
     n_drivers = len(sub_model.driver_labels)
-    products = _monomial_products(n_drivers, cfg.degree)
     drift, vol, x0 = _step_coefficients(sub_model, grid, {})
     coefs: list = [None] * n_steps  # per slice: beta over the design rows, or the slice-0 mean
 
@@ -221,23 +206,26 @@ def solve_endogenous(
         surface rows and pathwise values; with ``fit``, fit each slice's
         coefficients on this chunk first."""
         count = paths.shape[2]
-        design = np.ones((1 + len(products), count))
+        design = np.ones((cfg.degree + 1, count))  # row k: the state's k-th power
         for j in range(n_steps - 1, -1, -1):
             target = surface[j + 1]
             if flows[j + 1]:  # subtracting a zero flow would leave every bit as it is
                 paid = flows[j + 1]
-                if n_drivers:  # at X_k2 = exp(log X) * x0, bit for bit the level simulate stores
-                    paid = paid * (np.exp(paths[0, j + 1]) * x0[0])
-                u -= paid
-                if fit:
-                    target = target - paid
+                # an overflow reaches the regression's or v0's finiteness check through target and u
+                with np.errstate(over="ignore", invalid="ignore"):
+                    if n_drivers:  # at X_k2 = exp(log X) * x0, bit for bit the level simulate stores
+                        paid = paid * (np.exp(paths[0, j + 1]) * x0[0])
+                    u -= paid
+                    if fit:
+                        target = target - paid
             if j == 0 or not n_drivers:
                 if fit:
                     with np.errstate(over="ignore", invalid="ignore"):  # check_finite_estimate reports an overflow
                         coefs[j] = float(np.mean(target))
                 cont = np.full(count, coefs[j])
             else:
-                _fill_design(design, paths[:, j], products)
+                for k in range(1, cfg.degree + 1):
+                    np.multiply(design[k - 1], paths[0, j], out=design[k])
                 if fit:
                     coefs[j] = _regress(design, target)
                 cont = coefs[j] @ design

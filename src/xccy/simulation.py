@@ -371,17 +371,6 @@ def combine_moments(moments) -> tuple[np.ndarray, np.ndarray]:
     return mean, np.sqrt(m2 / (count - 1)) / math.sqrt(count)
 
 
-def fold_sample_mean(blocks) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of the pair means of consecutive path blocks, folded in order.
-
-    :func:`pair_moments` of each block, combined by :func:`combine_moments`.
-    A block is reduced, and released, before the next is drawn, so a caller
-    may build each block afresh and the allocator hands the next one the
-    same memory.
-    """
-    return combine_moments(map(pair_moments, blocks))
-
-
 def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the last (path) axis and its standard error: every error bar in the engine.
 
@@ -389,10 +378,10 @@ def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     they are not independent: each adjacent pair is first reduced to its
     mean, and the result is the mean of the n/2 pair means with their sample
     standard deviation over sqrt(n/2). The paths are taken in the
-    ``CHUNK_PATHS`` column blocks of the simulation chunks and folded in
-    chunk order by :func:`fold_sample_mean`, whose two steps,
-    :func:`pair_moments` and :func:`combine_moments`, the streamed martingale
-    test runs on its own chunks, so both give the same bits; with at most
+    ``CHUNK_PATHS`` column blocks of the simulation chunks: the
+    :func:`pair_moments` of each block, combined in chunk order by
+    :func:`combine_moments`, the two steps the streamed martingale test runs
+    on its own chunks, so both give the same bits; with at most
     ``CHUNK_PATHS`` paths the result is ``mean`` and
     ``std(ddof=1) / sqrt(n/2)`` of the pair means bit for bit. A path count
     that is odd or below four raises :class:`ConfigError`; callers that
@@ -401,7 +390,7 @@ def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     samples = np.asarray(samples)
     n_paths = samples.shape[-1]
     check_error_bar_paths(n_paths)
-    return fold_sample_mean(samples[..., cols] for cols in chunk_columns(n_paths))
+    return combine_moments(pair_moments(samples[..., cols]) for cols in chunk_columns(n_paths))
 
 
 def check_finite_estimate(name: str, mean, std_error) -> None:

@@ -64,17 +64,6 @@ def hedge_carry(scenario: ScenarioSet, asset_label: str) -> np.ndarray:
     return a.dividend_yield.step_integrals(times) - a.repo_rate.step_integrals(times)
 
 
-def hedge_operands(scenario: ScenarioSet, asset_label: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The asset's (n_paths, n_times) paths S, those of its currency's FX rate X, and its per-step carry.
-
-    The operands of :func:`hedged_gain_step`; the carry is
-    :func:`hedge_carry`. The asset and its FX rate are simulated in one pass.
-    """
-    currency = scenario.model.asset(asset_label).currency
-    scenario.load(asset_label, *scenario.model.fx_drivers(currency))
-    return scenario.asset(asset_label), scenario.fx(currency), hedge_carry(scenario, asset_label)
-
-
 def hedged_gain_step(x_next, s_next, x, s, carry, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     """X_{j+1} (S_{j+1} - S_j) + X_j S_j carry_j, the FX-hedged gain over a step, written to ``out``.
 
@@ -98,7 +87,9 @@ def fx_hedge_gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndar
     measure for both domestic and foreign assets; for a domestic asset it is
     dS - S r dt + kappa S dt.
     """
-    s, x, carry = hedge_operands(scenario, asset_label)
+    currency = scenario.model.asset(asset_label).currency
+    scenario.load(asset_label, *scenario.model.fx_drivers(currency))  # the asset and its FX rate in one pass
+    s, x, carry = scenario.asset(asset_label), scenario.fx(currency), hedge_carry(scenario, asset_label)
     out = np.empty((scenario.n_paths, scenario.grid.n_steps))
     return hedged_gain_step(x[:, 1:], s[:, 1:], x[:, :-1], s[:, :-1], carry, out, np.empty_like(out))
 

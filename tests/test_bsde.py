@@ -1,5 +1,4 @@
 import math
-from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from xccy import (
     simulate,
     solve_endogenous,
 )
-from xccy.bsde import COND_LIMIT, _fill_design, _monomial_products, _regress, _slice_denominator
+from xccy.bsde import _regress, _slice_denominator
 from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from xccy.model import cross_currency_basis_of
 from xccy.rng import normal_block
@@ -160,13 +159,23 @@ def test_non_finite_haircut_rejected_before_simulating(bsde_two_currency_model, 
         solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1.0),)), "USD", *haircuts, _cfg(n_paths=100))
 
 
-def test_non_finite_design_is_a_singular_regression():
-    # the condition number's SVD fails on a NaN before the solve is reached
+def test_non_finite_design_is_a_singular_regression(capfd):
+    # rejected before lstsq, whose LAPACK routine would print "DLASCL parameter number 4" on a NaN
     design = np.ones((2, 8))
     design[1] = np.arange(8.0)
     design[1, 3] = math.nan
     with pytest.raises(SingularRegression):
         _regress(design, np.arange(8.0))
+    assert capfd.readouterr().err == ""
+
+
+@pytest.mark.parametrize("amount", [-1e308, -1.7e308], ids=["sum", "conversion"])
+def test_an_overflowing_regression_target_is_a_singular_regression(bsde_two_currency_model, amount):
+    # four steps: slices 1-3 regress the foreign flow, whose sum over the paths overflows, or its
+    # conversion at X_USD > 1.06 already; a RuntimeWarning would fail the test before the error is raised
+    contract = Contract("USD", ((1.0, amount),))
+    with pytest.raises(SingularRegression, match="non-finite regression design or target"):
+        solve_endogenous(bsde_two_currency_model, contract, "EUR", 0.0, 0.0, _cfg(n_steps=4, n_paths=2000, seed=1))
 
 
 def test_asymmetric_collateral_rates_rejected():
@@ -200,18 +209,25 @@ def test_cash_posting_curve_is_compared_knot_by_knot(last_rate, accepted):
             solve_endogenous(*args)
 
 
-def test_degenerate_states_fall_back_to_ridge():
-    # sigma ~ 0 makes every regression column constant; the ridge fallback
-    # must keep the solve alive and still discount correctly
-    rates = {"EUR": curveset(0.02, 0.015, 0.015, cash_post=0.02)}
-    from xccy import AssetSpec
-    from xccy.curves import RateCurve
+def test_degenerate_state_takes_the_rank_deficient_fit(monkeypatch):
+    # a zero USD volatility makes the state log(X_USD / x0) the same on every path, so the
+    # powers of each slice span one direction; lstsq's minimum-norm fit must still discount correctly
+    rates = {
+        "EUR": curveset(0.02, 0.015, 0.015, cash_post=0.02),
+        "USD": curveset(0.03, 0.022, 0.022, cash_post=0.02),
+    }
+    model = build_model([("EUR", True), ("USD", False)], rates, fx=[FxSpec("USD", 0.9, 0.0)])
+    ranks = []
 
-    assets = [AssetSpec("EQ", "EUR", 100.0, 1e-9, RateCurve.flat(0.0), RateCurve.flat(0.02))]
-    model = build_model([("EUR", True)], rates, assets)
-    contract = Contract("EUR", ((1.0, -1.0),))
-    res = solve_endogenous(model, contract, "EUR", 0.0, 0.0, _cfg(n_paths=500))
-    assert res.v0 == pytest.approx(math.exp(-0.015), rel=2e-3)
+    def counting(design, target):
+        ranks.append(np.linalg.matrix_rank(design @ design.T))
+        return _regress(design, target)
+
+    monkeypatch.setattr("xccy.bsde._regress", counting)
+    contract = Contract("USD", ((1.0, -1.0),))
+    res = solve_endogenous(model, contract, "EUR", 0.0, 0.0, _cfg(n_steps=20, n_paths=500))
+    assert ranks == [1] * 19  # every slice but slice 0, whose value is a plain mean
+    assert res.v0 == pytest.approx(price_fully_collateralized(model, contract, "EUR"), rel=2e-3)
 
 
 def test_multi_flow_contract_matches_closed_form(bsde_two_currency_model):
@@ -223,51 +239,36 @@ def test_multi_flow_contract_matches_closed_form(bsde_two_currency_model):
     assert abs(res.v0 - closed) < 2e-3 * abs(closed) + 1e-6
 
 
-def _reference_basis(states: np.ndarray, degree: int) -> np.ndarray:
-    """Monomials of total degree <= degree in the columns of ``states``, plus 1."""
-    n, d = states.shape
-    cols = [np.ones(n)]
-    for deg in range(1, degree + 1):
-        for combo in combinations_with_replacement(range(d), deg):
-            col = np.ones(n)
-            for i in combo:
-                col = col * states[:, i]
-            cols.append(col)
-    return np.column_stack(cols)
-
-
-def _design(states: np.ndarray, degree: int) -> np.ndarray:
-    products = _monomial_products(states.shape[0], degree)
-    design = np.ones((1 + len(products), states.shape[1]))
-    _fill_design(design, states, products)
-    return design
-
-
 @pytest.mark.parametrize("n_drivers", [1, 2, 3])
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_in_place_design_matches_column_stack_reference(degree, n_drivers):
-    rng = np.random.default_rng(degree * 10 + n_drivers)
-    n = 5000
-    states = 0.2 * rng.standard_normal((n_drivers, n))  # log-states
-    y = np.exp(states).sum(axis=0) + 0.1 * rng.standard_normal(n)
-    basis = _reference_basis(states.T, degree)
-    design = _design(states, degree)
-    assert np.array_equal(design, basis.T)
+def test_in_place_design_matches_column_stack_reference(bsde_two_currency_model, degree, n_drivers):
+    # the solver's in-place powers against np.vander's column stack, bit for bit, at each degree
+    # and whatever drivers besides fx:USD the model holds: the trade reads that one state alone
+    model = bsde_two_currency_model.restricted(["EQ", "FEQ", "fx:USD"][3 - n_drivers :])
+    contract = Contract("USD", ((0.5, 2.0), (1.0, -1.0)))
+    cfg = BsdeConfig(grid=TimeGrid.regular(1.0, 6, include=contract.flow_times), n_paths=2000, seed=2, degree=degree)
+    res = solve_endogenous(model, contract, "EUR", 0.4, 0.1, cfg)
+    ref_surface, ref_u = _stored_path_solver(model, contract, "EUR", 0.4, 0.1, cfg)
+    assert res.surface[:, 1:].tobytes() == ref_surface[:, 1:].tobytes()
+    assert (res.v0, res.v0_std_error) == sample_mean(ref_u)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_fit_is_the_least_squares_fit_of_the_powers(degree):
+    rng = np.random.default_rng(degree)
+    state = 0.2 * rng.standard_normal(5000)  # a log-state
+    y = np.exp(state) + 0.1 * rng.standard_normal(5000)
+    basis = np.vander(state, degree + 1, increasing=True)
     reference = basis @ np.linalg.solve(basis.T @ basis, basis.T @ y)
-    np.testing.assert_allclose(_regress(design, y) @ design, reference, rtol=1e-12)
+    np.testing.assert_allclose(_regress(np.ascontiguousarray(basis.T), y) @ basis.T, reference, rtol=1e-12)
 
 
-def test_collinear_design_takes_ridge_fallback():
+def test_constant_state_design_takes_the_minimum_norm_fit():
     rng = np.random.default_rng(3)
-    row = 0.2 * rng.standard_normal(4000)
-    states = np.stack([row, row])  # a duplicated state row
-    y = np.exp(row) + 0.1 * rng.standard_normal(4000)
-    design = _design(states, 2)
-    assert np.linalg.cond(design @ design.T) > COND_LIMIT
-    fitted = _regress(design, y) @ design
-    basis = design.T
-    least_squares = basis @ np.linalg.lstsq(basis, y, rcond=None)[0]
-    np.testing.assert_allclose(fitted, least_squares, rtol=1e-6)
+    y = np.exp(0.2 * rng.standard_normal(4000))
+    design = np.ascontiguousarray(np.vander(np.full(4000, -0.03), 3, increasing=True).T)  # 1, s, s^2: rank one
+    assert np.linalg.matrix_rank(design @ design.T) == 1
+    np.testing.assert_allclose(_regress(design, y) @ design, np.mean(y), rtol=1e-12)
 
 
 def _picard_slice(cont, dr, ds, delta1, delta2, tol=1e-15, cap=200):
@@ -329,9 +330,10 @@ def test_negative_regression_degree_is_rejected():
 def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
     """Reference: the solver that held every path and fitted every slice on all of them.
 
-    Its states are the log-paths of the simulation's log-path kernel on the
-    sub-model of the flows' FX driver, chunk by chunk, and its flows are
-    converted at the levels :func:`simulate` stores for that sub-model.
+    Its state is the log-path of the simulation's log-path kernel on the
+    sub-model of the flows' FX driver, chunk by chunk, and its basis the
+    powers of that state from ``np.vander``; its flows are converted at the
+    levels :func:`simulate` stores for that sub-model.
     Returns its surface (n_paths, n_times), whose row 0 is the regressed
     slice-0 value, and the pathwise values u.
     """
@@ -354,8 +356,6 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
     )
     fx_k2 = scenario.fx(contract.native_currency)
     n_drivers = len(sub_model.driver_labels)
-    products = _monomial_products(n_drivers, cfg.degree)
-    design = np.ones((1 + len(products), n_paths))
     surface = np.zeros((grid.n_steps + 1, n_paths))
     v = surface[grid.n_steps]
     u = np.zeros(n_paths)
@@ -365,7 +365,7 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
         if j == 0 or not n_drivers:
             cont = np.full(n_paths, float(np.mean(y)))
         else:
-            _fill_design(design, logs[:, j], products)
+            design = np.ascontiguousarray(np.vander(logs[0, j], cfg.degree + 1, increasing=True).T)
             cont = _regress(design, y) @ design
         den = _slice_denominator(cont, r_int[j], spread_int[j], delta1, delta2)
         v = np.divide(cont, den, out=surface[j])
