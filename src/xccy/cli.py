@@ -14,8 +14,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from .bsde import BsdeConfig, solve_endogenous
 from .collateral import CollateralSpec, build_exogenous_path, check_collateral_spec
 from .contracts import Contract
@@ -24,7 +22,15 @@ from .diagnostics import check_threshold, run_martingale_suite
 from .errors import ConfigError, ModelValidationError, NumericalError, doc_value
 from .model import load_model, validate_model
 from .pricing import price_exogenous, price_fully_collateralized
-from .simulation import TimeGrid, check_error_bar_paths, check_finite_estimate, dump_paths_csv, simulate
+from .simulation import (
+    TimeGrid,
+    check_error_bar_paths,
+    check_finite_estimate,
+    dump_paths_csv,
+    has_error_bar,
+    sample_mean,
+    simulate,
+)
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -161,10 +167,13 @@ def _cmd_simulate(args, model) -> int:
     dump = _dump_file(args, args.dump_paths, "--dump-paths", "paths.csv")
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
-    scenario.load()  # the terminal means read every driver: one pass for all of them
-    means = {label: float(np.mean(scenario.driver(label)[:, -1])) for label in model.driver_labels}
-    for label, mean in means.items():
-        check_finite_estimate(f"{label} terminal mean", mean, 0.0)
+    terminal = scenario.paths[:, -1]  # every driver's terminal row, simulated in one pass
+    if has_error_bar(scenario.n_paths):
+        means, std_errors = sample_mean(terminal)
+    else:  # fewer than two whole antithetic pairs: the means have no error bar
+        means, std_errors = terminal.mean(axis=-1), None
+    for d, label in enumerate(model.driver_labels):
+        check_finite_estimate(f"{label} terminal mean", means[d], 0.0 if std_errors is None else std_errors[d])
     report = {
         "command": "simulate",
         "n_paths": scenario.n_paths,
@@ -173,7 +182,10 @@ def _cmd_simulate(args, model) -> int:
         "n_steps": grid.n_steps,
         "measure": scenario.measure_tag,
         "drivers": list(model.driver_labels),
-        "terminal_means": means,
+        "terminal_means": {label: float(means[d]) for d, label in enumerate(model.driver_labels)},
+        "terminal_std_errors": {
+            label: None if std_errors is None else float(std_errors[d]) for d, label in enumerate(model.driver_labels)
+        },
     }
     if dump is not None:
         dump_paths_csv(scenario, dump)

@@ -35,6 +35,9 @@ from .errors import (
 )
 
 PSD_TOL = -1e-10  # smallest eigenvalue accepted before clipping to 0
+# smallest pivot of the mixing factor's recursion (:func:`_cholesky`): a pivot p passes
+# rounding of about eps / p to the pivots after it, which must stay within PSD_TOL
+PIVOT_FLOOR = np.finfo(float).eps / -PSD_TOL
 
 
 @dataclass(frozen=True)
@@ -207,9 +210,16 @@ def _validate(model: MarketModel) -> list[Violation]:
 class ValidatedModel:
     """Sealed model; immutable and safe to share across workers.
 
-    ``mixing`` is the factor L of the (clipped) correlation matrix with
-    L @ L.T equal to the correlation, in the canonical driver order
-    ``driver_labels``: assets first (model order), then FX pairs.
+    ``driver_labels`` is the canonical driver order: assets first (model
+    order), then FX pairs. ``mixing[d, k]`` is the weight of independent
+    normal factor k in driver d, with mixing @ mixing.T equal to the
+    correlation. The factors come in a fixed factor order, FX pairs first
+    and then assets, each in model order, and ``mixing`` is the Cholesky
+    factor in that order, lower triangular once its rows are too: an FX rate
+    reads only the factors of the FX pairs up to its own, and an asset those
+    and the factors of the assets up to its own. Where the correlation is
+    within about 1e-6 of singular, as at a correlation of +-1, the factor is
+    dense from that factor on (:func:`_cholesky`).
     """
 
     currencies: tuple[Currency, ...]
@@ -269,7 +279,10 @@ class ValidatedModel:
         named, each named asset with the FX pair of its currency, and the
         correlation submatrix, in ``driver_labels`` order; so
         ``restricted(driver_labels)`` simulates bit for bit as the model does,
-        and ``restricted(())`` is a zero-driver model. A label that names no
+        a restriction to a prefix of the factor order (see the class
+        docstring) simulates each of its drivers bit for bit as the model
+        does, as long as the prefix ends before any near-singular factor
+        (:func:`_cholesky`), and ``restricted(())`` is a zero-driver model. A label that names no
         driver raises :class:`ConfigError`.
         """
         labels = set(labels)
@@ -304,6 +317,39 @@ class ValidatedModel:
                 raise AsymmetricCollateralRates(f"collateral borrow and lend rates must coincide for {currency!r}")
 
 
+def _cholesky(m: np.ndarray) -> np.ndarray:
+    """The lower-triangular L with L @ L.T = m, by the column recursion (Glasserman 2003, §2.3.3).
+
+    Each entry is a sum in column order over the columns before it, in
+    Python floats, so the factor of a leading block of ``m`` is the leading
+    block of its factor, bit for bit. A pivot below ``PIVOT_FLOOR`` ends the
+    recursion: the rest of ``m`` is then within about 1e-6 of singular, and
+    its remaining Schur complement is factored by its eigenvalues, clipped
+    at 0, into a dense block. A correlation of +-1 is such a case; an asset
+    whose only factor before its own is its FX rate's, at a correlation of
+    1, gets a zero column and reads that factor alone.
+    """
+    rows = m.tolist()
+    factor = [[0.0] * len(rows) for _ in rows]
+    for j, lj in enumerate(factor):
+        pivot = rows[j][j]
+        for k in range(j):
+            pivot -= lj[k] * lj[k]
+        if pivot < PIVOT_FLOOR:
+            done = np.array(factor).reshape(m.shape)
+            rest = m[j:, j:] - done[j:, :j] @ done[j:, :j].T
+            eigval, eigvec = np.linalg.eigh(0.5 * (rest + rest.T))
+            done[j:, j:] = eigvec * np.sqrt(np.clip(eigval, 0.0, None))
+            return done
+        lj[j] = math.sqrt(pivot)
+        for i in range(j + 1, len(rows)):
+            li, s = factor[i], rows[i][j]
+            for k in range(j):
+                s -= li[k] * lj[k]
+            li[j] = s / lj[j]
+    return np.array(factor).reshape(m.shape)
+
+
 def validate_model(model: MarketModel | ValidatedModel) -> ValidatedModel:
     """Validate and seal a market model; idempotent on an already sealed model.
 
@@ -320,12 +366,10 @@ def validate_model(model: MarketModel | ValidatedModel) -> ValidatedModel:
     perm = [model.correlation.labels.index(lab) for lab in labels]
     m = model.correlation.matrix[np.ix_(perm, perm)]
     m = 0.5 * (m + m.T)
-    if m.size:
-        eigval, eigvec = np.linalg.eigh(m)
-        eigval = np.clip(eigval, 0.0, None)  # clip rounding-level negatives
-        mixing = eigvec * np.sqrt(eigval)
-    else:
-        mixing = np.zeros((0, 0))
+    # factor order: fx pairs, then assets, so an FX rate reads the first factors alone
+    factors = list(range(len(model.assets), len(labels))) + list(range(len(model.assets)))
+    mixing = np.zeros_like(m)
+    mixing[factors] = _cholesky(m[np.ix_(factors, factors)])
     return ValidatedModel(
         currencies=tuple(model.currencies),
         rates=dict(model.rates),

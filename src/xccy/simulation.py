@@ -15,11 +15,14 @@ module certifies this). The only departure from this measure is a constant
 Paths are simulated in fixed chunks of ``CHUNK_PATHS`` whose boundaries,
 :func:`chunk_columns`, do not depend on the worker count; :func:`run_chunks`
 is the one threaded chunk loop, thread i of T taking every T-th chunk from
-the i-th. Each chunk draws its normals from its own SFC64 stream, read
-time-major (see :mod:`xccy.rng`), and goes through two steps straight into
-one time-major array of shape (n_drivers, n_times, n_paths): the log-path
-kernel :func:`_simulate_log_chunk` draws the normals in cache-sized tiles of
-steps, mixes each tile with one ``np.einsum`` call (a k-ordered sum, not
+the i-th. The drivers are mixed from independent normal factors by the
+model's lower-triangular factor (``ValidatedModel.mixing``), the FX pairs'
+factors first, and each factor of each chunk draws its normals from its own
+SFC64 stream, read step-major (see :mod:`xccy.rng`). A chunk goes through two
+steps straight into one time-major array of shape (n_drivers, n_times,
+n_paths): the log-path kernel :func:`_simulate_log_chunk` draws, in
+cache-sized tiles of steps, only the factors its drivers read, mixes each
+driver's factors with one ``np.einsum`` call per tile (a k-ordered sum, not
 BLAS), and writes each driver on its own, summing its log-increments over
 time into log(S / x0); the level step (one ``exp``, one product with x0)
 turns them into levels.
@@ -30,7 +33,7 @@ draws no normals. Antithetic pairs are the only sampling scheme: path p of a
 chunk is driven by pair p // 2 of the chunk's normals with sign (-1)**p, so
 paths 2i and 2i + 1 are twins with negated normals. ``CHUNK_PATHS`` is even,
 so no pair spans two chunks or two workers; a ragged last chunk draws the
-time-major normals of its own width, not a prefix of a full chunk's, and
+step-major normals of its own width, not a prefix of a full chunk's, and
 when its width is odd its last path has no twin. Every error bar is taken over the pair means
 (:func:`sample_mean`), the independent samples; an error bar needs an even
 path count of at least four (:func:`check_error_bar_paths`), while
@@ -44,16 +47,20 @@ from the curves by :func:`~xccy.curves.cash_account_value`, the one
 definition of B(t). :func:`simulate` checks its inputs and computes the step
 coefficients but simulates no driver and allocates no array: a driver is
 simulated the first time it is read (:meth:`ScenarioSet.load`), so a price
-pays only for the drivers its trade reads. Each pass still draws every
-normal of every chunk and mixes only the rows it writes, so a driver's bits
-do not depend on which drivers are loaded, in which order or in how many
-passes; a reader of several drivers loads them in one call, one pass over
-the chunks. A streamed reader stores nothing: :meth:`ScenarioSet.map_chunks`
-hands it one chunk of paths at a time, simulated into a buffer kept per
-worker thread (or read from the store when its drivers are already there),
-and it reduces each chunk on the worker, as the martingale check does with
-:func:`pair_moments` and :func:`combine_moments`. Loading and streaming run
-the one chunk loop, so both give every driver the same bits.
+pays only for the drivers its trade reads: their factors' normals, their
+mixing and their stores. A pass draws only the factors its drivers read,
+factor k of a chunk from its own stream, so a driver's bits do not depend
+on which drivers are loaded, in which order or in how many passes, nor on
+the drivers after it in the factor order: a model with an asset appended,
+or ``model.restricted`` to a prefix of the factor order, simulates every
+other driver bit for bit. A reader of several drivers loads them in one
+call, one pass over the chunks. A streamed reader stores nothing:
+:meth:`ScenarioSet.map_chunks` hands it one chunk of paths at a time,
+simulated into a buffer kept per worker thread (or read from the store when
+its drivers are already there), and it reduces each chunk on the worker, as
+the martingale check does with :func:`pair_moments` and
+:func:`combine_moments`. Loading and streaming run the one chunk loop, so
+both give every driver the same bits.
 """
 
 from __future__ import annotations
@@ -219,9 +226,10 @@ class ScenarioSet:
     def load(self, *labels: str) -> None:
         """Simulate the drivers named by ``labels`` (every driver if none is named) not simulated yet, in one pass.
 
-        Each chunk draws all of its normals whatever it mixes
-        (:func:`_simulate_log_chunk`), so every driver keeps the bits a full
-        simulation gives it, and a reader of several drivers names them all
+        Each chunk draws only the factors those drivers read, each from its
+        own stream (:func:`_simulate_log_chunk`), so every driver keeps the
+        bits a full simulation gives it, and a load of the FX rates alone
+        draws only their factors. A reader of several drivers names them all
         in one call. A label that names no driver raises :class:`ConfigError`.
         """
         wanted = self._rows(labels)
@@ -316,14 +324,19 @@ class ScenarioSet:
         return cash_account_value(self.model.asset(label).repo_rate, self.grid.times)
 
 
-def check_error_bar_paths(n_paths: int) -> None:
-    """Raise :class:`ConfigError` unless ``n_paths`` is an even count >= 4.
+def has_error_bar(n_paths: int) -> bool:
+    """Whether ``n_paths`` paths give an error bar: an even count >= 4.
 
     Paths come in antithetic pairs and an error bar is the spread of the pair
     means (:func:`sample_mean`), so it needs whole pairs, and at least two of
     them: the spread of one pair mean is undefined.
     """
-    if n_paths < 4 or n_paths % 2:
+    return n_paths >= 4 and n_paths % 2 == 0
+
+
+def check_error_bar_paths(n_paths: int) -> None:
+    """Raise :class:`ConfigError` unless ``n_paths`` gives an error bar (:func:`has_error_bar`)."""
+    if not has_error_bar(n_paths):
         raise ConfigError(
             "a Monte Carlo error bar needs an even count of at least 4 paths "
             f"(two antithetic pairs), got {n_paths}"
@@ -484,63 +497,74 @@ def _simulate_log_chunk(
     scenario or a reused buffer, and receives the chunk's ``count`` paths of
     the drivers ``rows`` (sorted indices into ``drift`` and ``vol``), each
     written on its own; its other rows are not written. ``count`` is the
-    chunk's width, which sets the order of its normals. Paths come in
-    antithetic pairs: path p reads pair p // 2 of the chunk's normals with
-    sign (-1)**p, so only pairs = ceil(count / 2) normals are drawn per step
-    and driver, and with an odd ``count`` the last path has no twin. The chunk
-    draws the normals of all n_drivers = ``vol.shape[1]`` drivers whatever
-    ``rows`` is, and mixes only the rows it writes: the mixed shock of driver
-    d over step j, m = sum_k vol[d, k, j] z_k, is summed once per pair in
-    driver order k = 0, 1, ... rather than by a BLAS product, so each path's
-    value depends neither on the tiling nor on which other drivers are written
-    with it; the log-increment is drift[d, j] + m on the even path and
-    drift[d, j] - m on the odd one, which is bit for bit the mixing of the
-    negated normals. The mixing runs in tiles of consecutive steps
-    (:func:`row_tiles`) whose normals and mixed rows, n_drivers + len(rows)
-    rows per step, fit ``TILE_BYTES``. Each tile's normals are drawn from the
-    chunk's stream (:func:`normal_block`) just before they are mixed,
-    time-major as (tile steps, n_drivers, pairs) into one tile-sized buffer,
-    so each (step, driver) is a contiguous row and no drawn normal is ever
-    transposed or copied. One ``np.einsum("dkj,jkp->djp", ...)`` call mixes
-    the whole tile: numpy's c_einsum (``optimize=False``, so never BLAS) adds
-    one product per k, in k order, to each output element. On a tile of one
-    pair its default iteration would reduce over k innermost, in another
-    order, so such tiles pass ``order="F"``, which keeps k outermost; that
-    order costs 17 to 25 times as much on a full tile, but on a one-pair tile
-    the call's fixed cost dominates. The tiles read the stream in order, so
-    the normals, and every element's operations and their order, are the same
-    for any tile size. A numpy build whose einsum fuses the multiply and add
-    (aarch64 NEON, say) may differ in the last bit, as the BSDE's BLAS
-    regression and a SIMD ``exp`` already can; results stay identical for any
-    worker count. The cumulative sum over time adds each time row to the next
-    as each tile is written: numpy's accumulate is slow along an axis that is
-    not innermost, and a cumulative sum is sequential either way, so the bits
+    chunk's width, which sets the order of its normals. vol[d, k, j] is the
+    weight of normal factor k in driver d over step j, lower triangular in
+    the model's factor order (``ValidatedModel.mixing``), so driver d reads
+    the factors up to its last non-zero weight, and the chunk draws only
+    factors 0 ... K - 1, K - 1 the last factor that a written row reads;
+    factor k reads its own stream, ``chunk_stream(seed, chunk, k)``. Paths
+    come in antithetic pairs: path p reads pair p // 2 of each factor's
+    normals with sign (-1)**p, so only pairs = ceil(count / 2) normals are
+    drawn per step and factor, and with an odd ``count`` the last path has no
+    twin. The mixed shock of driver d over step j, m = sum_k vol[d, k, j] z_k
+    over the factors it reads, is summed once per pair in factor order
+    k = 0, 1, ... rather than by a BLAS product; the log-increment is
+    drift[d, j] + m on the even path and drift[d, j] - m on the odd one,
+    which is bit for bit the mixing of the negated normals. A factor's bits
+    do not depend on which other factors are drawn, and a driver's sum skips
+    only zero weights, so each path's value depends neither on the tiling
+    nor on which other drivers are written with it. The kernel runs in tiles
+    of consecutive steps (:func:`row_tiles`) whose normals and mixed row,
+    K + 1 rows per step, fit ``TILE_BYTES``. Each tile's normals are drawn
+    just before they are mixed, one :func:`normal_block` call per factor
+    into the factor-major (K, tile steps, pairs) buffer, so each factor's
+    tile is contiguous and its stream is read in (step, pair) order. Then one
+    ``np.einsum("kj,kjp->jp", ...)`` call per driver mixes its factors over
+    the tile: numpy's c_einsum (``optimize=False``, so never BLAS) adds one
+    product per k, in k order, to each output element, as long as the output
+    has more than one element; a tile of one pair and one step is a dot
+    product, which einsum would reduce with partial sums, so it is summed in
+    k order in Python. The tiles read the streams in order, so the normals,
+    and every element's operations and their order, are the same for any
+    tile size. A numpy build whose einsum fuses the multiply and add (aarch64
+    NEON, say) may differ in the last bit, as the BSDE's BLAS regression and
+    a SIMD ``exp`` already can; results stay identical for any worker count.
+    The cumulative sum over time adds each time row to the next as each tile
+    is written: numpy's accumulate is slow along an axis that is not
+    innermost, and a cumulative sum is sequential either way, so the bits
     are those of ``np.cumsum``.
     """
     _, n_times, count = block.shape
-    n_drivers = vol.shape[1]
     drift, vol = drift[rows], vol[rows]
+    # the factors each written row reads: up to its last non-zero weight
+    reads = [int(np.flatnonzero(weights.any(axis=1))[-1]) + 1 if weights.any() else 0 for weights in vol]
+    n_factors = max(reads, default=0)
     half = count - count // 2
-    tiles = row_tiles(n_times - 1, (n_drivers + len(vol)) * half * 8)
+    tiles = row_tiles(n_times - 1, (n_factors + 1) * half * 8)
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
     # took the solver's own peak RSS from 101 to 90 MB (one worker)
-    z = np.empty((tiles[0].stop, n_drivers, half))
-    mixed = np.empty((len(vol), tiles[0].stop, half))  # m of every driver written, one row per step
-    # one pair: einsum's default iteration would sum over k innermost, in another order
-    order = "F" if half == 1 else "K"
-    stream = chunk_stream(seed, chunk)
+    z = np.empty((n_factors, tiles[0].stop, half))
+    mixed = np.empty((tiles[0].stop, half))  # m of the driver being written, one row per step
+    streams = [chunk_stream(seed, chunk, k) for k in range(n_factors)]
     # each driver's path and its time-row views, built once: indexing them per step costs time
     paths = [(block[d], list(block[d])) for d in rows]
     for path, _ in paths:
         path[0] = 0.0
     for steps in tiles:
         lo, hi = steps.start, steps.stop
-        zs = normal_block(stream, z[: hi - lo])
-        m = mixed[:, : hi - lo]
-        np.einsum("dkj,jkp->djp", vol[:, :, steps], zs, out=m, order=order, optimize=False)
+        for k, stream in enumerate(streams):
+            normal_block(stream, z[k : k + 1, : hi - lo])
+        m = mixed[: hi - lo]
         for i, (path, path_rows) in enumerate(paths):
-            np.add(drift[i, steps, None], m[i], out=path[1 + lo : 1 + hi, 0::2])
-            np.subtract(drift[i, steps, None], m[i, :, : count // 2], out=path[1 + lo : 1 + hi, 1::2])
+            weights, zs = vol[i, : reads[i], steps], z[: reads[i], : hi - lo]
+            if m.size > 1:
+                np.einsum("kj,kjp->jp", weights, zs, out=m, optimize=False)
+            else:  # one pair on one step: a dot product, which einsum sums in another order
+                m[0, 0] = 0.0
+                for k in range(reads[i]):
+                    m[0, 0] += weights[k, 0] * zs[k, 0, 0]
+            np.add(drift[i, steps, None], m, out=path[1 + lo : 1 + hi, 0::2])
+            np.subtract(drift[i, steps, None], m[:, : count // 2], out=path[1 + lo : 1 + hi, 1::2])
             for j in range(1 + lo, 1 + hi):  # the tile's rows are still in cache
                 np.add(path_rows[j - 1], path_rows[j], out=path_rows[j])
 
@@ -574,7 +598,8 @@ def _step_coefficients(
     """The run's (drift, vol, x0) for :func:`_simulate_chunk`.
 
     drift[d, j] is driver d's log-drift over step j, vol[d, k, j] the weight of
-    normal k in it, x0[d] the initial level. A ``drift_shift`` key that names
+    normal factor k in it (``model.mixing`` times sigma sqrt(dt)), x0[d] the
+    initial level. A ``drift_shift`` key that names
     no driver raises :class:`ConfigError`.
     """
     unknown = sorted(set(drift_shift) - set(model.driver_labels))
@@ -608,7 +633,8 @@ def simulate(
     :meth:`ScenarioSet.load` simulates those a reader names into the store,
     and :meth:`ScenarioSet.map_chunks` streams them, chunk by chunk through
     :func:`run_chunks` on ``n_workers`` threads, each to the bits a
-    simulation of every driver gives it.
+    simulation of every driver gives it, drawing only the normals of the
+    factors they read.
     ``drift_shift`` adds a constant per-year drift bump to drivers named by
     ``model.driver_labels``, for diagnostics negative controls; a scenario
     with a non-zero shift is tagged ``"p"`` and pricing refuses it.

@@ -10,6 +10,7 @@ import pytest
 
 import xccy
 from xccy.cli import run
+from xccy.simulation import sample_mean
 
 MODEL_DOC = {
     "currencies": [
@@ -413,6 +414,48 @@ def test_bsde_report_does_not_move_with_drivers_the_trade_does_not_read(docs, na
         reports.append(((out / "report.json").read_bytes(), (out / "surface.csv").read_bytes()))
     assert reports[1:] == reports[:1] * 2
     assert json.loads(reports[0][0])["k2"] == native
+
+
+def test_price_report_does_not_move_with_an_appended_asset(tmp_path):
+    # the demo trade paid in USD reads fx:USD alone, the first factor; an asset appended to the
+    # model is the last factor, correlated with every driver, and moves no bit of the report
+    root = Path(__file__).resolve().parents[1] / "demos" / "config"
+    model = json.loads((root / "model.json").read_text())
+    trade = json.loads((root / "trade.json").read_text())
+    trade["contract"]["currency"] = "USD"
+    wider = json.loads(json.dumps(model))
+    wider["assets"].append({"label": "GLD", "currency": "USD", "s0": 1800.0, "sigma": 0.15})
+    corr = wider["correlation"]
+    corr["labels"].append("GLD")
+    row = [0.2, -0.1, 0.3]
+    corr["matrix"] = [[*r, x] for r, x in zip(corr["matrix"], row)] + [[*row, 1.0]]
+    (tmp_path / "trade.json").write_text(json.dumps(trade))
+    reports = []
+    for name, doc in (("model", model), ("wider", wider)):
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+        out = tmp_path / name
+        assert run(["price", "--model", str(tmp_path / f"{name}.json"), "--trade", str(tmp_path / "trade.json"),
+                    "--paths", "20000", "--steps", "10", "--seed", "3", "--out", str(out)]) == 0
+        reports.append((out / "report.json").read_bytes())
+    assert reports[1] == reports[0]
+    assert json.loads(reports[0])["k2"] == "USD"
+
+
+def test_simulate_reports_each_terminal_mean_with_its_error_bar(docs):
+    model, _, tmp = docs
+    args = ["simulate", "--model", str(model), "--steps", "4", "--seed", "5"]
+    assert run(args + ["--paths", "20000", "--out", str(tmp / "sim")]) == 0
+    report = json.loads((tmp / "sim" / "report.json").read_text())
+    scenario = xccy.simulate(xccy.validate_model(xccy.load_model(str(model))), xccy.TimeGrid.regular(1.0, 4), 20000, 5)
+    means, std_errors = sample_mean(scenario.paths[:, -1])
+    labels = report["drivers"]
+    assert report["terminal_means"] == dict(zip(labels, means.tolist()))
+    assert report["terminal_std_errors"] == dict(zip(labels, std_errors.tolist()))
+    assert all(se > 0 for se in std_errors)
+    # three paths are one antithetic pair and a half: the means have no error bar
+    assert run(args + ["--paths", "3", "--out", str(tmp / "sim3")]) == 0
+    report = json.loads((tmp / "sim3" / "report.json").read_text())
+    assert report["terminal_std_errors"] == dict.fromkeys(labels)
 
 
 def test_bsde_nonpositive_slice_denominator_exits_two(docs, capsys):

@@ -10,10 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import build_model, curveset
 from xccy import (
+    AssetSpec,
     CollateralPath,
     CollateralSpec,
     Contract,
+    CorrelationMatrix,
+    FxSpec,
     Strategy,
     TimeGrid,
     build_exogenous_path,
@@ -25,31 +29,39 @@ from xccy import (
     simulate,
 )
 from xccy.cli import run
+from xccy.curves import RateCurve
 from xccy.errors import ConfigError, ZeroPaths
 from xccy.simulation import CHUNK_PATHS, chunk_columns
 
-N_PASS_PATHS = CHUNK_PATHS + 100  # two chunks: one pass draws two streams
+N_PASS_PATHS = CHUNK_PATHS + 100  # two chunks: one pass draws the streams of its factors in each
 DEMO_MODEL = Path(__file__).resolve().parents[1] / "demos" / "config" / "model.json"
 
 
 @pytest.fixture
 def streams(monkeypatch):
-    """The chunk streams drawn from, one entry per chunk per simulation pass."""
+    """The (chunk, factor) streams drawn from, one entry per stream per simulation pass."""
     import xccy.simulation
 
     drawn = []
     real = xccy.simulation.chunk_stream
 
-    def counting(seed, chunk):
-        drawn.append(chunk)
-        return real(seed, chunk)
+    def counting(seed, chunk, factor=0):
+        drawn.append((chunk, factor))
+        return real(seed, chunk, factor)
 
     monkeypatch.setattr(xccy.simulation, "chunk_stream", counting)
     return drawn
 
 
-def _one_pass(n_paths: int) -> list[int]:
-    return list(range(len(chunk_columns(n_paths))))
+def _one_pass(n_paths: int, n_factors: int) -> list[tuple[int, int]]:
+    """The streams of one pass that reads factors 0 ... n_factors - 1: each chunk's, in chunk order."""
+    return [(chunk, k) for chunk in range(len(chunk_columns(n_paths))) for k in range(n_factors)]
+
+
+# factors each driver reads, in the fixtures' factor order (the FX pairs, then the assets): the
+# fixtures' correlations are full rank, so a driver reads every factor up to its own
+TWO_CURRENCY_READS = {"fx:USD": 1, "EQ": 2, "FEQ": 3}
+THREE_CURRENCY_READS = {"fx:USD": 1, "fx:JPY": 2, "EQ1": 3, "EQ2": 4, "UST": 5, "NKY": 6}
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
@@ -80,20 +92,21 @@ def test_a_scenario_simulates_nothing_until_a_driver_is_read(two_currency_model,
     assert scen.n_paths == N_PASS_PATHS and scen.grid.n_steps == 4  # read without simulating
     scen.fx("EUR")  # the domestic rate is one: no driver
     assert streams == [] and scen.simulated_drivers == ()
-    scen.asset("FEQ")
-    assert scen.simulated_drivers == ("FEQ",) and streams == _one_pass(N_PASS_PATHS)
+    scen.asset("FEQ")  # the last factor: a pass that reads all three
+    assert scen.simulated_drivers == ("FEQ",) and streams == _one_pass(N_PASS_PATHS, 3)
     scen.asset("FEQ")
     scen.load("FEQ")
-    assert streams == _one_pass(N_PASS_PATHS)  # a simulated driver is not simulated again
-    _ = scen.paths  # the whole array: every driver first
-    assert scen.simulated_drivers == ("EQ", "FEQ", "fx:USD") and streams == 2 * _one_pass(N_PASS_PATHS)
+    assert streams == _one_pass(N_PASS_PATHS, 3)  # a simulated driver is not simulated again
+    _ = scen.paths  # the whole array: every driver first, so EQ and fx:USD, which read two factors
+    assert scen.simulated_drivers == ("EQ", "FEQ", "fx:USD")
+    assert streams == _one_pass(N_PASS_PATHS, 3) + _one_pass(N_PASS_PATHS, 2)
 
 
 def test_a_scenario_built_from_a_whole_array_counts_as_simulated(two_currency_model, streams):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 200, seed=1)
     chunk = dataclasses.replace(scen, paths=scen.paths[:, :, 100:150])
     assert chunk.simulated_drivers == two_currency_model.driver_labels and chunk.n_paths == 50
-    assert len(streams) == 1  # the one pass that read scen.paths
+    assert streams == _one_pass(200, 3)  # the one pass that read scen.paths
     assert np.shares_memory(chunk.fx("USD"), scen.paths)
 
 
@@ -143,7 +156,9 @@ def test_concurrent_readers_simulate_each_driver_once(two_currency_model, stream
     assert not any(thread.is_alive() for thread in threads)
     assert seen == {i: True for i in range(8)}
     assert scen.simulated_drivers == labels
-    assert sorted(streams) == sorted(len(labels) * _one_pass(N_PASS_PATHS))
+    # one pass per driver, each of the factors it reads
+    expected = [stream for label in labels for stream in _one_pass(N_PASS_PATHS, TWO_CURRENCY_READS[label])]
+    assert sorted(streams) == sorted(expected)
 
 
 def test_concurrent_streams_and_loads_give_the_bits_of_a_stored_scenario(three_currency_model):
@@ -185,16 +200,38 @@ MARK_PROXY = CollateralSpec(currency="USD", mode=("exogenous", "mark_proxy", {})
 
 
 def test_a_price_simulates_only_the_drivers_its_trade_reads(two_currency_model, streams):
-    # EQ and FEQ are never read: an EUR contract collateralized in USD reads fx:USD alone
+    # EQ and FEQ are never read: a contract paid in EUR or in USD and collateralized in USD reads
+    # fx:USD alone, which reads factor 0 alone
     grid = TimeGrid.regular(1.0, 4)
-    scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
-    contract = Contract("EUR", ((1.0, -1.0),))
-    report = price_exogenous(scen, contract, build_exogenous_path(scen, MARK_PROXY, contract), MARK_PROXY)
-    assert scen.simulated_drivers == ("fx:USD",)
-    assert streams == _one_pass(N_PASS_PATHS)
-    full = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
-    full.load(*two_currency_model.driver_labels)
-    assert report == price_exogenous(full, contract, build_exogenous_path(full, MARK_PROXY, contract), MARK_PROXY)
+    for native in ("EUR", "USD"):
+        streams.clear()
+        scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
+        contract = Contract(native, ((1.0, -1.0),))
+        report = price_exogenous(scen, contract, build_exogenous_path(scen, MARK_PROXY, contract), MARK_PROXY)
+        assert scen.simulated_drivers == ("fx:USD",)
+        assert streams == _one_pass(N_PASS_PATHS, 1)
+        full = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
+        full.load(*two_currency_model.driver_labels)
+        expected = price_exogenous(full, contract, build_exogenous_path(full, MARK_PROXY, contract), MARK_PROXY)
+        assert report == expected, native
+
+
+def test_an_asset_perfectly_correlated_with_its_fx_rate_reads_the_fx_factor_alone(streams):
+    # rho = 1: the asset's pivot is zero, so its factor column is zero and its shocks are the FX rate's
+    rates = {"EUR": curveset(0.02, 0.01, 0.01), "USD": curveset(0.03, 0.02, 0.02)}
+    assets = [AssetSpec("F", "USD", 10.0, 0.2, RateCurve.flat(0.0), RateCurve.flat(0.01))]
+    correlation = CorrelationMatrix(["F", "fx:USD"], [[1.0, 1.0], [1.0, 1.0]])
+    model = build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 0.9, 0.1)], correlation)
+    np.testing.assert_allclose(model.mixing @ model.mixing.T, model.correlation.matrix, atol=1e-10)
+    assert model.mixing.tolist() == [[1.0, 0.0], [1.0, 0.0]]
+    scen = simulate(model, TimeGrid.regular(1.0, 4), N_PASS_PATHS, seed=2)
+    scen.load()
+    assert streams == _one_pass(N_PASS_PATHS, 1)
+    # each log-increment is its drift plus sigma sqrt(dt) times the one shock, and the antithetic
+    # pairs cancel in the mean over paths, which leaves the drift
+    shocks = [np.diff(np.log(scen.driver(label)), axis=1) for label in ("F", "fx:USD")]
+    shocks = [(x - x.mean(axis=0)) / sigma for x, sigma in zip(shocks, (0.2, 0.1))]
+    np.testing.assert_allclose(shocks[0], shocks[1], rtol=0, atol=1e-12)
 
 
 def test_a_price_reading_several_drivers_simulates_them_in_one_pass(three_currency_model, streams):
@@ -204,17 +241,18 @@ def test_a_price_reading_several_drivers_simulates_them_in_one_pass(three_curren
     scen = simulate(three_currency_model, TimeGrid.regular(1.0, 4), N_PASS_PATHS, seed=3)
     price_exogenous(scen, contract, build_exogenous_path(scen, spec, contract), spec)
     assert scen.simulated_drivers == ("NKY", "fx:USD", "fx:JPY")
-    assert streams == _one_pass(N_PASS_PATHS)
+    assert streams == _one_pass(N_PASS_PATHS, THREE_CURRENCY_READS["NKY"])  # NKY, the last factor: all six
 
 
 def test_the_suite_and_a_test_make_one_pass_each(three_currency_model, streams):
     grid = TimeGrid.regular(1.0, 4)
     run_martingale_suite(simulate(three_currency_model, grid, N_PASS_PATHS, seed=3))
-    assert streams == _one_pass(N_PASS_PATHS)
-    streams.clear()
-    scen = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3)
-    martingale_test(scen, "asset:UST")  # the asset and its FX rate, streamed: a streamed reader stores nothing
-    assert scen.simulated_drivers == () and streams == _one_pass(N_PASS_PATHS)
+    assert streams == _one_pass(N_PASS_PATHS, 6)  # every driver: all six factors
+    for pid, label in (("asset:UST", "UST"), ("asset:EQ1", "EQ1"), ("fx:USD", "fx:USD")):
+        streams.clear()
+        scen = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3)
+        martingale_test(scen, pid)  # streamed: a streamed reader stores nothing
+        assert scen.simulated_drivers == () and streams == _one_pass(N_PASS_PATHS, THREE_CURRENCY_READS[label])
 
 
 def test_a_stored_scenario_is_streamed_without_drawing_and_a_lazy_one_in_one_pass(three_currency_model, streams):
@@ -225,10 +263,10 @@ def test_a_stored_scenario_is_streamed_without_drawing_and_a_lazy_one_in_one_pas
     run_martingale_suite(stored)
     martingale_test(stored, "asset:UST")
     assert streams == []  # read from the store
-    for read in (run_martingale_suite, lambda scen: martingale_test(scen, "fx:JPY")):
+    for read, n_factors in ((run_martingale_suite, 6), (lambda scen: martingale_test(scen, "fx:JPY"), 2)):
         lazy = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3, n_workers=2)
         read(lazy)
-        assert sorted(streams) == _one_pass(N_PASS_PATHS) and lazy.simulated_drivers == ()
+        assert sorted(streams) == _one_pass(N_PASS_PATHS, n_factors) and lazy.simulated_drivers == ()
         streams.clear()
 
 
@@ -253,18 +291,18 @@ def test_a_wealth_replay_makes_one_pass(two_currency_model, streams):
     scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
     strategy = Strategy({"EQ": np.ones(4), "FEQ": np.ones(4)}, {"FEQ": -np.ones(4)}, {"USD": np.ones(4)})
     replay_wealth(scen, strategy, Contract("USD", ((1.0, -1.0),)))
-    assert streams == _one_pass(N_PASS_PATHS)
+    assert streams == _one_pass(N_PASS_PATHS, 3)
     streams.clear()
     scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
     strategy = Strategy.repo_constrained(scen, {"FEQ": np.ones(4)})  # built to be replayed: one pass for both
     replay_wealth(scen, strategy, Contract.zero("EUR"))
-    assert streams == _one_pass(N_PASS_PATHS)
+    assert streams == _one_pass(N_PASS_PATHS, 3)
 
 
 def test_cli_simulate_makes_one_pass(tmp_path, streams):
     args = ["--model", str(DEMO_MODEL), "--paths", str(N_PASS_PATHS), "--steps", "3"]
     assert run(["simulate", *args, "--out", str(tmp_path / "out"), "--dump-paths"]) == 0
-    assert streams == _one_pass(N_PASS_PATHS)
+    assert streams == _one_pass(N_PASS_PATHS, 3)
 
 
 def test_every_load_order_keeps_the_bits_of_a_full_simulation(two_currency_model):

@@ -341,6 +341,53 @@ def test_restricting_to_every_driver_simulates_the_same_bits(three_currency_mode
     assert paths[0].tobytes() == paths[1].tobytes()
 
 
+def _factor_order(model):
+    """The model's drivers in its factor order: the FX pairs, then the assets, each in model order."""
+    return [f"fx:{f.foreign}" for f in model.fx] + [a.label for a in model.assets]
+
+
+def test_the_mixing_factor_is_lower_triangular_in_factor_order(three_currency_model):
+    model = three_currency_model
+    rows = [model.driver_labels.index(label) for label in _factor_order(model)]
+    factor = model.mixing[rows]
+    assert np.array_equal(factor, np.tril(factor)) and (np.diag(factor) > 0).all()
+    np.testing.assert_allclose(model.mixing @ model.mixing.T, model.correlation.matrix, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_workers", [1, 2])
+def test_a_restriction_to_a_factor_prefix_simulates_the_full_models_bits(three_currency_model, n_workers):
+    # the sub-model's factor is the leading block of the full one, and factor k reads the same stream in both
+    model, grid = three_currency_model, TimeGrid.regular(1.0, 4)
+    full = simulate(model, grid, CHUNK_PATHS + 10, seed=3, n_workers=n_workers)
+    order = _factor_order(model)
+    for n in range(len(order) + 1):
+        sub = model.restricted(order[:n])
+        assert sorted(sub.driver_labels) == sorted(order[:n])
+        rows = [model.driver_labels.index(label) for label in sub.driver_labels]
+        assert sub.mixing.tobytes() == model.mixing[rows, :n].tobytes()
+        scenario = simulate(sub, grid, CHUNK_PATHS + 10, seed=3, n_workers=n_workers)
+        for label in sub.driver_labels:
+            assert scenario.driver(label).tobytes() == full.driver(label).tobytes(), (n, label)
+
+
+def test_an_appended_asset_leaves_every_other_driver_byte_identical(three_currency_model):
+    # the new asset is the last factor, correlated with every driver: no other driver reads it
+    model, grid = three_currency_model, TimeGrid.regular(1.0, 4)
+    labels = [*model.driver_labels, "GLD"]
+    row = [0.2, 0.1, -0.15, 0.05, 0.3, -0.1]
+    matrix = np.block([[model.correlation.matrix, np.array(row)[:, None]], [np.array([*row, 1.0])]])
+    wider = build_model(
+        [(c.name, c.domestic) for c in model.currencies],
+        model.rates,
+        [*model.assets, AssetSpec("GLD", "USD", 1800.0, 0.15, RateCurve.flat(0.0), RateCurve.flat(0.01))],
+        model.fx,
+        CorrelationMatrix(labels, matrix),
+    )
+    paths = [simulate(m, grid, CHUNK_PATHS + 10, seed=6, n_workers=2) for m in (model, wider)]
+    for label in model.driver_labels:
+        assert paths[1].driver(label).tobytes() == paths[0].driver(label).tobytes(), label
+
+
 @pytest.mark.parametrize("label", ["EQ9", "fx:EUR", "fx:GBP"], ids=["asset", "domestic-fx", "unknown-fx"])
 def test_a_restriction_to_an_unknown_driver_raises(three_currency_model, label):
     with pytest.raises(ConfigError, match="names no driver"):

@@ -187,24 +187,26 @@ def test_bit_identical_across_worker_counts(two_currency_model):
 def _driver_major_chunk(block, seed, drift, vol, x0, chunk, rows=None):
     """Reference: a driver-major kernel on explicitly paired normals, writing every driver.
 
-    Path 2i reads pair i of the chunk's normals and path 2i+1 its negation:
-    the two are interleaved here, before any mixing, so path 2i+1 is the
-    negated-normals twin of path 2i by construction. Each driver's
-    (count, n_times) block is its drift plus the mixed normals, summed in k
-    order, stepped with a row-wise cumsum and copied into the time-major
-    ``block``. ``rows``, when given as by :meth:`ScenarioSet.load`, must name
-    every driver.
+    Path 2i reads pair i of each factor's normals and path 2i+1 its
+    negation: the two are interleaved here, before any mixing, so path 2i+1
+    is the negated-normals twin of path 2i by construction. Each driver's
+    (count, n_times) block is its drift plus the mixed normals, summed in
+    factor order, stepped with a row-wise cumsum and copied into the
+    time-major ``block``. ``rows``, when given as by :meth:`ScenarioSet.load`,
+    must name every driver.
     """
     n_drivers, n_times, count = block.shape
+    n_factors = vol.shape[1]
     assert rows is None or rows.tolist() == list(range(n_drivers))
-    # the chunk's whole time-major (step, driver, pair) block in one draw, viewed as (pair, step, driver)
-    drawn = normal_block(chunk_stream(seed, chunk), np.empty((n_times - 1, n_drivers, -(-count // 2))))
-    half = drawn.transpose(2, 0, 1)
-    z = np.stack([half, -half], axis=1).reshape(-1, n_times - 1, n_drivers)[:count]
+    # every factor's whole step-major (step, pair) stream in one draw, viewed as (pair, step, factor)
+    shape = (1, n_times - 1, -(-count // 2))
+    drawn = np.concatenate([normal_block(chunk_stream(seed, chunk, k), np.empty(shape)) for k in range(n_factors)])
+    half = drawn.transpose(2, 1, 0)
+    z = np.stack([half, -half], axis=1).reshape(-1, n_times - 1, n_factors)[:count]
     ref = np.empty((n_drivers, count, n_times))
     for d in range(n_drivers):
         mixed = np.zeros((count, n_times - 1))
-        for k in range(n_drivers):
+        for k in range(n_factors):
             if vol[d, k].any():
                 mixed += vol[d, k] * z[:, :, k]
         logs = ref[d]
@@ -226,6 +228,12 @@ def _uncorrelated_model():
     return build_model([("EUR", True), ("USD", False)], rates, assets, [FxSpec("USD", 0.9, 0.1)])
 
 
+def _factors_read(model, labels):
+    """The factors a pass over the drivers ``labels`` draws: up to the last one any of them reads."""
+    rows = [model.driver_labels.index(label) for label in labels]
+    return max((int(np.flatnonzero(model.mixing[d])[-1]) + 1 for d in rows), default=0)
+
+
 LAYOUT_CASES = {
     "one driver": ("single_currency_model", 1000, 6, None),
     "zero mixing entries": (None, 1000, 6, None),
@@ -233,8 +241,8 @@ LAYOUT_CASES = {
     "odd ragged last chunk": ("two_currency_model", CHUNK_PATHS + 777, 5, {"EQ": 0.01}),
     "steps exceed chunk paths": ("two_currency_model", 60, 300, None),
     "drift shift": ("two_currency_model", 1000, 6, {"fx:USD": 0.02, "EQ": -0.01}),
-    # a last chunk of one pair on one step, the tile einsum sums with order="F" (its summation
-    # order is pinned over many streams by test_one_pair_tiles_sum_the_mixing_in_driver_order)
+    # a last chunk of one pair on one step, whose dot products the kernel sums in Python (their
+    # summation order is pinned over many streams by test_one_pair_tiles_sum_the_mixing_in_driver_order)
     "one-pair one-step tile": ("three_currency_model", CHUNK_PATHS + 2, 1, None),
 }
 
@@ -251,9 +259,9 @@ def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, 
         m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
         ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift)
         ref.load()  # simulated on first read: read while the reference kernel is in place
-    # the tile budget of the kernel's mixing loop, 2 * n_drivers rows (normals and mixed) per
-    # step: one step per tile, three steps of a full chunk's rows, and at least the whole chunk
-    step_bytes = 2 * len(model.driver_labels) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+    # the tile budget of the kernel's mixing loop, the normals of the factors read and one mixed
+    # row per step: one step per tile, three steps of a full chunk's rows, and at least the whole chunk
+    step_bytes = (_factors_read(model, model.driver_labels) + 1) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
     for budget in (1, 3 * step_bytes, n_steps * step_bytes):
         monkeypatch.setattr("xccy.simulation.TILE_BYTES", budget)
         scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
@@ -274,10 +282,10 @@ def test_each_driver_loaded_alone_matches_the_driver_major_reference(request, mo
         m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
         ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift).paths
     # each driver alone, and the first and last together (two runs of rows), at the tile budgets
-    # of the test above: a load mixes n_drivers + len(load) rows per step
+    # of the test above for the factors the load reads
     loads = [(label,) for label in labels] + ([(labels[0], labels[-1])] if len(labels) > 2 else [])
     for load in loads:
-        step_bytes = (len(labels) + len(load)) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+        step_bytes = (_factors_read(model, load) + 1) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
         for budget in (1, 3 * step_bytes, n_steps * step_bytes):
             monkeypatch.setattr("xccy.simulation.TILE_BYTES", budget)
             scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
@@ -289,8 +297,8 @@ def test_each_driver_loaded_alone_matches_the_driver_major_reference(request, mo
 
 @pytest.mark.parametrize("count", [1, 2])
 def test_one_pair_tiles_sum_the_mixing_in_driver_order(three_currency_model, count):
-    # einsum's default iteration sums a one-pair, one-step tile in another order, which moves
-    # the paths of about half of these streams in their last bit
+    # einsum sums a one-element output, the dot product of a one-pair, one-step tile, in another
+    # order, which moves the paths of about half of these streams in their last bit
     grid = TimeGrid.regular(1.0, 1)
     drift, vol, x0 = _step_coefficients(three_currency_model, grid, {})
     shape = (len(x0), len(grid.times), count)
@@ -462,21 +470,23 @@ def test_zero_drift_shift_keeps_the_martingale_measure(two_currency_model):
 
 
 # sha256 of every driver's path bytes, in driver order, on TimeGrid.regular(2.0, 16)
-# with 300 paths at seed 11; recorded with one numpy SFC64 stream per chunk and
-# antithetic pairs, so any change to the drift arithmetic, the draws, the pairing
-# or the stepping shows here.
+# with 300 paths at seed 11; recorded with one numpy SFC64 stream per factor of each
+# chunk, a Cholesky mixing factor with the FX pairs first, and antithetic pairs, so
+# any change to the drift arithmetic, the factor, the draws, the pairing or the
+# stepping shows here. multi_knot_model has one driver, which reads factor 0 alone:
+# its digest is the one recorded when a chunk drew one stream for every driver.
 # The bytes go through numpy's exp and log, which may round differently on
 # another CPU or numpy build.
 PATH_DIGESTS = {
     "two_currency_model": (
         "two_currency_model",
         None,
-        "10946a55fe2c7de5e4727400acbaafccafbd9564d8192191a8b6ab0b756865e1",
+        "8bf7de25f48e09b645bd4f22ca37ba11e990fb961801452ee1a1fd7aea17ba9a",
     ),
     "two_currency_model-drift_shift": (
         "two_currency_model",
         {"fx:USD": 0.02, "EQ": 0.02},
-        "fae5624fe46f9129e6dc13acb03be61b99deb8329333a1ec5243f3f5897276a4",
+        "37ffe06f0feb10c2168a5a04579fd3b068735f443101ed91a425cc364123adb3",
     ),
     "multi_knot_model": (
         "multi_knot_model",
