@@ -18,7 +18,7 @@ from .bsde import BsdeConfig, solve_endogenous
 from .collateral import CollateralSpec, build_exogenous_path, check_collateral_spec
 from .contracts import Contract
 from .csvio import write_grid
-from .diagnostics import check_threshold, run_martingale_suite
+from .diagnostics import FALSE_ALARM, check_threshold, family_p_value, family_size, run_martingale_suite
 from .errors import ConfigError, ModelValidationError, NumericalError, doc_value
 from .model import load_model, validate_model
 from .pricing import price_exogenous, price_fully_collateralized
@@ -95,7 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, trade=False)
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--checkpoints", type=_positive_int, default=4)
-    p.add_argument("--threshold", type=float, default=3.0)
+    p.add_argument(
+        "--threshold",
+        type=float,
+        default=None,
+        help=f"|z| bound of each test; default: the family-wise bound at a {FALSE_ALARM:g} false-alarm rate",
+    )
     return parser
 
 
@@ -254,23 +259,29 @@ def _cmd_bsde(args, model) -> int:
 
 def _cmd_check(args, model) -> int:
     check_error_bar_paths(args.paths)
-    check_threshold(args.threshold)
+    if args.threshold is not None:
+        check_threshold(args.threshold)
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
     reports = run_martingale_suite(scenario, checkpoints=args.checkpoints, threshold=args.threshold)
     passed = all(r.passed for r in reports)
+    threshold = reports[0].threshold
     report = {
         "command": "check",
         "passed": passed,
         "n_paths": args.paths,
         "seed": args.seed,
-        "threshold": args.threshold,
+        "threshold": threshold,
+        "family_size": family_size(c for r in reports for c in r.checkpoints),
+        "family_p_value": family_p_value(reports),
         "processes": [r.to_dict() for r in reports],
     }
     _write_report(args.out, report)
     if not passed:
         worst = max(reports, key=lambda r: r.max_abs_z)
-        raise NumericalError(f"martingale check failed: {worst.process_id} |z|={worst.max_abs_z:.2f}")
+        raise NumericalError(
+            f"martingale check failed: {worst.process_id} |z|={worst.max_abs_z:.2f} > {threshold:.2f}"
+        )
     return EXIT_OK
 
 

@@ -14,7 +14,9 @@ order (:func:`~xccy.simulation.combine_moments`, the reduction behind
 worker count. On a scenario whose drivers are not simulated yet, the chunks
 are simulated into a buffer per thread and not kept, so the memory does not
 grow with the path count. A deliberately mis-drifted scenario is the
-negative control.
+negative control. A suite gates each z-test at a fixed |z| bound, or the
+whole family at a family-wise false-alarm rate (:func:`family_threshold`,
+:func:`family_p_value`), as ``xccy check`` does by default.
 
 The single-currency reduction suite asserts that with one currency every FX
 correction term vanishes identically and the engine collapses to plain
@@ -25,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -44,6 +47,8 @@ from .simulation import (
     simulate,
 )
 from .wealth import discounted_flows, gain_increments, hedge_carry, hedged_gain_step
+
+FALSE_ALARM = 1e-3  # family-wise false-alarm rate of a suite run without a threshold (xccy check's default)
 
 
 @dataclass(frozen=True)
@@ -136,6 +141,32 @@ class _CheckpointProcess:
         return out
 
 
+def family_size(checkpoints) -> int:
+    """The z-tests among ``checkpoints`` that can raise a false alarm: those with a positive standard error.
+
+    A degenerate process (the domestic FX account is identically 1) has zero
+    spread and z = 0 exactly, so its checkpoints are not counted.
+    """
+    return sum(c.std_error > 0 for c in checkpoints)
+
+
+def family_threshold(n_tests: int, false_alarm: float = FALSE_ALARM) -> float:
+    """The two-sided Bonferroni bound on |z| for a family-wise false-alarm rate over ``n_tests`` (at least one) tests."""
+    return NormalDist().inv_cdf(1.0 - false_alarm / (2 * max(n_tests, 1)))
+
+
+def family_p_value(reports: list[TestReport]) -> float:
+    """Holm's adjusted p-value of the family of ``reports``: min(1, n p) for its smallest two-sided p-value p.
+
+    n is :func:`family_size` (at least one). The family fails at a
+    false-alarm rate alpha exactly when this is below alpha, that is when its
+    largest |z| exceeds :func:`family_threshold` (n, alpha); Holm (1979).
+    """
+    n = max(family_size(c for r in reports for c in r.checkpoints), 1)
+    z = max((r.max_abs_z for r in reports), default=0.0)
+    return min(1.0, n * math.erfc(z / math.sqrt(2.0)))
+
+
 def check_threshold(threshold: float) -> None:
     """Raise :class:`ConfigError` unless the |z| threshold is finite and > 0.
 
@@ -162,7 +193,7 @@ def _checkpoint_nodes(grid: TimeGrid, checkpoints: int | list[float]) -> tuple[n
 
 
 def _run_tests(
-    scenario: ScenarioSet, process_ids: list[str], checkpoints: int | list[float], threshold: float
+    scenario: ScenarioSet, process_ids: list[str], checkpoints: int | list[float], threshold: float | None
 ) -> list[TestReport]:
     """The tests of ``process_ids``, in that order, from one pass over the simulation chunks.
 
@@ -171,9 +202,12 @@ def _run_tests(
     (:meth:`ScenarioSet.map_chunks`) and reduces it to its pair-mean moments
     (:func:`~xccy.simulation.pair_moments`); the moments are combined in
     chunk order (:func:`~xccy.simulation.combine_moments`), so the bits do
-    not depend on the worker count, and no paths are kept.
+    not depend on the worker count, and no paths are kept. Without a
+    ``threshold``, every test is gated by :func:`family_threshold` over the
+    family's :func:`family_size`.
     """
-    check_threshold(threshold)
+    if threshold is not None:
+        check_threshold(threshold)
     check_error_bar_paths(scenario.n_paths)  # before any driver is simulated
     nodes, t = _checkpoint_nodes(scenario.grid, checkpoints)
     domestic = f"fx:{scenario.model.domestic}"
@@ -187,7 +221,7 @@ def _run_tests(
     folded = {p.process_id: (p.start, *combine_moments(c[i] for c in chunks)) for i, p in enumerate(processes)}
     # X = 1 and B_dom / B_dom = 1 bit for bit: the domestic FX process is identically 0 from the level 1
     folded[domestic] = (1.0, np.zeros(len(nodes)), np.zeros(len(nodes)))
-    reports = []
+    stats = []
     for process_id in process_ids:
         start, mean, se = folded[process_id]
         check_finite_estimate(f"{process_id} checkpoint mean", mean, se)
@@ -195,9 +229,10 @@ def _run_tests(
         rounding = relative * (np.abs(start + mean) + abs(start))
         scale = np.maximum(se, rounding)
         z = np.divide(mean, scale, out=np.zeros_like(mean), where=scale > 0)
-        stats = (CheckpointStat(*map(float, row)) for row in zip(t, mean, se, z))
-        reports.append(TestReport(process_id=process_id, checkpoints=tuple(stats), threshold=threshold))
-    return reports
+        stats.append(tuple(CheckpointStat(*map(float, row)) for row in zip(t, mean, se, z)))
+    if threshold is None:
+        threshold = family_threshold(family_size(c for s in stats for c in s))
+    return [TestReport(process_id=p, checkpoints=s, threshold=threshold) for p, s in zip(process_ids, stats)]
 
 
 def martingale_test(
@@ -232,12 +267,17 @@ def martingale_test(
 
 
 def run_martingale_suite(
-    scenario: ScenarioSet, checkpoints: int | list[float] = 4, threshold: float = 3.0
+    scenario: ScenarioSet, checkpoints: int | list[float] = 4, threshold: float | None = 3.0
 ) -> list[TestReport]:
     """One test per certifiable process, per asset then per currency, from one pass over the chunks.
 
     Every test is :func:`martingale_test`'s, bit for bit; the suite streams
     the chunks once for all of them, reading every driver, and keeps no paths.
+    A ``threshold`` bounds each z-test on its own, so the chance that some
+    test of a drift-free model fails grows with the family. ``None`` bounds
+    the family instead: every test is gated by :func:`family_threshold` over
+    all the suite's checkpoints, so the family fails by chance at a rate of
+    at most :data:`FALSE_ALARM`.
     """
     model = scenario.model
     ids = [f"asset:{a.label}" for a in model.assets] + [f"fx:{c}" for c in model.currency_names]

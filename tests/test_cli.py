@@ -10,6 +10,7 @@ import pytest
 
 import xccy
 from xccy.cli import run
+from xccy.diagnostics import FALSE_ALARM, family_p_value, family_threshold
 from xccy.simulation import sample_mean
 
 MODEL_DOC = {
@@ -693,6 +694,24 @@ def test_failing_martingale_check_exits_two(docs, capsys):
     assert run(args + ["--out", str(tmp / "check")]) == 2
     assert capsys.readouterr().err.startswith("numerical failure: martingale check failed:")
     assert json.loads((tmp / "check" / "report.json").read_text())["passed"] is False
+
+
+def test_check_gates_the_family_by_default(docs):
+    model, _, tmp = docs
+    args = ["check", "--model", str(model), "--paths", "2000", "--steps", "4"]
+    assert run(args + ["--out", str(tmp / "family")]) == 0
+    assert run(args + ["--threshold", "3", "--out", str(tmp / "per_test")]) == 0
+    family, per_test = (json.loads((tmp / d / "report.json").read_text()) for d in ("family", "per_test"))
+    assert family["processes"] == [{**p, "threshold": family["threshold"]} for p in per_test["processes"]]
+    # asset:EQ and fx:USD at 4 checkpoints; fx:EUR is degenerate
+    assert family["family_size"] == per_test["family_size"] == 8
+    assert family["threshold"] == family_threshold(8)
+    assert per_test["threshold"] == 3.0
+    assert family["family_p_value"] == per_test["family_p_value"] == family_p_value(
+        [xccy.diagnostics.TestReport(p["process_id"], tuple(xccy.diagnostics.CheckpointStat(**c) for c in p["checkpoints"]), 3.0)
+         for p in family["processes"]]
+    )
+    assert FALSE_ALARM < family["family_p_value"] <= 1.0
 
 
 @pytest.mark.parametrize(("command", "flag"), [("bsde", "--dump-surface"), ("simulate", "--dump-paths")])

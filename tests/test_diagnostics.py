@@ -98,6 +98,51 @@ def test_injected_drift_fails_loudly():
     assert report.max_abs_z > 10
 
 
+def test_family_gate_still_fails_the_injected_drift():
+    # the family bound over 12 tests is 3.93, far below the control's |z| ~ 63
+    rates = {"EUR": curveset(0.02, 0.01, 0.01), "USD": curveset(0.03, 0.01, 0.01)}
+    model = build_model([("EUR", True), ("USD", False)], rates, fx=[FxSpec("USD", 0.9, 0.1)])
+    scen = simulate(model, TimeGrid.regular(1.0, 4), 100_000, seed=5, drift_shift={"fx:USD": 0.02})
+    reports = run_martingale_suite(scen, threshold=None)
+    assert not all(r.passed for r in reports)
+    assert xccy.diagnostics.family_p_value(reports) < xccy.diagnostics.FALSE_ALARM
+
+
+def test_family_threshold_is_the_two_sided_bonferroni_bound():
+    per_test_rate = math.erfc(3.0 / math.sqrt(2.0))  # |z| > 3 for one test
+    assert xccy.diagnostics.family_threshold(1, per_test_rate) == pytest.approx(3.0, rel=1e-12)
+    assert xccy.diagnostics.family_threshold(12) == pytest.approx(3.9346, abs=1e-4)
+    assert xccy.diagnostics.family_threshold(0) == xccy.diagnostics.family_threshold(1)
+
+
+def test_family_p_value_crosses_the_false_alarm_rate_at_the_family_bound():
+    diag = xccy.diagnostics
+    bound = diag.family_threshold(12)
+    degenerate = diag.TestReport("fx:EUR", tuple(diag.CheckpointStat(t, 0.0, 0.0, 0.0) for t in range(4)), bound)
+
+    def family(z_max):
+        zs = [z_max, 0.5, -1.0, 2.0] * 3
+        stats = [diag.CheckpointStat(1.0, z, 1.0, z) for z in zs]
+        return [diag.TestReport(f"asset:{i}", tuple(stats[4 * i:4 * i + 4]), bound) for i in range(3)] + [degenerate]
+
+    assert diag.family_size(c for r in family(1.0) for c in r.checkpoints) == 12
+    assert diag.family_p_value(family(bound * (1 - 1e-9))) > diag.FALSE_ALARM
+    assert diag.family_p_value(family(bound * (1 + 1e-9))) < diag.FALSE_ALARM
+    assert diag.family_p_value(family(-bound * (1 + 1e-9))) < diag.FALSE_ALARM
+    assert diag.family_p_value(family(0.0)) == 12 * math.erfc(2.0 / math.sqrt(2.0))  # |z| = 2 is the largest
+    assert diag.family_p_value([degenerate]) == 1.0
+
+
+def test_suite_without_threshold_gates_every_test_at_the_family_bound(two_currency_model):
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 2000, seed=3)
+    per_test = run_martingale_suite(scen)
+    family = run_martingale_suite(scen, threshold=None)
+    assert [r.checkpoints for r in family] == [r.checkpoints for r in per_test]
+    # asset:EQ, asset:FEQ and fx:USD at 4 checkpoints; fx:EUR is degenerate
+    assert xccy.diagnostics.family_size(c for r in family for c in r.checkpoints) == 12
+    assert {r.threshold for r in family} == {xccy.diagnostics.family_threshold(12)}
+
+
 def test_asset_processes_pass(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 8), 100_000, seed=43)
     for pid in ("asset:EQ", "asset:FEQ"):
