@@ -39,11 +39,11 @@ the result. The fit simulates chunk 0 alone (all paths when there are at most
 ``CHUNK_PATHS``) and fits each slice's coefficients on it backward; slice 0,
 whose states are the initial levels, takes the mean of its target. The
 valuation reuses that chunk and simulates every later chunk on the same
-kernel into a buffer reused per worker thread, and carries the value
-v_j = cont / den and the pathwise value u (the flows discounted through the
-same slice denominators) backward with the fixed coefficients: once they are
-known, a path's values depend on its own states alone (Longstaff & Schwartz
-2001).
+kernel into a buffer reused per worker thread, one of them the pilot's, and
+carries the value v_j = cont / den and the pathwise value u (the flows
+discounted through the same slice denominators) backward with the fixed
+coefficients: once they are known, a path's values depend on its own states
+alone (Longstaff & Schwartz 2001).
 Memory is one chunk per thread plus the value surface. v0 is the mean of u
 and its error bar that of :func:`~xccy.simulation.sample_mean`, one estimator
 for both.
@@ -239,14 +239,27 @@ def solve_endogenous(
     u = np.zeros(n_paths)
     columns = chunk_columns(n_paths)
 
+    shape = (n_drivers, n_steps + 1, columns[0].stop)  # a chunk's log-paths, as wide as chunk 0, the widest
+    free = [np.empty(shape)]  # the buffers no share is using: the pilot's to start with
+
     def value(chunks: list[int], fit: bool = False) -> None:
-        """Simulate and sweep ``chunks`` in order, on one buffer as wide as chunk 0."""
-        buffer = np.empty((n_drivers, n_steps + 1, columns[0].stop))
+        """Simulate and sweep ``chunks`` in order, on a free buffer (a new one if none is), then free it.
+
+        So the first share of :func:`~xccy.simulation.run_chunks` to start
+        reuses the pilot's buffer, and only a share that finds none free
+        allocates one: a buffer freed to the allocator can stay resident
+        after the solve.
+        """
+        try:
+            buffer = free.pop()  # atomic: two shares never take one buffer
+        except IndexError:
+            buffer = np.empty(shape)
         for chunk in chunks:
             cols = columns[chunk]
             block = buffer[:, :, : cols.stop - cols.start]
             _simulate_log_chunk(block, cfg.seed, drift, vol, chunk, np.arange(n_drivers))
             sweep(block, surface[:, cols], u[cols], fit)
+        free.append(buffer)
 
     value([0], fit=True)  # the pilot: simulation chunk 0, all paths when there are at most CHUNK_PATHS
     run_chunks(value, range(1, len(columns)), cfg.n_workers)

@@ -31,6 +31,12 @@ The stream here realizes the FX term as increments -C dX, with predictable
 (left-endpoint) collateral and FX states, for the wealth replay. Pricing
 integrates each leg, the FX term included, exactly over every step instead
 (:func:`xccy.pricing._collateral_leg_weights`).
+
+Collateral in the domestic currency has X identically 1, and its FX term
+vanishes: the exogenous builders skip the positivity scan of X and every
+product or quotient with it, and the haircut skips its factor when both
+haircuts are 0 (:func:`_apply_haircut`). x * 1.0 and x / 1.0 are x, so the
+paths keep their bits.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .contracts import Contract
 from .curves import RateCurve
 from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float, json_float
 from .model import ValidatedModel, collateralized_value
-from .simulation import ScenarioSet, row_tiles
+from .simulation import ScenarioSet, block_tiles
 
 FORMS = ("cash", "risky")
 CONVENTIONS = ("segregation", "rehypothecation")
@@ -223,19 +229,33 @@ def _apply_haircut(c: np.ndarray, spec: CollateralSpec, fx_level) -> None:
     mark is > 0 and ``delta2`` elsewhere. ``c`` is a C-contiguous float array
     of one or more dimensions that ``fx_level`` broadcasts to (a path
     builder passes the time rows ``c.T``); it is worked through in
-    :func:`~xccy.simulation.row_tiles` of its first axis, so each tile is
-    contiguous and the only temporaries are one tile's factors. Raises
+    :func:`~xccy.simulation.block_tiles` of its first and last axes, so each
+    tile is one block of whole rows, or one column slice of a row too wide
+    for a tile, and the only temporaries are one tile's factors. Raises
     :class:`NonPositiveFx`, leaving ``c`` as it was, unless every fx level is
-    > 0 (NaN is not).
+    > 0 (NaN is not). An ``fx_level`` of ``None`` is the domestic level, 1
+    (:meth:`~xccy.simulation.ScenarioSet.fx_factor`): it is neither scanned
+    nor divided by. With ``delta1 == delta2`` the factor is one scalar,
+    multiplied without ``np.where``, and not at all when it is 1. Each skip
+    leaves every bit as the general rule does, since x * 1.0 and x / 1.0 are
+    x for every x, signed zeros, infinities and NaN included.
     """
-    if not np.min(fx_level, initial=math.inf) > 0:
+    if fx_level is not None and not np.min(fx_level, initial=math.inf) > 0:
         raise NonPositiveFx("fx level must be strictly positive")
-    fx = np.broadcast_to(fx_level, c.shape)
     up, down = 1.0 + spec.delta1, 1.0 + spec.delta2
-    for rows in row_tiles(len(c), c[:1].nbytes):
-        block = c[rows]
-        block *= np.where(block > 0, up, down)
-        block /= fx[rows]
+    if fx_level is None and up == down == 1.0:
+        return
+    fx = None if fx_level is None else np.broadcast_to(fx_level, c.shape)
+    if c.ndim == 1:  # one element per row: a column axis to tile
+        c, fx = c[:, None], None if fx is None else fx[:, None]
+    for rows, cols in block_tiles(len(c), c.shape[-1], c[:1].nbytes):
+        block = c[rows, ..., cols]
+        if up != down:
+            block *= np.where(block > 0, up, down)
+        elif up != 1.0:
+            block *= up
+        if fx is not None:
+            block /= fx[rows, ..., cols]
 
 
 def collateral_from_mark(mark, spec: CollateralSpec, fx_level) -> np.ndarray:
@@ -355,10 +375,13 @@ def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, 
 
 
 def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, asset, fraction) -> np.ndarray:
-    # the asset's domestic value
-    c = np.multiply(scenario.asset(asset), scenario.fx(scenario.model.asset(asset).currency), order="F")
+    # the asset's domestic value; a domestic rate is 1 (ScenarioSet.fx_factor), skipped bit for bit
+    s, x = scenario.asset(asset), scenario.fx_factor(scenario.model.asset(asset).currency)
+    c = np.array(s, order="F") if x is None else np.multiply(s, x, order="F")
     c *= fraction  # x * fraction is fraction * x, bit for bit
-    c /= scenario.fx(spec.currency)
+    x = scenario.fx_factor(spec.currency)
+    if x is not None:
+        c /= x
     return c
 
 
@@ -376,7 +399,8 @@ def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract)
         raise ConfigError("mark_proxy functional needs the contract")
     value = collateralized_value(scenario.model, contract, spec.currency, scenario.grid.times)
     c = np.multiply(value, scenario.fx(contract.native_currency), order="F")  # the mark
-    _apply_haircut(c.T, spec, scenario.fx(spec.currency).T)
+    x = scenario.fx_factor(spec.currency)
+    _apply_haircut(c.T, spec, None if x is None else x.T)
     return c
 
 

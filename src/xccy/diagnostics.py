@@ -127,7 +127,8 @@ class _CheckpointProcess:
             out *= self.ratio[self.nodes, None]
             out -= x[0] * self.ratio[0]
             return out
-        s, x = view.asset(self.name).T, view.fx(self.currency).T
+        s, x = view.asset(self.name).T, view.fx_factor(self.currency)
+        x = [None] * len(s) if x is None else x.T  # time rows; a domestic asset's X is 1, skipped
         out = np.empty((len(self.nodes), view.n_paths))
         acc, gain, scratch = np.empty((3, view.n_paths))
         for j, rows in enumerate(self.rows_at_step):

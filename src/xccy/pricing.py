@@ -8,7 +8,10 @@ Two routes:
   sample mean with no control variate, so it stays an independent check of
   the closed form; its error bar is the sample standard error of the
   antithetic pair means of the per-path totals
-  (:func:`xccy.simulation.sample_mean`).
+  (:func:`xccy.simulation.sample_mean`). With collateral in the domestic
+  currency, or flows paid in it, X is identically 1: the FX term and every
+  product or quotient with X are skipped, and each leg keeps its bits
+  (:func:`_discounted_collateral_legs`, :func:`xccy.wealth.discounted_flows`).
 * ``price_fully_collateralized``: closed form for perfectly collateralized
   claims: flows discounted at the domestic collateral rate plus the
   cross-currency basis of the collateral currency, with foreign flows at the
@@ -28,7 +31,7 @@ from .contracts import Contract
 from .curves import step_pieces
 from .errors import EndogenousSpecPassed, ScenarioMeasureMismatch
 from .model import ValidatedModel, collateralized_value
-from .simulation import ScenarioSet, check_error_bar_paths, check_finite_estimate, row_tiles, sample_mean
+from .simulation import ScenarioSet, block_tiles, check_error_bar_paths, check_finite_estimate, sample_mean
 from .wealth import discounted_flows
 
 
@@ -82,6 +85,18 @@ def _discounted_spread_weights(plus_curve, minus_curve, inner_curve, times: np.n
     return np.add.reduceat(np.exp(-before) * gap * piece, starts)
 
 
+def _carry_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray):
+    """Per-interval weights for the received and posted carry: the first two of :func:`_collateral_leg_weights`."""
+    recv_curve, post_curve = carry_curves(model, spec)
+    borrow = model.curve(spec.currency, "collateral_borrow")
+    lend = model.curve(spec.currency, "collateral_lend")
+    r_k3 = model.curve(spec.currency, "unsecured")
+    return (
+        _discounted_spread_weights(recv_curve, borrow, r_k3, times),
+        _discounted_spread_weights(post_curve, lend, r_k3, times),
+    )
+
+
 def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray):
     """Per-interval weights for the received carry, posted carry and FX term.
 
@@ -91,17 +106,16 @@ def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: 
     inner discount at the collateral currency's unsecured rate. Deterministic
     collateral expectations therefore carry no time-stepping bias. Each weight
     is one pass of :func:`_discounted_spread_weights` over the whole grid.
+    The FX weight's spread is r_dom - r_k3, so it is 0.0 on every interval
+    when k3 is the domestic currency (the reduction suite asserts it).
     """
-    recv_curve, post_curve = carry_curves(model, spec)
-    borrow = model.curve(spec.currency, "collateral_borrow")
-    lend = model.curve(spec.currency, "collateral_lend")
-    r_e = model.curve(model.domestic, "unsecured")
+    return (*_carry_leg_weights(model, spec, times), _fx_leg_weight(model, spec, times))
+
+
+def _fx_leg_weight(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray) -> np.ndarray:
+    """Per-interval weight of the FX term: the last of :func:`_collateral_leg_weights`."""
     r_k3 = model.curve(spec.currency, "unsecured")
-    return (
-        _discounted_spread_weights(recv_curve, borrow, r_k3, times),
-        _discounted_spread_weights(post_curve, lend, r_k3, times),
-        _discounted_spread_weights(r_e, r_k3, r_k3, times),
-    )
+    return _discounted_spread_weights(model.curve(model.domestic, "unsecured"), r_k3, r_k3, times)
 
 
 def _discounted_collateral_legs(
@@ -111,28 +125,53 @@ def _discounted_collateral_legs(
 
     Each step is C times the weight of its sign's leg, less C times the FX
     weight, times X / B_dom, all at the step's left end. The time-major path
-    is worked through in :func:`~xccy.simulation.row_tiles` of its time rows,
-    so no temporary is larger than a tile. Each tile's steps are added to a
+    is worked through in :func:`~xccy.simulation.block_tiles` of its time
+    rows (one row in column slices once a row is wider than a tile), so no
+    temporary is larger than a tile. Each tile's steps are added to a
     running per-path total in step order: its first row takes the total so
     far, and the tile is summed over its rows, which numpy does one row after
     another. The legs are thus, bit for bit, the column-by-column row sums of
     one whole F-ordered (n_paths, n_steps) array.
+
+    Domestic collateral skips the FX term and the product with X, which is
+    identically 1 (:meth:`~xccy.simulation.ScenarioSet.fx_factor`), and its
+    FX weight is not computed: with a 0.0 weight the term is a signed zero,
+    and a signed zero cannot move a per-path sum that starts at +0.0. A
+    non-finite C is the one exception, where C * 0.0 is NaN: the path whose
+    collateral is not finite gets the NaN the general arithmetic gives it,
+    so every leg is the general one bit for bit, up to the sign of a NaN.
+    When the received and posted weights are equal on every step, as for cash
+    under rehypothecation with equal posting and unsecured domestic curves and
+    symmetric collateral rates, C is multiplied by that one weight without
+    ``np.where``, which picks it on either sign (C * w is w * C bit for bit).
     """
-    b_e = scenario.account(scenario.model.domestic)[:-1]
-    w_recv, w_post, w_fx = _collateral_leg_weights(scenario.model, spec, scenario.grid.times)
+    model = scenario.model
+    times = scenario.grid.times
+    b_e = scenario.account(model.domestic)[:-1]
+    w_recv, w_post = _carry_leg_weights(model, spec, times)
+    x = scenario.fx_factor(spec.currency)
+    if x is not None:
+        w_fx = _fx_leg_weight(model, spec, times)
+        x = x[:, :-1].T
+    one_weight = np.array_equal(w_recv, w_post)
     c = coll_path.c[:, :-1].T
-    x = scenario.fx(spec.currency)[:, :-1].T
     legs = np.zeros(scenario.n_paths)
-    for steps in row_tiles(len(c), c[:1].nbytes):
-        c_steps = c[steps]
-        carry = np.where(c_steps > 0, w_recv[steps, None], w_post[steps, None])
-        carry *= c_steps
-        carry -= c_steps * w_fx[steps, None]
-        carry *= x[steps]
+    for steps, paths in block_tiles(len(c), c.shape[1], c[:1].nbytes):
+        c_steps = c[steps, paths]
+        if one_weight:
+            carry = c_steps * w_recv[steps, None]
+        else:
+            carry = np.where(c_steps > 0, w_recv[steps, None], w_post[steps, None])
+            carry *= c_steps
+        if x is not None:
+            carry -= c_steps * w_fx[steps, None]
+            carry *= x[steps, paths]
         carry /= b_e[steps, None]
-        carry[0] += legs
-        carry.sum(axis=0, out=legs)
+        carry[0] += legs[paths]
+        carry.sum(axis=0, out=legs[paths])
         del carry  # freed before the next tile is built
+    if x is None and not np.isfinite(legs).all():
+        legs[~np.isfinite(c).all(axis=0)] = np.nan
     return legs
 
 

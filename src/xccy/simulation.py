@@ -83,8 +83,8 @@ GRID_SNAP_TOL = 1e-9
 # paths per simulation chunk: fixed, so results do not depend on the worker count,
 # and even, so no antithetic pair spans two chunks
 CHUNK_PATHS = 8192
-# bytes of one tile of rows (:func:`row_tiles`), the kernel's mixing tiles and the collateral
-# path's time rows alike: half of a 2 MB L2 cache
+# bytes of one tile (:func:`row_tiles`, :func:`block_tiles`), the kernel's mixing tiles and the
+# collateral path's tiles alike: half of a 2 MB L2 cache
 TILE_BYTES = 1 << 20
 UNIT_RATE = RateCurve.flat(1.0)  # integrates to the elapsed time, bit for bit grid.dt
 
@@ -199,7 +199,8 @@ class ScenarioSet:
     paths. A scenario built from a whole array, such as
     ``dataclasses.replace(scenario, paths=scenario.paths[:, :, a:b])``,
     counts as fully simulated. The domestic FX path is identically one, served
-    by :meth:`fx` as a read-only broadcast view. :meth:`account` and
+    by :meth:`fx` as a read-only broadcast view and by :meth:`fx_factor` as
+    ``None``, so a hot reader skips its products. :meth:`account` and
     :meth:`repo_account` are :func:`cash_account_value` of a currency's
     unsecured curve or an asset's repo curve on the grid.
     """
@@ -306,10 +307,22 @@ class ScenarioSet:
         return self._store[self._row(label)].T
 
     def fx(self, currency: str) -> np.ndarray:
-        if currency == self.model.domestic:
-            # read-only view of one scalar: allocates no (n_paths, n_times) buffer
+        x = self.fx_factor(currency)
+        if x is None:  # read-only view of one scalar: allocates no (n_paths, n_times) buffer
             return np.broadcast_to(1.0, (self.n_paths, len(self.grid.times)))
-        return self.driver(fx_label(currency))  # UnknownCurrency for a currency without an FX pair
+        return x
+
+    def fx_factor(self, currency: str) -> np.ndarray | None:
+        """The FX rate of ``currency`` as a factor to multiply or divide by: ``None`` for the domestic currency.
+
+        The one definition of "the domestic currency is the unit": its rate
+        is identically 1, so a hot reader skips the product or quotient it
+        would take with it, and x * 1.0 and x / 1.0 are x bit for bit. A
+        currency without an FX pair raises :class:`UnknownCurrency`.
+        """
+        if currency == self.model.domestic:
+            return None
+        return self.driver(fx_label(currency))
 
     def asset(self, label: str) -> np.ndarray:
         self.model.asset(label)  # ConfigError for a label that names no asset
@@ -461,10 +474,28 @@ def row_tiles(n_rows: int, row_bytes: int) -> list[slice]:
     """Consecutive slices covering ``range(n_rows)``, each of at least one row and about ``TILE_BYTES``.
 
     The one tiling rule of the engine: the kernel's mixing tiles of steps, and
-    the collateral path's tiles of time rows, are all taken from it.
+    the collateral path's tiles of time rows (:func:`block_tiles`), are all
+    taken from it.
     """
     step = max(1, TILE_BYTES // max(row_bytes, 1))
     return [slice(lo, min(lo + step, n_rows)) for lo in range(0, n_rows, step)]
+
+
+def block_tiles(n_rows: int, n_cols: int, row_bytes: int) -> list[tuple[slice, slice]]:
+    """(rows, columns) slices covering ``n_rows`` rows of ``n_cols`` columns, each about ``TILE_BYTES``.
+
+    A row holds ``row_bytes``. Whole rows in :func:`row_tiles` while one row
+    fits a tile; a wider row (a time row of more than 131,072 paths) is cut
+    into column slices of about ``TILE_BYTES``, one row at a time, so no
+    tile grows with the path count. The tiles run row by row and, within a
+    row, column by column, so every column meets its rows in order and each
+    element's operations, and their order, are those of whole-row tiles.
+    """
+    if row_bytes <= TILE_BYTES:
+        return [(rows, slice(0, n_cols)) for rows in row_tiles(n_rows, row_bytes)]
+    width = max(1, n_cols * TILE_BYTES // row_bytes)
+    cols = [slice(lo, min(lo + width, n_cols)) for lo in range(0, n_cols, width)]
+    return [(slice(r, r + 1), c) for r in range(n_rows) for c in cols]
 
 
 def run_chunks(work, chunks, n_workers: int) -> None:
