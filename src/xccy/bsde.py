@@ -240,26 +240,21 @@ def solve_endogenous(
     columns = chunk_columns(n_paths)
 
     shape = (n_drivers, n_steps + 1, columns[0].stop)  # a chunk's log-paths, as wide as chunk 0, the widest
-    free = [np.empty(shape)]  # the buffers no share is using: the pilot's to start with
+    pilot = np.empty(shape)
 
     def value(chunks: list[int], fit: bool = False) -> None:
-        """Simulate and sweep ``chunks`` in order, on a free buffer (a new one if none is), then free it.
+        """Simulate and sweep ``chunks`` in order, on one buffer as wide as chunk 0.
 
-        So the first share of :func:`~xccy.simulation.run_chunks` to start
-        reuses the pilot's buffer, and only a share that finds none free
-        allocates one: a buffer freed to the allocator can stay resident
-        after the solve.
+        The pilot (chunk 0) and the share of :func:`~xccy.simulation.run_chunks`
+        that starts at chunk 1 run one after the other, so they share the
+        pilot's buffer; every other share allocates its own.
         """
-        try:
-            buffer = free.pop()  # atomic: two shares never take one buffer
-        except IndexError:
-            buffer = np.empty(shape)
+        buffer = pilot if chunks[:1] in ([0], [1]) else np.empty(shape)
         for chunk in chunks:
             cols = columns[chunk]
             block = buffer[:, :, : cols.stop - cols.start]
             _simulate_log_chunk(block, cfg.seed, drift, vol, chunk, np.arange(n_drivers))
             sweep(block, surface[:, cols], u[cols], fit)
-        free.append(buffer)
 
     value([0], fit=True)  # the pilot: simulation chunk 0, all paths when there are at most CHUNK_PATHS
     run_chunks(value, range(1, len(columns)), cfg.n_workers)

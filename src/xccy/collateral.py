@@ -30,13 +30,12 @@ computed in that form, bit for bit the received-minus-posted one.
 The stream here realizes the FX term as increments -C dX, with predictable
 (left-endpoint) collateral and FX states, for the wealth replay. Pricing
 integrates each leg, the FX term included, exactly over every step instead
-(:func:`xccy.pricing._collateral_leg_weights`).
+(:func:`xccy.pricing._carry_leg_weights`, :func:`xccy.pricing._fx_leg_weight`).
 
-Collateral in the domestic currency has X identically 1, and its FX term
-vanishes: the exogenous builders skip the positivity scan of X and every
-product or quotient with it, and the haircut skips its factor when both
-haircuts are 0 (:func:`_apply_haircut`). x * 1.0 and x / 1.0 are x, so the
-paths keep their bits.
+Collateral in the domestic currency has X identically 1: the haircut of a
+mark skips the positivity scan of X and the division by it, and skips its
+factor when both haircuts are 0 (:func:`_apply_haircut`). x * 1.0 and
+x / 1.0 are x, so the paths keep their bits.
 """
 
 from __future__ import annotations
@@ -375,13 +374,10 @@ def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, 
 
 
 def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, asset, fraction) -> np.ndarray:
-    # the asset's domestic value; a domestic rate is 1 (ScenarioSet.fx_factor), skipped bit for bit
-    s, x = scenario.asset(asset), scenario.fx_factor(scenario.model.asset(asset).currency)
-    c = np.array(s, order="F") if x is None else np.multiply(s, x, order="F")
+    # the asset's domestic value
+    c = np.multiply(scenario.asset(asset), scenario.fx(scenario.model.asset(asset).currency), order="F")
     c *= fraction  # x * fraction is fraction * x, bit for bit
-    x = scenario.fx_factor(spec.currency)
-    if x is not None:
-        c /= x
+    c /= scenario.fx(spec.currency)
     return c
 
 

@@ -36,7 +36,7 @@ from .contracts import Contract
 from .curves import RATE_BOUND
 from .errors import ConfigError, UnknownProcessId
 from .model import ValidatedModel
-from .pricing import _collateral_leg_weights, price_exogenous
+from .pricing import _fx_leg_weight, price_exogenous
 from .simulation import (
     ScenarioSet,
     TimeGrid,
@@ -127,8 +127,7 @@ class _CheckpointProcess:
             out *= self.ratio[self.nodes, None]
             out -= x[0] * self.ratio[0]
             return out
-        s, x = view.asset(self.name).T, view.fx_factor(self.currency)
-        x = [None] * len(s) if x is None else x.T  # time rows; a domestic asset's X is 1, skipped
+        s, x = view.asset(self.name).T, view.fx(self.currency).T
         out = np.empty((len(self.nodes), view.n_paths))
         acc, gain, scratch = np.empty((3, view.n_paths))
         for j, rows in enumerate(self.rows_at_step):
@@ -331,7 +330,7 @@ def reduction_suite(model: ValidatedModel, n_paths: int = 2000, seed: int = 7) -
                 kwargs = {"posted_asset": model.assets[0].label, "received_asset": model.assets[0].label}
             spec = CollateralSpec(currency=e, form=form, convention=convention, **kwargs)
             realized = -coll.c[:, :-1] * np.diff(scenario.fx(spec.currency), axis=1)
-            weight = _collateral_leg_weights(model, spec, grid.times)[2]
+            weight = _fx_leg_weight(model, spec, grid.times)
             checks.append(
                 SuiteCheck(
                     name=f"fx-term-vanishes[{form}/{convention}]",

@@ -9,9 +9,8 @@ Two routes:
   the closed form; its error bar is the sample standard error of the
   antithetic pair means of the per-path totals
   (:func:`xccy.simulation.sample_mean`). With collateral in the domestic
-  currency, or flows paid in it, X is identically 1: the FX term and every
-  product or quotient with X are skipped, and each leg keeps its bits
-  (:func:`_discounted_collateral_legs`, :func:`xccy.wealth.discounted_flows`).
+  currency X is identically 1: the collateral legs skip the FX term and the
+  product with X, and keep their bits (:func:`_discounted_collateral_legs`).
 * ``price_fully_collateralized``: closed form for perfectly collateralized
   claims: flows discounted at the domestic collateral rate plus the
   cross-currency basis of the collateral currency, with foreign flows at the
@@ -86,7 +85,15 @@ def _discounted_spread_weights(plus_curve, minus_curve, inner_curve, times: np.n
 
 
 def _carry_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray):
-    """Per-interval weights for the received and posted carry: the first two of :func:`_collateral_leg_weights`."""
+    """Per-interval weights for the received and posted carry.
+
+    Within each interval the stochastic factor C * X / B_dom is frozen at the
+    left endpoint and the remaining deterministic variation, including the FX
+    forward drift against domestic discounting, integrates exactly to an
+    inner discount at the collateral currency's unsecured rate. Deterministic
+    collateral expectations therefore carry no time-stepping bias. Each weight
+    is one pass of :func:`_discounted_spread_weights` over the whole grid.
+    """
     recv_curve, post_curve = carry_curves(model, spec)
     borrow = model.curve(spec.currency, "collateral_borrow")
     lend = model.curve(spec.currency, "collateral_lend")
@@ -97,23 +104,12 @@ def _carry_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.nd
     )
 
 
-def _collateral_leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray):
-    """Per-interval weights for the received carry, posted carry and FX term.
-
-    Within each interval the stochastic factor C * X / B_dom is frozen at the
-    left endpoint and the remaining deterministic variation, including the FX
-    forward drift against domestic discounting, integrates exactly to an
-    inner discount at the collateral currency's unsecured rate. Deterministic
-    collateral expectations therefore carry no time-stepping bias. Each weight
-    is one pass of :func:`_discounted_spread_weights` over the whole grid.
-    The FX weight's spread is r_dom - r_k3, so it is 0.0 on every interval
-    when k3 is the domestic currency (the reduction suite asserts it).
-    """
-    return (*_carry_leg_weights(model, spec, times), _fx_leg_weight(model, spec, times))
-
-
 def _fx_leg_weight(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray) -> np.ndarray:
-    """Per-interval weight of the FX term: the last of :func:`_collateral_leg_weights`."""
+    """Per-interval weight of the FX term, integrated as the carry weights are (:func:`_carry_leg_weights`).
+
+    Its spread is r_dom - r_k3, so it is 0.0 on every interval when k3 is the
+    domestic currency (the reduction suite asserts it).
+    """
     r_k3 = model.curve(spec.currency, "unsecured")
     return _discounted_spread_weights(model.curve(model.domestic, "unsecured"), r_k3, r_k3, times)
 
@@ -140,6 +136,7 @@ def _discounted_collateral_legs(
     non-finite C is the one exception, where C * 0.0 is NaN: the path whose
     collateral is not finite gets the NaN the general arithmetic gives it,
     so every leg is the general one bit for bit, up to the sign of a NaN.
+    Those paths are found tile by tile, only once some leg is not finite.
     When the received and posted weights are equal on every step, as for cash
     under rehypothecation with equal posting and unsecured domestic curves and
     symmetric collateral rates, C is multiplied by that one weight without
@@ -170,8 +167,9 @@ def _discounted_collateral_legs(
         carry[0] += legs[paths]
         carry.sum(axis=0, out=legs[paths])
         del carry  # freed before the next tile is built
-    if x is None and not np.isfinite(legs).all():
-        legs[~np.isfinite(c).all(axis=0)] = np.nan
+    if x is None and not np.isfinite(legs).all():  # the NaN of C * 0.0, marked tile by tile
+        for steps, paths in block_tiles(len(c), c.shape[1], c[:1].nbytes):
+            legs[paths][~np.isfinite(c[steps, paths]).all(axis=0)] = np.nan
     return legs
 
 

@@ -49,14 +49,12 @@ def discounted_flows(scenario: ScenarioSet, contract: Contract) -> np.ndarray:
     """Per-path sum of the contract's flows in domestic units discounted to 0.
 
     Computes sum_j a_j * X(t_j) / B_dom(t_j); every flow date must be a grid node.
-    A domestic contract's X is 1 (:meth:`~xccy.simulation.ScenarioSet.fx_factor`)
-    and each flow adds a_j / B_dom(t_j), a_j * 1.0 being a_j bit for bit.
     """
-    fx = scenario.fx_factor(contract.native_currency)
+    fx = scenario.fx(contract.native_currency)
     b_e = scenario.account(scenario.model.domestic)
     out = np.zeros(scenario.n_paths)
     for (_, amount), j in zip(contract.flows, flow_nodes(scenario.grid, contract)):
-        out += amount / b_e[j] if fx is None else amount * fx[:, j] / b_e[j]
+        out += amount * fx[:, j] / b_e[j]
     return out
 
 
@@ -71,18 +69,12 @@ def hedged_gain_step(x_next, s_next, x, s, carry, out: np.ndarray, scratch: np.n
 
     The one definition of that step. The operands broadcast elementwise, so
     they may be whole (n_paths, n_steps) blocks or one step's rows of a path
-    chunk; ``scratch`` is a buffer of the shape of ``out``. ``x_next`` and
-    ``x`` are both ``None`` for a domestic asset, whose X is 1
-    (:meth:`~xccy.simulation.ScenarioSet.fx_factor`): the two products with
-    it are skipped, 1.0 * y being y bit for bit.
+    chunk; ``scratch`` is a buffer of the shape of ``out``.
     """
     np.subtract(s_next, s, out=out)
-    if x is None:
-        np.multiply(s, carry, out=scratch)
-    else:
-        np.multiply(x_next, out, out=out)
-        np.multiply(x, s, out=scratch)
-        np.multiply(scratch, carry, out=scratch)
+    np.multiply(x_next, out, out=out)
+    np.multiply(x, s, out=scratch)
+    np.multiply(scratch, carry, out=scratch)
     return np.add(out, scratch, out=out)
 
 
@@ -97,10 +89,9 @@ def fx_hedge_gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndar
     """
     currency = scenario.model.asset(asset_label).currency
     scenario.load(asset_label, *scenario.model.fx_drivers(currency))  # the asset and its FX rate in one pass
-    s, x, carry = scenario.asset(asset_label), scenario.fx_factor(currency), hedge_carry(scenario, asset_label)
-    x_next, x = (None, None) if x is None else (x[:, 1:], x[:, :-1])
+    s, x, carry = scenario.asset(asset_label), scenario.fx(currency), hedge_carry(scenario, asset_label)
     out = np.empty((scenario.n_paths, scenario.grid.n_steps))
-    return hedged_gain_step(x_next, s[:, 1:], x, s[:, :-1], carry, out, np.empty_like(out))
+    return hedged_gain_step(x[:, 1:], s[:, 1:], x[:, :-1], s[:, :-1], carry, out, np.empty_like(out))
 
 
 def gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndarray:

@@ -24,7 +24,7 @@ from xccy.collateral import adjustment_increments, carry_curves
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, MissingRates, NonPositiveFx
 from xccy.model import cross_currency_basis_integral
-from xccy.pricing import _collateral_leg_weights
+from xccy.pricing import _carry_leg_weights, _fx_leg_weight
 from xccy.simulation import TILE_BYTES
 
 
@@ -134,7 +134,7 @@ def _received_posted_legs(scen, coll, spec):
     np.cumsum(x[:, :-1] * (posted * lend - received * borrow), axis=1, out=interest[:, 1:])
     carry = x[:, :-1] * (received * (recv_int - borrow) - posted * (post_int - lend))
     increments = carry - c * np.diff(x, axis=1)
-    w_recv, w_post, w_fx = _collateral_leg_weights(model, spec, times)
+    (w_recv, w_post), w_fx = _carry_leg_weights(model, spec, times), _fx_leg_weight(model, spec, times)
     priced = received * w_recv[None, :] - posted * w_post[None, :] - c * w_fx[None, :]
     leg = -float(np.mean((priced * x[:, :-1] / scen.account(model.domestic)[None, :-1]).sum(axis=1)))
     return interest, increments, leg
@@ -172,7 +172,7 @@ def test_zero_collateral_zero_stream(scen, form, convention):
 def _fx_terms(scen, path, spec):
     """The FX term of the replay's stream (-C dX) and of pricing (its leg weight)."""
     realized = -path.c[:, :-1] * np.diff(scen.fx(spec.currency), axis=1)
-    weight = _collateral_leg_weights(scen.model, spec, scen.grid.times)[2]
+    weight = _fx_leg_weight(scen.model, spec, scen.grid.times)
     return realized, weight
 
 

@@ -2,22 +2,17 @@
 unit haircut factor, gives the general arithmetic's bits, forced here with explicit ones arrays and
 ``np.where`` factors."""
 
-import dataclasses
-import sys
-
 import numpy as np
 import pytest
 
 from conftest import peak_traced_bytes
 from xccy import BsdeConfig, CollateralPath, CollateralSpec, Contract, TimeGrid, price_exogenous, simulate
 from xccy import bsde as bsde_module
-from xccy.collateral import _apply_haircut, _fraction_of_asset, build_exogenous_path
-from xccy.diagnostics import _CheckpointProcess
+from xccy.collateral import _apply_haircut, build_exogenous_path
 from xccy.errors import NumericalError, UnknownCurrency
 from xccy.model import collateralized_value
-from xccy.pricing import _collateral_leg_weights, _discounted_collateral_legs
+from xccy.pricing import _carry_leg_weights, _discounted_collateral_legs, _fx_leg_weight
 from xccy.simulation import TILE_BYTES, block_tiles
-from xccy.wealth import discounted_flows, fx_hedge_gain_increments, hedge_carry, hedged_gain_step
 
 # every kind of mark the skips must carry through: signed zeros, infinities, NaN and both signs
 SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.5, -2.5, 1e-300, -1e-300, 1e308, -1e308])
@@ -99,30 +94,10 @@ def test_mark_proxy_path_is_the_general_rule_on_the_mark(scen, k3, deltas):
     assert same_bits(build_exogenous_path(scen, spec, contract).c, reference)
 
 
-def _with_special_values(scen, label):
-    """A scenario whose ``label`` paths hold every special value on some (path, time) entries past t = 0."""
-    paths = scen.paths.copy()
-    d = scen.model.driver_labels.index(label)
-    paths[d, 1 : 1 + len(SPECIAL), 0] = SPECIAL
-    paths[d, 3, 1 : 1 + len(SPECIAL)] = SPECIAL
-    return dataclasses.replace(scen, paths=paths)
-
-
-@pytest.mark.parametrize("k3", ["EUR", "USD"])
-@pytest.mark.parametrize("asset", ["EQ", "FEQ"])
-def test_fraction_of_asset_skips_give_the_general_products(scen, asset, k3):
-    special = _with_special_values(scen, asset)
-    spec = CollateralSpec(currency=k3, mode=("exogenous", "fraction_of_asset", {"asset": asset, "fraction": 0.3}))
-    x_asset = special.fx(special.model.asset(asset).currency)
-    with np.errstate(all="ignore"):
-        reference = np.multiply(special.asset(asset), np.array(x_asset), order="F") * 0.3 / np.array(special.fx(k3))
-        c = _fraction_of_asset(special, spec, None, asset, 0.3)
-    assert c.flags.f_contiguous and same_bits(c, reference)
-
-
 def _general_legs(scen, coll, spec):
     """The legs over one whole array, with explicit ones for a domestic X and the computed FX weight."""
-    w_recv, w_post, w_fx = _collateral_leg_weights(scen.model, spec, scen.grid.times)
+    times = scen.grid.times
+    (w_recv, w_post), w_fx = _carry_leg_weights(scen.model, spec, times), _fx_leg_weight(scen.model, spec, times)
     c = coll.c[:, :-1]
     carry = np.where(c > 0, w_recv, w_post)
     carry *= c
@@ -136,7 +111,7 @@ def _general_legs(scen, coll, spec):
 @pytest.mark.parametrize("form, convention", [("cash", "rehypothecation"), ("cash", "segregation")])
 def test_collateral_legs_skip_the_domestic_fx_term_bit_for_bit(scen, k3, form, convention):
     spec = CollateralSpec(currency=k3, form=form, convention=convention)
-    w_recv, w_post, _ = _collateral_leg_weights(scen.model, spec, scen.grid.times)
+    w_recv, w_post = _carry_leg_weights(scen.model, spec, scen.grid.times)
     # one weight for both signs of C in the domestic cash/rehypothecation case alone
     assert np.array_equal(w_recv, w_post) == (k3 == "EUR" and convention == "rehypothecation")
     marks = np.random.default_rng(4).normal(size=(scen.n_paths, len(scen.grid.times)))
@@ -181,64 +156,6 @@ def test_an_overflowing_mark_under_domestic_collateral_raises_the_general_failur
         price_exogenous(scen, contract, coll, spec)
 
 
-@pytest.mark.parametrize("currency", ["EUR", "USD"])
-def test_discounted_flows_skip_a_domestic_rate_bit_for_bit(scen, currency):
-    contract = Contract(currency, ((0.25, 0.0), (0.5, -0.0), (0.75, 1e308), (1.0, -1.5)))
-    b_e = scen.account("EUR")
-    nodes = scen.grid.nodes_of([0.25, 0.5, 0.75, 1.0])
-    fx = np.array(scen.fx(currency))
-    reference = np.zeros(scen.n_paths)
-    for (_, amount), j in zip(contract.flows, nodes):
-        reference += amount * fx[:, j] / b_e[j]
-    assert same_bits(discounted_flows(scen, contract), reference)
-
-
-def test_hedged_gain_step_without_x_is_the_step_with_ones():
-    rng = np.random.default_rng(6)
-    s_next, s = _marks(40, seed=7), rng.normal(size=40)
-    s[::9] = SPECIAL[: len(s[::9])]
-    carry = rng.normal(size=40)
-    ones = np.ones(40)
-    out, scratch, reference = np.empty((3, 40))
-    with np.errstate(all="ignore"):
-        hedged_gain_step(ones, s_next, ones, s, carry, reference, scratch)
-        hedged_gain_step(None, s_next, None, s, carry, out, scratch)
-    assert same_bits(out, reference)
-
-
-@pytest.mark.parametrize("asset", ["EQ", "FEQ"])
-def test_fx_hedge_gains_of_an_asset_are_the_general_step(scen, asset):
-    special = _with_special_values(scen, asset)
-    s, x = special.asset(asset), np.array(special.fx(special.model.asset(asset).currency))
-    reference = np.empty((special.n_paths, special.grid.n_steps))
-    with np.errstate(all="ignore"):
-        hedged_gain_step(x[:, 1:], s[:, 1:], x[:, :-1], s[:, :-1], hedge_carry(special, asset), reference,
-                         np.empty_like(reference))
-        gains = fx_hedge_gain_increments(special, asset)
-    assert same_bits(gains, reference)
-
-
-@pytest.mark.parametrize("asset", ["EQ", "FEQ"])
-def test_checkpoint_block_of_an_asset_is_the_general_step(scen, asset):
-    special = _with_special_values(scen, asset)
-    nodes = np.array([4, 8, 12])
-    process = _CheckpointProcess(special, f"asset:{asset}", nodes)
-    s, x = special.asset(asset).T, np.array(special.fx(special.model.asset(asset).currency)).T
-    reference = np.empty((len(nodes), special.n_paths))
-    acc, gain, scratch = np.empty((3, special.n_paths))
-    with np.errstate(all="ignore"):
-        for j in range(nodes.max()):
-            hedged_gain_step(x[j + 1], s[j + 1], x[j], s[j], process.carry[j], gain, scratch)
-            gain /= process.b_repo[j]
-            if j:
-                acc += gain
-            else:
-                acc[:] = gain
-            reference[nodes == j + 1] = acc
-        block = process.block(special)
-    assert same_bits(block, reference)
-
-
 @pytest.mark.parametrize(
     "shape", [(1, 1), (5, 3), (3, TILE_BYTES // 8), (2, TILE_BYTES // 8 + 1), (3, 3 * TILE_BYTES // 8 + 5)]
 )
@@ -281,6 +198,21 @@ def test_collateral_legs_of_wide_rows_take_memory_of_a_few_tiles(wide_scen):
     assert np.array_equal(_discounted_collateral_legs(wide_scen, coll, spec), _general_legs(wide_scen, coll, spec))
 
 
+def test_non_finite_domestic_legs_are_marked_in_memory_of_a_tile(two_currency_model):
+    # four wide time rows: flagging the non-finite paths over the whole path at once takes 3 MB
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), WIDE_PATHS, seed=9)
+    c = np.zeros((WIDE_PATHS, 5), order="F")
+    c[::2] = 1.0
+    c[5, 1], c[WIDE_PATHS - 1, 3] = np.inf, np.nan
+    coll = CollateralPath(c, "EUR")
+    out = []
+    peak = peak_traced_bytes(lambda: out.append(_discounted_collateral_legs(scen, coll, CollateralSpec(currency="EUR"))))
+    legs = WIDE_PATHS * 8
+    assert peak <= legs + 2 * TILE_BYTES, (peak, legs)
+    # the NaN that the general FX term inf * 0.0 and NaN * 0.0 give those paths, and no other
+    assert np.flatnonzero(~np.isfinite(out[0])).tolist() == [5, WIDE_PATHS - 1] and np.isnan(out[0][5])
+
+
 def test_bsde_allocates_one_chunk_buffer_per_share_and_reuses_the_pilots(bsde_two_currency_model, monkeypatch):
     bases = {}
     kernel = bsde_module._simulate_log_chunk
@@ -299,12 +231,7 @@ def test_bsde_allocates_one_chunk_buffer_per_share_and_reuses_the_pilots(bsde_tw
         return result, len(bases)
 
     one, buffers = solve(1)
-    assert buffers == 1  # the share on the caller's thread reuses the pilot's buffer
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # threads switch often: two shares must never take one buffer
-    try:
-        two, buffers = solve(2)
-    finally:
-        sys.setswitchinterval(interval)
-    assert buffers <= 2
+    assert buffers == 1  # the one share reuses the pilot's buffer
+    two, buffers = solve(2)
+    assert buffers == 2  # the share from chunk 1 reuses it, the other allocates its own
     assert two.v0 == one.v0 and np.array_equal(two.surface, one.surface)

@@ -24,7 +24,7 @@ from xccy.errors import (
     ScenarioMeasureMismatch,
 )
 from xccy.collateral import carry_curves
-from xccy.pricing import _collateral_leg_weights, _discounted_collateral_legs
+from xccy.pricing import _carry_leg_weights, _discounted_collateral_legs, _fx_leg_weight
 from xccy.simulation import TILE_BYTES
 
 
@@ -233,9 +233,10 @@ def test_collateral_leg_weights_match_scalar_reference(multi_knot_model, k3, for
         (post, model.curve(k3, "collateral_lend"), r_k3),
         (r_e, r_k3, r_k3),
     ]
-    for weights, curves in zip(_collateral_leg_weights(model, spec, times), triples):
+    weights = (*_carry_leg_weights(model, spec, times), _fx_leg_weight(model, spec, times))
+    for weight, curves in zip(weights, triples):
         ref = [_scalar_spread_weight(*curves, a, b) for a, b in zip(times[:-1], times[1:])]
-        np.testing.assert_allclose(weights, ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(weight, ref, rtol=1e-13, atol=0.0)
 
 
 def test_price_needs_two_paths(two_currency_model):
@@ -247,7 +248,8 @@ def test_price_needs_two_paths(two_currency_model):
 
 def _whole_array_legs(scen, coll, spec):
     """The per-path collateral legs over one (n_paths, n_steps) array, as computed before path blocks."""
-    w_recv, w_post, w_fx = _collateral_leg_weights(scen.model, spec, scen.grid.times)
+    times = scen.grid.times
+    (w_recv, w_post), w_fx = _carry_leg_weights(scen.model, spec, times), _fx_leg_weight(scen.model, spec, times)
     c = coll.c[:, :-1]
     carry = np.where(c > 0, w_recv, w_post)
     carry *= c
