@@ -37,13 +37,14 @@ normals, and every slice is the mean of a target that is the same on every
 path. Drivers the trade does not read are not simulated and move no bit of
 the result. The fit simulates chunk 0 alone (all paths when there are at most
 ``CHUNK_PATHS``) and fits each slice's coefficients on it backward; slice 0,
-whose states are the initial levels, takes the mean of its target. The
-valuation reuses that chunk and simulates every later chunk on the same
-kernel into a buffer reused per worker thread, one of them the pilot's, and
-carries the value v_j = cont / den and the pathwise value u (the flows
-discounted through the same slice denominators) backward with the fixed
-coefficients: once they are known, a path's values depend on its own states
-alone (Longstaff & Schwartz 2001).
+whose states are the initial levels, takes the mean of its target. Such a
+slice, and every slice of a domestic trade, has one continuation value shared
+by every path, kept as one number. The valuation reuses that chunk and
+simulates every later chunk on the same kernel into a buffer reused per
+worker thread, and carries the value v_j = cont / den and the pathwise value
+u (the flows discounted through the same slice denominators) backward with
+the fixed coefficients: once they are known, a path's values depend on its
+own states alone (Longstaff & Schwartz 2001).
 Memory is one chunk per thread plus the value surface. v0 is the mean of u
 and its error bar that of :func:`~xccy.simulation.sample_mean`, one estimator
 for both.
@@ -95,7 +96,7 @@ class BsdeResult:
     v0: float  # mean of the pathwise value u: the flows discounted through the slice denominators
     v0_std_error: float  # sample_mean error bar of u, so of v0
     surface: np.ndarray  # (n_paths, n_times) value per path and grid node; column 0 is v0 on every path
-    picard_counts: tuple[int, ...]  # slice solves per step: 1, the solve is exact
+    picard_counts: tuple[int, ...]  # slice solves per step: 1, the solve is exact; only perfbench reads it
     grid: TimeGrid
     n_paths: int
     seed: int
@@ -125,9 +126,11 @@ def _regress(design: np.ndarray, target: np.ndarray) -> np.ndarray:
     return beta
 
 
-def _slice_denominator(cont: np.ndarray, dr: float, ds: float, delta1: float, delta2: float) -> np.ndarray:
-    """Per-path 1 + dr - ds (1 + delta), delta = delta1 where cont < 0 and delta2 elsewhere.
+def _slice_denominator(cont, dr: float, ds: float, delta1: float, delta2: float) -> np.ndarray:
+    """1 + dr - ds (1 + delta), delta = delta1 where cont < 0 and delta2 elsewhere.
 
+    ``cont`` is a per-path array, or one number when the continuation value is
+    the same on every path; the denominator has its shape (0-d for a number).
     v = cont / denominator solves the slice equation when every denominator is
     positive; otherwise no v of the sign of cont does, and a non-positive
     denominator that some path selects raises :class:`NumericalError`."""
@@ -205,8 +208,7 @@ def solve_endogenous(
         """Carry one chunk's log-paths backward from V_T = 0, writing its
         surface rows and pathwise values; with ``fit``, fit each slice's
         coefficients on this chunk first."""
-        count = paths.shape[2]
-        design = np.ones((cfg.degree + 1, count))  # row k: the state's k-th power
+        design = np.ones((cfg.degree + 1, paths.shape[2]))  # row k: the state's k-th power
         for j in range(n_steps - 1, -1, -1):
             target = surface[j + 1]
             if flows[j + 1]:  # subtracting a zero flow would leave every bit as it is
@@ -222,7 +224,7 @@ def solve_endogenous(
                 if fit:
                     with np.errstate(over="ignore", invalid="ignore"):  # check_finite_estimate reports an overflow
                         coefs[j] = float(np.mean(target))
-                cont = np.full(count, coefs[j])
+                cont = coefs[j]  # one number: the continuation value of every path
             else:
                 for k in range(1, cfg.degree + 1):
                     np.multiply(design[k - 1], paths[0, j], out=design[k])
@@ -239,17 +241,9 @@ def solve_endogenous(
     u = np.zeros(n_paths)
     columns = chunk_columns(n_paths)
 
-    shape = (n_drivers, n_steps + 1, columns[0].stop)  # a chunk's log-paths, as wide as chunk 0, the widest
-    pilot = np.empty(shape)
-
     def value(chunks: list[int], fit: bool = False) -> None:
-        """Simulate and sweep ``chunks`` in order, on one buffer as wide as chunk 0.
-
-        The pilot (chunk 0) and the share of :func:`~xccy.simulation.run_chunks`
-        that starts at chunk 1 run one after the other, so they share the
-        pilot's buffer; every other share allocates its own.
-        """
-        buffer = pilot if chunks[:1] in ([0], [1]) else np.empty(shape)
+        """Simulate and sweep ``chunks`` in order, on one buffer of log-paths as wide as chunk 0, the widest."""
+        buffer = np.empty((n_drivers, n_steps + 1, columns[0].stop))
         for chunk in chunks:
             cols = columns[chunk]
             block = buffer[:, :, : cols.stop - cols.start]

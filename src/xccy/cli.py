@@ -26,9 +26,10 @@ from .simulation import (
     TimeGrid,
     check_error_bar_paths,
     check_finite_estimate,
+    combine_moments,
     dump_paths_csv,
     has_error_bar,
-    sample_mean,
+    pair_moments,
     simulate,
 )
 
@@ -172,11 +173,12 @@ def _cmd_simulate(args, model) -> int:
     dump = _dump_file(args, args.dump_paths, "--dump-paths", "paths.csv")
     grid = TimeGrid.regular(args.horizon, args.steps)
     scenario = simulate(model, grid, args.paths, args.seed, n_workers=args.workers)
-    terminal = scenario.paths[:, -1]  # every driver's terminal row, simulated in one pass
-    if has_error_bar(scenario.n_paths):
-        means, std_errors = sample_mean(terminal)
+    if dump is not None:
+        scenario.load()  # the dump reads every driver: one pass stores them all, and the means read the store
+    if has_error_bar(scenario.n_paths):  # sample_mean of the terminal rows, chunk by chunk: stores no path
+        means, std_errors = combine_moments(scenario.map_chunks(lambda view: pair_moments(view.paths[:, -1])))
     else:  # fewer than two whole antithetic pairs: the means have no error bar
-        means, std_errors = terminal.mean(axis=-1), None
+        means, std_errors = scenario.paths[:, -1].mean(axis=-1), None
     for d, label in enumerate(model.driver_labels):
         check_finite_estimate(f"{label} terminal mean", means[d], 0.0 if std_errors is None else std_errors[d])
     report = {
@@ -249,7 +251,6 @@ def _cmd_bsde(args, model) -> int:
         "n_paths": result.n_paths,
         "seed": result.seed,
         "n_steps": grid.n_steps,
-        "picard_counts": list(result.picard_counts),
     }
     if dump is not None:
         write_grid(dump, ("value",), grid.times, [(result.surface,)])

@@ -221,6 +221,8 @@ def check_collateral_path(scenario: ScenarioSet, coll: CollateralPath, spec: Col
     check_collateral_spec(scenario.model, spec)
 
 
+# an overflowing mark gives a non-finite collateral, which the price's check_finite_estimate reports
+@np.errstate(over="ignore", invalid="ignore")
 def _apply_haircut(c: np.ndarray, spec: CollateralSpec, fx_level) -> None:
     """Turn the marks ``c`` into collateral in place: c * (1 + delta) / fx_level.
 

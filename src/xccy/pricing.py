@@ -10,7 +10,8 @@ Two routes:
   antithetic pair means of the per-path totals
   (:func:`xccy.simulation.sample_mean`). With collateral in the domestic
   currency X is identically 1: the collateral legs skip the FX term and the
-  product with X, and keep their bits (:func:`_discounted_collateral_legs`).
+  product with X, and keep their bits wherever the collateral is finite
+  (:func:`_discounted_collateral_legs`).
 * ``price_fully_collateralized``: closed form for perfectly collateralized
   claims: flows discounted at the domestic collateral rate plus the
   cross-currency basis of the collateral currency, with foreign flows at the
@@ -114,6 +115,8 @@ def _fx_leg_weight(model: ValidatedModel, spec: CollateralSpec, times: np.ndarra
     return _discounted_spread_weights(model.curve(model.domestic, "unsecured"), r_k3, r_k3, times)
 
 
+# a non-finite collateral gives a non-finite leg, which the price's check_finite_estimate reports
+@np.errstate(over="ignore", invalid="ignore")
 def _discounted_collateral_legs(
     scenario: ScenarioSet, coll_path: CollateralPath, spec: CollateralSpec
 ) -> np.ndarray:
@@ -132,15 +135,16 @@ def _discounted_collateral_legs(
     Domestic collateral skips the FX term and the product with X, which is
     identically 1 (:meth:`~xccy.simulation.ScenarioSet.fx_factor`), and its
     FX weight is not computed: with a 0.0 weight the term is a signed zero,
-    and a signed zero cannot move a per-path sum that starts at +0.0. A
-    non-finite C is the one exception, where C * 0.0 is NaN: the path whose
-    collateral is not finite gets the NaN the general arithmetic gives it,
-    so every leg is the general one bit for bit, up to the sign of a NaN.
-    Those paths are found tile by tile, only once some leg is not finite.
-    When the received and posted weights are equal on every step, as for cash
-    under rehypothecation with equal posting and unsecured domestic curves and
-    symmetric collateral rates, C is multiplied by that one weight without
-    ``np.where``, which picks it on either sign (C * w is w * C bit for bit).
+    and a signed zero cannot move a per-path sum that starts at +0.0, so a
+    path whose collateral is finite keeps the general leg's bits. On a path
+    whose collateral is not finite, the general C * 0.0 is NaN; the domestic
+    leg is the ±inf or NaN that the domestic arithmetic gives, non-finite
+    either way, which :func:`price_exogenous` reports. An overflow in the
+    arithmetic raises no numpy warning. When the received and posted weights
+    are equal on every step, as for cash under rehypothecation with equal
+    posting and unsecured domestic curves and symmetric collateral rates, C
+    is multiplied by that one weight without ``np.where``, which picks it on
+    either sign (C * w is w * C bit for bit).
     """
     model = scenario.model
     times = scenario.grid.times
@@ -167,9 +171,6 @@ def _discounted_collateral_legs(
         carry[0] += legs[paths]
         carry.sum(axis=0, out=legs[paths])
         del carry  # freed before the next tile is built
-    if x is None and not np.isfinite(legs).all():  # the NaN of C * 0.0, marked tile by tile
-        for steps, paths in block_tiles(len(c), c.shape[1], c[:1].nbytes):
-            legs[paths][~np.isfinite(c[steps, paths]).all(axis=0)] = np.nan
     return legs
 
 

@@ -313,6 +313,20 @@ def test_a_non_positive_denominator_raises_only_where_a_path_selects_it():
         _slice_denominator(cont, dr, ds, delta1, delta2)
 
 
+@pytest.mark.parametrize("cont", [-0.7, 0.0, -0.0, 1.3])
+def test_one_continuation_number_divides_as_the_per_path_array(cont):
+    # a path-constant slice keeps its continuation value as one number: each path's value keeps its bits
+    dr, ds, delta1, delta2 = 0.02 / 25, 0.008 / 25, 0.4, 0.2
+    per_path = np.full(7, cont)
+    den = _slice_denominator(cont, dr, ds, delta1, delta2)
+    assert den.shape == ()
+    row = np.empty(7)
+    np.divide(cont, den, out=row)
+    assert row.tobytes() == (per_path / _slice_denominator(per_path, dr, ds, delta1, delta2)).tobytes()
+    with pytest.raises(NumericalError, match="non-positive slice denominator"):
+        _slice_denominator(cont, dr, ds, 1e4, 1e4)
+
+
 def test_one_path_has_no_error_bar(bsde_two_currency_model, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("simulated before the path count was checked")

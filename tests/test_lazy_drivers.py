@@ -18,6 +18,7 @@ from xccy import (
     Contract,
     CorrelationMatrix,
     FxSpec,
+    ScenarioSet,
     Strategy,
     TimeGrid,
     build_exogenous_path,
@@ -302,6 +303,22 @@ def test_a_wealth_replay_makes_one_pass(two_currency_model, streams):
 def test_cli_simulate_makes_one_pass(tmp_path, streams):
     args = ["--model", str(DEMO_MODEL), "--paths", str(N_PASS_PATHS), "--steps", "3"]
     assert run(["simulate", *args, "--out", str(tmp_path / "out"), "--dump-paths"]) == 0
+    assert streams == _one_pass(N_PASS_PATHS, 3)
+
+
+def test_cli_simulate_without_a_dump_never_allocates_the_path_store(tmp_path, streams, monkeypatch):
+    # the terminal statistics are taken chunk by chunk; loading the store is what the dump alone needs
+    loads, load = [], ScenarioSet.load
+
+    def spy(scenario, *labels):
+        if scenario._simulation is not None:  # a chunk's view holds its block and simulates nothing
+            loads.append(labels)
+        return load(scenario, *labels)
+
+    monkeypatch.setattr(ScenarioSet, "load", spy)
+    args = ["--model", str(DEMO_MODEL), "--paths", str(N_PASS_PATHS), "--steps", "3"]
+    assert run(["simulate", *args, "--out", str(tmp_path / "out")]) == 0
+    assert loads == []
     assert streams == _one_pass(N_PASS_PATHS, 3)
 
 
