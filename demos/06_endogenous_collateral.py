@@ -34,7 +34,7 @@ res = solve_endogenous(model, contract, "USD", 0.0, 0.0, cfg)
 closed = price_fully_collateralized(model, contract, "USD")
 print(f"  zero haircuts: solver {res.v0:+.6f}  closed form {closed:+.6f} "
       f"(rel err {abs(res.v0 / closed - 1):.1e})")
-print(f"  standard error of v0: {res.v0_std_error:.1e} (a EUR payment is deterministic; "
+print(f"  error bar of v0: {res.v0_std_error:.1e} (a EUR payment is deterministic: its rounding floor; "
       "the gap to the closed form is the time step)")
 
 print("\nhaircuts raise the posted margin; the extra carry is a cost to the hedger:")

@@ -165,5 +165,5 @@ def doc_value(doc, key: str, where: str, kind=None, default=...):
         return default
     try:
         return doc[key] if kind is None else kind(doc[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: an integer too large for a float
         raise ConfigError(f"{where}.{key} is malformed: {exc}") from exc

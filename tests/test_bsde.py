@@ -1,9 +1,10 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import build_model, curveset
+from conftest import build_model, curveset, peak_traced_bytes
 from xccy import (
     AssetSpec,
     BsdeConfig,
@@ -13,11 +14,13 @@ from xccy import (
     RateCurve,
     TimeGrid,
     cross_currency_basis,
+    load_model,
     price_fully_collateralized,
     simulate,
     solve_endogenous,
+    validate_model,
 )
-from xccy.bsde import _regress, _slice_denominator
+from xccy.bsde import _regress, _slice_denominator, discrete_value, rounding_floor
 from xccy.errors import AsymmetricCollateralRates, ConfigError, NumericalError, SingularRegression
 from xccy.model import cross_currency_basis_of
 from xccy.rng import normal_block
@@ -342,7 +345,7 @@ def test_negative_regression_degree_is_rejected():
 
 
 def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
-    """Reference: the solver that held every path and fitted every slice on all of them.
+    """Reference: the solver that held every path and fitted every slice on all of them, for a foreign trade.
 
     Its state is the log-path of the simulation's log-path kernel on the
     sub-model of the flows' FX driver, chunk by chunk, and its basis the
@@ -369,14 +372,13 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
         - cross_currency_basis_of(model, k3, lambda curve: curve.step_integrals(times))
     )
     fx_k2 = scenario.fx(contract.native_currency)
-    n_drivers = len(sub_model.driver_labels)
     surface = np.zeros((grid.n_steps + 1, n_paths))
     v = surface[grid.n_steps]
     u = np.zeros(n_paths)
     for j in range(grid.n_steps - 1, -1, -1):
         paid = flows[j + 1] * fx_k2[:, j + 1]
         y = v - paid
-        if j == 0 or not n_drivers:
+        if j == 0:
             cont = np.full(n_paths, float(np.mean(y)))
         else:
             design = np.ascontiguousarray(np.vander(logs[0, j], cfg.degree + 1, increasing=True).T)
@@ -390,7 +392,7 @@ def _stored_path_solver(model, contract, k3, delta1, delta2, cfg):
 
 STREAMED_CASES = [
     ("USD", "EUR", 0.5, 0.5, 12, 5000),  # foreign flows: a path-dependent value
-    ("EUR", "USD", 0.3, 0.1, 8, CHUNK_PATHS),  # one full chunk
+    ("USD", "USD", 0.3, 0.1, 8, CHUNK_PATHS),  # one full chunk
     ("USD", "USD", 0.0, 0.2, 1, 700),  # one step: slice 0 only
 ]
 
@@ -538,12 +540,62 @@ def test_a_domestic_trade_is_the_deterministic_recursion_and_draws_no_normals(
         below.append(cont < 0)
         v[j] = cont / (1.0 + dr[j] - ds[j] * (1.0 + (delta1 if cont < 0 else delta2)))
     assert any(below) and not all(below)
-    cfg = BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 100, seed=3)
-    res = solve_endogenous(model, contract, "USD", delta1, delta2, cfg)
-    assert res.v0 == pytest.approx(v[0], rel=1e-12)
-    np.testing.assert_allclose(res.surface, np.broadcast_to(v, res.surface.shape), rtol=1e-12, atol=0)
-    assert res.v0_std_error <= 1e-12 * abs(res.v0)
+    cfg = BsdeConfig(grid=grid, n_paths=2 * CHUNK_PATHS + 100, seed=3, n_workers=2)
+    with monkeypatch.context() as no_paths:  # no chunk simulated, no chunk loop, no thread
+        no_paths.setattr("xccy.bsde._simulate_log_chunk", lambda *a: pytest.fail("simulated a chunk"))
+        no_paths.setattr("xccy.bsde.run_chunks", lambda *a: pytest.fail("ran the chunk loop"))
+        res = solve_endogenous(model, contract, "USD", delta1, delta2, cfg)
+    assert res.v0 == v[0]
+    assert np.array_equal(res.surface, np.broadcast_to(v, res.surface.shape))
+    assert res.v0_std_error == rounding_floor(grid.n_steps, max(np.abs(v).max(), 5.0))
+    assert 0 < res.v0_std_error <= 1e-14 * abs(res.v0)
     assert sum(drawn) == 0
     # the spy sees the normals of the same trade paid in USD
     solve_endogenous(model, Contract("USD", contract.flows), "USD", delta1, delta2, _cfg(n_steps=10, n_paths=100))
     assert sum(drawn) > 0
+
+
+def test_a_domestic_surface_is_a_read_only_view_of_one_row(bsde_two_currency_model):
+    contract = Contract("EUR", ((0.5, 2.0), (1.0, -1.0)))
+    grid = TimeGrid.regular(1.0, 8, include=contract.flow_times)
+    res = solve_endogenous(bsde_two_currency_model, contract, "USD", 0.3, 0.1, BsdeConfig(grid=grid, n_paths=5000))
+    assert res.surface.shape == (5000, 9)
+    assert res.surface.strides == (0, 8)
+    assert not res.surface.flags.writeable
+    assert np.all(res.surface[:, 0] == res.v0)
+    assert res.surface[0].tobytes() == discrete_value(bsde_two_currency_model, contract, "USD", 0.3, 0.1, grid).tobytes()
+
+
+def test_a_domestic_solve_allocates_nothing_per_path(bsde_two_currency_model):
+    contract = Contract("EUR", ((0.5, 2.0), (1.0, -1.0)))
+    grid = TimeGrid.regular(1.0, 50, include=contract.flow_times)
+    cfg = BsdeConfig(grid=grid, n_paths=1_000_000, n_workers=2)
+    res = solve_endogenous(bsde_two_currency_model, contract, "USD", 0.3, 0.1, cfg)  # imports and caches
+    assert res.surface.shape == (1_000_000, 51)
+    peak = peak_traced_bytes(lambda: solve_endogenous(bsde_two_currency_model, contract, "USD", 0.3, 0.1, cfg))
+    assert peak < 1 << 20, peak  # a stored surface alone would take 408 MB
+
+
+def test_an_overflowing_domestic_value_raises_naming_v0(bsde_two_currency_model):
+    # 1e308 at 1.0 discounts to a finite value at 0.5, and adding the second 1e308 there overflows;
+    # a RuntimeWarning would fail the test before the error is raised
+    contract = Contract("EUR", ((0.5, -1e308), (1.0, -1e308)))
+    cfg = BsdeConfig(grid=TimeGrid.regular(1.0, 2), n_paths=2000)
+    with pytest.raises(NumericalError, match="non-finite v0: inf"):
+        solve_endogenous(bsde_two_currency_model, contract, "USD", 0.0, 0.0, cfg)
+    one = solve_endogenous(bsde_two_currency_model, Contract("EUR", ((1.0, -1e308),)), "USD", 0.0, 0.0, cfg)
+    assert math.isfinite(one.v0) and math.isfinite(one.v0_std_error)
+
+
+def test_a_foreign_trade_meets_its_discrete_closed_form():
+    # a USD trade whose value changes sign at 0.5, haircuts of both signs, collateral in USD: the solver's v0
+    # against x0 g_0 of the same recursion, within a z-bound fixed before running
+    demo_model = validate_model(load_model(str(Path(__file__).resolve().parents[1] / "demos" / "config" / "model.json")))
+    contract = Contract("USD", ((0.5, 1.5), (1.0, -1.0)))
+    grid = TimeGrid.regular(1.0, 50, include=contract.flow_times)
+    g = discrete_value(demo_model, contract, "USD", 0.3, -0.2, grid)
+    assert g[0] < 0 < g[-2]
+    oracle = demo_model.fx_spec("USD").x0 * g[0]
+    for seed in range(6):
+        res = solve_endogenous(demo_model, contract, "USD", 0.3, -0.2, BsdeConfig(grid=grid, n_paths=20_000, seed=seed))
+        assert abs(res.v0 - oracle) <= 4.0 * res.v0_std_error, (seed, res.v0, oracle, res.v0_std_error)

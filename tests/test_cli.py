@@ -176,7 +176,12 @@ def test_non_finite_estimate_exits_two(docs, capsys, command):
 
 def _model_with(path, value):
     """MODEL_DOC with the field at ``path`` (keys and indices) set to ``value``."""
-    doc = json.loads(json.dumps(MODEL_DOC))
+    return _document_with(MODEL_DOC, path, value)
+
+
+def _document_with(doc, path, value):
+    """A copy of ``doc`` with the field at ``path`` (keys and indices) set to ``value``."""
+    doc = json.loads(json.dumps(doc))
     node = doc
     for key in path[:-1]:
         node = node[key]
@@ -232,6 +237,26 @@ def test_json_boolean_in_a_number_exits_one_naming_the_field(docs, capsys, comma
     assert err.startswith(f"error: {field} is malformed: ") and "is a JSON boolean, not a number" in err, err
 
 
+# float() of a JSON integer of 400 digits raises OverflowError, which used to escape as a traceback
+HUGE_INTEGERS = {
+    "fx level": ("model", "fx[0].x0", ("fx", 0, "x0")),
+    "correlation entry": ("model", "correlation.matrix", ("correlation", "matrix", 0, 1)),
+    "flow time": ("trade", "contract.flows", ("contract", "flows", 0, 0)),
+}
+
+
+@pytest.mark.parametrize("case", list(HUGE_INTEGERS))
+def test_an_integer_too_large_for_a_float_exits_one_naming_the_field(docs, capsys, case):
+    model, trade, tmp = docs
+    document, field, path = HUGE_INTEGERS[case]
+    edited = tmp / "huge_integer.json"
+    edited.write_text(json.dumps(_document_with(MODEL_DOC if document == "model" else TRADE_DOC, path, 10**400)))
+    model, trade = (edited, trade) if document == "model" else (model, edited)
+    assert run(["price", "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {field} is malformed: int too large to convert to float\n", err
+
+
 def _with_strings(doc):
     """``doc`` with every JSON boolean in it replaced by the string "0.5"."""
     if isinstance(doc, bool):
@@ -261,21 +286,36 @@ def test_json_string_in_a_number_exits_one_naming_the_field(docs, capsys, comman
     assert err.startswith(f"error: {field} is malformed: ") and "'0.5' is a JSON string, not a number" in err, err
 
 
+def _run_cli_process(argv) -> subprocess.CompletedProcess:
+    """``python -m xccy.cli`` on ``argv`` in a process of its own, so numpy's warnings reach its stderr."""
+    src = os.path.dirname(os.path.dirname(xccy.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "xccy.cli", *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("command", [["price", "--steps", "4"], ["bsde", "--steps", "1"]])
 def test_non_finite_estimate_prints_one_stderr_line(docs, command):
     # numpy's overflow warnings, each with its source line, used to come before the one that names the estimate
     model, _, tmp = docs
     trade = tmp / "overflow.json"
     trade.write_text(json.dumps({**TRADE_DOC, "contract": {"currency": "USD", "flows": [[1.0, -1e308]]}}))
-    src = os.path.dirname(os.path.dirname(xccy.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = [command[0], "--model", str(model), "--trade", str(trade), "--paths", "2000", "--seed", "1", *command[1:]]
-    done = subprocess.run(
-        [sys.executable, "-m", "xccy.cli", *argv], env=env, capture_output=True, text=True, timeout=120
-    )
+    done = _run_cli_process(argv)
     assert done.returncode == 2
     lines = done.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure: non-finite"), done.stderr
+
+
+def test_an_overflowing_domestic_bsde_value_prints_one_stderr_line(docs):
+    # a domestic trade is valued by its exact recursion: one flow of -1e308 discounts to a finite v0, and a
+    # second one at 0.5 overflows the sum there; the failure alone, no numpy warning before it
+    model, _, tmp = docs
+    trade = tmp / "overflow.json"
+    trade.write_text(json.dumps({**TRADE_DOC, "contract": {"currency": "EUR", "flows": [[0.5, -1e308], [1.0, -1e308]]}}))
+    done = _run_cli_process(["bsde", "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "2"])
+    assert done.returncode == 2
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure: non-finite v0: inf"), done.stderr
 
 
 @pytest.mark.parametrize("k3", ["EUR", "USD"])
@@ -433,6 +473,22 @@ def test_bsde_report_does_not_move_with_drivers_the_trade_does_not_read(docs, na
         reports.append(((out / "report.json").read_bytes(), (out / "surface.csv").read_bytes()))
     assert reports[1:] == reports[:1] * 2
     assert json.loads(reports[0][0])["k2"] == native
+
+
+def test_domestic_bsde_outputs_do_not_move_with_the_workers(docs):
+    # a domestic trade is valued without paths: its report and surface dump are the same bytes at 1 and 2 workers
+    model, trade, tmp = docs
+    trade.write_text(json.dumps({**TRADE_DOC, "contract": {"currency": "EUR", "flows": [[0.5, 2.0], [1.0, -1.0]]}}))
+    outputs = []
+    for workers in ("1", "2"):
+        out = tmp / f"bsde{workers}"
+        assert run(["bsde", "--model", str(model), "--trade", str(trade), "--paths", "20000", "--steps", "4",
+                    "--delta1", "0.3", "--delta2", "0.1", "--workers", workers, "--out", str(out),
+                    "--dump-surface"]) == 0
+        outputs.append(((out / "report.json").read_bytes(), (out / "surface.csv").read_bytes()))
+    assert outputs[1] == outputs[0]
+    report = json.loads(outputs[0][0])
+    assert report["k2"] == "EUR" and report["v0_std_error"] > 0
 
 
 def test_price_report_does_not_move_with_an_appended_asset(tmp_path):
