@@ -36,20 +36,29 @@ Collateral in the domestic currency has X identically 1: the haircut of a
 mark skips the positivity scan of X and the division by it, and skips its
 factor when both haircuts are 0 (:func:`_apply_haircut`). x * 1.0 and
 x / 1.0 are x, so the paths keep their bits.
+
+An exogenous functional is a measurable function of the state at each date,
+so each is one pointwise definition over a block of time rows
+(:class:`TimeRows`, :data:`EXOGENOUS_FUNCTIONALS`). :func:`build_exogenous_path`
+checks its inputs and returns a lazy :class:`CollateralPath` that holds its
+functional and scenario: the price builds it tile by tile in its pass over
+the chunks and stores no path, and reading its ``c`` builds it over the
+whole grid, one block, from the scenario's store.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .contracts import Contract
 from .curves import RateCurve
-from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float, json_float
-from .model import ValidatedModel, collateralized_value
+from .errors import ConfigError, GridMismatch, NonPositiveFx, doc_value, finite_float, json_float, json_str
+from .model import ValidatedModel, collateralized_value, fx_label
 from .simulation import ScenarioSet, block_tiles
 
 FORMS = ("cash", "risky")
@@ -110,14 +119,14 @@ class CollateralSpec:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CollateralSpec":
-        currency = doc_value(doc, "currency", "collateral")
+        currency = doc_value(doc, "currency", "collateral", json_str)
         mode_doc = doc.get("mode", {"exogenous": {"functional": "constant", "params": {"level": 0.0}}})
         if mode_doc == "endogenous" or isinstance(mode_doc, dict) and "endogenous" in mode_doc:
             mode = ("endogenous",)
         else:
             exo = doc_value(mode_doc, "exogenous", "collateral.mode")
             params = doc_value(exo, "params", "collateral.mode.exogenous", dict, {})
-            mode = ("exogenous", doc_value(exo, "functional", "collateral.mode.exogenous"), params)
+            mode = ("exogenous", doc_value(exo, "functional", "collateral.mode.exogenous", json_str), params)
         return cls(
             currency=currency,
             form=doc.get("form", "cash"),
@@ -130,7 +139,32 @@ class CollateralSpec:
         )
 
 
-@dataclass(frozen=True)
+class _BuiltPath:
+    """The ``c`` field of :class:`CollateralPath`: set as given, or built the first time a lazy path's is read.
+
+    A lazy path (:func:`build_exogenous_path`) holds its functional's inputs
+    instead of an array; reading ``c`` loads the drivers the functional reads
+    into the scenario's store and builds the path over the whole grid, one
+    block of time rows (``CollateralPath.at``), as
+    :class:`~xccy.simulation.ScenarioSet`'s ``paths`` loads its drivers.
+    """
+
+    def __get__(self, path, owner=None):
+        if path is None:
+            raise AttributeError("c")  # a dataclass field without a default
+        if "_c" not in path.__dict__:
+            scenario, spec, contract = path.source
+            scenario.load(*path.drivers)
+            levels = {label: scenario.driver(label).T for label in path.drivers}
+            rows = TimeRows(scenario.model, slice(0, len(scenario.grid.times)), levels, scenario.n_paths)
+            path._hold(path.at(rows).T, spec.currency)
+        return path.__dict__["_c"]
+
+    def __set__(self, path, c):
+        path.__dict__["_c"] = c
+
+
+@dataclass(frozen=True, eq=False, repr=False)  # comparing or printing c would build a lazy path
 class CollateralPath:
     """Collateral per path per grid time, in units of the collateral currency.
 
@@ -139,20 +173,30 @@ class CollateralPath:
     so ``c.T`` walks contiguous time rows. The constructor copies its input
     into that layout and every exogenous builder allocates in it. The
     terminal condition C_T = 0 (collateral returned at the end of trading) is
-    enforced at construction.
+    enforced when the array is held. A path of :func:`build_exogenous_path`
+    is lazy: it holds its ``source`` (scenario, spec, contract), builds its
+    collateral at any block of time rows (``at``), and builds ``c`` only
+    when it is read; :func:`~xccy.pricing.price_exogenous` builds it tile by
+    tile and never reads ``c``.
     """
 
-    c: np.ndarray
+    c: np.ndarray = _BuiltPath()
     currency: str
+    source: tuple | None = None
+    # a lazy path's collateral at the nodes of a TimeRows block, a fresh (n_nodes, n_paths) C-ordered array of
+    # time rows: its functional is pointwise in time, so a node has the same bits in any block that holds it
+    at: Callable[["TimeRows"], np.ndarray] | None = None
 
     def __init__(self, c, currency):
         self._hold(np.array(c, dtype=float, order="F"), currency)
 
     @classmethod
-    def _holding(cls, c: np.ndarray, currency: str) -> "CollateralPath":
-        """The path holding the F-ordered float array ``c`` itself, not a copy: for a fresh array no one else holds."""
+    def _lazy(cls, at, source: tuple) -> "CollateralPath":
+        """The lazy path of ``source`` (scenario, spec, contract), whose collateral at a block of rows is ``at(rows)``."""
         path = cls.__new__(cls)
-        path._hold(c, currency)
+        object.__setattr__(path, "currency", source[1].currency)
+        object.__setattr__(path, "source", source)
+        object.__setattr__(path, "at", at)
         return path
 
     def _hold(self, c: np.ndarray, currency: str) -> None:
@@ -163,12 +207,63 @@ class CollateralPath:
         object.__setattr__(self, "currency", currency)
 
     @property
+    def built(self) -> bool:
+        """Whether ``c`` is held: a path built from an array, or a lazy one whose ``c`` was read."""
+        return "_c" in self.__dict__
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        """(n_paths, n_times), read without building a lazy path."""
+        if self.built:
+            return self.c.shape
+        scenario = self.source[0]
+        return scenario.n_paths, len(scenario.grid.times)
+
+    @property
+    def drivers(self) -> list[str]:
+        """The drivers a lazy path's functional reads (:func:`priced_drivers`)."""
+        scenario, spec, contract = self.source
+        return priced_drivers(scenario.model, spec, contract)
+
+    @property
     def received(self) -> np.ndarray:
         return np.maximum(self.c, 0.0)
 
     @property
     def posted(self) -> np.ndarray:
         return np.maximum(-self.c, 0.0)
+
+
+@dataclass(frozen=True)
+class TimeRows:
+    """A scenario's state at a block of consecutive grid nodes: what an exogenous functional reads.
+
+    ``nodes`` is the slice of grid nodes and ``levels`` maps the label of
+    each driver the functional reads to its (n_nodes, n_paths) time rows. The
+    whole grid is one such block (a lazy path's ``c``), and a price reads one
+    per time tile (:meth:`~xccy.simulation.ScenarioSet.map_tiles`).
+    """
+
+    model: ValidatedModel
+    nodes: slice
+    levels: dict
+    n_paths: int
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.nodes.stop - self.nodes.start, self.n_paths
+
+    def fx(self, currency: str) -> np.ndarray | None:
+        """The FX rows of ``currency``; ``None`` for the domestic currency, whose rate is identically 1.
+
+        As :meth:`~xccy.simulation.ScenarioSet.fx_factor`, a reader skips
+        the product or quotient it would take with it: x * 1.0 and x / 1.0
+        are x bit for bit.
+        """
+        return None if currency == self.model.domestic else self.levels[fx_label(currency)]
+
+    def asset(self, label: str) -> np.ndarray:
+        return self.levels[label]
 
 
 def check_haircuts(delta1: float, delta2: float) -> None:
@@ -211,13 +306,14 @@ def check_collateral_path(scenario: ScenarioSet, coll: CollateralPath, spec: Col
     """Raise :class:`ConfigError` unless ``coll`` is a collateral path of ``spec`` on ``scenario``.
 
     The path must be in the spec's currency and of shape (n_paths, n_times),
-    and the scenario's model must pass :func:`check_collateral_spec`.
+    and the scenario's model must pass :func:`check_collateral_spec`. A lazy
+    path is not built.
     """
     if coll.currency != spec.currency:
         raise ConfigError(f"collateral path currency {coll.currency!r} != spec currency {spec.currency!r}")
     shape = (scenario.n_paths, len(scenario.grid.times))
-    if coll.c.shape != shape:
-        raise GridMismatch(f"collateral path shape {coll.c.shape} != (n_paths, n_times) {shape}")
+    if coll.shape != shape:
+        raise GridMismatch(f"collateral path shape {coll.shape} != (n_paths, n_times) {shape}")
     check_collateral_spec(scenario.model, spec)
 
 
@@ -371,19 +467,26 @@ def collateral_value_adjustment(
 # ---------------------------------------------------------------------------
 
 
-def _constant_functional(scenario: ScenarioSet, spec: CollateralSpec, contract, level) -> np.ndarray:
-    return np.full((scenario.n_paths, len(scenario.grid.times)), level, order="F")
+def _constant_functional(model: ValidatedModel, times, spec: CollateralSpec, contract, level):
+    return lambda rows: np.full(rows.shape, level)
 
 
-def _fraction_of_asset(scenario: ScenarioSet, spec: CollateralSpec, contract, asset, fraction) -> np.ndarray:
-    # the asset's domestic value
-    c = np.multiply(scenario.asset(asset), scenario.fx(scenario.model.asset(asset).currency), order="F")
-    c *= fraction  # x * fraction is fraction * x, bit for bit
-    c /= scenario.fx(spec.currency)
-    return c
+def _fraction_of_asset(model: ValidatedModel, times, spec: CollateralSpec, contract, asset, fraction):
+    asset_currency = model.asset(asset).currency
+
+    def build(rows: TimeRows) -> np.ndarray:
+        s, x = rows.asset(asset), rows.fx(asset_currency)
+        c = np.array(s) if x is None else s * x  # the asset's domestic value
+        c *= fraction  # x * fraction is fraction * x, bit for bit
+        x = rows.fx(spec.currency)
+        if x is not None:
+            c /= x
+        return c
+
+    return build
 
 
-def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract) -> np.ndarray:
+def _mark_proxy(model: ValidatedModel, times, spec: CollateralSpec, contract: Contract):
     """Haircut collateral on a deterministic-forward proxy of the contract mark.
 
     The proxy marks the remaining flows at the perfect-collateralization
@@ -391,20 +494,28 @@ def _mark_proxy(scenario: ScenarioSet, spec: CollateralSpec, contract: Contract)
     implied by unsecured differentials, the closed form of
     :func:`~xccy.pricing.price_fully_collateralized` at every grid date: the
     mark is :func:`~xccy.model.collateralized_value` at t times X_k2(t), the
-    contract value to the counterparty, i.e. minus the hedger's replication wealth.
+    contract value to the counterparty, i.e. minus the hedger's replication
+    wealth. The value is computed once on the grid and read at each block's nodes.
     """
     if contract is None:
         raise ConfigError("mark_proxy functional needs the contract")
-    value = collateralized_value(scenario.model, contract, spec.currency, scenario.grid.times)
-    c = np.multiply(value, scenario.fx(contract.native_currency), order="F")  # the mark
-    x = scenario.fx_factor(spec.currency)
-    _apply_haircut(c.T, spec, None if x is None else x.T)
-    return c
+    value = collateralized_value(model, contract, spec.currency, times)[:, None]
+
+    def build(rows: TimeRows) -> np.ndarray:
+        x = rows.fx(contract.native_currency)
+        c = np.empty(rows.shape)
+        np.multiply(value[rows.nodes], 1.0 if x is None else x, out=c)  # the mark
+        _apply_haircut(c, spec, rows.fx(spec.currency))
+        return c
+
+    return build
 
 
-# name -> (builder, {parameter: (doc_value conversion, default, ... if required)}); a builder
-# takes (scenario, spec, contract) and the parameters CollateralSpec converted by this table,
-# and returns a fresh F-ordered (n_paths, n_times) float array, the path's only full-size allocation
+# name -> (functional, {parameter: (doc_value conversion, default, ... if required)}). A functional
+# takes (model, grid times, spec, contract) and the parameters CollateralSpec converted by this table,
+# checks them, computes what it reads of the grid alone, and returns its builder: a function of the
+# TimeRows of a block of nodes that returns the collateral there, a fresh C-ordered (n_nodes, n_paths)
+# float array of time rows, its only allocation of that size
 EXOGENOUS_FUNCTIONALS = {
     "constant": (_constant_functional, {"level": (finite_float, 0.0)}),
     "fraction_of_asset": (_fraction_of_asset, {"asset": (None, ...), "fraction": (finite_float, 1.0)}),
@@ -416,9 +527,9 @@ def priced_drivers(model: ValidatedModel, spec: CollateralSpec, contract: Contra
     """The drivers an exogenous price of ``contract`` reads: the FX rates of its currency and of the
     collateral's, and the functional's asset with its currency's FX rate.
 
-    :func:`build_exogenous_path` and :func:`~xccy.pricing.price_exogenous`
-    both load these, so the two simulate them in one pass. The domestic FX
-    rate is identically one and is no driver.
+    :func:`~xccy.pricing.price_exogenous` streams these in its one pass, and
+    a lazy path's ``c`` loads them. The domestic FX rate is identically one
+    and is no driver.
     """
     currencies = [spec.currency] + ([] if contract is None else [contract.native_currency])
     asset = None if spec.endogenous else spec.mode[2].get("asset")
@@ -430,10 +541,18 @@ def priced_drivers(model: ValidatedModel, spec: CollateralSpec, contract: Contra
 def build_exogenous_path(
     scenario: ScenarioSet, spec: CollateralSpec, contract: Contract | None = None
 ) -> CollateralPath:
-    """Materialize the exogenous collateral path named by the spec's mode."""
+    """The exogenous collateral path named by the spec's mode: a lazy :class:`CollateralPath`.
+
+    Its inputs are checked at once: an endogenous spec, a ``mark_proxy``
+    without the contract, or a driver the model lacks raise
+    :class:`ConfigError`. No driver is simulated and no array allocated
+    here; :func:`~xccy.pricing.price_exogenous` builds the path tile by tile
+    in its pass over the chunks, and reading ``c`` builds it whole.
+    """
     if spec.endogenous:
         raise ConfigError("spec is endogenous; use the BSDE solver")
-    scenario.load(*priced_drivers(scenario.model, spec, contract))
+    for label in priced_drivers(scenario.model, spec, contract):
+        scenario.model.driver_spec(label)  # ConfigError for a driver the model lacks
     _, name, params = spec.mode
-    build = EXOGENOUS_FUNCTIONALS[name][0]
-    return CollateralPath._holding(build(scenario, spec, contract, **params), spec.currency)
+    build = EXOGENOUS_FUNCTIONALS[name][0](scenario.model, scenario.grid.times, spec, contract, **params)
+    return CollateralPath._lazy(build, (scenario, spec, contract))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ConfigError, doc_value, json_float
+from .errors import ConfigError, doc_value, json_float, json_str
 
 
 @dataclass(frozen=True)
@@ -49,7 +49,7 @@ class Contract:
     @classmethod
     def from_dict(cls, doc: dict) -> "Contract":
         return cls(
-            native_currency=doc_value(doc, "currency", "contract"),
+            native_currency=doc_value(doc, "currency", "contract", json_str),
             flows=doc_value(doc, "flows", "contract", lambda f: [(json_float(t), json_float(a)) for t, a in f], ()),
             initial_flow=doc_value(doc, "initial_flow", "contract", json_float, 0.0),
         )

@@ -4,8 +4,9 @@ Every CSV the engine writes (scenario paths, replayed wealth, the BSDE value
 surface) is a grid of values indexed by path and time, with the path id and
 the time repeated on every row; :func:`write_grid` writes each of them.
 :func:`write_rows` renders each entry of a column once per block of rows,
-however often broadcasting repeats it, and writes the rows in blocks of
-bounded size.
+however often broadcasting repeats it (a 2-D column whose rows all repeat
+one, as the BSDE surface of a domestic trade, renders that row alone), and
+writes the rows in blocks of bounded size.
 """
 
 from __future__ import annotations
@@ -27,10 +28,13 @@ def write_rows(fh, *columns) -> None:
     A cell is ``str`` of its value as a Python scalar; for a float that is its
     ``repr``, so every double round-trips. A column is a scalar, a 1-D array
     (one entry per column of the grid, e.g. the times) or a 2-D array (e.g.
-    ``path_ids[:, None]`` or the values themselves).
+    ``path_ids[:, None]`` or the values themselves); a 2-D column whose first
+    stride is 0 is rendered as its first row, as a 1-D column is.
     """
     columns = [np.asarray(c) for c in columns]
     n_rows, width = np.broadcast_shapes(*(c.shape for c in columns))
+    # a zero first stride repeats one row on every row: render that row, then broadcast it
+    columns = [c[:1] if c.ndim == 2 and c.strides[0] == 0 else c for c in columns]
     step = max(1, ROWS_PER_WRITE // width)
     for a in range(0, n_rows, step):
         shape = (min(step, n_rows - a), width)

@@ -141,6 +141,25 @@ def finite_float(value) -> float:
     return number
 
 
+def json_str(value) -> str:
+    """``value`` if it is a JSON string, else :class:`TypeError`: a ``kind`` for :func:`doc_value` of a name.
+
+    A label, a currency or a functional name is compared, hashed and sorted
+    with other names; a number, a list or an object there would fail deep in
+    the engine instead of naming its field.
+    """
+    if not isinstance(value, str):
+        raise TypeError(f"{value!r} is not a JSON string")
+    return value
+
+
+def json_strings(value) -> list[str]:
+    """``value`` if it is a JSON array of strings, else :class:`TypeError`: a ``kind`` for :func:`doc_value`."""
+    if not isinstance(value, list):
+        raise TypeError(f"{value!r} is not a JSON array")
+    return [json_str(item) for item in value]
+
+
 def json_bool(value) -> bool:
     """``value`` if it is a JSON boolean, else :class:`TypeError`: a ``kind`` for :func:`doc_value`.
 

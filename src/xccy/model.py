@@ -32,6 +32,8 @@ from .errors import (
     json_bool,
     json_float,
     json_numbers,
+    json_str,
+    json_strings,
 )
 
 PSD_TOL = -1e-10  # smallest eigenvalue accepted before clipping to 0
@@ -466,14 +468,14 @@ def model_from_dict(doc: dict) -> MarketModel:
     currencies = []
     rates = {}
     for i, cur in enumerate(doc_value(doc, "currencies", "model", list)):
-        name = doc_value(cur, "name", f"currencies[{i}]")
+        name = doc_value(cur, "name", f"currencies[{i}]", json_str)
         domestic = doc_value(cur, "domestic", f"currencies[{i}]", json_bool, False)
         currencies.append(Currency(name=name, domestic=domestic))
         rates[name] = _curveset_from_dict(cur.get("rates", {}), f"currencies[{i}].rates")
     assets = [
         AssetSpec(
-            label=doc_value(a, "label", f"assets[{i}]"),
-            currency=doc_value(a, "currency", f"assets[{i}]"),
+            label=doc_value(a, "label", f"assets[{i}]", json_str),
+            currency=doc_value(a, "currency", f"assets[{i}]", json_str),
             s0=doc_value(a, "s0", f"assets[{i}]", json_float),
             sigma=doc_value(a, "sigma", f"assets[{i}]", json_float),
             dividend_yield=_curve_from_dict(a, "dividend_yield", f"assets[{i}]"),
@@ -483,7 +485,7 @@ def model_from_dict(doc: dict) -> MarketModel:
     ]
     fx = [
         FxSpec(
-            foreign=doc_value(f, "currency", f"fx[{i}]"),
+            foreign=doc_value(f, "currency", f"fx[{i}]", json_str),
             x0=doc_value(f, "x0", f"fx[{i}]", json_float),
             sigma=doc_value(f, "sigma", f"fx[{i}]", json_float),
         )
@@ -494,7 +496,7 @@ def model_from_dict(doc: dict) -> MarketModel:
         labels = [a.label for a in assets] + [fx_label(f.foreign) for f in fx]
         correlation = CorrelationMatrix.identity(labels)
     else:
-        labels = doc_value(corr_doc, "labels", "correlation")
+        labels = doc_value(corr_doc, "labels", "correlation", json_strings)
         correlation = doc_value(corr_doc, "matrix", "correlation", lambda m: CorrelationMatrix(labels, json_numbers(m)))
     return MarketModel(currencies=currencies, rates=rates, assets=assets, fx=fx, correlation=correlation)
 

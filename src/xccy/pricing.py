@@ -8,10 +8,14 @@ Two routes:
   sample mean with no control variate, so it stays an independent check of
   the closed form; its error bar is the sample standard error of the
   antithetic pair means of the per-path totals
-  (:func:`xccy.simulation.sample_mean`). With collateral in the domestic
-  currency X is identically 1: the collateral legs skip the FX term and the
-  product with X, and keep their bits wherever the collateral is finite
-  (:func:`_discounted_collateral_legs`).
+  (:func:`xccy.simulation.sample_mean`). It is one pass over the simulation
+  chunks on the worker threads, each chunk read in time tiles: the
+  collateral, the carry legs and the discounted flows are all pointwise in
+  time or running sums in step order, so a chunk holds a few tiles and no
+  (n_paths, n_times) array is made, whatever the path and step counts. With
+  collateral in the domestic currency X is identically 1: the collateral
+  legs skip the FX term and the product with X, and keep their bits wherever
+  the collateral is finite (:func:`_add_collateral_legs`).
 * ``price_fully_collateralized``: closed form for perfectly collateralized
   claims: flows discounted at the domestic collateral rate plus the
   cross-currency basis of the collateral currency, with foreign flows at the
@@ -26,13 +30,20 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .collateral import CollateralPath, CollateralSpec, carry_curves, check_collateral_path, priced_drivers
+from .collateral import CollateralPath, CollateralSpec, TimeRows, carry_curves, check_collateral_path, priced_drivers
 from .contracts import Contract
 from .curves import step_pieces
 from .errors import EndogenousSpecPassed, ScenarioMeasureMismatch
 from .model import ValidatedModel, collateralized_value
-from .simulation import ScenarioSet, block_tiles, check_error_bar_paths, check_finite_estimate, sample_mean
-from .wealth import discounted_flows
+from .simulation import (
+    ScenarioSet,
+    block_tiles,
+    check_error_bar_paths,
+    check_finite_estimate,
+    combine_moments,
+    pair_moments,
+)
+from .wealth import add_discounted_flows, flow_nodes
 
 
 @dataclass(frozen=True)
@@ -115,22 +126,32 @@ def _fx_leg_weight(model: ValidatedModel, spec: CollateralSpec, times: np.ndarra
     return _discounted_spread_weights(model.curve(model.domestic, "unsecured"), r_k3, r_k3, times)
 
 
+def _leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray) -> tuple:
+    """The per-step (received, posted, FX) weights of the collateral legs (:func:`_add_collateral_legs`).
+
+    The posted weight is ``None`` where it equals the received one on every
+    step, and the FX weight is ``None`` for domestic collateral.
+    """
+    w_recv, w_post = _carry_leg_weights(model, spec, times)
+    w_fx = None if spec.currency == model.domestic else _fx_leg_weight(model, spec, times)
+    return w_recv, None if np.array_equal(w_recv, w_post) else w_post, w_fx
+
+
 # a non-finite collateral gives a non-finite leg, which the price's check_finite_estimate reports
 @np.errstate(over="ignore", invalid="ignore")
-def _discounted_collateral_legs(
-    scenario: ScenarioSet, coll_path: CollateralPath, spec: CollateralSpec
-) -> np.ndarray:
-    """Per-path sum over the steps of the collateral carry, FX term included, discounted to 0.
+def _add_collateral_legs(legs, c, x, weights: tuple, steps: slice, b_e: np.ndarray) -> None:
+    """Add the steps ``steps`` of the collateral carry, FX term included, discounted to 0, to the per-path ``legs``.
 
-    Each step is C times the weight of its sign's leg, less C times the FX
-    weight, times X / B_dom, all at the step's left end. The time-major path
-    is worked through in :func:`~xccy.simulation.block_tiles` of its time
-    rows (one row in column slices once a row is wider than a tile), so no
-    temporary is larger than a tile. Each tile's steps are added to a
-    running per-path total in step order: its first row takes the total so
-    far, and the tile is summed over its rows, which numpy does one row after
-    another. The legs are thus, bit for bit, the column-by-column row sums of
-    one whole F-ordered (n_paths, n_steps) array.
+    The one definition of the collateral legs. ``c`` and ``x`` are the time
+    rows of C and of X_k3 at the steps' left ends, ``x`` ``None`` for domestic
+    collateral, and ``weights`` are :func:`_leg_weights` on the grid, ``b_e``
+    the domestic account. Each step is C times the weight of its sign's leg,
+    less C times the FX weight, times X / B_dom. The steps are added to the
+    running per-path total in step order: the first row takes the total so
+    far, and the block is summed over its rows, which numpy does one row
+    after another. So the legs are, bit for bit and for any tiling, the
+    column-by-column row sums of one whole F-ordered (n_paths, n_steps)
+    array; a tile's only temporaries are of its own size.
 
     Domestic collateral skips the FX term and the product with X, which is
     identically 1 (:meth:`~xccy.simulation.ScenarioSet.fx_factor`), and its
@@ -146,31 +167,39 @@ def _discounted_collateral_legs(
     is multiplied by that one weight without ``np.where``, which picks it on
     either sign (C * w is w * C bit for bit).
     """
-    model = scenario.model
-    times = scenario.grid.times
-    b_e = scenario.account(model.domestic)[:-1]
-    w_recv, w_post = _carry_leg_weights(model, spec, times)
-    x = scenario.fx_factor(spec.currency)
+    w_recv, w_post, w_fx = (None if w is None else w[steps, None] for w in weights)
+    if w_post is None:
+        carry = c * w_recv
+    else:
+        carry = np.where(c > 0, w_recv, w_post)
+        carry *= c
     if x is not None:
-        w_fx = _fx_leg_weight(model, spec, times)
-        x = x[:, :-1].T
-    one_weight = np.array_equal(w_recv, w_post)
+        carry -= c * w_fx
+        carry *= x
+    carry /= b_e[steps, None]
+    carry[0] += legs
+    carry.sum(axis=0, out=legs)
+
+
+def _discounted_collateral_legs(
+    scenario: ScenarioSet, coll_path: CollateralPath, spec: CollateralSpec
+) -> np.ndarray:
+    """Per-path sum over the steps of the collateral carry, FX term included, discounted to 0, of a whole scenario.
+
+    :func:`_add_collateral_legs` over the :func:`~xccy.simulation.block_tiles`
+    of the path's time rows (one row in column slices once a row is wider
+    than a tile), so no temporary is larger than a tile: the per-path legs
+    whose mean :func:`price_exogenous` takes chunk by chunk.
+    """
+    model = scenario.model
+    weights = _leg_weights(model, spec, scenario.grid.times)
+    b_e = scenario.account(model.domestic)
+    x = scenario.fx_factor(spec.currency)
     c = coll_path.c[:, :-1].T
     legs = np.zeros(scenario.n_paths)
     for steps, paths in block_tiles(len(c), c.shape[1], c[:1].nbytes):
-        c_steps = c[steps, paths]
-        if one_weight:
-            carry = c_steps * w_recv[steps, None]
-        else:
-            carry = np.where(c_steps > 0, w_recv[steps, None], w_post[steps, None])
-            carry *= c_steps
-        if x is not None:
-            carry -= c_steps * w_fx[steps, None]
-            carry *= x[steps, paths]
-        carry /= b_e[steps, None]
-        carry[0] += legs[paths]
-        carry.sum(axis=0, out=legs[paths])
-        del carry  # freed before the next tile is built
+        x_steps = None if x is None else x.T[steps, paths]
+        _add_collateral_legs(legs[paths], c[steps, paths], x_steps, weights, steps, b_e)
     return legs
 
 
@@ -180,7 +209,22 @@ def price_exogenous(
     coll_path: CollateralPath,
     spec: CollateralSpec,
 ) -> PriceReport:
-    """Monte Carlo ex-dividend price at t=0 with a predetermined collateral path.
+    """Monte Carlo ex-dividend price at t=0 with a predetermined collateral path: one pass over the chunks.
+
+    Each simulation chunk is read in time tiles
+    (:meth:`~xccy.simulation.ScenarioSet.map_tiles`) on the worker threads.
+    A lazy path of this scenario whose ``c`` has not been read is built tile
+    by tile (``CollateralPath.at``); any other path is read by the tile's
+    rows and the chunk's columns. Each tile's steps are
+    added to the per-path collateral legs (:func:`_add_collateral_legs`) and
+    its flows to the per-path contractual legs
+    (:func:`~xccy.wealth.add_discounted_flows`), so a chunk holds a few tiles
+    and two vectors of its paths, whatever the path and step counts. Each
+    chunk gives the means of its two legs and the :func:`pair_moments` of
+    their sum, combined in chunk order (:func:`combine_moments`): the error
+    bar is :func:`~xccy.simulation.sample_mean`'s bit for bit, and with one
+    chunk the leg means are ``np.mean``'s; over several chunks they may
+    differ from ``np.mean`` of all paths in the last bits.
 
     A path count with no error bar (:func:`~xccy.simulation.check_error_bar_paths`)
     raises :class:`~xccy.errors.ConfigError` before any driver is simulated. A
@@ -195,15 +239,33 @@ def price_exogenous(
         raise EndogenousSpecPassed("endogenous collateral must be priced with the BSDE solver")
     check_collateral_path(scenario, coll_path, spec)
     check_error_bar_paths(scenario.n_paths)
-    scenario.load(*priced_drivers(scenario.model, spec, contract))
+    model, times = scenario.model, scenario.grid.times
+    lazy = not coll_path.built and coll_path.source[0] is scenario
+    drivers = priced_drivers(model, spec, contract) + (coll_path.drivers if lazy else [])
+    c_rows = None if lazy else coll_path.c.T
+    weights = _leg_weights(model, spec, times)
+    b_e = scenario.account(model.domestic)
+    flows = list(zip(flow_nodes(scenario.grid, contract).tolist(), (amount for _, amount in contract.flows)))
 
-    leg_contract = discounted_flows(scenario, contract)
-    leg_coll = _discounted_collateral_legs(scenario, coll_path, spec)
+    @np.errstate(over="ignore", invalid="ignore")  # check_finite_estimate reports an overflow
+    def chunk(cols: slice, tiles) -> tuple:
+        n = cols.stop - cols.start
+        leg_contract, leg_coll = np.zeros(n), np.zeros(n)
+        for nodes, levels in tiles:
+            lo, hi = nodes.start, nodes.stop - 1
+            rows = TimeRows(model, nodes, levels, n)
+            c = coll_path.at(rows) if lazy else c_rows[nodes, cols]
+            x = rows.fx(spec.currency)
+            _add_collateral_legs(leg_coll, c[:-1], None if x is None else x[:-1], weights, slice(lo, hi), b_e)
+            tile_flows = [(j - lo, amount) for j, amount in flows if lo < j <= hi]
+            add_discounted_flows(leg_contract, tile_flows, rows.fx(contract.native_currency), b_e[nodes])
+        return pair_moments(leg_contract + leg_coll), np.array([np.mean(leg_contract), np.mean(leg_coll)])
 
-    with np.errstate(over="ignore", invalid="ignore"):  # check_finite_estimate reports an overflow
-        _, se = sample_mean(leg_contract + leg_coll)
-        leg_contractual = -float(np.mean(leg_contract))
-        leg_collateral = -float(np.mean(leg_coll))
+    parts = scenario.map_tiles(chunk, *drivers)
+    _, se = combine_moments(moments for moments, _ in parts)
+    # the leg means by the same update, with no spread to combine
+    legs, _ = combine_moments((k, means, np.zeros(2)) for (k, _, _), means in parts)
+    leg_contractual, leg_collateral = -float(legs[0]), -float(legs[1])
     price = leg_contractual + leg_collateral
     check_finite_estimate("price", price, se)
     return PriceReport(

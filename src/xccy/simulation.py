@@ -60,7 +60,14 @@ simulated into a buffer kept per worker thread (or read from the store when
 its drivers are already there), and it reduces each chunk on the worker, as
 the martingale check does with :func:`pair_moments` and
 :func:`combine_moments`. Loading and streaming run the one chunk loop, so
-both give every driver the same bits.
+both give every driver the same bits. A reader that is a recursion in time,
+as the exogenous price is, goes further: :meth:`ScenarioSet.map_tiles` hands
+it each chunk as consecutive time tiles, the kernel's own tiles of steps
+written into a ring buffer of the drivers alone, turned into levels there
+and handed over with the last level of the tile before as their first row
+(:func:`_level_tiles`). The kernel carries its own last log level from one
+tile to the next, so the levels keep the bits the store holds, and such a
+reader holds a few tiles per thread whatever the path and step counts.
 """
 
 from __future__ import annotations
@@ -266,6 +273,50 @@ class ScenarioSet:
         if simulation is None or rows and rows <= simulation.simulated:
             return self._over_chunks(work, frozenset(), stored=True)
         return self._over_chunks(work, rows, stored=False)
+
+    def map_tiles(self, work, *labels: str) -> list:
+        """``work(cols, tiles)`` on each simulation chunk, on the :func:`run_chunks` threads; results in chunk order.
+
+        The chunk source of a reader that is a recursion in time. ``cols`` is
+        the chunk's slice of path columns and ``tiles`` yields the chunk's
+        consecutive time tiles in time order, each as ``(nodes, levels)``: a
+        slice of grid nodes lo .. hi, and a dict from each of ``labels`` to
+        that driver's levels there, (hi - lo + 1, count) time rows.
+        Consecutive tiles share their boundary node and the first starts at
+        node 0; a tile may be read until the next one is drawn. When the
+        drivers are all stored, each tile is a view of the store, in
+        :func:`row_tiles` of about ``TILE_BYTES`` per driver. Otherwise the
+        kernel's tiles of steps are written into a ring buffer of those
+        drivers alone and turned into levels there (:func:`_level_tiles`), to
+        the bits :meth:`load` would store; nothing is stored, and a chunk
+        holds a few tiles whatever the path and step counts. Only the named
+        drivers are read, none if none is named. ``work`` runs on several
+        threads at once, as in :meth:`map_chunks`.
+        """
+        rows = np.array(sorted({self._row(label) for label in labels}), dtype=int)
+        labels = [self.model.driver_labels[d] for d in rows]
+        simulation = self._simulation
+        stored = simulation is None or set(rows.tolist()) <= simulation.simulated
+        columns = chunk_columns(self.n_paths)
+        results = [None] * len(columns)
+
+        def tiles(chunk: int, cols: slice):
+            count = cols.stop - cols.start
+            if stored:
+                for steps in row_tiles(self.grid.n_steps, count * 8):
+                    nodes = slice(steps.start, steps.stop + 1)
+                    yield nodes, {label: self._store[d, nodes, cols] for label, d in zip(labels, rows)}
+                return
+            levels = _level_tiles(self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows, count)
+            for nodes, tile in levels:
+                yield nodes, dict(zip(labels, tile))
+
+        def run(chunks: list[int]) -> None:
+            for chunk in chunks:
+                results[chunk] = work(columns[chunk], tiles(chunk, columns[chunk]))
+
+        run_chunks(run, range(len(columns)), 1 if simulation is None else simulation.n_workers)
+        return results
 
     def _over_chunks(self, work, rows: frozenset[int], stored: bool) -> list:
         """The one chunk loop: simulate ``rows`` into each chunk's block, then ``work`` its view.
@@ -514,6 +565,19 @@ def run_chunks(work, chunks, n_workers: int) -> None:
         list(pool.map(work, [chunks[i::n_threads] for i in range(n_threads)]))
 
 
+def _kernel_tiles(vol: np.ndarray, count: int) -> tuple[list[int], list[slice]]:
+    """The factors each driver of ``vol`` reads, and the kernel's tiles of steps for a chunk of ``count`` paths.
+
+    ``vol`` holds the written drivers' weights, (n_rows, n_factors, n_steps).
+    A driver reads the factors up to its last non-zero weight; a tile's
+    normals and mixed row, K + 1 rows of ceil(count / 2) pairs per step for K
+    the most factors a driver reads, fit ``TILE_BYTES`` (:func:`row_tiles`).
+    """
+    reads = [int(np.flatnonzero(weights.any(axis=1))[-1]) + 1 if weights.any() else 0 for weights in vol]
+    half = count - count // 2
+    return reads, row_tiles(vol.shape[2], (max(reads, default=0) + 1) * half * 8)
+
+
 def _simulate_log_chunk(
     block: np.ndarray,
     seed: int,
@@ -523,6 +587,23 @@ def _simulate_log_chunk(
     rows: np.ndarray,
 ) -> None:
     """Write the log-paths log(S / x0) of simulation chunk ``chunk`` into the time-major ``block``.
+
+    The kernel :func:`_log_tiles` run to its end.
+    """
+    for _ in _log_tiles(block, seed, drift, vol, chunk, rows):
+        pass
+
+
+def _log_tiles(
+    block: np.ndarray,
+    seed: int,
+    drift: np.ndarray,
+    vol: np.ndarray,
+    chunk: int,
+    rows: np.ndarray,
+    ring: bool = False,
+):
+    """The log-path kernel: write the log-paths log(S / x0) of chunk ``chunk``, yielding each tile's steps once written.
 
     ``block`` is any (n_drivers, n_times, count) array, a slice of a whole
     scenario or a reused buffer, and receives the chunk's ``count`` paths of
@@ -545,7 +626,7 @@ def _simulate_log_chunk(
     do not depend on which other factors are drawn, and a driver's sum skips
     only zero weights, so each path's value depends neither on the tiling
     nor on which other drivers are written with it. The kernel runs in tiles
-    of consecutive steps (:func:`row_tiles`) whose normals and mixed row,
+    of consecutive steps (:func:`_kernel_tiles`) whose normals and mixed row,
     K + 1 rows per step, fit ``TILE_BYTES``. Each tile's normals are drawn
     just before they are mixed, one :func:`normal_block` call per factor
     into the factor-major (K, tile steps, pairs) buffer, so each factor's
@@ -564,29 +645,40 @@ def _simulate_log_chunk(
     is written: numpy's accumulate is slow along an axis that is not
     innermost, and a cumulative sum is sequential either way, so the bits
     are those of ``np.cumsum``.
+
+    With ``ring``, ``block`` is instead a ring buffer of the written rows
+    alone, (len(rows), m, count) with m at least one more than the kernel's
+    longest tile: the tile of steps lo .. hi - 1 is written to the ring's
+    rows 1 .. hi - lo, after row 0, which holds the log level of node lo.
+    The kernel carries that row itself, the last row of each tile, and writes
+    it back before the next tile, so between tiles a reader may overwrite
+    every row of the ring (:func:`_level_tiles`). Each element's operations
+    are those of a whole block.
     """
-    _, n_times, count = block.shape
+    count = block.shape[2]
     drift, vol = drift[rows], vol[rows]
-    # the factors each written row reads: up to its last non-zero weight
-    reads = [int(np.flatnonzero(weights.any(axis=1))[-1]) + 1 if weights.any() else 0 for weights in vol]
+    reads, tiles = _kernel_tiles(vol, count)
     n_factors = max(reads, default=0)
     half = count - count // 2
-    tiles = row_tiles(n_times - 1, (n_factors + 1) * half * 8)
     # one tile's normals, not a whole chunk's: on a 100k-path, 50-step, 3-driver BSDE solve this
     # took the solver's own peak RSS from 101 to 90 MB (one worker)
     z = np.empty((n_factors, tiles[0].stop, half))
     mixed = np.empty((tiles[0].stop, half))  # m of the driver being written, one row per step
     streams = [chunk_stream(seed, chunk, k) for k in range(n_factors)]
     # each driver's path and its time-row views, built once: indexing them per step costs time
-    paths = [(block[d], list(block[d])) for d in rows]
+    paths = [(block[i if ring else d], list(block[i if ring else d])) for i, d in enumerate(rows)]
+    carried = np.zeros((len(rows), count)) if ring else None  # each ring's log level at its tile's first node
     for path, _ in paths:
         path[0] = 0.0
     for steps in tiles:
         lo, hi = steps.start, steps.stop
+        at = 0 if ring else lo  # the block row of node lo
         for k, stream in enumerate(streams):
             normal_block(stream, z[k : k + 1, : hi - lo])
         m = mixed[: hi - lo]
         for i, (path, path_rows) in enumerate(paths):
+            if ring:
+                path[0] = carried[i]
             weights, zs = vol[i, : reads[i], steps], z[: reads[i], : hi - lo]
             if m.size > 1:
                 np.einsum("kj,kjp->jp", weights, zs, out=m, optimize=False)
@@ -594,10 +686,43 @@ def _simulate_log_chunk(
                 m[0, 0] = 0.0
                 for k in range(reads[i]):
                     m[0, 0] += weights[k, 0] * zs[k, 0, 0]
-            np.add(drift[i, steps, None], m, out=path[1 + lo : 1 + hi, 0::2])
-            np.subtract(drift[i, steps, None], m[:, : count // 2], out=path[1 + lo : 1 + hi, 1::2])
-            for j in range(1 + lo, 1 + hi):  # the tile's rows are still in cache
+            np.add(drift[i, steps, None], m, out=path[1 + at : 1 + at + hi - lo, 0::2])
+            np.subtract(drift[i, steps, None], m[:, : count // 2], out=path[1 + at : 1 + at + hi - lo, 1::2])
+            for j in range(1 + at, 1 + at + hi - lo):  # the tile's rows are still in cache
                 np.add(path_rows[j - 1], path_rows[j], out=path_rows[j])
+            if ring:
+                carried[i] = path[hi - lo]
+        yield steps
+
+
+def _level_tiles(
+    seed: int, drift: np.ndarray, vol: np.ndarray, x0: np.ndarray, chunk: int, rows: np.ndarray, count: int
+):
+    """The levels of the drivers ``rows`` over simulation chunk ``chunk``, tile by tile, stored nowhere.
+
+    Yields, for each of the kernel's tiles of steps lo .. hi - 1, the slice
+    of nodes lo .. hi and the (len(rows), hi - lo + 1, count) levels there:
+    the kernel writes the tile's log-paths into a ring buffer of the rows
+    (:func:`_log_tiles`), the level step of :func:`_simulate_chunk` (one
+    ``exp``, one product with x0) turns them into levels, and row 0 takes the
+    carried last level of the tile before, x0 at node 0 (exp(0) x0 is x0).
+    Every level has the bits :func:`_simulate_chunk` gives it. The ring is
+    rewritten when the next tile is drawn.
+    """
+    _, tiles = _kernel_tiles(vol[rows], count)
+    ring = np.empty((len(rows), tiles[0].stop + 1, count))
+    left = np.empty((len(rows), count))  # each driver's level at the tile's first node
+    left[:] = x0[rows, None]
+    for steps in _log_tiles(ring, seed, drift, vol, chunk, rows, ring=True):
+        n = steps.stop - steps.start
+        tile = ring[:, : n + 1]
+        with np.errstate(over="ignore"):  # as in _simulate_chunk
+            for i, d in enumerate(rows):
+                np.exp(tile[i, 1:], out=tile[i, 1:])
+                tile[i, 1:] *= x0[d]
+        tile[:, 0] = left
+        left[:] = tile[:, n]
+        yield slice(steps.start, steps.stop + 1), tile
 
 
 # an overflowing level is infinite, which every estimate that reads it reports

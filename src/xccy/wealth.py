@@ -45,16 +45,31 @@ def flow_amounts(grid: TimeGrid, contract: Contract) -> np.ndarray:
     return amounts
 
 
+def add_discounted_flows(out: np.ndarray, flows, fx: np.ndarray | None, b_e: np.ndarray) -> None:
+    """Add each of ``flows``, (row, amount) pairs in contract order, as amount * X / B_dom at its row to ``out``.
+
+    The one definition of the discounted flows, over a block of time rows:
+    ``fx`` holds the rows of the contract currency's FX rate, ``None`` for
+    the domestic currency (identically 1, so x * 1.0 is skipped), and ``b_e``
+    the domestic account at the same rows; ``out`` is the per-path sum so
+    far. :func:`discounted_flows` runs it over the whole grid, one block, and
+    :func:`~xccy.pricing.price_exogenous` over each time tile, the flows of
+    each tile in turn, so every path adds its flows in contract order.
+    """
+    for row, amount in flows:
+        out += amount * (1.0 if fx is None else fx[row]) / b_e[row]
+
+
 def discounted_flows(scenario: ScenarioSet, contract: Contract) -> np.ndarray:
     """Per-path sum of the contract's flows in domestic units discounted to 0.
 
-    Computes sum_j a_j * X(t_j) / B_dom(t_j); every flow date must be a grid node.
+    Computes sum_j a_j * X(t_j) / B_dom(t_j); every flow date must be a grid
+    node. :func:`add_discounted_flows` over the whole grid.
     """
-    fx = scenario.fx(contract.native_currency)
-    b_e = scenario.account(scenario.model.domestic)
+    fx = scenario.fx_factor(contract.native_currency)
     out = np.zeros(scenario.n_paths)
-    for (_, amount), j in zip(contract.flows, flow_nodes(scenario.grid, contract)):
-        out += amount * fx[:, j] / b_e[j]
+    flows = zip(flow_nodes(scenario.grid, contract), (amount for _, amount in contract.flows))
+    add_discounted_flows(out, flows, None if fx is None else fx.T, scenario.account(scenario.model.domestic))
     return out
 
 

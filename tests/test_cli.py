@@ -257,6 +257,43 @@ def test_an_integer_too_large_for_a_float_exits_one_naming_the_field(docs, capsy
     assert err == f"error: {field} is malformed: int too large to convert to float\n", err
 
 
+# a label, a currency or a functional name that is no string used to escape as a TypeError traceback:
+# from sorted, from a dict or set lookup, or from the functional table
+NON_STRING_NAMES = {
+    "correlation label": ("model", "correlation.labels", ("correlation", "labels", 0), 1e6),
+    "asset label": ("model", "assets[0].label", ("assets", 0, "label"), 5.0),
+    "asset currency": ("model", "assets[0].currency", ("assets", 0, "currency"), {}),
+    "currency name": ("model", "currencies[1].name", ("currencies", 1, "name"), ["USD"]),
+    "fx currency": ("model", "fx[0].currency", ("fx", 0, "currency"), [1.0]),
+    "collateral currency": ("trade", "collateral.currency", ("collateral", "currency"), []),
+    "contract currency": ("trade", "contract.currency", ("contract", "currency"), {}),
+    "functional": (
+        "trade", "collateral.mode.exogenous.functional", ("collateral", "mode", "exogenous", "functional"), []
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_STRING_NAMES))
+def test_a_name_that_is_no_string_exits_one_naming_the_field(docs, capsys, case):
+    model, trade, tmp = docs
+    document, field, path, value = NON_STRING_NAMES[case]
+    edited = tmp / "non_string_name.json"
+    edited.write_text(json.dumps(_document_with(MODEL_DOC if document == "model" else TRADE_DOC, path, value)))
+    model, trade = (edited, trade) if document == "model" else (model, edited)
+    assert run(["price", "--model", str(model), "--trade", str(trade), "--paths", "2000", "--steps", "4"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {field} is malformed: ") and "is not a JSON string" in err, err
+    assert err.count("\n") == 1, err
+
+
+def test_correlation_labels_that_are_no_array_exit_one_naming_the_field(docs, capsys):
+    model, trade, tmp = docs
+    edited = tmp / "labels.json"
+    edited.write_text(json.dumps(_document_with(MODEL_DOC, ("correlation", "labels"), "EQ")))
+    assert run(["validate", "--model", str(edited)]) == 1
+    assert capsys.readouterr().err == "error: correlation.labels is malformed: 'EQ' is not a JSON array\n"
+
+
 def _with_strings(doc):
     """``doc`` with every JSON boolean in it replaced by the string "0.5"."""
     if isinstance(doc, bool):

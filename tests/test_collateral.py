@@ -425,13 +425,17 @@ EXOGENOUS_PARAMS = {"constant": {"level": 2.5}, "fraction_of_asset": {"asset": "
 
 @pytest.mark.parametrize("functional", sorted(EXOGENOUS_PARAMS))
 def test_exogenous_path_allocates_only_its_output(long_scen, functional):
-    # the path array itself plus a few tile-sized blocks, never a full-size temporary
+    # a lazy path allocates nothing; reading its c, the path array itself plus a few tile-sized blocks,
+    # never a full-size temporary
     mode = ("exogenous", functional, EXOGENOUS_PARAMS[functional])
     spec = CollateralSpec(currency="USD", delta1=0.3, delta2=0.1, mode=mode)
     contract = Contract("USD", ((0.5, 1.0), (1.0, -1.5)))
     output = long_scen.n_paths * len(long_scen.grid.times) * 8
-    peak = peak_traced_bytes(lambda: build_exogenous_path(long_scen, spec, contract))
+    path = build_exogenous_path(long_scen, spec, contract)
+    peak = peak_traced_bytes(lambda: path.c)
     assert peak <= output + 2 * TILE_BYTES, (peak, output)
+    # what the functional reads of the grid alone (the mark proxy's value per node), no path array
+    assert peak_traced_bytes(lambda: build_exogenous_path(long_scen, spec, contract)) <= 256 * len(long_scen.grid.times)
 
 
 @pytest.mark.parametrize("k3", ["EUR", "USD"])

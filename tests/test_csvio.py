@@ -79,3 +79,19 @@ def test_surface_csv_matches_reference_loop(tmp_path, rows_per_write):
         write_rows(fh, np.arange(surface.shape[0])[:, None], times, surface)
     _reference_surface_csv(surface, times, tmp_path / "ref.csv")
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
+
+def test_a_broadcast_surface_renders_one_row(tmp_path, monkeypatch, rows_per_write):
+    # a domestic trade's surface is one row on every path, a zero-stride view: it used to render every cell
+    times = TimeGrid.regular(1.0, 9).times
+    row = _values((len(times),), 3)
+    surface = np.broadcast_to(row, (500, len(times)))
+    rendered, cells = [], csvio._cells
+    monkeypatch.setattr(csvio, "_cells", lambda column, shape: rendered.append(column.size) or cells(column, shape))
+    with open(tmp_path / "new.csv", "w", encoding="utf-8", newline="") as fh:
+        fh.write("path_id,time,value\n")
+        write_rows(fh, np.arange(surface.shape[0])[:, None], times, surface)
+    n_blocks = len(rendered) // 3
+    assert sum(rendered[2::3]) == n_blocks * len(times)  # the value column: one row per block of rows
+    _reference_surface_csv(surface, times, tmp_path / "ref.csv")
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()

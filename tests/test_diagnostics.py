@@ -210,6 +210,12 @@ def test_reduction_suite_passes_on_single_currency(single_currency_model):
     assert sum(1 for n in names if n.startswith("fx-term-vanishes")) == 4
 
 
+def test_reduction_suite_passes_over_several_chunks(single_currency_model):
+    # the price takes its leg means chunk by chunk; so does the suite's bare flow expectation
+    report = reduction_suite(single_currency_model, n_paths=2 * CHUNK_PATHS + 100, seed=3)
+    assert report.passed, report.checks
+
+
 def test_reduction_suite_requires_single_currency(two_currency_model):
     with pytest.raises(ConfigError):
         reduction_suite(two_currency_model)

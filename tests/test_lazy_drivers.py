@@ -202,14 +202,14 @@ MARK_PROXY = CollateralSpec(currency="USD", mode=("exogenous", "mark_proxy", {})
 
 def test_a_price_simulates_only_the_drivers_its_trade_reads(two_currency_model, streams):
     # EQ and FEQ are never read: a contract paid in EUR or in USD and collateralized in USD reads
-    # fx:USD alone, which reads factor 0 alone
+    # fx:USD alone, which reads factor 0 alone, in one streamed pass that stores nothing
     grid = TimeGrid.regular(1.0, 4)
     for native in ("EUR", "USD"):
         streams.clear()
         scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
         contract = Contract(native, ((1.0, -1.0),))
         report = price_exogenous(scen, contract, build_exogenous_path(scen, MARK_PROXY, contract), MARK_PROXY)
-        assert scen.simulated_drivers == ("fx:USD",)
+        assert scen.simulated_drivers == ()
         assert streams == _one_pass(N_PASS_PATHS, 1)
         full = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
         full.load(*two_currency_model.driver_labels)
@@ -241,7 +241,7 @@ def test_a_price_reading_several_drivers_simulates_them_in_one_pass(three_curren
     contract = Contract("JPY", ((1.0, -100.0),))
     scen = simulate(three_currency_model, TimeGrid.regular(1.0, 4), N_PASS_PATHS, seed=3)
     price_exogenous(scen, contract, build_exogenous_path(scen, spec, contract), spec)
-    assert scen.simulated_drivers == ("NKY", "fx:USD", "fx:JPY")
+    assert scen.simulated_drivers == ()  # streamed, stored nowhere
     assert streams == _one_pass(N_PASS_PATHS, THREE_CURRENCY_READS["NKY"])  # NKY, the last factor: all six
 
 
