@@ -14,6 +14,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .bsde import BsdeConfig, solve_endogenous
 from .collateral import CollateralSpec, build_exogenous_path, check_collateral_spec
 from .contracts import Contract
@@ -176,7 +178,14 @@ def _cmd_simulate(args, model) -> int:
     if dump is not None:
         scenario.load()  # the dump reads every driver: one pass stores them all, and the means read the store
     if has_error_bar(scenario.n_paths):  # sample_mean of the terminal rows, chunk by chunk: stores no path
-        means, std_errors = combine_moments(scenario.map_chunks(lambda view: pair_moments(view.paths[:, -1])))
+        labels = model.driver_labels
+
+        def terminal(cols: slice, tiles) -> tuple:
+            *_, (_, levels) = tiles  # the last tile ends at the horizon
+            rows = np.reshape([levels[label][-1] for label in labels], (len(labels), cols.stop - cols.start))
+            return pair_moments(rows)
+
+        means, std_errors = combine_moments(scenario.map_tiles(terminal, *labels))
     else:  # fewer than two whole antithetic pairs: the means have no error bar
         means, std_errors = scenario.paths[:, -1].mean(axis=-1), None
     for d, label in enumerate(model.driver_labels):

@@ -4,19 +4,20 @@ Two families of processes must be drift-free under the domestic martingale
 measure: per asset, the accumulated funding-gain increments net of the FX
 exposure term; per currency, the discounted FX account X * B_f / B_dom. The
 tests are streamed: each test's set-up (accounts, carry, checkpoint rows)
-runs once, and then one pass over the simulation chunks
-(:meth:`~xccy.simulation.ScenarioSet.map_chunks`) builds every process at
-the checkpoint nodes from each chunk's paths and reduces it to its pair-mean
-moments on the chunk's worker thread
-(:func:`~xccy.simulation.pair_moments`). The moments are combined in chunk
-order (:func:`~xccy.simulation.combine_moments`, the reduction behind
+runs once, and then one pass over the simulation chunks reads each chunk in
+time tiles (:meth:`~xccy.simulation.ScenarioSet.map_tiles`), carries every
+process from one tile to the next up to the last checkpoint, and reduces it
+at the checkpoint nodes to its pair-mean moments on the chunk's worker
+thread (:func:`~xccy.simulation.pair_moments`). The moments are combined in
+chunk order (:func:`~xccy.simulation.combine_moments`, the reduction behind
 :func:`~xccy.simulation.sample_mean`), so the bits do not depend on the
-worker count. On a scenario whose drivers are not simulated yet, the chunks
-are simulated into a buffer per thread and not kept, so the memory does not
-grow with the path count. A deliberately mis-drifted scenario is the
-negative control. A suite gates each z-test at a fixed |z| bound, or the
-whole family at a family-wise false-alarm rate (:func:`family_threshold`,
-:func:`family_p_value`), as ``xccy check`` does by default.
+worker count. On a scenario whose drivers are not simulated yet, the tiles
+are simulated into a ring buffer per thread and not kept, so the memory
+grows neither with the path count nor with the step count. A deliberately
+mis-drifted scenario is the negative control. A suite gates each z-test at
+a fixed |z| bound, or the whole family at a family-wise false-alarm rate
+(:func:`family_threshold`, :func:`family_p_value`), as ``xccy check`` does
+by default.
 
 The single-currency reduction suite asserts that with one currency every FX
 correction term vanishes identically and the engine collapses to plain
@@ -84,7 +85,7 @@ class TestReport:
 
 
 class _CheckpointProcess:
-    """A test's process at the checkpoint ``nodes``: set up once per test, built once per chunk (:meth:`block`).
+    """A test's process at the checkpoint ``nodes``: set up once per test, read tile by tile per chunk (:meth:`read`).
 
     The set-up holds what does not depend on the paths: the accounts, the
     carry, the checkpoint rows each step writes, the FX account ratio and
@@ -92,7 +93,7 @@ class _CheckpointProcess:
     levels. Assets accumulate the repo-discounted FX-hedged gains
     (:func:`~xccy.wealth.hedged_gain_step`) step by step, from
     X S / B_repo; FX is X * B_f / B_dom less its start. ``drivers`` names
-    the drivers a block reads. A process id that names no asset or foreign
+    the drivers it reads. A process id that names no asset or foreign
     currency raises :class:`UnknownProcessId`.
     """
 
@@ -104,42 +105,52 @@ class _CheckpointProcess:
         kind, _, name = process_id.partition(":")
         if kind == "asset" and name in {a.label for a in model.assets}:
             asset = model.asset(name)
-            self.currency = asset.currency
-            self.drivers = (name, *model.fx_drivers(self.currency))
+            self.drivers = (name, *model.fx_drivers(asset.currency))
             self.carry = hedge_carry(scenario, name)
             self.b_repo = scenario.repo_account(name)
             self.rows_at_step = [np.flatnonzero(nodes == j + 1) for j in range(nodes.max())]
-            x0 = 1.0 if self.currency == model.domestic else model.fx_spec(self.currency).x0
+            x0 = 1.0 if asset.currency == model.domestic else model.fx_spec(asset.currency).x0
             self.start = float(asset.s0 * x0 / self.b_repo[0])
         elif kind == "fx" and name in model.currency_names:
             self.drivers = tuple(model.fx_drivers(name))
             self.ratio = scenario.account(name) / scenario.account(model.domestic)
+            # x0 ratio[0], the level at node 0 on every path: each level there is x0 bit for bit
             self.start = float(model.fx_spec(name).x0 * self.ratio[0])
         else:
             raise UnknownProcessId(process_id)
-        self.process_id, self.kind, self.name, self.nodes = process_id, kind, name, nodes
+        self.process_id, self.kind, self.nodes, self.last = process_id, kind, nodes, int(nodes.max())
 
     @np.errstate(over="ignore", invalid="ignore")
-    def block(self, view: ScenarioSet) -> np.ndarray:
-        """The process at the nodes on the paths of the chunk ``view``: a new (n_nodes, count) array."""
+    def read(self, out: np.ndarray, acc: np.ndarray, nodes: slice, levels: dict) -> None:
+        """Write the process at its checkpoints in (lo, hi] of the tile of nodes lo .. hi into the rows of ``out``.
+
+        ``out`` is the chunk's (n_checkpoints, count) process and ``levels``
+        the tile's level rows (:meth:`~xccy.simulation.ScenarioSet.map_tiles`);
+        the tiles are read in time order. An asset runs one
+        :func:`~xccy.wealth.hedged_gain_step` and one division by B_repo over
+        the tile's steps up to its last checkpoint, and adds the gains one
+        step at a time to its running sum ``acc``, which it carries from one
+        tile to the next: every element's operations are those of one step at
+        a time.
+        """
+        lo, hi = nodes.start, min(nodes.stop - 1, self.last)
         if self.kind == "fx":
-            x = view.fx(self.name).T  # time rows
-            out = x[self.nodes]
-            out *= self.ratio[self.nodes, None]
-            out -= x[0] * self.ratio[0]
-            return out
-        s, x = view.asset(self.name).T, view.fx(self.currency).T
-        out = np.empty((len(self.nodes), view.n_paths))
-        acc, gain, scratch = np.empty((3, view.n_paths))
-        for j, rows in enumerate(self.rows_at_step):
-            hedged_gain_step(x[j + 1], s[j + 1], x[j], s[j], self.carry[j], gain, scratch)
-            gain /= self.b_repo[j]
+            x = levels[self.drivers[0]]
+            for i in np.flatnonzero((self.nodes > lo) & (self.nodes <= hi)):
+                np.multiply(x[self.nodes[i] - lo], self.ratio[self.nodes[i]], out=out[i])
+                out[i] -= self.start
+            return
+        s = levels[self.drivers[0]][: hi - lo + 1]
+        x = levels[self.drivers[1]][: hi - lo + 1] if len(self.drivers) > 1 else np.ones((hi - lo + 1, 1))
+        gain = np.empty((hi - lo, s.shape[1]))
+        hedged_gain_step(x[1:], s[1:], x[:-1], s[:-1], self.carry[lo:hi, None], gain, np.empty_like(gain))
+        gain /= self.b_repo[lo:hi, None]
+        for j, step_gain in enumerate(gain, lo):
             if j:
-                acc += gain
+                acc += step_gain
             else:
-                acc[:] = gain  # a copy: 0.0 + gain would turn a -0.0 gain into 0.0
-            out[rows] = acc
-        return out
+                acc[:] = step_gain  # a copy: 0.0 + gain would turn a -0.0 gain into 0.0
+            out[self.rows_at_step[j]] = acc
 
 
 def family_size(checkpoints) -> int:
@@ -199,8 +210,10 @@ def _run_tests(
     """The tests of ``process_ids``, in that order, from one pass over the simulation chunks.
 
     Every input is checked first, so a bad one simulates nothing. Each
-    chunk's worker builds every process's block from the chunk's paths
-    (:meth:`ScenarioSet.map_chunks`) and reduces it to its pair-mean moments
+    chunk's worker reads the chunk's time tiles
+    (:meth:`ScenarioSet.map_tiles`) up to the last checkpoint, each tile by
+    every process in turn (:meth:`_CheckpointProcess.read`), and reduces
+    each process at the checkpoints to its pair-mean moments
     (:func:`~xccy.simulation.pair_moments`); the moments are combined in
     chunk order (:func:`~xccy.simulation.combine_moments`), so the bits do
     not depend on the worker count, and no paths are kept. Without a
@@ -213,12 +226,23 @@ def _run_tests(
     nodes, t = _checkpoint_nodes(scenario.grid, checkpoints)
     domestic = f"fx:{scenario.model.domestic}"
     processes = [_CheckpointProcess(scenario, pid, nodes) for pid in process_ids if pid != domestic]
+    last = nodes.max()
 
-    def moments(view: ScenarioSet) -> list:
-        return [pair_moments(p.block(view)) for p in processes]
+    def moments(cols: slice, tiles) -> list:
+        # each process's checkpoint rows and running sum are the chunk's own, as work runs on several threads at
+        # once; they are made at the process's first tile and reduced at the tile of the last checkpoint, so a
+        # chunk of one tile holds the rows of one process at a time
+        count, state = cols.stop - cols.start, [None] * len(processes)
+        for tile, levels in tiles:
+            for i, p in enumerate(processes):
+                out, acc = state[i] or (np.empty((len(nodes), count)), np.empty(count))
+                p.read(out, acc, tile, levels)
+                state[i] = pair_moments(out) if tile.stop > last else (out, acc)
+            if tile.stop > last:
+                return state
 
     drivers = [label for p in processes for label in p.drivers]
-    chunks = scenario.map_chunks(moments, *drivers) if processes else []
+    chunks = scenario.map_tiles(moments, *drivers) if processes else []
     folded = {p.process_id: (p.start, *combine_moments(c[i] for c in chunks)) for i, p in enumerate(processes)}
     # X = 1 and B_dom / B_dom = 1 bit for bit: the domestic FX process is identically 0 from the level 1
     folded[domestic] = (1.0, np.zeros(len(nodes)), np.zeros(len(nodes)))
@@ -249,12 +273,12 @@ def martingale_test(
     anything else would certify nothing and raises :class:`ConfigError`, and
     so does a scenario whose path count is odd or below four. The mean and
     its standard error are :func:`~xccy.simulation.sample_mean` of the
-    process at each checkpoint, streamed chunk by chunk: the process's
-    drivers are read from the store when they are all simulated, and
-    otherwise simulated one chunk at a time into a buffer per worker thread
-    and not kept (:meth:`~xccy.simulation.ScenarioSet.map_chunks`), so the
-    memory does not grow with the path count. z is the mean
-    over the larger of its standard error and its rounding error,
+    process at each checkpoint, streamed chunk by chunk and each chunk tile
+    by tile: the process's drivers are read from the store when they are all
+    simulated, and otherwise simulated one tile at a time into a ring buffer
+    and not kept (:meth:`~xccy.simulation.ScenarioSet.map_tiles`), so the
+    memory grows neither with the path count nor with the step count. z is
+    the mean over the larger of its standard error and its rounding error,
     (j + 2) eps (1 + 2 RATE_BOUND t) of the level at node j: one rounding per
     step of a log at most 2 RATE_BOUND t in size, and a few for the
     exponentials and account ratios. A deterministic process (a zero-volatility FX pair) thus passes.
@@ -299,12 +323,6 @@ class SuiteReport:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    def to_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [asdict(c) for c in self.checks],
-        }
 
 
 def reduction_suite(model: ValidatedModel, n_paths: int = 2000, seed: int = 7) -> SuiteReport:

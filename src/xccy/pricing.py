@@ -214,8 +214,11 @@ def price_exogenous(
     Each simulation chunk is read in time tiles
     (:meth:`~xccy.simulation.ScenarioSet.map_tiles`) on the worker threads.
     A lazy path of this scenario whose ``c`` has not been read is built tile
-    by tile (``CollateralPath.at``); any other path is read by the tile's
-    rows and the chunk's columns. Each tile's steps are
+    by tile (``CollateralPath.at``), at the nodes lo .. hi - 1 of a tile of
+    nodes lo .. hi and at the horizon too in the last tile, so each node is
+    built, and its FX level checked (:class:`~xccy.errors.NonPositiveFx`),
+    once; any other path is read by the tile's rows and the chunk's
+    columns. Each tile's steps are
     added to the per-path collateral legs (:func:`_add_collateral_legs`) and
     its flows to the per-path contractual legs
     (:func:`~xccy.wealth.add_discounted_flows`), so a chunk holds a few tiles
@@ -254,9 +257,11 @@ def price_exogenous(
         for nodes, levels in tiles:
             lo, hi = nodes.start, nodes.stop - 1
             rows = TimeRows(model, nodes, levels, n)
-            c = coll_path.at(rows) if lazy else c_rows[nodes, cols]
+            end = nodes.stop if hi == len(times) - 1 else hi  # a lazy path is built at lo .. hi - 1, and at the horizon
+            built = TimeRows(model, slice(lo, end), {label: level[: end - lo] for label, level in levels.items()}, n)
+            c = coll_path.at(built) if lazy else c_rows[nodes, cols]
             x = rows.fx(spec.currency)
-            _add_collateral_legs(leg_coll, c[:-1], None if x is None else x[:-1], weights, slice(lo, hi), b_e)
+            _add_collateral_legs(leg_coll, c[: hi - lo], None if x is None else x[:-1], weights, slice(lo, hi), b_e)
             tile_flows = [(j - lo, amount) for j, amount in flows if lo < j <= hi]
             add_discounted_flows(leg_contract, tile_flows, rows.fx(contract.native_currency), b_e[nodes])
         return pair_moments(leg_contract + leg_coll), np.array([np.mean(leg_contract), np.mean(leg_coll)])

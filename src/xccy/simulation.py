@@ -54,20 +54,18 @@ on which drivers are loaded, in which order or in how many passes, nor on
 the drivers after it in the factor order: a model with an asset appended,
 or ``model.restricted`` to a prefix of the factor order, simulates every
 other driver bit for bit. A reader of several drivers loads them in one
-call, one pass over the chunks. A streamed reader stores nothing:
-:meth:`ScenarioSet.map_chunks` hands it one chunk of paths at a time,
-simulated into a buffer kept per worker thread (or read from the store when
-its drivers are already there), and it reduces each chunk on the worker, as
-the martingale check does with :func:`pair_moments` and
-:func:`combine_moments`. Loading and streaming run the one chunk loop, so
-both give every driver the same bits. A reader that is a recursion in time,
-as the exogenous price is, goes further: :meth:`ScenarioSet.map_tiles` hands
-it each chunk as consecutive time tiles, the kernel's own tiles of steps
-written into a ring buffer of the drivers alone, turned into levels there
-and handed over with the last level of the tile before as their first row
-(:func:`_level_tiles`). The kernel carries its own last log level from one
-tile to the next, so the levels keep the bits the store holds, and such a
-reader holds a few tiles per thread whatever the path and step counts.
+call, one pass over the chunks. A streamed reader stores nothing: every
+forward reader is a recursion in time, and :meth:`ScenarioSet.map_tiles`
+hands it each chunk as consecutive time tiles, the kernel's own tiles of
+steps written into a ring buffer of the drivers alone, turned into levels
+there and handed over with the last level of the tile before as their first
+row (:func:`_level_tiles`), or views of the store when its drivers are
+already there. The reader carries its per-path state from one tile to the
+next and reduces each chunk on the worker, as the martingale check does with
+:func:`pair_moments` and :func:`combine_moments`. The kernel carries its own
+last log level from one tile to the next, so the levels keep the bits the
+store holds, and a streamed reader holds a few tiles per thread whatever the
+path and step counts.
 """
 
 from __future__ import annotations
@@ -76,7 +74,7 @@ import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -202,7 +200,7 @@ class ScenarioSet:
     loads them all) call it, so a reader only ever sees simulated rows and
     the rows of unread drivers are never written. :attr:`simulated_drivers`
     names the drivers simulated so far; the store is allocated at the first
-    load, so a scenario read only through :meth:`map_chunks` never holds its
+    load, so a scenario read only through :meth:`map_tiles` never holds its
     paths. A scenario built from a whole array, such as
     ``dataclasses.replace(scenario, paths=scenario.paths[:, :, a:b])``,
     counts as fully simulated. The domestic FX path is identically one, served
@@ -234,64 +232,55 @@ class ScenarioSet:
     def load(self, *labels: str) -> None:
         """Simulate the drivers named by ``labels`` (every driver if none is named) not simulated yet, in one pass.
 
-        Each chunk draws only the factors those drivers read, each from its
-        own stream (:func:`_simulate_log_chunk`), so every driver keeps the
-        bits a full simulation gives it, and a load of the FX rates alone
-        draws only their factors. A reader of several drivers names them all
-        in one call. A label that names no driver raises :class:`ConfigError`.
+        Each chunk is simulated into the store's columns of the chunk on the
+        :func:`run_chunks` threads, drawing only the factors those drivers
+        read, each from its own stream (:func:`_simulate_log_chunk`), so every
+        driver keeps the bits a full simulation gives it, and a load of the FX
+        rates alone draws only their factors. A reader of several drivers
+        names them all in one call. A label that names no driver raises
+        :class:`ConfigError`.
         """
-        wanted = self._rows(labels)
+        wanted = frozenset(self._row(label) for label in labels or self.model.driver_labels)
         simulation = self._simulation
         if simulation is None:
             return
         with simulation.lock:
             if self._store is None:  # the first load allocates the store; a streamed reader never does
                 self.__dict__["_store"] = np.empty((len(simulation.x0), len(self.grid.times), simulation.n_paths))
-            rows = wanted - simulation.simulated
-            if rows:
-                self._over_chunks(None, rows, stored=True)
-                simulation.simulated = simulation.simulated.union(rows)
+            rows = np.array(sorted(wanted - simulation.simulated), dtype=int)
+            if not rows.size:
+                return
+            columns = chunk_columns(simulation.n_paths)
 
-    def map_chunks(self, work, *labels: str) -> list:
-        """``work(view)`` on each simulation chunk, on the :func:`run_chunks` threads; the results in chunk order.
+            def run(chunks: list[int]) -> None:
+                for chunk in chunks:
+                    block = self._store[:, :, columns[chunk]]
+                    _simulate_chunk(block, self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows)
 
-        The chunk source of every streamed reader. ``view`` is
-        ``dataclasses.replace(scenario, paths=block)``, a scenario of the
-        chunk's paths alone, and ``work`` reads from it only the drivers
-        named by ``labels`` (every driver if none is named). When they are
-        all stored, ``block`` is the store's columns of the chunk; otherwise
-        the chunk's named rows are simulated into one (n_drivers, n_times,
-        ``CHUNK_PATHS``) buffer per thread, to the bits :meth:`load` would
-        store, and nothing is stored: the memory does not grow with the
-        path count, and each such call is one pass over the chunks. ``work``
-        runs on several threads at once, one chunk each, so it may only
-        write what it allocates. A label that names no driver raises
-        :class:`ConfigError`.
-        """
-        rows = self._rows(labels)
-        simulation = self._simulation
-        if simulation is None or rows and rows <= simulation.simulated:
-            return self._over_chunks(work, frozenset(), stored=True)
-        return self._over_chunks(work, rows, stored=False)
+            run_chunks(run, range(len(columns)), simulation.n_workers)
+            simulation.simulated = simulation.simulated.union(rows.tolist())
 
     def map_tiles(self, work, *labels: str) -> list:
         """``work(cols, tiles)`` on each simulation chunk, on the :func:`run_chunks` threads; results in chunk order.
 
-        The chunk source of a reader that is a recursion in time. ``cols`` is
-        the chunk's slice of path columns and ``tiles`` yields the chunk's
-        consecutive time tiles in time order, each as ``(nodes, levels)``: a
-        slice of grid nodes lo .. hi, and a dict from each of ``labels`` to
-        that driver's levels there, (hi - lo + 1, count) time rows.
-        Consecutive tiles share their boundary node and the first starts at
-        node 0; a tile may be read until the next one is drawn. When the
-        drivers are all stored, each tile is a view of the store, in
+        The chunk source of every streamed reader. ``cols`` is the chunk's
+        slice of path columns and ``tiles`` yields the chunk's consecutive
+        time tiles in time order, each as ``(nodes, levels)``: a slice of
+        grid nodes lo .. hi, and a dict from each of ``labels`` to that
+        driver's levels there, (hi - lo + 1, count) time rows. Consecutive
+        tiles share their boundary node, the first starts at node 0 and the
+        last ends at the horizon; a tile may be read until the next one is
+        drawn or ``work`` returns, and a reader may stop drawing early. When
+        the drivers are all stored, each tile is a view of the store, in
         :func:`row_tiles` of about ``TILE_BYTES`` per driver. Otherwise the
         kernel's tiles of steps are written into a ring buffer of those
-        drivers alone and turned into levels there (:func:`_level_tiles`), to
-        the bits :meth:`load` would store; nothing is stored, and a chunk
-        holds a few tiles whatever the path and step counts. Only the named
-        drivers are read, none if none is named. ``work`` runs on several
-        threads at once, as in :meth:`map_chunks`.
+        drivers alone, one per thread and reused from chunk to chunk, and
+        turned into levels there (:func:`_level_tiles`), to the bits
+        :meth:`load` would store; nothing is stored, and a thread holds a few
+        tiles whatever the path and step counts. Only the named drivers are
+        read, none if none is named. ``work`` runs on several threads at
+        once, one chunk each, so it may only write what it allocates. A label
+        that names no driver raises :class:`ConfigError`.
         """
         rows = np.array(sorted({self._row(label) for label in labels}), dtype=int)
         labels = [self.model.driver_labels[d] for d in rows]
@@ -300,53 +289,27 @@ class ScenarioSet:
         columns = chunk_columns(self.n_paths)
         results = [None] * len(columns)
 
-        def tiles(chunk: int, cols: slice):
+        def tiles(chunk: int, cols: slice, ring: np.ndarray):
             count = cols.stop - cols.start
             if stored:
                 for steps in row_tiles(self.grid.n_steps, count * 8):
                     nodes = slice(steps.start, steps.stop + 1)
                     yield nodes, {label: self._store[d, nodes, cols] for label, d in zip(labels, rows)}
                 return
-            levels = _level_tiles(self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows, count)
+            levels = _level_tiles(self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows, count, ring)
             for nodes, tile in levels:
                 yield nodes, dict(zip(labels, tile))
 
         def run(chunks: list[int]) -> None:
+            # this thread's own ring buffer, as large as the largest ring of its chunks and reused from one to the
+            # next: memory freed and taken again per chunk would be given back to the system and faulted in anew
+            widths = set() if stored else {columns[chunk].stop - columns[chunk].start for chunk in chunks}
+            ring = np.empty(max((math.prod(_ring_shape(simulation.vol, rows, w)) for w in widths), default=0))
             for chunk in chunks:
-                results[chunk] = work(columns[chunk], tiles(chunk, columns[chunk]))
+                results[chunk] = work(columns[chunk], tiles(chunk, columns[chunk], ring))
 
         run_chunks(run, range(len(columns)), 1 if simulation is None else simulation.n_workers)
         return results
-
-    def _over_chunks(self, work, rows: frozenset[int], stored: bool) -> list:
-        """The one chunk loop: simulate ``rows`` into each chunk's block, then ``work`` its view.
-
-        The block is the store's columns of the chunk if ``stored``, and a
-        buffer kept per thread otherwise; a ``work`` of ``None`` only fills
-        the blocks (:meth:`load`).
-        """
-        simulation = self._simulation
-        columns = chunk_columns(self.n_paths)
-        rows = np.array(sorted(rows), dtype=int)
-        results = [None] * len(columns)
-
-        def run(chunks: list[int]) -> None:
-            if not stored:  # as wide as chunk 0, the widest; only the rows simulated into it are ever read
-                buffer = np.empty((len(self.model.driver_labels), len(self.grid.times), columns[0].stop))
-            for chunk in chunks:
-                cols = columns[chunk]
-                block = self._store[:, :, cols] if stored else buffer[:, :, : cols.stop - cols.start]
-                if rows.size:
-                    _simulate_chunk(block, self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows)
-                if work is not None:
-                    results[chunk] = work(replace(self, paths=block))
-
-        run_chunks(run, range(len(columns)), 1 if simulation is None else simulation.n_workers)
-        return results
-
-    def _rows(self, labels) -> frozenset[int]:
-        """The rows of the drivers named by ``labels``, every driver if none is named."""
-        return frozenset(self._row(label) for label in labels or self.model.driver_labels)
 
     def _row(self, label: str) -> int:
         self.model.driver_spec(label)  # ConfigError for a label that names no driver
@@ -647,13 +610,14 @@ def _log_tiles(
     are those of ``np.cumsum``.
 
     With ``ring``, ``block`` is instead a ring buffer of the written rows
-    alone, (len(rows), m, count) with m at least one more than the kernel's
+    alone, (len(rows), m, count) with m at least two more than the kernel's
     longest tile: the tile of steps lo .. hi - 1 is written to the ring's
     rows 1 .. hi - lo, after row 0, which holds the log level of node lo.
-    The kernel carries that row itself, the last row of each tile, and writes
-    it back before the next tile, so between tiles a reader may overwrite
-    every row of the ring (:func:`_level_tiles`). Each element's operations
-    are those of a whole block.
+    The kernel carries that level in the ring's last row, copies the last
+    row of each tile there and writes it back to row 0 before the next tile,
+    so between tiles a reader may overwrite every row of the ring but the
+    last (:func:`_level_tiles`). Each element's operations are those of a
+    whole block.
     """
     count = block.shape[2]
     drift, vol = drift[rows], vol[rows]
@@ -667,9 +631,8 @@ def _log_tiles(
     streams = [chunk_stream(seed, chunk, k) for k in range(n_factors)]
     # each driver's path and its time-row views, built once: indexing them per step costs time
     paths = [(block[i if ring else d], list(block[i if ring else d])) for i, d in enumerate(rows)]
-    carried = np.zeros((len(rows), count)) if ring else None  # each ring's log level at its tile's first node
     for path, _ in paths:
-        path[0] = 0.0
+        path[-1 if ring else 0] = 0.0  # log(S / x0) at node 0
     for steps in tiles:
         lo, hi = steps.start, steps.stop
         at = 0 if ring else lo  # the block row of node lo
@@ -678,7 +641,7 @@ def _log_tiles(
         m = mixed[: hi - lo]
         for i, (path, path_rows) in enumerate(paths):
             if ring:
-                path[0] = carried[i]
+                path[0] = path[-1]
             weights, zs = vol[i, : reads[i], steps], z[: reads[i], : hi - lo]
             if m.size > 1:
                 np.einsum("kj,kjp->jp", weights, zs, out=m, optimize=False)
@@ -691,12 +654,23 @@ def _log_tiles(
             for j in range(1 + at, 1 + at + hi - lo):  # the tile's rows are still in cache
                 np.add(path_rows[j - 1], path_rows[j], out=path_rows[j])
             if ring:
-                carried[i] = path[hi - lo]
+                path[-1] = path[hi - lo]
         yield steps
 
 
+def _ring_shape(vol: np.ndarray, rows: np.ndarray, count: int) -> tuple[int, int, int]:
+    """The shape of :func:`_level_tiles`'s ring for the drivers ``rows`` over a chunk of ``count`` paths.
+
+    Each driver has the rows of the kernel's longest tile of steps and three
+    more: the tile's first node, the level carried from tile to tile and the
+    kernel's own carried log level.
+    """
+    return len(rows), _kernel_tiles(vol[rows], count)[1][0].stop + 3, count
+
+
 def _level_tiles(
-    seed: int, drift: np.ndarray, vol: np.ndarray, x0: np.ndarray, chunk: int, rows: np.ndarray, count: int
+    seed: int, drift: np.ndarray, vol: np.ndarray, x0: np.ndarray, chunk: int, rows: np.ndarray, count: int,
+    buffer: np.ndarray,
 ):
     """The levels of the drivers ``rows`` over simulation chunk ``chunk``, tile by tile, stored nowhere.
 
@@ -706,12 +680,14 @@ def _level_tiles(
     (:func:`_log_tiles`), the level step of :func:`_simulate_chunk` (one
     ``exp``, one product with x0) turns them into levels, and row 0 takes the
     carried last level of the tile before, x0 at node 0 (exp(0) x0 is x0).
-    Every level has the bits :func:`_simulate_chunk` gives it. The ring is
-    rewritten when the next tile is drawn.
+    Every level has the bits :func:`_simulate_chunk` gives it. The ring
+    (:func:`_ring_shape`) is the head of the flat ``buffer``, which the
+    calling thread may reuse for its next chunk; it is rewritten when the
+    next tile is drawn.
     """
-    _, tiles = _kernel_tiles(vol[rows], count)
-    ring = np.empty((len(rows), tiles[0].stop + 1, count))
-    left = np.empty((len(rows), count))  # each driver's level at the tile's first node
+    shape = _ring_shape(vol, rows, count)
+    ring = buffer[: math.prod(shape)].reshape(shape)
+    left = ring[:, -2]  # each driver's level at the tile's first node; the kernel keeps the last row
     left[:] = x0[rows, None]
     for steps in _log_tiles(ring, seed, drift, vol, chunk, rows, ring=True):
         n = steps.stop - steps.start
@@ -787,7 +763,7 @@ def simulate(
     one, or a ``drift_shift`` key that names no driver, :class:`ConfigError`.
     No driver is simulated, and no path array allocated, here;
     :meth:`ScenarioSet.load` simulates those a reader names into the store,
-    and :meth:`ScenarioSet.map_chunks` streams them, chunk by chunk through
+    and :meth:`ScenarioSet.map_tiles` streams them, chunk by chunk through
     :func:`run_chunks` on ``n_workers`` threads, each to the bits a
     simulation of every driver gives it, drawing only the normals of the
     factors they read.

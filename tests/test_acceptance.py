@@ -196,7 +196,7 @@ def test_acceptance_5_deterministic_collateral_quadrature(two_currency_model):
 
 def test_acceptance_6_single_currency_reduction(single_currency_model):
     suite = reduction_suite(single_currency_model, n_paths=5000, seed=6)
-    assert suite.passed, suite.to_dict()
+    assert suite.passed, suite.checks
     scen = simulate(single_currency_model, TimeGrid.regular(1.0, 10), 5000, seed=61)
     contract = Contract("EUR", ((0.5, 1.0), (1.0, -2.0)))
     zero = CollateralPath(np.zeros((5000, 11)), "EUR")

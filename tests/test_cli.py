@@ -10,9 +10,9 @@ import numpy as np
 import pytest
 
 import xccy
-from xccy.cli import run
+from xccy.cli import _COMMANDS, build_parser, run
 from xccy.diagnostics import FALSE_ALARM, family_p_value, family_threshold
-from xccy.simulation import sample_mean
+from xccy.simulation import CHUNK_PATHS, _kernel_tiles, _step_coefficients, row_tiles, sample_mean
 
 MODEL_DOC = {
     "currencies": [
@@ -568,6 +568,28 @@ def test_simulate_reports_each_terminal_mean_with_its_error_bar(docs):
     assert run(args + ["--paths", "3", "--out", str(tmp / "sim3")]) == 0
     report = json.loads((tmp / "sim3" / "report.json").read_text())
     assert report["terminal_std_errors"] == dict.fromkeys(labels)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_terminal_means_streamed_over_many_tiles_are_the_stored_ones(
+    three_currency_model, tmp_path, monkeypatch, workers
+):
+    # 40 steps of six drivers: ten kernel tiles per full chunk when streamed, and three store tiles once
+    # --dump-paths has loaded the paths (the text itself is not written here); a full chunk and a ragged one
+    grid, n_paths = xccy.TimeGrid.regular(1.0, 40), CHUNK_PATHS + 100
+    assert len(_kernel_tiles(_step_coefficients(three_currency_model, grid, {})[1], CHUNK_PATHS)[1]) == 10
+    assert len(row_tiles(40, 8 * CHUNK_PATHS)) == 3
+    monkeypatch.setattr("xccy.cli.dump_paths_csv", lambda scenario, path: None)
+    means, std_errors = sample_mean(xccy.simulate(three_currency_model, grid, n_paths, 11).paths[:, -1])
+    labels = three_currency_model.driver_labels
+    for dump in ([], ["--dump-paths"]):
+        out = tmp_path / f"sim{len(dump)}"
+        argv = ["simulate", "--model", "unread", "--paths", str(n_paths), "--steps", "40", "--seed", "11",
+                "--workers", workers, "--out", str(out), *dump]
+        assert _COMMANDS["simulate"](build_parser().parse_args(argv), three_currency_model) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["terminal_means"] == dict(zip(labels, means.tolist())), dump
+        assert report["terminal_std_errors"] == dict(zip(labels, std_errors.tolist())), dump
 
 
 def test_bsde_nonpositive_slice_denominator_exits_two(docs, capsys):

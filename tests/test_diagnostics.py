@@ -24,7 +24,7 @@ from xccy import (
 import xccy.diagnostics
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, NumericalError, UnknownProcessId
-from xccy.simulation import CHUNK_PATHS, sample_mean
+from xccy.simulation import CHUNK_PATHS, _kernel_tiles, _step_coefficients, sample_mean
 from xccy.wealth import fx_hedge_gain_increments
 
 
@@ -156,41 +156,60 @@ def test_suite_covers_every_driver(two_currency_model):
 
 
 def test_suite_folds_no_block_for_the_domestic_fx_process(three_currency_model, monkeypatch):
-    # X B_EUR / B_EUR is identically 0: its report is written without building a block,
+    # X B_EUR / B_EUR is identically 0: its report is written without reading a tile,
     # with the bytes it had when every process was folded chunk by chunk
     scen = simulate(three_currency_model, TimeGrid.regular(1.0, 6), 2 * CHUNK_PATHS + 100, seed=3)
-    built = []
-    block = xccy.diagnostics._CheckpointProcess.block
+    read_by = []
+    read = xccy.diagnostics._CheckpointProcess.read
 
-    def recording(process, view):
-        built.append(process.process_id)
-        return block(process, view)
+    def recording(process, *args):
+        read_by.append(process.process_id)
+        return read(process, *args)
 
-    monkeypatch.setattr(xccy.diagnostics._CheckpointProcess, "block", recording)
+    monkeypatch.setattr(xccy.diagnostics._CheckpointProcess, "read", recording)
     reports = run_martingale_suite(scen)
     digest = hashlib.sha256(json.dumps([r.to_dict() for r in reports]).encode()).hexdigest()
     assert digest == "c5f323a8ae1154dc8993204f3fb2e0dd3f958652fece7943d12a310a31787f49"
-    # one block per process and chunk, none for fx:EUR
+    # every tile of every chunk is read by each process in turn, never by fx:EUR
     folded = [r.process_id for r in reports if r.process_id != "fx:EUR"]
-    assert built == 3 * folded
+    assert read_by == folded * (len(read_by) // len(folded))
 
 
-def test_suite_and_single_tests_give_the_same_bytes_from_every_chunk_source(three_currency_model):
-    # streamed through a buffer per thread, read from the store, or read from a whole array; the last
+@pytest.mark.parametrize(
+    "n_steps, n_paths, checkpoints, digest",
+    [
+        # one tile per chunk
+        (4, 2 * CHUNK_PATHS + 102, 4, "fbca23e947d59bbb0c657a104fa34f246b04f8f26dbb4dfbf8e6053dbd4c733d"),
+        # ten kernel tiles per full chunk and three store tiles; checkpoints on tile edges, between them,
+        # and none at the horizon, so a chunk stops reading after its last checkpoint
+        (40, CHUNK_PATHS + 100, [0.1, 0.4, 0.55, 0.8],
+         "ff4e4a8e15bb37139c96962fb278c371a39306e2ea1121b941297a4085a86f3e"),
+    ],
+)
+def test_suite_and_single_tests_give_the_same_bytes_from_every_chunk_source(
+    three_currency_model, n_steps, n_paths, checkpoints, digest
+):
+    # streamed from the kernel's ring of tiles, read from the store, or read from a whole array; the last
     # chunk is ragged, and the worker count changes neither the chunks nor the order they are folded in
-    grid, n_paths = TimeGrid.regular(1.0, 4), 2 * CHUNK_PATHS + 102
+    grid = TimeGrid.regular(1.0, n_steps)
+    vol = _step_coefficients(three_currency_model, grid, {})[1]
+    assert len(_kernel_tiles(vol, CHUNK_PATHS)[1]) == n_steps // 4
     reference = None
     for n_workers in (1, 2):
         lazy = simulate(three_currency_model, grid, n_paths, seed=8, n_workers=n_workers)
         stored = simulate(three_currency_model, grid, n_paths, seed=8, n_workers=n_workers)
         stored.load()
         for source, scen in (("lazy", lazy), ("stored", stored), ("array", dataclasses.replace(stored, paths=stored.paths))):
-            suite = [json.dumps(r.to_dict()) for r in run_martingale_suite(scen)]
-            single = [json.dumps(martingale_test(scen, json.loads(r)["process_id"]).to_dict()) for r in suite]
+            suite = [json.dumps(r.to_dict()) for r in run_martingale_suite(scen, checkpoints)]
+            single = [
+                json.dumps(martingale_test(scen, json.loads(r)["process_id"], checkpoints).to_dict()) for r in suite
+            ]
             assert single == suite, (source, n_workers)
             reference = reference or suite
             assert suite == reference, (source, n_workers)
         assert lazy.simulated_drivers == ()  # streamed: nothing was stored
+    # the bytes the suite had when each chunk was simulated whole before it was read
+    assert hashlib.sha256(json.dumps([json.loads(r) for r in reference]).encode()).hexdigest() == digest
 
 
 def test_unknown_process_id(two_currency_model):

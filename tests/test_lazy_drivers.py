@@ -32,7 +32,7 @@ from xccy import (
 from xccy.cli import run
 from xccy.curves import RateCurve
 from xccy.errors import ConfigError, ZeroPaths
-from xccy.simulation import CHUNK_PATHS, chunk_columns
+from xccy.simulation import CHUNK_PATHS, TILE_BYTES, chunk_columns
 
 N_PASS_PATHS = CHUNK_PATHS + 100  # two chunks: one pass draws the streams of its factors in each
 DEMO_MODEL = Path(__file__).resolve().parents[1] / "demos" / "config" / "model.json"
@@ -163,7 +163,7 @@ def test_concurrent_readers_simulate_each_driver_once(two_currency_model, stream
 
 
 def test_concurrent_streams_and_loads_give_the_bits_of_a_stored_scenario(three_currency_model):
-    # streamed tests and driver loads on one scenario at once: a test streams from a buffer or
+    # streamed tests and driver loads on one scenario at once: a test reads its tiles from the kernel's ring or
     # from the store, depending on what is loaded when it starts, and reports the same bytes either way
     grid, labels = TimeGrid.regular(1.0, 4), three_currency_model.driver_labels
     stored = simulate(three_currency_model, grid, N_PASS_PATHS, seed=2)
@@ -287,6 +287,34 @@ def test_a_streamed_suite_takes_memory_of_a_few_chunks_whatever_the_path_count(t
     assert abs(peaks[1] - peaks[0]) <= 4 * CHUNK_PATHS * 8, peaks
 
 
+def test_a_streamed_suite_and_terminal_means_take_memory_of_a_few_tiles_whatever_the_step_count(
+    three_currency_model, capsys
+):
+    # simulation included, as above; one chunk's paths of one driver would grow by 396 * CHUNK_PATHS * 8 bytes,
+    # 26 MB, from 4 to 400 steps. What may grow is bounded: the ring and the normals up to their TILE_BYTES (a
+    # tile of the demo's three drivers holds 8 steps), the rows of every process at once when a chunk has several
+    # tiles (one at a time with one tile), and the step coefficients
+    def suite(n_steps):
+        run_martingale_suite(simulate(three_currency_model, TimeGrid.regular(1.0, n_steps), 2 * CHUNK_PATHS, seed=4))
+
+    def terminal_means(n_steps):
+        args = ["--model", str(DEMO_MODEL), "--paths", str(2 * CHUNK_PATHS), "--steps", str(n_steps)]
+        assert run(["simulate", *args]) == 0
+
+    for read in (suite, terminal_means):
+        read(4)  # numpy's one-time imports, unmeasured
+        peaks = []
+        for n_steps in (4, 400):
+            tracemalloc.start()
+            try:
+                read(n_steps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] - peaks[0] <= 4 * TILE_BYTES, (read.__name__, peaks)
+    capsys.readouterr()  # the simulate reports
+
+
 def test_a_wealth_replay_makes_one_pass(two_currency_model, streams):
     grid = TimeGrid.regular(1.0, 4)
     scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
@@ -311,8 +339,7 @@ def test_cli_simulate_without_a_dump_never_allocates_the_path_store(tmp_path, st
     loads, load = [], ScenarioSet.load
 
     def spy(scenario, *labels):
-        if scenario._simulation is not None:  # a chunk's view holds its block and simulates nothing
-            loads.append(labels)
+        loads.append(labels)
         return load(scenario, *labels)
 
     monkeypatch.setattr(ScenarioSet, "load", spy)

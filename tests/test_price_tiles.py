@@ -1,6 +1,8 @@
 """The exogenous price in one pass over the chunks, read in time tiles: the bits of a stored scenario and a
 built collateral path, and memory of a few tiles whatever the path and step counts."""
 
+import collections
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -144,6 +146,31 @@ def test_a_non_positive_fx_level_in_the_pass_keeps_its_message(two_currency_mode
             price_exogenous(scen, contract, build_exogenous_path(scen, spec, contract), spec)
         with pytest.raises(NonPositiveFx, match="^fx level must be strictly positive$"):
             _ = build_exogenous_path(scen, spec, contract).c
+
+
+def test_the_pass_builds_each_collateral_node_once_and_still_checks_the_horizon(two_currency_model):
+    # consecutive tiles share their boundary node: each tile builds its nodes lo .. hi - 1, which the legs read,
+    # and the last one the horizon too, so a chunk builds n_times rows over its many tiles
+    spec, contract = _spec("mark_proxy", "USD"), Contract("USD", ((0.5, 1.0), (1.0, -1.5)))
+    grid = TimeGrid.regular(1.0, 200, include=contract.flow_times)
+    for n_workers in (1, 2):
+        scen = simulate(two_currency_model, grid, 2 * CHUNK_PATHS + 100, seed=4, n_workers=n_workers)
+        path = build_exogenous_path(scen, spec, contract)
+        shapes, at = [], path.at
+        object.__setattr__(path, "at", lambda rows: shapes.append(rows.shape) or at(rows))
+        price_exogenous(scen, contract, path, spec)
+        assert len(shapes) == 13 + 13 + 1  # 16-step tiles over each full chunk, one tile over the ragged one
+        built = collections.Counter()
+        for n_nodes, width in shapes:
+            built[width] += n_nodes
+        assert built == {CHUNK_PATHS: 2 * len(grid.times), 100: len(grid.times)}
+    # the legs read no collateral at the horizon, but an FX level of 0 there still fails the build
+    stored = simulate(two_currency_model, grid, 600, seed=4)
+    paths = stored.paths.copy()
+    paths[two_currency_model.driver_labels.index("fx:USD"), -1, 7] = 0.0
+    scen = dataclasses.replace(stored, paths=paths)
+    with pytest.raises(NonPositiveFx, match="^fx level must be strictly positive$"):
+        price_exogenous(scen, contract, build_exogenous_path(scen, spec, contract), spec)
 
 
 @pytest.mark.parametrize("k3", ["EUR", "USD"])
