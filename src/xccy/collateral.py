@@ -184,7 +184,8 @@ class CollateralPath:
     currency: str
     source: tuple | None = None
     # a lazy path's collateral at the nodes of a TimeRows block, a fresh (n_nodes, n_paths) C-ordered array of
-    # time rows: its functional is pointwise in time, so a node has the same bits in any block that holds it
+    # time rows that the caller may overwrite: its functional is pointwise in time, so a node has the same bits
+    # in any block that holds it
     at: Callable[["TimeRows"], np.ndarray] | None = None
 
     def __init__(self, c, currency):
@@ -515,7 +516,8 @@ def _mark_proxy(model: ValidatedModel, times, spec: CollateralSpec, contract: Co
 # takes (model, grid times, spec, contract) and the parameters CollateralSpec converted by this table,
 # checks them, computes what it reads of the grid alone, and returns its builder: a function of the
 # TimeRows of a block of nodes that returns the collateral there, a fresh C-ordered (n_nodes, n_paths)
-# float array of time rows, its only allocation of that size
+# float array of time rows, its only allocation of that size. The array is the caller's: the price pass
+# hands it to the collateral legs, which may overwrite it (pricing._add_collateral_legs)
 EXOGENOUS_FUNCTIONALS = {
     "constant": (_constant_functional, {"level": (finite_float, 0.0)}),
     "fraction_of_asset": (_fraction_of_asset, {"asset": (None, ...), "fraction": (finite_float, 1.0)}),

@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import ConfigError, MissingRates, NegativeTime
+from .errors import ConfigError, MissingRates, NegativeTime, NumericalError
 
 RATE_BOUND = 1.0  # sanity bound on |r|, per-year
 # sanity bound on a lognormal volatility, per sqrt(year): the log-drift -sigma^2 T / 2 stays above
@@ -100,16 +100,23 @@ class RateCurve:
         return float(np.max(np.abs(self.values)))
 
 
-def cash_account_value(rate: RateCurve, t) -> float | np.ndarray:
+def cash_account_value(rate: RateCurve, t, name: str = "cash account") -> float | np.ndarray:
     """Value of the unit cash account B(t) = exp(integral of the rate).
 
     B(0) = 1 and the evaluation is the exact piecewise exponential of
     :meth:`RateCurve.integrals`: a float for a scalar ``t``, an array for an array.
+    An account that overflows (a time far beyond any trade's, say 1e6 years at
+    2%) raises :class:`NumericalError` naming ``name`` and the earliest such
+    time, with no numpy warning before it.
     """
     t_arr = np.asarray(t, dtype=float)
     if np.any(t_arr < 0):
         raise NegativeTime(f"cash account requested at negative time {t}")
-    value = np.exp(rate.integrals(t_arr))
+    with np.errstate(over="ignore"):
+        value = np.exp(rate.integrals(t_arr))
+    overflow = ~np.isfinite(value)
+    if overflow.any():
+        raise NumericalError(f"non-finite {name} at t={float(np.min(t_arr[overflow]))!r}")
     return value if t_arr.ndim else float(value)
 
 

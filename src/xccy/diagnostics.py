@@ -121,17 +121,19 @@ class _CheckpointProcess:
         self.process_id, self.kind, self.nodes, self.last = process_id, kind, nodes, int(nodes.max())
 
     @np.errstate(over="ignore", invalid="ignore")
-    def read(self, out: np.ndarray, acc: np.ndarray, nodes: slice, levels: dict) -> None:
+    def read(self, out: np.ndarray, acc: np.ndarray, nodes: slice, levels: dict, scratch: np.ndarray) -> None:
         """Write the process at its checkpoints in (lo, hi] of the tile of nodes lo .. hi into the rows of ``out``.
 
         ``out`` is the chunk's (n_checkpoints, count) process and ``levels``
         the tile's level rows (:meth:`~xccy.simulation.ScenarioSet.map_tiles`);
         the tiles are read in time order. An asset runs one
         :func:`~xccy.wealth.hedged_gain_step` and one division by B_repo over
-        the tile's steps up to its last checkpoint, and adds the gains one
-        step at a time to its running sum ``acc``, which it carries from one
-        tile to the next: every element's operations are those of one step at
-        a time.
+        the tile's steps up to its last checkpoint, into ``scratch[0]``, with
+        ``scratch[1]`` its scratch: a (2, steps, count) buffer of at least the
+        tile's steps, which every process of the chunk reuses. It adds the
+        gains one step at a time to its running sum ``acc``, which it carries
+        from one tile to the next: every element's operations are those of
+        one step at a time.
         """
         lo, hi = nodes.start, min(nodes.stop - 1, self.last)
         if self.kind == "fx":
@@ -142,8 +144,8 @@ class _CheckpointProcess:
             return
         s = levels[self.drivers[0]][: hi - lo + 1]
         x = levels[self.drivers[1]][: hi - lo + 1] if len(self.drivers) > 1 else np.ones((hi - lo + 1, 1))
-        gain = np.empty((hi - lo, s.shape[1]))
-        hedged_gain_step(x[1:], s[1:], x[:-1], s[:-1], self.carry[lo:hi, None], gain, np.empty_like(gain))
+        gain, tmp = scratch[:, : hi - lo]
+        hedged_gain_step(x[1:], s[1:], x[:-1], s[:-1], self.carry[lo:hi, None], gain, tmp)
         gain /= self.b_repo[lo:hi, None]
         for j, step_gain in enumerate(gain, lo):
             if j:
@@ -227,16 +229,20 @@ def _run_tests(
     domestic = f"fx:{scenario.model.domestic}"
     processes = [_CheckpointProcess(scenario, pid, nodes) for pid in process_ids if pid != domestic]
     last = nodes.max()
+    gains = any(p.kind == "asset" for p in processes)  # an FX process reads no gain scratch
 
     def moments(cols: slice, tiles) -> list:
         # each process's checkpoint rows and running sum are the chunk's own, as work runs on several threads at
         # once; they are made at the process's first tile and reduced at the tile of the last checkpoint, so a
-        # chunk of one tile holds the rows of one process at a time
-        count, state = cols.stop - cols.start, [None] * len(processes)
+        # chunk of one tile holds the rows of one process at a time. The gain scratch is one per chunk, sized
+        # at the first tile, which is the longest (row_tiles)
+        count, state, scratch = cols.stop - cols.start, [None] * len(processes), None
         for tile, levels in tiles:
+            if scratch is None:
+                scratch = np.empty((2, tile.stop - tile.start - 1, count if gains else 0))
             for i, p in enumerate(processes):
                 out, acc = state[i] or (np.empty((len(nodes), count)), np.empty(count))
-                p.read(out, acc, tile, levels)
+                p.read(out, acc, tile, levels, scratch)
                 state[i] = pair_moments(out) if tile.stop > last else (out, acc)
             if tile.stop > last:
                 return state

@@ -139,7 +139,7 @@ def _leg_weights(model: ValidatedModel, spec: CollateralSpec, times: np.ndarray)
 
 # a non-finite collateral gives a non-finite leg, which the price's check_finite_estimate reports
 @np.errstate(over="ignore", invalid="ignore")
-def _add_collateral_legs(legs, c, x, weights: tuple, steps: slice, b_e: np.ndarray) -> None:
+def _add_collateral_legs(legs, c, x, weights: tuple, steps: slice, b_e: np.ndarray, owned: bool = False) -> None:
     """Add the steps ``steps`` of the collateral carry, FX term included, discounted to 0, to the per-path ``legs``.
 
     The one definition of the collateral legs. ``c`` and ``x`` are the time
@@ -152,6 +152,14 @@ def _add_collateral_legs(legs, c, x, weights: tuple, steps: slice, b_e: np.ndarr
     after another. So the legs are, bit for bit and for any tiling, the
     column-by-column row sums of one whole F-ordered (n_paths, n_steps)
     array; a tile's only temporaries are of its own size.
+
+    With ``owned``, ``c`` is the caller's to overwrite (a lazy path's builder
+    returns a fresh array for each tile), and the legs hold one tile-sized
+    array beside it: with one weight the carry is computed in ``c`` after the
+    FX term's product C * w_fx is taken, and with ``np.where``'s weights that
+    product is computed in ``c`` after the carry w * C is taken. Without it
+    ``c`` is not written (a caller's stored path), at the cost of one more
+    such array. Each element's operations are the same either way.
 
     Domestic collateral skips the FX term and the product with X, which is
     identically 1 (:meth:`~xccy.simulation.ScenarioSet.fx_factor`), and its
@@ -168,13 +176,16 @@ def _add_collateral_legs(legs, c, x, weights: tuple, steps: slice, b_e: np.ndarr
     either sign (C * w is w * C bit for bit).
     """
     w_recv, w_post, w_fx = (None if w is None else w[steps, None] for w in weights)
+    out = c if owned else None
     if w_post is None:
-        carry = c * w_recv
+        fx = None if x is None else c * w_fx  # taken before c is overwritten
+        carry = np.multiply(c, w_recv, out=out)
     else:
         carry = np.where(c > 0, w_recv, w_post)
         carry *= c
+        fx = None if x is None else np.multiply(c, w_fx, out=out)
     if x is not None:
-        carry -= c * w_fx
+        carry -= fx
         carry *= x
     carry /= b_e[steps, None]
     carry[0] += legs
@@ -217,17 +228,19 @@ def price_exogenous(
     by tile (``CollateralPath.at``), at the nodes lo .. hi - 1 of a tile of
     nodes lo .. hi and at the horizon too in the last tile, so each node is
     built, and its FX level checked (:class:`~xccy.errors.NonPositiveFx`),
-    once; any other path is read by the tile's rows and the chunk's
-    columns. Each tile's steps are
-    added to the per-path collateral legs (:func:`_add_collateral_legs`) and
-    its flows to the per-path contractual legs
-    (:func:`~xccy.wealth.add_discounted_flows`), so a chunk holds a few tiles
-    and two vectors of its paths, whatever the path and step counts. Each
-    chunk gives the means of its two legs and the :func:`pair_moments` of
-    their sum, combined in chunk order (:func:`combine_moments`): the error
-    bar is :func:`~xccy.simulation.sample_mean`'s bit for bit, and with one
-    chunk the leg means are ``np.mean``'s; over several chunks they may
-    differ from ``np.mean`` of all paths in the last bits.
+    once, and the legs may overwrite it; any other path is read by the
+    tile's rows and the chunk's columns, and never written. Each tile's steps
+    are added to the per-path collateral legs (:func:`_add_collateral_legs`)
+    and its flows to the per-path contractual legs
+    (:func:`~xccy.wealth.add_discounted_flows`) in a function of its own, so
+    the tile's collateral is freed before the next tile is drawn: a chunk
+    holds a few tiles and two vectors of its paths, whatever the path and
+    step counts. Each chunk gives the means of its two legs and the
+    :func:`pair_moments` of their sum, combined in chunk order
+    (:func:`combine_moments`): the error bar is
+    :func:`~xccy.simulation.sample_mean`'s bit for bit, and with one chunk
+    the leg means are ``np.mean``'s; over several chunks they may differ from
+    ``np.mean`` of all paths in the last bits.
 
     A path count with no error bar (:func:`~xccy.simulation.check_error_bar_paths`)
     raises :class:`~xccy.errors.ConfigError` before any driver is simulated. A
@@ -250,20 +263,25 @@ def price_exogenous(
     b_e = scenario.account(model.domestic)
     flows = list(zip(flow_nodes(scenario.grid, contract).tolist(), (amount for _, amount in contract.flows)))
 
+    def add_tile(leg_contract, leg_coll, cols: slice, nodes: slice, levels: dict) -> None:
+        # the tile's collateral and rows are locals: they are freed on return, before the next tile is drawn
+        lo, hi, n = nodes.start, nodes.stop - 1, cols.stop - cols.start
+        rows = TimeRows(model, nodes, levels, n)
+        end = nodes.stop if hi == len(times) - 1 else hi  # a lazy path is built at lo .. hi - 1, and at the horizon
+        built = TimeRows(model, slice(lo, end), {label: level[: end - lo] for label, level in levels.items()}, n)
+        c = coll_path.at(built) if lazy else c_rows[nodes, cols]
+        x = rows.fx(spec.currency)
+        x = None if x is None else x[:-1]
+        _add_collateral_legs(leg_coll, c[: hi - lo], x, weights, slice(lo, hi), b_e, owned=lazy)
+        tile_flows = [(j - lo, amount) for j, amount in flows if lo < j <= hi]
+        add_discounted_flows(leg_contract, tile_flows, rows.fx(contract.native_currency), b_e[nodes])
+
     @np.errstate(over="ignore", invalid="ignore")  # check_finite_estimate reports an overflow
     def chunk(cols: slice, tiles) -> tuple:
         n = cols.stop - cols.start
         leg_contract, leg_coll = np.zeros(n), np.zeros(n)
         for nodes, levels in tiles:
-            lo, hi = nodes.start, nodes.stop - 1
-            rows = TimeRows(model, nodes, levels, n)
-            end = nodes.stop if hi == len(times) - 1 else hi  # a lazy path is built at lo .. hi - 1, and at the horizon
-            built = TimeRows(model, slice(lo, end), {label: level[: end - lo] for label, level in levels.items()}, n)
-            c = coll_path.at(built) if lazy else c_rows[nodes, cols]
-            x = rows.fx(spec.currency)
-            _add_collateral_legs(leg_coll, c[: hi - lo], None if x is None else x[:-1], weights, slice(lo, hi), b_e)
-            tile_flows = [(j - lo, amount) for j, amount in flows if lo < j <= hi]
-            add_discounted_flows(leg_contract, tile_flows, rows.fx(contract.native_currency), b_e[nodes])
+            add_tile(leg_contract, leg_coll, cols, nodes, levels)
         return pair_moments(leg_contract + leg_coll), np.array([np.mean(leg_contract), np.mean(leg_coll)])
 
     parts = scenario.map_tiles(chunk, *drivers)

@@ -344,11 +344,12 @@ class ScenarioSet:
 
     def account(self, currency: str) -> np.ndarray:
         """Unsecured cash account of ``currency`` on the grid."""
-        return cash_account_value(self.model.curve(currency, "unsecured"), self.grid.times)
+        return cash_account_value(self.model.curve(currency, "unsecured"), self.grid.times, f"{currency} cash account")
 
     def repo_account(self, label: str) -> np.ndarray:
         """Repo account of the asset ``label`` on the grid."""
-        return cash_account_value(self.model.asset(label).repo_rate, self.grid.times)
+        asset = self.model.asset(label)
+        return cash_account_value(asset.repo_rate, self.grid.times, f"{asset.currency} repo account of {label}")
 
 
 def has_error_bar(n_paths: int) -> bool:

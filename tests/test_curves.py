@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from xccy.curves import CurveSet, RateCurve, cash_account_value
-from xccy.errors import ConfigError, NegativeTime
+from xccy.errors import ConfigError, NegativeTime, NumericalError
 
 
 @pytest.mark.parametrize(
@@ -49,6 +49,16 @@ def test_account_value_at_zero_is_one():
 def test_negative_time_rejected():
     with pytest.raises(NegativeTime):
         cash_account_value(RateCurve.flat(0.01), -0.5)
+
+
+def test_an_overflowing_account_names_itself_and_its_earliest_overflowing_time():
+    # exp(0.02 t) overflows past t = 35,489 years; pytest makes numpy's overflow warning an error
+    times = np.array([1e6, 1.0, 4e4, 3e4])
+    with pytest.raises(NumericalError, match=r"^non-finite EUR cash account at t=40000\.0$"):
+        cash_account_value(RateCurve.flat(0.02), times, "EUR cash account")
+    with pytest.raises(NumericalError, match=r"^non-finite cash account at t=1e\+300$"):
+        cash_account_value(RateCurve.flat(0.02), 1e300)
+    assert np.isfinite(cash_account_value(RateCurve.flat(0.02), times[1:] / 2)).all()
 
 
 def test_integral_is_antisymmetric_and_additive():

@@ -22,7 +22,7 @@ from xccy import (
 )
 from xccy.collateral import priced_drivers
 from xccy.errors import ConfigError, NonPositiveFx, NumericalError
-from xccy.pricing import _discounted_collateral_legs
+from xccy.pricing import _add_collateral_legs, _discounted_collateral_legs
 from xccy.simulation import CHUNK_PATHS, TILE_BYTES, _kernel_tiles, _step_coefficients, row_tiles, sample_mean
 
 PARAMS = {"constant": {"level": 0.7}, "fraction_of_asset": {"asset": "FEQ", "fraction": 0.02}, "mark_proxy": {}}
@@ -124,10 +124,50 @@ def test_a_lazy_price_holds_a_few_tiles_whatever_the_path_and_step_counts(two_cu
     price(4, 2)  # numpy's one-time imports, unmeasured
     sizes = ((2 * CHUNK_PATHS, 50), (2 * CHUNK_PATHS, 2000), (6 * CHUNK_PATHS, 50))
     peaks = {size: _peak(lambda: price(*size)) for size in sizes}
-    # a chunk's ring, normals and reader temporaries, about six tiles, and the step coefficients;
-    # one path array of the smallest of these would be 2 * CHUNK_PATHS * 51 * 8 bytes, 6.7 MB
+    # a chunk's ring, normals and reader temporaries, under five tiles, and the step coefficients: the legs
+    # may overwrite the tile's collateral, which is freed before the next tile is drawn; one path array of the
+    # smallest of these would be 2 * CHUNK_PATHS * 51 * 8 bytes, 6.7 MB
     for (n_paths, n_steps), peak in peaks.items():
-        assert peak <= 6 * TILE_BYTES + 256 * n_steps, peaks
+        assert peak <= 5 * TILE_BYTES + 256 * n_steps, peaks
+
+
+@pytest.mark.parametrize("foreign", [False, True], ids=["domestic", "foreign"])
+@pytest.mark.parametrize("one_weight", [True, False], ids=["one-weight", "where"])
+def test_owned_collateral_gives_the_legs_of_a_copy_bit_for_bit(one_weight, foreign):
+    # the legs may overwrite an owned c and leave a caller's c as it was: the same bits either way, special
+    # values too
+    rng = np.random.default_rng(11)
+    n_times, steps, n_paths = 12, slice(3, 10), 40
+    c = rng.normal(size=(steps.stop - steps.start, n_paths))
+    c[2, :9] = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 1e-300, -1e-300]
+    w_recv, w_post, w_fx = rng.uniform(-0.01, 0.02, size=(3, n_times - 1))
+    weights = (w_recv, None if one_weight else w_post, w_fx if foreign else None)
+    x = rng.lognormal(size=c.shape) if foreign else None
+    b_e = np.exp(np.linspace(0.0, 0.2, n_times))
+    start = rng.normal(size=n_paths)
+    kept, copied = start.copy(), c.copy()
+    _add_collateral_legs(kept, c, x, weights, steps, b_e)
+    assert c.tobytes() == copied.tobytes()
+    owned = start.copy()
+    _add_collateral_legs(owned, copied, x, weights, steps, b_e, owned=True)
+    assert owned.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("convention", ["rehypothecation", "segregation"])
+@pytest.mark.parametrize("k3", ["EUR", "USD"])
+def test_the_price_never_writes_a_callers_stored_path(two_currency_model, k3, convention):
+    # EUR rehypothecation takes one weight; the others pick theirs by the sign of C
+    contract = Contract("USD", ((0.5, 1.0), (1.0, -1.5)))
+    spec = dataclasses.replace(_spec("mark_proxy", k3), convention=convention)
+    scen = simulate(two_currency_model, TimeGrid.regular(1.0, 10, include=contract.flow_times), 600, seed=5)
+    lazy = build_exogenous_path(scen, spec, contract)
+    stored = CollateralPath(lazy.c, k3)
+    kept = stored.c.copy()
+    report = price_exogenous(scen, contract, stored, spec)
+    assert stored.c.tobytes() == kept.tobytes()
+    # a lazy path whose c was read is priced from that array, which is the caller's too
+    assert price_exogenous(scen, contract, lazy, spec) == report
+    assert lazy.c.tobytes() == kept.tobytes()
 
 
 def test_a_non_positive_fx_level_in_the_pass_keeps_its_message(two_currency_model):
