@@ -43,7 +43,8 @@ so each is one pointwise definition over a block of time rows
 checks its inputs and returns a lazy :class:`CollateralPath` that holds its
 functional and scenario: the price builds it tile by tile in its pass over
 the chunks and stores no path, and reading its ``c`` builds it over the
-whole grid, one block, from the scenario's store.
+whole grid, one block, from the scenario's store: a scenario is streamed, or
+stored whole on first read, every driver at once.
 """
 
 from __future__ import annotations
@@ -143,10 +144,10 @@ class _BuiltPath:
     """The ``c`` field of :class:`CollateralPath`: set as given, or built the first time a lazy path's is read.
 
     A lazy path (:func:`build_exogenous_path`) holds its functional's inputs
-    instead of an array; reading ``c`` loads the drivers the functional reads
-    into the scenario's store and builds the path over the whole grid, one
-    block of time rows (``CollateralPath.at``), as
-    :class:`~xccy.simulation.ScenarioSet`'s ``paths`` loads its drivers.
+    instead of an array; reading ``c`` takes the functional's drivers from
+    the scenario's store, which is stored whole on first read
+    (:meth:`~xccy.simulation.ScenarioSet.load`), and builds the path over the
+    whole grid, one block of time rows (``CollateralPath.at``).
     """
 
     def __get__(self, path, owner=None):
@@ -154,7 +155,6 @@ class _BuiltPath:
             raise AttributeError("c")  # a dataclass field without a default
         if "_c" not in path.__dict__:
             scenario, spec, contract = path.source
-            scenario.load(*path.drivers)
             levels = {label: scenario.driver(label).T for label in path.drivers}
             rows = TimeRows(scenario.model, slice(0, len(scenario.grid.times)), levels, scenario.n_paths)
             path._hold(path.at(rows).T, spec.currency)
@@ -530,8 +530,8 @@ def priced_drivers(model: ValidatedModel, spec: CollateralSpec, contract: Contra
     collateral's, and the functional's asset with its currency's FX rate.
 
     :func:`~xccy.pricing.price_exogenous` streams these in its one pass, and
-    a lazy path's ``c`` loads them. The domestic FX rate is identically one
-    and is no driver.
+    a lazy path's ``c`` reads them from the store. The domestic FX rate is
+    identically one and is no driver.
     """
     currencies = [spec.currency] + ([] if contract is None else [contract.native_currency])
     asset = None if spec.endogenous else spec.mode[2].get("asset")

@@ -11,8 +11,8 @@ at the checkpoint nodes to its pair-mean moments on the chunk's worker
 thread (:func:`~xccy.simulation.pair_moments`). The moments are combined in
 chunk order (:func:`~xccy.simulation.combine_moments`, the reduction behind
 :func:`~xccy.simulation.sample_mean`), so the bits do not depend on the
-worker count. On a scenario whose drivers are not simulated yet, the tiles
-are simulated into a ring buffer per thread and not kept, so the memory
+worker count. On a scenario that is not stored, the tiles are simulated
+into a ring buffer per thread and not kept, so the memory
 grows neither with the path count nor with the step count. A deliberately
 mis-drifted scenario is the negative control. A suite gates each z-test at
 a fixed |z| bound, or the whole family at a family-wise false-alarm rate
@@ -280,8 +280,8 @@ def martingale_test(
     so does a scenario whose path count is odd or below four. The mean and
     its standard error are :func:`~xccy.simulation.sample_mean` of the
     process at each checkpoint, streamed chunk by chunk and each chunk tile
-    by tile: the process's drivers are read from the store when they are all
-    simulated, and otherwise simulated one tile at a time into a ring buffer
+    by tile: the process's drivers are read from the store when the scenario
+    is stored, and otherwise simulated one tile at a time into a ring buffer
     and not kept (:meth:`~xccy.simulation.ScenarioSet.map_tiles`), so the
     memory grows neither with the path count nor with the step count. z is
     the mean over the larger of its standard error and its rounding error,
@@ -340,7 +340,6 @@ def reduction_suite(model: ValidatedModel, n_paths: int = 2000, seed: int = 7) -
     horizon = 1.0
     grid = TimeGrid.regular(horizon, 8)
     scenario = simulate(model, grid, n_paths, seed)
-    scenario.load()  # every asset is read: one pass for all of them
     checks: list[SuiteCheck] = []
 
     # 1) every collateral convention loses its FX term identically

@@ -19,13 +19,13 @@ the i-th. The drivers are mixed from independent normal factors by the
 model's lower-triangular factor (``ValidatedModel.mixing``), the FX pairs'
 factors first, and each factor of each chunk draws its normals from its own
 SFC64 stream, read step-major (see :mod:`xccy.rng`). A chunk goes through two
-steps straight into one time-major array of shape (n_drivers, n_times,
-n_paths): the log-path kernel :func:`_simulate_log_chunk` draws, in
-cache-sized tiles of steps, only the factors its drivers read, mixes each
-driver's factors with one ``np.einsum`` call per tile (a k-ordered sum, not
-BLAS), and writes each driver on its own, summing its log-increments over
-time into log(S / x0); the level step (one ``exp``, one product with x0)
-turns them into levels.
+steps into time-major (n_drivers, n_times, n_paths) tiles: the log-path kernel
+:func:`_log_tiles` draws, in cache-sized tiles of steps, only the factors
+its drivers read, mixes each driver's factors with one ``np.einsum`` call
+per tile (a k-ordered sum, not BLAS), and writes each driver on its own,
+summing its log-increments over time into log(S / x0); the level step of
+:func:`_level_tiles` (one ``exp``, one product with x0) turns them into
+levels.
 The endogenous-collateral solver regresses on the log-paths and runs the
 kernel alone, on the sub-model of the one FX driver its flows read
 (:meth:`~xccy.model.ValidatedModel.restricted`); a sub-model with no driver
@@ -45,27 +45,28 @@ worker count. A :class:`ScenarioSet` is that array with its model, grid, seed
 and measure tag; its unsecured and repo accounts are not stored but derived
 from the curves by :func:`~xccy.curves.cash_account_value`, the one
 definition of B(t). :func:`simulate` checks its inputs and computes the step
-coefficients but simulates no driver and allocates no array: a driver is
-simulated the first time it is read (:meth:`ScenarioSet.load`), so a price
-pays only for the drivers its trade reads: their factors' normals, their
-mixing and their stores. A pass draws only the factors its drivers read,
-factor k of a chunk from its own stream, so a driver's bits do not depend
-on which drivers are loaded, in which order or in how many passes, nor on
-the drivers after it in the factor order: a model with an asset appended,
-or ``model.restricted`` to a prefix of the factor order, simulates every
-other driver bit for bit. A reader of several drivers loads them in one
-call, one pass over the chunks. A streamed reader stores nothing: every
-forward reader is a recursion in time, and :meth:`ScenarioSet.map_tiles`
+coefficients but simulates no driver and allocates no array: a scenario is
+streamed, or stored whole on first read. A streamed reader stores nothing:
+every forward reader is a recursion in time, and :meth:`ScenarioSet.map_tiles`
 hands it each chunk as consecutive time tiles, the kernel's own tiles of
-steps written into a ring buffer of the drivers alone, turned into levels
-there and handed over with the last level of the tile before as their first
-row (:func:`_level_tiles`), or views of the store when its drivers are
-already there. The reader carries its per-path state from one tile to the
-next and reduces each chunk on the worker, as the martingale check does with
-:func:`pair_moments` and :func:`combine_moments`. The kernel carries its own
-last log level from one tile to the next, so the levels keep the bits the
-store holds, and a streamed reader holds a few tiles per thread whatever the
-path and step counts.
+steps written into a ring buffer of the drivers it names alone, turned into
+levels there by the level step (one ``exp``, one product with x0) and handed
+over with the last level of the tile before as their first row
+(:func:`_level_tiles`), or views of the store when the scenario is stored. A
+pass draws only the factors its drivers read, factor k of a chunk from its
+own stream, so a driver's bits do not depend on which drivers are in the
+pass, nor on the drivers after it in the factor order: a model with an asset
+appended, or ``model.restricted`` to a prefix of the factor order, simulates
+every other driver bit for bit, and a price pays only for the drivers its
+trade reads. A streamed reader carries its per-path state from one tile to
+the next and reduces each chunk on the worker, as the martingale check does
+with :func:`pair_moments` and :func:`combine_moments`. The kernel carries its
+own last log level from one tile to the next, so the levels keep the bits of
+the whole chunk, and a streamed reader holds a few tiles per thread whatever
+the path and step counts. A reader of the store (:meth:`ScenarioSet.driver`,
+``paths``) has it filled, every driver at once, from one such pass over all
+the drivers (:meth:`ScenarioSet.load`), so the store holds the bits a
+streamed reader is handed.
 """
 
 from __future__ import annotations
@@ -156,12 +157,11 @@ class TimeGrid:
 
 
 class _StoredPaths:
-    """The ``paths`` field of :class:`ScenarioSet`: set as given, read only once every driver is simulated.
+    """The ``paths`` field of :class:`ScenarioSet`: set as given, or stored whole on first read.
 
     The array is kept in the instance's ``_store`` (``None`` until a scenario
-    of :func:`simulate` first loads a driver); reading ``paths`` first loads
-    every driver (:meth:`ScenarioSet.load`), so no reader of the whole array
-    sees a row that was never simulated.
+    of :func:`simulate` is first read from its store); reading ``paths``
+    first stores every driver (:meth:`ScenarioSet.load`).
     """
 
     def __get__(self, scenario, owner=None):
@@ -176,14 +176,13 @@ class _StoredPaths:
 
 @dataclass
 class _Simulation:
-    """What a scenario of :func:`simulate` needs to simulate its drivers on first read."""
+    """What a scenario of :func:`simulate` needs to stream its drivers or store them on first read."""
 
     drift: np.ndarray
     vol: np.ndarray
     x0: np.ndarray
     n_workers: int
     n_paths: int
-    simulated: frozenset[int] = frozenset()  # rows of ``model.driver_labels``, replaced whole under ``lock``
     lock: threading.Lock = field(default_factory=threading.Lock)
 
 
@@ -194,16 +193,14 @@ class ScenarioSet:
     ``paths`` is the time-major (n_drivers, n_times, n_paths) array, in
     ``model.driver_labels`` order; :meth:`driver` serves a driver as the
     (n_paths, n_times) view ``paths[d].T``, whose column j (time j across
-    paths) is contiguous. A scenario of :func:`simulate` simulates each driver
-    the first time it is read: :meth:`load` fills the rows of the drivers it
-    names, and :meth:`driver`, :meth:`fx`, :meth:`asset` and ``paths`` (which
-    loads them all) call it, so a reader only ever sees simulated rows and
-    the rows of unread drivers are never written. :attr:`simulated_drivers`
-    names the drivers simulated so far; the store is allocated at the first
-    load, so a scenario read only through :meth:`map_tiles` never holds its
-    paths. A scenario built from a whole array, such as
-    ``dataclasses.replace(scenario, paths=scenario.paths[:, :, a:b])``,
-    counts as fully simulated. The domestic FX path is identically one, served
+    paths) is contiguous. A scenario of :func:`simulate` is streamed, or
+    stored whole on first read: :meth:`map_tiles` streams the drivers it
+    names and stores nothing, and :meth:`driver`, :meth:`fx`, :meth:`asset`
+    and ``paths`` call :meth:`load`, which simulates every driver into the
+    store in one pass the first time, so a scenario read only through
+    :meth:`map_tiles` never holds its paths. A scenario built from a whole
+    array, such as ``dataclasses.replace(scenario, paths=scenario.paths[:, :, a:b])``,
+    is stored from the start. The domestic FX path is identically one, served
     by :meth:`fx` as a read-only broadcast view and by :meth:`fx_factor` as
     ``None``, so a hot reader skips its products. :meth:`account` and
     :meth:`repo_account` are :func:`cash_account_value` of a currency's
@@ -221,44 +218,34 @@ class ScenarioSet:
     def n_paths(self) -> int:
         return self._simulation.n_paths if self._store is None else self._store.shape[2]
 
-    @property
-    def simulated_drivers(self) -> tuple[str, ...]:
-        """The labels of the drivers simulated so far, in ``model.driver_labels`` order."""
-        labels = self.model.driver_labels
-        if self._simulation is None:
-            return labels
-        return tuple(labels[d] for d in sorted(self._simulation.simulated))
+    def load(self) -> None:
+        """Simulate every driver into the store, in one pass, the first time it is called.
 
-    def load(self, *labels: str) -> None:
-        """Simulate the drivers named by ``labels`` (every driver if none is named) not simulated yet, in one pass.
-
-        Each chunk is simulated into the store's columns of the chunk on the
-        :func:`run_chunks` threads, drawing only the factors those drivers
-        read, each from its own stream (:func:`_simulate_log_chunk`), so every
-        driver keeps the bits a full simulation gives it, and a load of the FX
-        rates alone draws only their factors. A reader of several drivers
-        names them all in one call. A label that names no driver raises
-        :class:`ConfigError`.
+        The whole (n_drivers, n_times, n_paths) store is allocated and filled
+        from :meth:`map_tiles`' own tiles over every driver, each tile's
+        levels copied into the store's nodes and columns of its chunk, so the
+        store holds the bits a streamed reader is handed. The store is
+        published when the pass returns, under the scenario's lock: a
+        concurrent :meth:`map_tiles` reader either streams or reads a whole
+        store, never a half-filled one, and a concurrent :meth:`load` waits
+        for it.
         """
-        wanted = frozenset(self._row(label) for label in labels or self.model.driver_labels)
         simulation = self._simulation
         if simulation is None:
             return
         with simulation.lock:
-            if self._store is None:  # the first load allocates the store; a streamed reader never does
-                self.__dict__["_store"] = np.empty((len(simulation.x0), len(self.grid.times), simulation.n_paths))
-            rows = np.array(sorted(wanted - simulation.simulated), dtype=int)
-            if not rows.size:
+            if self._store is not None:
                 return
-            columns = chunk_columns(simulation.n_paths)
+            labels = self.model.driver_labels
+            store = np.empty((len(labels), len(self.grid.times), simulation.n_paths))
 
-            def run(chunks: list[int]) -> None:
-                for chunk in chunks:
-                    block = self._store[:, :, columns[chunk]]
-                    _simulate_chunk(block, self.seed, simulation.drift, simulation.vol, simulation.x0, chunk, rows)
+            def copy(cols: slice, tiles) -> None:
+                for nodes, levels in tiles:
+                    for d, label in enumerate(labels):
+                        store[d, nodes, cols] = levels[label]
 
-            run_chunks(run, range(len(columns)), simulation.n_workers)
-            simulation.simulated = simulation.simulated.union(rows.tolist())
+            self.map_tiles(copy, *labels)
+            self.__dict__["_store"] = store
 
     def map_tiles(self, work, *labels: str) -> list:
         """``work(cols, tiles)`` on each simulation chunk, on the :func:`run_chunks` threads; results in chunk order.
@@ -271,21 +258,21 @@ class ScenarioSet:
         tiles share their boundary node, the first starts at node 0 and the
         last ends at the horizon; a tile may be read until the next one is
         drawn or ``work`` returns, and a reader may stop drawing early. When
-        the drivers are all stored, each tile is a view of the store, in
+        the scenario is stored, each tile is a view of the store, in
         :func:`row_tiles` of about ``TILE_BYTES`` per driver. Otherwise the
         kernel's tiles of steps are written into a ring buffer of those
         drivers alone, one per thread and reused from chunk to chunk, and
-        turned into levels there (:func:`_level_tiles`), to the bits
-        :meth:`load` would store; nothing is stored, and a thread holds a few
-        tiles whatever the path and step counts. Only the named drivers are
-        read, none if none is named. ``work`` runs on several threads at
-        once, one chunk each, so it may only write what it allocates. A label
+        turned into levels there (:func:`_level_tiles`); nothing is stored,
+        and a thread holds a few tiles whatever the path and step counts.
+        Only the named drivers are read, none if none is named. ``work`` runs
+        on several threads at once, one chunk each, so it may only write what
+        it allocates, or its own chunk's columns (:meth:`load`). A label
         that names no driver raises :class:`ConfigError`.
         """
         rows = np.array(sorted({self._row(label) for label in labels}), dtype=int)
         labels = [self.model.driver_labels[d] for d in rows]
         simulation = self._simulation
-        stored = simulation is None or set(rows.tolist()) <= simulation.simulated
+        stored = self._store is not None
         columns = chunk_columns(self.n_paths)
         results = [None] * len(columns)
 
@@ -317,8 +304,9 @@ class ScenarioSet:
 
     def driver(self, label: str) -> np.ndarray:
         """Paths of the driver named by one of ``model.driver_labels``, a view of ``paths``."""
-        self.load(label)
-        return self._store[self._row(label)].T
+        d = self._row(label)
+        self.load()
+        return self._store[d].T
 
     def fx(self, currency: str) -> np.ndarray:
         x = self.fx_factor(currency)
@@ -383,7 +371,10 @@ def pair_moments(block: np.ndarray) -> tuple[int, np.ndarray, np.ndarray]:
     these moments of each chunk on its worker thread and combines them in
     chunk order with :func:`combine_moments`.
     """
-    pairs = 0.5 * (block[..., 0::2] + block[..., 1::2])
+    # the sum, then a halving in place: 0.5 * (a + b) holds a second half-row temporary, which numpy
+    # elides only above 256 KiB, so a (4, 8192) checkpoint block took two 128 KiB half-rows at once
+    pairs = block[..., 0::2] + block[..., 1::2]
+    pairs *= 0.5
     k, mean = pairs.shape[-1], pairs.mean(axis=-1)
     pairs -= mean[..., None]
     pairs *= pairs
@@ -415,7 +406,7 @@ def combine_moments(moments) -> tuple[np.ndarray, np.ndarray]:
 def sample_mean(samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean over the last (path) axis and its standard error: every error bar in the engine.
 
-    Paths 2i and 2i+1 are antithetic twins (see :func:`_simulate_chunk`), so
+    Paths 2i and 2i+1 are antithetic twins (see :func:`_log_tiles`), so
     they are not independent: each adjacent pair is first reduced to its
     mean, and the result is the mean of the n/2 pair means with their sample
     standard deviation over sqrt(n/2). The paths are taken in the
@@ -678,10 +669,10 @@ def _level_tiles(
     Yields, for each of the kernel's tiles of steps lo .. hi - 1, the slice
     of nodes lo .. hi and the (len(rows), hi - lo + 1, count) levels there:
     the kernel writes the tile's log-paths into a ring buffer of the rows
-    (:func:`_log_tiles`), the level step of :func:`_simulate_chunk` (one
-    ``exp``, one product with x0) turns them into levels, and row 0 takes the
-    carried last level of the tile before, x0 at node 0 (exp(0) x0 is x0).
-    Every level has the bits :func:`_simulate_chunk` gives it. The ring
+    (:func:`_log_tiles`), the level step (one ``exp``, one product with x0)
+    turns them into levels, and row 0 takes the carried last level of the
+    tile before, x0 at node 0 (exp(0) x0 is x0). This is the one level step:
+    :meth:`ScenarioSet.load` stores its tiles. The ring
     (:func:`_ring_shape`) is the head of the flat ``buffer``, which the
     calling thread may reuse for its next chunk; it is rewritten when the
     next tile is drawn.
@@ -693,7 +684,9 @@ def _level_tiles(
     for steps in _log_tiles(ring, seed, drift, vol, chunk, rows, ring=True):
         n = steps.stop - steps.start
         tile = ring[:, : n + 1]
-        with np.errstate(over="ignore"):  # as in _simulate_chunk
+        # an overflowing level is infinite, which every estimate that reads it reports
+        # (check_finite_estimate); numpy's warning would only repeat it
+        with np.errstate(over="ignore"):
             for i, d in enumerate(rows):
                 np.exp(tile[i, 1:], out=tile[i, 1:])
                 tile[i, 1:] *= x0[d]
@@ -702,33 +695,10 @@ def _level_tiles(
         yield slice(steps.start, steps.stop + 1), tile
 
 
-# an overflowing level is infinite, which every estimate that reads it reports
-# (check_finite_estimate); numpy's warning would only repeat it
-@np.errstate(over="ignore")
-def _simulate_chunk(
-    block: np.ndarray,
-    seed: int,
-    drift: np.ndarray,
-    vol: np.ndarray,
-    x0: np.ndarray,
-    chunk: int,
-    rows: np.ndarray,
-) -> None:
-    """Write the paths of the drivers ``rows`` of simulation chunk ``chunk`` into the time-major ``block``.
-
-    The log-paths of :func:`_simulate_log_chunk` followed by the level step,
-    one ``exp`` and a product with the initial levels ``x0``.
-    """
-    _simulate_log_chunk(block, seed, drift, vol, chunk, rows)
-    for d in rows:
-        np.exp(block[d], out=block[d])
-        block[d] *= x0[d]
-
-
 def _step_coefficients(
     model: ValidatedModel, grid: TimeGrid, drift_shift: dict[str, float]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The run's (drift, vol, x0) for :func:`_simulate_chunk`.
+    """The run's (drift, vol, x0) for :func:`_level_tiles`.
 
     drift[d, j] is driver d's log-drift over step j, vol[d, k, j] the weight of
     normal factor k in it (``model.mixing`` times sigma sqrt(dt)), x0[d] the
@@ -757,17 +727,16 @@ def simulate(
     drift_shift: dict[str, float] | None = None,
     n_workers: int = 1,
 ) -> ScenarioSet:
-    """A ScenarioSet whose drivers are simulated the first time they are read.
+    """A ScenarioSet that is streamed, or stored whole on first read.
 
     The inputs are checked, and the step coefficients computed, at once:
     ``n_paths`` below one raises :class:`ZeroPaths`, and ``n_workers`` below
     one, or a ``drift_shift`` key that names no driver, :class:`ConfigError`.
     No driver is simulated, and no path array allocated, here;
-    :meth:`ScenarioSet.load` simulates those a reader names into the store,
-    and :meth:`ScenarioSet.map_tiles` streams them, chunk by chunk through
-    :func:`run_chunks` on ``n_workers`` threads, each to the bits a
-    simulation of every driver gives it, drawing only the normals of the
-    factors they read.
+    :meth:`ScenarioSet.map_tiles` streams the drivers a reader names, drawing
+    only the normals of the factors they read, and :meth:`ScenarioSet.load`
+    stores every driver from one such pass, chunk by chunk through
+    :func:`run_chunks` on ``n_workers`` threads.
     ``drift_shift`` adds a constant per-year drift bump to drivers named by
     ``model.driver_labels``, for diagnostics negative controls; a scenario
     with a non-zero shift is tagged ``"p"`` and pricing refuses it.
@@ -781,7 +750,7 @@ def simulate(
         model=model,
         grid=grid,
         seed=seed,
-        paths=None,  # allocated at the first load
+        paths=None,  # allocated and filled on first read
         measure_tag="p" if any(drift_shift.values()) else "qe",
     )
     object.__setattr__(scenario, "_simulation", _Simulation(drift, vol, x0, n_workers, n_paths))

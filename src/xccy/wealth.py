@@ -103,7 +103,6 @@ def fx_hedge_gain_increments(scenario: ScenarioSet, asset_label: str) -> np.ndar
     dS - S r dt + kappa S dt.
     """
     currency = scenario.model.asset(asset_label).currency
-    scenario.load(asset_label, *scenario.model.fx_drivers(currency))  # the asset and its FX rate in one pass
     s, x, carry = scenario.asset(asset_label), scenario.fx(currency), hedge_carry(scenario, asset_label)
     out = np.empty((scenario.n_paths, scenario.grid.n_steps))
     return hedged_gain_step(x[:, 1:], s[:, 1:], x[:, :-1], s[:, :-1], carry, out, np.empty_like(out))
@@ -144,7 +143,6 @@ class Strategy:
     @classmethod
     def repo_constrained(cls, scenario: ScenarioSet, xi: dict[str, np.ndarray], psi_cash=None) -> "Strategy":
         """Fill repo positions so psi B + xi S = 0 at every node."""
-        scenario.load()  # the replay the strategy is built for reads every driver: one pass for both
         psi_repo = {}
         for label, units in xi.items():
             s = scenario.asset(label)[:, :-1]
@@ -204,7 +202,6 @@ def replay_wealth(
     adjustment components.
     """
     model = scenario.model
-    scenario.load()  # the replay reads most drivers: one pass for all of them
     n_paths, n_steps = scenario.n_paths, scenario.grid.n_steps
     b_e = scenario.account(model.domestic)
 

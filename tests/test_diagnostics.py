@@ -207,7 +207,7 @@ def test_suite_and_single_tests_give_the_same_bytes_from_every_chunk_source(
             assert single == suite, (source, n_workers)
             reference = reference or suite
             assert suite == reference, (source, n_workers)
-        assert lazy.simulated_drivers == ()  # streamed: nothing was stored
+        assert lazy._store is None  # streamed: nothing was stored
     # the bytes the suite had when each chunk was simulated whole before it was read
     assert hashlib.sha256(json.dumps([json.loads(r) for r in reference]).encode()).hexdigest() == digest
 

@@ -177,7 +177,7 @@ WIDE_PATHS = 4 * TILE_BYTES // 8  # one time row is four tiles wide
 @pytest.fixture(scope="module")
 def wide_scen(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 2), WIDE_PATHS, seed=9)
-    scen.load("fx:USD")
+    scen.load()
     return scen
 
 

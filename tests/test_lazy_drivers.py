@@ -1,7 +1,6 @@
-"""A scenario simulates each driver the first time it is read, to the bits of a full simulation."""
+"""A scenario is streamed, or stored whole on first read, to the same bits either way."""
 
 import dataclasses
-import itertools
 import sys
 import threading
 import tracemalloc
@@ -59,64 +58,64 @@ def _one_pass(n_paths: int, n_factors: int) -> list[tuple[int, int]]:
     return [(chunk, k) for chunk in range(len(chunk_columns(n_paths))) for k in range(n_factors)]
 
 
-# factors each driver reads, in the fixtures' factor order (the FX pairs, then the assets): the
-# fixtures' correlations are full rank, so a driver reads every factor up to its own
-TWO_CURRENCY_READS = {"fx:USD": 1, "EQ": 2, "FEQ": 3}
+# factors each driver reads, in the three-currency fixture's factor order (the FX pairs, then the
+# assets): its correlation is full rank, so a driver reads every factor up to its own
 THREE_CURRENCY_READS = {"fx:USD": 1, "fx:JPY": 2, "EQ1": 3, "EQ2": 4, "UST": 5, "NKY": 6}
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("n_paths", [1, 3, 8199])
-def test_every_subset_and_order_of_loads_keeps_the_bits_of_a_full_simulation(
-    three_currency_model, n_paths, n_workers
-):
+def test_every_subset_of_streamed_drivers_keeps_the_bits_of_the_store(three_currency_model, n_paths, n_workers):
     model, grid = three_currency_model, TimeGrid.regular(1.0, 5)
     labels = model.driver_labels
     full = simulate(model, grid, n_paths, seed=23, n_workers=n_workers).paths.copy()
     # subsets of one to all six drivers, runs of consecutive rows and scattered rows alike
     subsets = [("fx:JPY",), ("EQ2", "UST"), ("EQ1", "UST", "fx:JPY"), ("NKY", "EQ1", "fx:USD", "EQ2"), labels]
     for subset in subsets:
-        for split in range(len(subset) + 1):  # the subset as one load, or as two in reverse order
-            scen = simulate(model, grid, n_paths, seed=23, n_workers=n_workers)
-            for part in (subset[split:][::-1], subset[:split]):
-                if part:
-                    scen.load(*part)
-            assert set(scen.simulated_drivers) == set(subset)
-            for label in subset:
-                d = labels.index(label)
-                assert scen.driver(label).T.tobytes() == full[d].tobytes(), (subset, split, label)
+        scen = simulate(model, grid, n_paths, seed=23, n_workers=n_workers)
+
+        def same_bits(cols, tiles):
+            return all(
+                levels[label].tobytes() == full[labels.index(label), nodes, cols].tobytes()
+                for nodes, levels in tiles
+                for label in subset
+            )
+
+        assert all(scen.map_tiles(same_bits, *subset)), subset
+        assert scen._store is None
 
 
 def test_a_scenario_simulates_nothing_until_a_driver_is_read(two_currency_model, streams):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), N_PASS_PATHS, seed=1)
-    assert streams == [] and scen.simulated_drivers == ()
+    assert streams == [] and scen._store is None
     assert scen.n_paths == N_PASS_PATHS and scen.grid.n_steps == 4  # read without simulating
     scen.fx("EUR")  # the domestic rate is one: no driver
-    assert streams == [] and scen.simulated_drivers == ()
-    scen.asset("FEQ")  # the last factor: a pass that reads all three
-    assert scen.simulated_drivers == ("FEQ",) and streams == _one_pass(N_PASS_PATHS, 3)
+    assert streams == [] and scen._store is None
+    scen.fx("USD")  # the first factor alone, but the store is filled whole: one pass that reads all three
+    assert scen._store is not None and streams == _one_pass(N_PASS_PATHS, 3)
     scen.asset("FEQ")
-    scen.load("FEQ")
-    assert streams == _one_pass(N_PASS_PATHS, 3)  # a simulated driver is not simulated again
-    _ = scen.paths  # the whole array: every driver first, so EQ and fx:USD, which read two factors
-    assert scen.simulated_drivers == ("EQ", "FEQ", "fx:USD")
-    assert streams == _one_pass(N_PASS_PATHS, 3) + _one_pass(N_PASS_PATHS, 2)
+    scen.load()
+    _ = scen.paths
+    assert streams == _one_pass(N_PASS_PATHS, 3)  # a stored scenario is not simulated again
 
 
 def test_a_scenario_built_from_a_whole_array_counts_as_simulated(two_currency_model, streams):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 200, seed=1)
     chunk = dataclasses.replace(scen, paths=scen.paths[:, :, 100:150])
-    assert chunk.simulated_drivers == two_currency_model.driver_labels and chunk.n_paths == 50
+    chunk.load()  # stored from the start: nothing to simulate
+    assert chunk._simulation is None and chunk.n_paths == 50
     assert streams == _one_pass(200, 3)  # the one pass that read scen.paths
     assert np.shares_memory(chunk.fx("USD"), scen.paths)
 
 
-def test_load_rejects_a_label_that_names_no_driver(two_currency_model):
+def test_a_label_that_names_no_driver_is_rejected_before_anything_is_simulated(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 10, seed=1)
     for label in ("GBP", "fx:GBP", "fx:EUR"):
         with pytest.raises(ConfigError):
-            scen.load("EQ", label)
-    assert scen.simulated_drivers == ()
+            scen.driver(label)
+        with pytest.raises(ConfigError):
+            scen.map_tiles(lambda cols, tiles: None, "EQ", label)
+    assert scen._store is None
 
 
 def test_simulate_checks_its_inputs_at_once(two_currency_model, streams):
@@ -130,8 +129,8 @@ def test_simulate_checks_its_inputs_at_once(two_currency_model, streams):
     assert streams == []
 
 
-def test_concurrent_readers_simulate_each_driver_once(two_currency_model, streams):
-    # more readers than cores, switching often: each driver is still simulated once, to its bits
+def test_concurrent_readers_simulate_the_scenario_once(two_currency_model, streams):
+    # more readers than cores, switching often: the store is still filled once, to its bits
     grid, labels = TimeGrid.regular(1.0, 4), two_currency_model.driver_labels
     full = simulate(two_currency_model, grid, N_PASS_PATHS, seed=1).paths.copy()
     streams.clear()
@@ -156,10 +155,9 @@ def test_concurrent_readers_simulate_each_driver_once(two_currency_model, stream
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert seen == {i: True for i in range(8)}
-    assert scen.simulated_drivers == labels
-    # one pass per driver, each of the factors it reads
-    expected = [stream for label in labels for stream in _one_pass(N_PASS_PATHS, TWO_CURRENCY_READS[label])]
-    assert sorted(streams) == sorted(expected)
+    assert scen._store is not None
+    # one pass of every factor
+    assert sorted(streams) == _one_pass(N_PASS_PATHS, 3)
 
 
 def test_concurrent_streams_and_loads_give_the_bits_of_a_stored_scenario(three_currency_model):
@@ -209,10 +207,10 @@ def test_a_price_simulates_only_the_drivers_its_trade_reads(two_currency_model, 
         scen = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
         contract = Contract(native, ((1.0, -1.0),))
         report = price_exogenous(scen, contract, build_exogenous_path(scen, MARK_PROXY, contract), MARK_PROXY)
-        assert scen.simulated_drivers == ()
+        assert scen._store is None
         assert streams == _one_pass(N_PASS_PATHS, 1)
         full = simulate(two_currency_model, grid, N_PASS_PATHS, seed=3)
-        full.load(*two_currency_model.driver_labels)
+        full.load()
         expected = price_exogenous(full, contract, build_exogenous_path(full, MARK_PROXY, contract), MARK_PROXY)
         assert report == expected, native
 
@@ -241,7 +239,7 @@ def test_a_price_reading_several_drivers_simulates_them_in_one_pass(three_curren
     contract = Contract("JPY", ((1.0, -100.0),))
     scen = simulate(three_currency_model, TimeGrid.regular(1.0, 4), N_PASS_PATHS, seed=3)
     price_exogenous(scen, contract, build_exogenous_path(scen, spec, contract), spec)
-    assert scen.simulated_drivers == ()  # streamed, stored nowhere
+    assert scen._store is None  # streamed, stored nowhere
     assert streams == _one_pass(N_PASS_PATHS, THREE_CURRENCY_READS["NKY"])  # NKY, the last factor: all six
 
 
@@ -253,7 +251,7 @@ def test_the_suite_and_a_test_make_one_pass_each(three_currency_model, streams):
         streams.clear()
         scen = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3)
         martingale_test(scen, pid)  # streamed: a streamed reader stores nothing
-        assert scen.simulated_drivers == () and streams == _one_pass(N_PASS_PATHS, THREE_CURRENCY_READS[label])
+        assert scen._store is None and streams == _one_pass(N_PASS_PATHS, THREE_CURRENCY_READS[label])
 
 
 def test_a_stored_scenario_is_streamed_without_drawing_and_a_lazy_one_in_one_pass(three_currency_model, streams):
@@ -267,7 +265,7 @@ def test_a_stored_scenario_is_streamed_without_drawing_and_a_lazy_one_in_one_pas
     for read, n_factors in ((run_martingale_suite, 6), (lambda scen: martingale_test(scen, "fx:JPY"), 2)):
         lazy = simulate(three_currency_model, grid, N_PASS_PATHS, seed=3, n_workers=2)
         read(lazy)
-        assert sorted(streams) == _one_pass(N_PASS_PATHS, n_factors) and lazy.simulated_drivers == ()
+        assert sorted(streams) == _one_pass(N_PASS_PATHS, n_factors) and lazy._store is None
         streams.clear()
 
 
@@ -338,9 +336,9 @@ def test_cli_simulate_without_a_dump_never_allocates_the_path_store(tmp_path, st
     # the terminal statistics are taken chunk by chunk; loading the store is what the dump alone needs
     loads, load = [], ScenarioSet.load
 
-    def spy(scenario, *labels):
-        loads.append(labels)
-        return load(scenario, *labels)
+    def spy(scenario):
+        loads.append(scenario)
+        return load(scenario)
 
     monkeypatch.setattr(ScenarioSet, "load", spy)
     args = ["--model", str(DEMO_MODEL), "--paths", str(N_PASS_PATHS), "--steps", "3"]
@@ -349,24 +347,13 @@ def test_cli_simulate_without_a_dump_never_allocates_the_path_store(tmp_path, st
     assert streams == _one_pass(N_PASS_PATHS, 3)
 
 
-def test_every_load_order_keeps_the_bits_of_a_full_simulation(two_currency_model):
-    # one driver at a time in each order, over a full and a ragged odd chunk, at one worker and two
-    grid = TimeGrid.regular(1.0, 3)
-    labels = two_currency_model.driver_labels
-    full = simulate(two_currency_model, grid, 3 * CHUNK_PATHS // 2 + 1, seed=9).paths.copy()
-    for order, n_workers in itertools.product(itertools.permutations(labels), (1, 2)):
-        scen = simulate(two_currency_model, grid, full.shape[2], seed=9, n_workers=n_workers)
-        for label in order:
-            assert scen.driver(label).T.tobytes() == full[labels.index(label)].tobytes(), (order, label)
-
-
 @pytest.mark.parametrize("process_id", ["fx:EUR", "fx:USD", "asset:EQ"])
 def test_a_martingale_test_without_an_error_bar_simulates_nothing(two_currency_model, streams, process_id):
     # three paths are one pair and a half: the test used to load its drivers before rejecting them
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 3, seed=1)
     with pytest.raises(ConfigError, match="error bar"):
         martingale_test(scen, process_id)
-    assert streams == [] and scen.simulated_drivers == ()
+    assert streams == [] and scen._store is None
 
 
 def test_a_price_without_an_error_bar_simulates_nothing(two_currency_model, streams):
@@ -377,7 +364,7 @@ def test_a_price_without_an_error_bar_simulates_nothing(two_currency_model, stre
     coll_path = CollateralPath(np.ones((3, len(grid.times))), "USD")
     with pytest.raises(ConfigError, match="error bar"):
         price_exogenous(scen, Contract("EUR", ((1.0, -1.0),)), coll_path, spec)
-    assert streams == [] and scen.simulated_drivers == ()
+    assert streams == [] and scen._store is None
 
 
 def test_a_reduction_suite_without_an_error_bar_simulates_nothing(single_currency_model, streams):

@@ -37,7 +37,7 @@ def _streamed_and_stored(model, grid, n_paths, contract, spec, n_workers):
     """The price of a lazy path on a fresh scenario, and of its built array on the same scenario fully loaded."""
     lazy = simulate(model, grid, n_paths, seed=17, n_workers=n_workers)
     streamed = price_exogenous(lazy, contract, build_exogenous_path(lazy, spec, contract), spec)
-    assert lazy.simulated_drivers == ()
+    assert lazy._store is None
     stored = simulate(model, grid, n_paths, seed=17, n_workers=n_workers)
     stored.load()
     coll = CollateralPath(build_exogenous_path(stored, spec, contract).c, spec.currency)
@@ -233,7 +233,7 @@ def test_a_lazy_path_from_another_scenario_is_read_as_its_array(two_currency_mod
     other = simulate(two_currency_model, grid, 600, seed=3)
     lazy = build_exogenous_path(own, spec, contract)
     report = price_exogenous(other, contract, lazy, spec)
-    assert lazy.built and own.simulated_drivers == ("fx:USD",) and other.simulated_drivers == ()
+    assert lazy.built and own._store is not None and other._store is None
     assert report == price_exogenous(other, contract, CollateralPath(lazy.c, "USD"), spec)
     assert report != price_exogenous(other, contract, build_exogenous_path(other, spec, contract), spec)
 
@@ -241,9 +241,9 @@ def test_a_lazy_path_from_another_scenario_is_read_as_its_array(two_currency_mod
 def test_a_lazy_path_checks_its_inputs_at_once_and_builds_nothing(two_currency_model):
     scen = simulate(two_currency_model, TimeGrid.regular(1.0, 4), 100, seed=1)
     path = build_exogenous_path(scen, _spec("fraction_of_asset", "USD"), Contract("USD", ((1.0, -1.0),)))
-    assert not path.built and path.shape == (100, 5) and scen.simulated_drivers == ()
+    assert not path.built and path.shape == (100, 5) and scen._store is None
     assert path.drivers == ["FEQ", "fx:USD"]
-    assert path.c.shape == (100, 5) and path.built and scen.simulated_drivers == ("FEQ", "fx:USD")
+    assert path.c.shape == (100, 5) and path.built and scen._store is not None
     bad = CollateralSpec(currency="USD", mode=("exogenous", "fraction_of_asset", {"asset": "NOPE"}))
     with pytest.raises(ConfigError, match="NOPE"):
         build_exogenous_path(scen, bad, Contract("USD", ()))

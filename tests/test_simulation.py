@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import build_model, curveset
+from conftest import build_model, curveset, peak_traced_bytes
 from xccy import (
     AssetSpec,
     FxSpec,
@@ -26,11 +26,13 @@ from xccy.simulation import (
     CHUNK_PATHS,
     TILE_BYTES,
     UNIT_RATE,
-    _simulate_chunk,
+    _level_tiles,
+    _ring_shape,
     _simulate_log_chunk,
     _step_coefficients,
     check_error_bar_paths,
     chunk_columns,
+    pair_moments,
     row_tiles,
     run_chunks,
     sample_mean,
@@ -184,7 +186,7 @@ def test_bit_identical_across_worker_counts(two_currency_model):
         assert np.array_equal(one.fx("USD"), eight.fx("USD"))
 
 
-def _driver_major_chunk(block, seed, drift, vol, x0, chunk, rows=None):
+def _driver_major_chunk(block, seed, drift, vol, x0, chunk):
     """Reference: a driver-major kernel on explicitly paired normals, writing every driver.
 
     Path 2i reads pair i of each factor's normals and path 2i+1 its
@@ -192,12 +194,10 @@ def _driver_major_chunk(block, seed, drift, vol, x0, chunk, rows=None):
     is the negated-normals twin of path 2i by construction. Each driver's
     (count, n_times) block is its drift plus the mixed normals, summed in
     factor order, stepped with a row-wise cumsum and copied into the
-    time-major ``block``. ``rows``, when given as by :meth:`ScenarioSet.load`,
-    must name every driver.
+    time-major ``block``.
     """
     n_drivers, n_times, count = block.shape
     n_factors = vol.shape[1]
-    assert rows is None or rows.tolist() == list(range(n_drivers))
     # every factor's whole step-major (step, pair) stream in one draw, viewed as (pair, step, factor)
     shape = (1, n_times - 1, -(-count // 2))
     drawn = np.concatenate([normal_block(chunk_stream(seed, chunk, k), np.empty(shape)) for k in range(n_factors)])
@@ -216,6 +216,25 @@ def _driver_major_chunk(block, seed, drift, vol, x0, chunk, rows=None):
         np.exp(logs, out=logs)
         logs *= x0[d]
     block[...] = ref.transpose(0, 2, 1)
+
+
+def _driver_major_paths(model, grid, n_paths, seed, drift_shift):
+    """The reference (n_drivers, n_times, n_paths) paths, :func:`_driver_major_chunk` chunk by chunk."""
+    drift, vol, x0 = _step_coefficients(model, grid, drift_shift or {})
+    paths = np.empty((len(x0), len(grid.times), n_paths))
+    for chunk, cols in enumerate(chunk_columns(n_paths)):
+        _driver_major_chunk(paths[:, :, cols], seed, drift, vol, x0, chunk)
+    return paths
+
+
+def _chunk_levels(seed, drift, vol, x0, chunk, count):
+    """Every driver's levels over one chunk of ``count`` paths, gathered from the tiles of :func:`_level_tiles`."""
+    rows = np.arange(len(x0))
+    levels = np.empty((len(x0), drift.shape[1] + 1, count))
+    ring = np.empty(math.prod(_ring_shape(vol, rows, count)))
+    for nodes, tile in _level_tiles(seed, drift, vol, x0, chunk, rows, count, ring):
+        levels[:, nodes] = tile
+    return levels
 
 
 def _uncorrelated_model():
@@ -247,6 +266,11 @@ LAYOUT_CASES = {
 }
 
 
+def _step_bytes(model, labels, n_paths):
+    """A kernel step's bytes for the drivers ``labels``: the normals of the factors they read and one mixed row."""
+    return (_factors_read(model, labels) + 1) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+
+
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("case", list(LAYOUT_CASES))
 def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, case, n_workers):
@@ -255,44 +279,50 @@ def test_time_major_kernel_matches_driver_major_reference(request, monkeypatch, 
     if fixture is None:
         assert (model.mixing == 0).any()
     grid = TimeGrid.regular(1.0, n_steps)
-    with monkeypatch.context() as m:
-        m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
-        ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift)
-        ref.load()  # simulated on first read: read while the reference kernel is in place
-    # the tile budget of the kernel's mixing loop, the normals of the factors read and one mixed
-    # row per step: one step per tile, three steps of a full chunk's rows, and at least the whole chunk
-    step_bytes = (_factors_read(model, model.driver_labels) + 1) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+    ref = _driver_major_paths(model, grid, n_paths, 17, drift_shift)
+    # the tile budget of the kernel's mixing loop: one step per tile, three steps of a full chunk's
+    # rows, and at least the whole chunk
+    step_bytes = _step_bytes(model, model.driver_labels, n_paths)
     for budget in (1, 3 * step_bytes, n_steps * step_bytes):
         monkeypatch.setattr("xccy.simulation.TILE_BYTES", budget)
         scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
-        for label in model.driver_labels:
-            assert np.array_equal(scen.driver(label), ref.driver(label)), (label, budget)
+        for d, label in enumerate(model.driver_labels):
+            assert scen.driver(label).T.tobytes() == ref[d].tobytes(), (label, budget)
 
 
 @pytest.mark.parametrize("n_workers", [1, 2])
 @pytest.mark.parametrize("case", list(LAYOUT_CASES))
-def test_each_driver_loaded_alone_matches_the_driver_major_reference(request, monkeypatch, case, n_workers):
-    # a scenario simulates a driver when it is first read, so the reference scenario is read
-    # (every driver at once, through ``paths``) while the reference kernel is in place
+def test_each_driver_streamed_alone_matches_the_driver_major_reference(request, monkeypatch, case, n_workers):
+    # a pass draws only the factors its drivers read, so a driver's bits do not depend on which
+    # drivers are streamed with it
     fixture, n_paths, n_steps, drift_shift = LAYOUT_CASES[case]
     model = _uncorrelated_model() if fixture is None else request.getfixturevalue(fixture)
     grid = TimeGrid.regular(1.0, n_steps)
     labels = model.driver_labels
-    with monkeypatch.context() as m:
-        m.setattr("xccy.simulation._simulate_chunk", _driver_major_chunk)
-        ref = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift).paths
+    ref = _driver_major_paths(model, grid, n_paths, 17, drift_shift)
+
+    def gather(names):
+        def work(cols, tiles):
+            levels = np.empty((len(names), len(grid.times), cols.stop - cols.start))
+            for nodes, tile in tiles:
+                for i, label in enumerate(names):
+                    levels[i, nodes] = tile[label]
+            return cols, levels
+
+        return work
+
     # each driver alone, and the first and last together (two runs of rows), at the tile budgets
-    # of the test above for the factors the load reads
-    loads = [(label,) for label in labels] + ([(labels[0], labels[-1])] if len(labels) > 2 else [])
-    for load in loads:
-        step_bytes = (_factors_read(model, load) + 1) * 8 * -(-min(n_paths, CHUNK_PATHS) // 2)
+    # of the test above for the factors the pass reads
+    passes = [(label,) for label in labels] + ([(labels[0], labels[-1])] if len(labels) > 2 else [])
+    for names in passes:
+        step_bytes = _step_bytes(model, names, n_paths)
         for budget in (1, 3 * step_bytes, n_steps * step_bytes):
             monkeypatch.setattr("xccy.simulation.TILE_BYTES", budget)
             scen = simulate(model, grid, n_paths, seed=17, drift_shift=drift_shift, n_workers=n_workers)
-            scen.load(*load)
-            assert scen.simulated_drivers == load
-            for label in load:
-                assert scen.driver(label).T.tobytes() == ref[labels.index(label)].tobytes(), (load, budget)
+            for cols, levels in scen.map_tiles(gather(names), *names):
+                for i, label in enumerate(names):
+                    assert levels[i].tobytes() == ref[labels.index(label), :, cols].tobytes(), (names, budget)
+            assert scen._store is None
 
 
 @pytest.mark.parametrize("count", [1, 2])
@@ -303,10 +333,9 @@ def test_one_pair_tiles_sum_the_mixing_in_driver_order(three_currency_model, cou
     drift, vol, x0 = _step_coefficients(three_currency_model, grid, {})
     shape = (len(x0), len(grid.times), count)
     for chunk in range(16):
-        got, ref = np.empty(shape), np.empty(shape)
-        _simulate_chunk(got, 17, drift, vol, x0, chunk, np.arange(len(x0)))
+        ref = np.empty(shape)
         _driver_major_chunk(ref, 17, drift, vol, x0, chunk)
-        assert got.tobytes() == ref.tobytes(), chunk
+        assert _chunk_levels(17, drift, vol, x0, chunk, count).tobytes() == ref.tobytes(), chunk
 
 
 @pytest.mark.parametrize("count", [1000, 1001])  # 1001: the last path has no antithetic twin
@@ -314,8 +343,8 @@ def test_level_step_is_x0_times_exp_of_the_log_kernel(three_currency_model, coun
     grid = TimeGrid.regular(1.0, 7)
     drift, vol, x0 = _step_coefficients(three_currency_model, grid, {})
     shape = (len(x0), len(grid.times), count)
-    levels, logs = np.empty(shape), np.empty(shape)
-    _simulate_chunk(levels, 3, drift, vol, x0, 2, np.arange(len(x0)))
+    logs = np.empty(shape)
+    levels = _chunk_levels(3, drift, vol, x0, 2, count)
     _simulate_log_chunk(logs, 3, drift, vol, 2, np.arange(len(x0)))
     assert np.array_equal(logs[:, 0], np.zeros(shape[::2]))
     assert levels.tobytes() == (np.exp(logs) * x0[:, None, None]).tobytes()
@@ -429,6 +458,21 @@ def test_chunk_fold_matches_the_two_pass_statistics():
     mean, se = sample_mean(samples)
     assert mean == pytest.approx(np.mean(pairs), rel=1e-12, abs=0.0)
     assert se == pytest.approx(np.std(pairs, ddof=1) / math.sqrt(pairs.size), rel=1e-12, abs=0.0)
+
+
+def test_pair_moments_take_one_half_row_temporary_and_the_bits_of_the_pair_means():
+    # a martingale checkpoint block of one chunk: its pair means are 128 KiB, below the 256 KiB above
+    # which numpy elides a temporary, so 0.5 * (a + b) would hold two such arrays at once. What else
+    # may be held is the ufunc iterator's 64 KiB buffer for the broadcast mean
+    block = 1.0 + np.random.default_rng(3).standard_normal((4, CHUNK_PATHS))
+    half = block[..., 0::2].nbytes
+    pair_moments(block)  # numpy's one-time allocations, unmeasured
+    peak = peak_traced_bytes(lambda: pair_moments(block))
+    assert peak < 2 * half, (peak, half)
+    pairs = 0.5 * (block[:, 0::2] + block[:, 1::2])
+    k, mean, m2 = pair_moments(block)
+    assert k == CHUNK_PATHS // 2 and np.array_equal(mean, pairs.mean(axis=-1))
+    assert np.array_equal(m2 / (k - 1), pairs.var(axis=-1, ddof=1))
 
 
 @pytest.mark.parametrize("n_paths", [0, 1, 2, 3, 2001])
